@@ -22,7 +22,7 @@ from typing import Union
 import numpy as np
 
 from .model import InnovationSpec, LnarSpec, NarSpec
-from .netdyn import FlipNetwork, MarkovEdgeNetwork, NeighborhoodFn
+from .netdyn import FlipNetwork, MarkovEdgeNetwork, apply_neighborhood_fn
 
 __all__ = ["CouplingRun", "estimate_delta_network", "estimate_delta_x"]
 
@@ -115,27 +115,21 @@ def estimate_delta_network(model: Union[MarkovEdgeNetwork, FlipNetwork], q: floa
     if isinstance(model, MarkovEdgeNetwork):
         d = model.d
         state = np.stack([model.initial_state(rng) for _ in range(reps)])
-        stay, enter = model.stay_prob, model.enter_prob
         for _ in range(burn_in):
             u = rng.random((reps, d, d))
-            state = _markov_step_vec(state, stay, enter, u)
+            state = model.step(state, u)
         ua, ub = rng.random((reps, d, d)), rng.random((reps, d, d))
-        sa = _markov_step_vec(state, stay, enter, ua)
-        sb = _markov_step_vec(state, stay, enter, ub)
+        sa = model.step(state, ua)
+        sb = model.step(state, ub)
         powers = np.empty((reps, max_lag + 1))
         powers[:, 0] = np.abs(sa - sb).max(axis=(1, 2)) ** q
         for j in range(1, max_lag + 1):
             u = rng.random((reps, d, d))
-            sa = _markov_step_vec(sa, stay, enter, u)
-            sb = _markov_step_vec(sb, stay, enter, u)
+            sa = model.step(sa, u)
+            sb = model.step(sb, u)
             powers[:, j] = np.abs(sa - sb).max(axis=(1, 2)) ** q
         return _finalize(q, powers, reps)
     raise TypeError(f"unsupported network model {type(model).__name__}")
-
-
-def _markov_step_vec(states, stay, enter, uniforms):
-    p = np.where(states == 1.0, stay, enter)
-    return (uniforms < p).astype(float)
 
 
 def _flip_step_vec(model: FlipNetwork, states, uniforms):
@@ -181,10 +175,10 @@ def estimate_delta_x(spec: Union[NarSpec, LnarSpec], model: Union[MarkovEdgeNetw
         if flip:
             u = rng.random(reps)
             net_a = _flip_step_vec(model, net_a, u)
-            mat = _flip_states_to_mats(model, net_a)
+            mat = model.state_to_matrix(net_a)
         else:
             u = rng.random((reps, d, d))
-            net_a = _markov_step_vec(net_a, model.stay_prob, model.enter_prob, u)
+            net_a = model.step(net_a, u)
             mat = net_a
         eps = innov.sample(rng, reps)
         x_new = _batched_nar_step(nar, x_lags, mats_lags, eps)
@@ -212,19 +206,12 @@ def estimate_delta_x(spec: Union[NarSpec, LnarSpec], model: Union[MarkovEdgeNetw
     return _finalize(q, powers, reps)
 
 
-def _flip_states_to_mats(model: FlipNetwork, states: np.ndarray) -> np.ndarray:
-    mats = np.zeros((states.shape[0], 3, 3))
-    mats[states == 0, 0, 2] = 1.0
-    mats[states == 1, 1, 2] = 1.0
-    return mats
-
-
 def _advance(nar: NarSpec, model, state: dict, u, eps, flip: bool) -> np.ndarray:
     if flip:
         state["net"] = _flip_step_vec(model, state["net"], u)
-        mat = _flip_states_to_mats(model, state["net"])
+        mat = model.state_to_matrix(state["net"])
     else:
-        state["net"] = _markov_step_vec(state["net"], model.stay_prob, model.enter_prob, u)
+        state["net"] = model.step(state["net"], u)
         mat = state["net"]
     x_new = _batched_nar_step(nar, state["x"], state["m"], eps)
     state["m"] = np.concatenate([mat[None], state["m"][:-1]], axis=0)
@@ -241,29 +228,8 @@ def _batched_nar_step(nar: NarSpec, x_lags: np.ndarray, mats_lags: np.ndarray,
     """
     out = eps.copy()
     for j in range(1, nar.p + 1):
-        mods = _apply_batched(nar.G[j - 1], mats_lags[j - 1])
+        mods = apply_neighborhood_fn(nar.G[j - 1], mats_lags[j - 1])
         coef = nar.A[j - 1][None] * mods
         out = out + np.einsum("rij,rj->ri", coef, x_lags[j - 1])
     return out
 
-
-def _apply_batched(fn: NeighborhoodFn, ads: np.ndarray) -> np.ndarray:
-    """Vectorized neighborhood application over a (reps, d, d) batch."""
-    if fn.kind == "transpose":
-        return ads.transpose(0, 2, 1)
-    if fn.kind == "transpose_of":
-        return _apply_batched(fn.inner, ads).transpose(0, 2, 1)
-    if fn.kind == "mask":
-        return fn.mask_matrix[None] * ads
-    if fn.kind == "row_normalized_transpose":
-        at = ads.transpose(0, 2, 1)
-        sums = at.sum(axis=2, keepdims=True)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return np.where(sums != 0, at / np.where(sums != 0, sums, 1.0), 0.0)
-    if fn.kind == "identity_plus":
-        inner = _apply_batched(fn.inner, ads).copy()
-        idx = np.arange(ads.shape[1])
-        inner[:, idx, idx] = 0.0
-        return np.eye(ads.shape[1])[None] + inner
-    # small closed set of remaining integer variants; fall back per slice
-    return np.stack([fn.apply(a) for a in ads])

@@ -23,17 +23,15 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .netdyn import AdjacencySeries, NeighborhoodFn
+from .netdyn import AdjacencySeries, NeighborhoodFn, apply_neighborhood_fn
 
 __all__ = [
     "IndexSet",
     "ComponentFit",
     "ModelFit",
     "EstimationError",
-    "build_index_set",
     "index_sets",
     "build_regressors",
-    "build_regressors_lnar",
     "fit_component_ls",
     "fit_nar",
     "fit_lnar",
@@ -147,6 +145,15 @@ class ModelFit:
         return alpha, beta
 
 
+def _finite_series(x) -> np.ndarray:
+    """The series as a (d, n) float array; a non-finite entry is a ValueError."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    if not np.isfinite(x).all():
+        r, t = np.argwhere(~np.isfinite(x))[0]
+        raise ValueError(f"series has a non-finite value {x[r, t]} at component {r}, time {t}")
+    return x
+
+
 def _resolve_t_start(p: int, t_start: Optional[int]) -> int:
     if t_start is None:
         return p
@@ -165,11 +172,7 @@ def _lag_stacks(n: int, ads: AdjacencySeries, g_list, p: int, t_start: int) -> L
         raise ValueError(
             f"network series too short for the sample: need {n - 1} snapshots, got {len(ads)}"
         )
-    stacks = []
-    for j in range(1, p + 1):
-        g = g_list[j - 1]
-        stacks.append(np.stack([g.apply(ads[t]) for t in range(t_start - j, n - j)]))
-    return stacks
+    return [g_list[j - 1].apply(ads.mats[t_start - j: n - j]) for j in range(1, p + 1)]
 
 
 def index_sets(n: int, ads: AdjacencySeries, g_list: Sequence[NeighborhoodFn], p: int,
@@ -186,11 +189,6 @@ def index_sets(n: int, ads: AdjacencySeries, g_list: Sequence[NeighborhoodFn], p
         members = [i + j * d for j in range(p) for i in range(d) if mass[j][r, i] > 0.0]
         out.append(IndexSet(r=r, members=tuple(sorted(members))))
     return out
-
-
-def build_index_set(n: int, ads: AdjacencySeries, g_list: Sequence[NeighborhoodFn], p: int,
-                    r: int, t_start: Optional[int] = None) -> IndexSet:
-    return index_sets(n, ads, g_list, p, t_start)[r]
 
 
 def build_regressors(x: np.ndarray, ads: AdjacencySeries, g_list: Sequence[NeighborhoodFn],
@@ -219,19 +217,6 @@ def build_regressors(x: np.ndarray, ads: AdjacencySeries, g_list: Sequence[Neigh
     return Y, x[r, t_start:]
 
 
-def _zero_diag_apply(g: NeighborhoodFn, ad: np.ndarray) -> np.ndarray:
-    m = g.apply(ad).copy()
-    np.fill_diagonal(m, 0.0)
-    return m
-
-
-def build_regressors_lnar(x: np.ndarray, ads: AdjacencySeries, g_list: Sequence[NeighborhoodFn],
-                          p: int, r: int, t_start: Optional[int] = None):
-    """2p-column regressors (own lag, pooled network lag) per lag for one component."""
-    Y, y = _lnar_design(x, ads, g_list, p, t_start)
-    return Y[r], y[r]
-
-
 def _lnar_design(x, ads, g_list, p, t_start):
     """Shared per-component design matrices; the pooled network series
     G_j(Ad_t) x_t is computed once for all components."""
@@ -245,18 +230,15 @@ def _lnar_design(x, ads, g_list, p, t_start):
     m = n - t_start
     if m <= 0:
         raise ValueError("estimation window is empty")
-    # z[j][:, t] = zero-diagonal G_{j+1}(Ad_t) @ x[:, t]
-    z = np.zeros((p, d, n))
-    for j in range(p):
-        for t in range(t_start - (j + 1), n - (j + 1)):
-            if t < 0:
-                continue
-            z[j][:, t] = _zero_diag_apply(g_list[j], ads[t]) @ x[:, t]
     Y = np.zeros((d, m, 2 * p))
     for j in range(1, p + 1):
         sl = slice(t_start - j, n - j)
         Y[:, :, 2 * (j - 1)] = x[:, sl]
-        Y[:, :, 2 * (j - 1) + 1] = z[j - 1][:, sl]
+        # pooled network lag: zero-diagonal G_j(Ad_t) @ x_t, one stacked product per lag
+        Y[:, :, 2 * (j - 1) + 1] = np.matmul(
+            apply_neighborhood_fn(g_list[j - 1], ads.mats[sl], zero_diag=True),
+            x[:, sl].T[..., None],
+        )[..., 0].T
     targets = x[:, t_start:]
     return Y, targets
 
@@ -298,7 +280,13 @@ def fit_component_ls(y: np.ndarray, Y: np.ndarray, r: int, idx: Optional[IndexSe
     gram = Yc.T @ Yc
     cross = Yc.T @ (y - ybar)
     jitter = 0.0
-    eigs = np.linalg.eigvalsh((gram + gram.T) / 2.0)
+    try:
+        eigs = np.linalg.eigvalsh((gram + gram.T) / 2.0)
+    except np.linalg.LinAlgError as exc:
+        raise EstimationError(
+            f"component {r}: eigenvalues of the Gram matrix did not converge",
+            {"k": k, "n_obs": m, "finite": bool(np.isfinite(gram).all())},
+        ) from exc
     cond = float(eigs[-1] / max(eigs[0], 1e-300)) if eigs[-1] > 0 else float("inf")
     if eigs[0] <= 0.0 or eigs[-1] / max(eigs[0], 1e-300) > _COND_LIMIT:
         jitter = ridge_scale * float(np.trace(gram)) / k
@@ -328,7 +316,13 @@ def fit_component_ls(y: np.ndarray, Y: np.ndarray, r: int, idx: Optional[IndexSe
     dof = m - k - 1
     resid_var = rss / dof if dof > 0 else float("nan")
     gamma_y0 = gram / m
-    asymp_cov = resid_var * np.linalg.inv(gamma_y0)
+    try:
+        asymp_cov = resid_var * np.linalg.inv(gamma_y0)
+    except np.linalg.LinAlgError as exc:
+        raise EstimationError(
+            f"component {r}: Gram matrix not invertible for the asymptotic covariance",
+            {"k": k, "n_obs": m, "ridge_jitter": jitter},
+        ) from exc
     return ComponentFit(
         r=r, index_set=idx, w=w, mu=mu, resid_var=resid_var,
         gamma_y0=gamma_y0, asymp_cov=asymp_cov, rss=rss, n_obs=m,
@@ -339,7 +333,7 @@ def fit_component_ls(y: np.ndarray, Y: np.ndarray, r: int, idx: Optional[IndexSe
 def fit_nar(x: np.ndarray, ads: AdjacencySeries, g_list: Sequence[NeighborhoodFn], p: int,
             t_start: Optional[int] = None, allow_partial: bool = False) -> ModelFit:
     """Component-wise fit of the full model over the observed index sets."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
+    x = _finite_series(x)
     d, n = x.shape
     if len(g_list) != p:
         raise ValueError("need one neighborhood function per lag")
@@ -360,7 +354,7 @@ def fit_nar(x: np.ndarray, ads: AdjacencySeries, g_list: Sequence[NeighborhoodFn
 
 def fit_lnar(x: np.ndarray, ads: AdjacencySeries, g_list: Sequence[NeighborhoodFn], p: int,
              t_start: Optional[int] = None, allow_partial: bool = False) -> ModelFit:
-    x = np.atleast_2d(np.asarray(x, dtype=float))
+    x = _finite_series(x)
     d, n = x.shape
     if len(g_list) != p:
         raise ValueError("need one neighborhood function per lag")
@@ -387,7 +381,7 @@ def fit_var(x: np.ndarray, p: int, mask: Optional[np.ndarray] = None,
     mask is the unrestricted VAR; an all-zero row yields an
     intercept-only equation whose forecast is the sample mean.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
+    x = _finite_series(x)
     d, n = x.shape
     t_start = _resolve_t_start(p, t_start)
     if mask is None:

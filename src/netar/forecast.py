@@ -16,7 +16,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .estimate import ModelFit
-from .netdyn import AdjacencySeries
+from .netdyn import AdjacencySeries, apply_neighborhood_fn
 
 __all__ = [
     "Known",
@@ -116,17 +116,6 @@ class ForecastSet:
         return np.arange(1, self.points.shape[1] + 1)
 
 
-def _prediction_modulation(fit: ModelFit, j: int, snapshot: np.ndarray) -> np.ndarray:
-    if fit.family == "var":
-        return np.ones((fit.d, fit.d))
-    g = fit.g[j - 1].apply(snapshot)
-    if fit.family == "lnar":
-        g = g.copy()
-        np.fill_diagonal(g, 0.0)
-        return np.eye(fit.d) + g
-    return g
-
-
 def forecast_h(fit: ModelFit, x_hist: np.ndarray, ads_hist: Optional[AdjacencySeries],
                policy: Optional[NetworkForecastPolicy], h: int,
                truth: Optional[np.ndarray] = None) -> ForecastSet:
@@ -143,10 +132,11 @@ def forecast_h(fit: ModelFit, x_hist: np.ndarray, ads_hist: Optional[AdjacencySe
         raise ValueError(f"history of length {n} cannot feed a lag-{fit.p} forecast")
     coef = fit.coefficient_matrices()
     mu = fit.mu_hat()
-    needs_network = fit.family != "var"
+    # mods[j-1][s-1] modulates lag j at horizon s; the per-component family
+    # uses its embedding I + zero-diagonal G, the VAR no modulation at all
+    mods = [np.ones((h, d, d))] * fit.p
     nets = None
-    mats_ext = None
-    if needs_network:
+    if fit.family != "var":
         if ads_hist is None or policy is None:
             raise ValueError("network-modulated forecasts need a history and a policy")
         if len(ads_hist) < n - 1:
@@ -156,17 +146,18 @@ def forecast_h(fit: ModelFit, x_hist: np.ndarray, ads_hist: Optional[AdjacencySe
         hist_use = ads_hist.take_first(n - 1)
         nets = forecast_network(hist_use, policy, h)
         mats_ext = np.concatenate([hist_use.mats, nets.mats], axis=0)
+        lnar = fit.family == "lnar"
+        mods = [apply_neighborhood_fn(g, mats_ext[n - j: n + h - j], zero_diag=lnar)
+                for j, g in enumerate(fit.g, start=1)]
+        if lnar:
+            for m in mods:
+                m += np.eye(d)
     x_ext = np.concatenate([x_hist, np.zeros((d, h))], axis=1)
-    ones = np.ones((d, d))
     for s in range(1, h + 1):
         t = n + s - 1
         acc = mu.copy()
         for j in range(1, fit.p + 1):
-            if needs_network:
-                mod = _prediction_modulation(fit, j, mats_ext[t - j])
-            else:
-                mod = ones
-            acc = acc + (coef[j - 1] * mod) @ x_ext[:, t - j]
+            acc = acc + (coef[j - 1] * mods[j - 1][s - 1]) @ x_ext[:, t - j]
         x_ext[:, t] = acc
     points = x_ext[:, n:]
     errors = None

@@ -269,13 +269,10 @@ def _fit_with_bic(method: MethodSpec, x_est, ads_est, p_max: int):
     if method.family == "var":
         mask = None
         if method.sparsity == "network":
-            d, n = x_est.shape
-            mass = np.zeros((d, d))
-            for t in range(min(len(ads_est), n - 1)):
-                mass += np.abs(method.g.apply(ads_est[t])) if method.g is not None \
-                    else np.abs(ads_est[t])
-            base = (mass > 0).astype(float)
-            mask = np.concatenate([base] * p_max, axis=1)
+            snaps = ads_est.mats[: x_est.shape[1] - 1]
+            # one expression, so the modulation stack is freed before BIC runs
+            base = (snaps if method.g is None else method.g.apply(snaps)).any(axis=0)
+            mask = np.concatenate([base.astype(float)] * p_max, axis=1)
         sel = select_order_bic(x_est, p_max=p_max, family="var", mask=mask)
         sub = None if mask is None else mask[:, : x_est.shape[0] * sel.p]
         return fit_var(x_est, sel.p, mask=sub), sel
@@ -629,6 +626,9 @@ def ingest_panel(levels_path, weights_by_year: Dict[int, str]) -> PanelDataset:
                 rows.append([float(v) for v in row[1:]])
             except ValueError as exc:
                 raise ValueError(f"non-numeric level cell in quarter {row[0]}") from exc
+            if not np.isfinite(rows[-1]).all():
+                bad = labels[int(np.argmin(np.isfinite(rows[-1])))]
+                raise ValueError(f"non-finite level cell in quarter {row[0]}, column {bad}")
     if len(rows) < 2:
         raise ValueError("need at least two quarters of levels")
     for a, b in zip(quarters, quarters[1:]):
@@ -658,6 +658,10 @@ def ingest_panel(levels_path, weights_by_year: Dict[int, str]) -> PanelDataset:
                     entries.append([float(v) for v in row[1:]])
                 except ValueError as exc:
                     raise ValueError(f"non-numeric trade cell in year {year}") from exc
+                if not np.isfinite(entries[-1]).all():
+                    bad = labels[int(np.argmin(np.isfinite(entries[-1])))]
+                    raise ValueError(
+                        f"non-finite trade cell in year {year}, row {row[0]}, column {bad}")
             if row_labels != labels:
                 raise ValueError(f"weight matrix {year}: row labels do not match levels")
         normalized[year] = normalize_trade_matrix(np.asarray(entries))

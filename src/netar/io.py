@@ -172,6 +172,9 @@ def read_series_csv(path) -> Tuple[np.ndarray, int]:
         raise ValueError("empty series file")
     t0 = int(rows[0][0])
     x = np.array([[float(v) for v in row[1:]] for row in rows], dtype=float).T
+    if not np.isfinite(x).all():
+        c, k = np.argwhere(~np.isfinite(x))[0]
+        raise ValueError(f"series CSV: non-finite value in row t={rows[k][0]}, column {header[c + 1]}")
     return x, t0
 
 

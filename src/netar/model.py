@@ -24,7 +24,7 @@ from typing import Callable, List, Optional, Sequence, Union
 
 import numpy as np
 
-from .netdyn import AdjacencySeries, NeighborhoodFn
+from .netdyn import _WEIGHT_TOL, AdjacencySeries, NeighborhoodFn, apply_neighborhood_fn
 
 __all__ = [
     "NarSpec",
@@ -223,17 +223,6 @@ def build_companion(spec: Union[NarSpec, LnarSpec]) -> CompanionForm:
     return CompanionForm(tilde_a=tilde, d=d, p=p, g=spec.G)
 
 
-def _companion_of(mats: Sequence[np.ndarray]) -> np.ndarray:
-    d = mats[0].shape[0]
-    p = len(mats)
-    out = np.zeros((d * p, d * p))
-    for j, m in enumerate(mats):
-        out[:d, j * d:(j + 1) * d] = m
-    for j in range(p - 1):
-        out[(j + 1) * d:(j + 2) * d, j * d:(j + 1) * d] = np.eye(d)
-    return out
-
-
 def spectral_radius(m: np.ndarray) -> float:
     try:
         return float(np.abs(np.linalg.eigvals(m)).max())
@@ -263,7 +252,7 @@ def check_stationarity_nar(spec: NarSpec, tol: float = STATIONARITY_TOL) -> NarS
     causal solution regardless of the network.  The boundary counts as
     failure (strict inequality required).
     """
-    rho = spectral_radius(_companion_of([np.abs(a) for a in spec.A]))
+    rho = spectral_radius(np.abs(build_companion(spec).tilde_a))
     return NarStationarity(holds=bool(rho < 1.0 - tol), rho=rho)
 
 
@@ -302,14 +291,6 @@ def _check_network_cover(ads: AdjacencySeries, total: int, what: str) -> None:
         raise ValueError(
             f"{what}: network series too short, need at least {total} snapshots, got {len(ads)}"
         )
-
-
-def _modulation(g: NeighborhoodFn, ad: np.ndarray, zero_diag: bool) -> np.ndarray:
-    m = g.apply(ad)
-    if zero_diag:
-        m = m.copy()
-        np.fill_diagonal(m, 0.0)
-    return m
 
 
 def simulate_nar(spec: NarSpec, ads: AdjacencySeries, innov: InnovationSpec,
@@ -361,19 +342,32 @@ def simulate_lnar(spec: LnarSpec, ads: AdjacencySeries, innov: InnovationSpec,
     The recursion is run in its componentwise form
     ``x_r = sum_j alpha_{j,r} x_{t-j;r} + beta_{j,r} (G_j x_{t-j})_r + eps_r``
     with zero-diagonal modulation, which coincides elementwise with the
-    full-model embedding.
+    full-model embedding.  A G without an a-priori infinity-norm
+    certificate is certified on the supplied snapshots instead: if
+    ``max_t ||zero-diag G_j(Ad_t)||_inf <= 1`` for every such lag,
+    ``c_lambda < 1`` still suffices.
     """
-    if not allow_explosive:
-        st = check_stationarity_lnar(spec)
-        if st.certified and not st.holds:
-            raise ValueError(
-                f"spec fails the stationarity check (c_lambda={st.c_lambda:.6f}); "
-                "pass allow_explosive=True to override"
-            )
     if innov.d != spec.d:
         raise ValueError("innovation dimension does not match spec")
     total = burn_in + n
     _check_network_cover(ads, total, "simulate_lnar")
+    if not allow_explosive:
+        if not spec.c_lambda < 1.0:
+            raise ValueError(
+                f"spec fails the stationarity check (c_lambda={spec.c_lambda:.6f}); "
+                "pass allow_explosive=True to override"
+            )
+        for j, g in enumerate(spec.G, start=1):
+            if g.infty_norm_certified():
+                continue
+            mods = apply_neighborhood_fn(g, ads.mats[: total - j], zero_diag=True)
+            norm = float(np.abs(mods).sum(axis=-1).max(initial=0.0))
+            if norm > 1.0 + _WEIGHT_TOL:
+                raise ValueError(
+                    f"spec fails the stationarity check: G_{j} ({g.kind}) has no "
+                    f"infinity-norm certificate and reaches {norm:.6g} on the "
+                    "supplied network; pass allow_explosive=True to override"
+                )
     if rng is None:
         rng = np.random.default_rng(seed)
     eps = innov.sample(rng, total)
@@ -385,7 +379,7 @@ def simulate_lnar(spec: LnarSpec, ads: AdjacencySeries, innov: InnovationSpec,
             if t - j < 0:
                 break
             xl = x[:, t - j]
-            g = _modulation(spec.G[j - 1], ads[t - j], zero_diag=True)
+            g = apply_neighborhood_fn(spec.G[j - 1], ads[t - j], zero_diag=True)
             acc += spec.alpha[j - 1] * xl + spec.beta[j - 1] * (g @ xl)
         x[:, t] = acc
         if allow_explosive and not np.isfinite(acc).all():

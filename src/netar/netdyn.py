@@ -46,9 +46,12 @@ class AdjacencySeries:
         arr = np.asarray(mats, dtype=float)
         if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
             raise ValueError(f"expected a (n, d, d) stack of square matrices, got shape {arr.shape}")
-        if arr.size and (np.abs(arr) > 1.0 + _WEIGHT_TOL).any():
-            bad = float(np.abs(arr).max())
-            raise ValueError(f"edge weights must lie in [-1, 1]; found magnitude {bad}")
+        if not (np.abs(arr) <= 1.0 + _WEIGHT_TOL).all():
+            k, i, j = np.argwhere(~(np.abs(arr) <= 1.0 + _WEIGHT_TOL))[0]
+            raise ValueError(
+                f"edge weights must be finite and lie in [-1, 1]; found {arr[k, i, j]} "
+                f"at snapshot {k}, entry ({i + 1}, {j + 1})"
+            )
         self.mats = arr
         self.t0 = int(t0)
 
@@ -143,7 +146,7 @@ class MarkovEdgeNetwork:
         return self.initial.copy()
 
     def step(self, state: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-        """One transition given a matrix of per-edge uniforms.
+        """One transition given per-edge uniforms; broadcasts over ``(..., d, d)``.
 
         Edge ``(i, j)`` is present next step iff ``uniforms[i, j] < p`` with
         ``p = stay_prob[i, j]`` when present now, else ``enter_prob[i, j]``.
@@ -151,7 +154,7 @@ class MarkovEdgeNetwork:
         run is bit-reproducible.
         """
         state = np.asarray(state, dtype=float)
-        if state.shape != self.stay_prob.shape:
+        if state.shape[-2:] != self.stay_prob.shape:
             raise ValueError(
                 f"state shape {state.shape} does not match model dimension {self.stay_prob.shape}"
             )
@@ -171,10 +174,6 @@ class MarkovEdgeNetwork:
             if t >= burn_in:
                 out[t - burn_in] = state
         return AdjacencySeries(out, t0=t0)
-
-
-def step_markov_network(model: MarkovEdgeNetwork, state, uniforms) -> np.ndarray:
-    return model.step(state, uniforms)
 
 
 class FlipNetwork:
@@ -204,26 +203,18 @@ class FlipNetwork:
             return self.EDGE13 if u > 1.0 - self.persist_prob else self.EDGE23
         return self.EDGE13 if u > self.persist_prob else self.EDGE23
 
-    def state_to_matrix(self, state: int) -> np.ndarray:
-        m = np.zeros((3, 3))
-        if state == self.EDGE13:
-            m[0, 2] = 1.0
-        else:
-            m[1, 2] = 1.0
-        return m
+    def state_to_matrix(self, states) -> np.ndarray:
+        """Adjacency matrices ``(..., 3, 3)`` for a state or an array of states."""
+        states = np.asarray(states)
+        mats = np.zeros(states.shape + (3, 3))
+        mats[..., 0, 2] = states == self.EDGE13
+        mats[..., 1, 2] = states != self.EDGE13
+        return mats
 
     def simulate(self, n: int, seed=None, rng: Optional[np.random.Generator] = None,
                  burn_in: int = 0, t0: int = 0) -> AdjacencySeries:
-        if rng is None:
-            rng = np.random.default_rng(seed)
-        state = self.initial
-        u = rng.random(burn_in + n)
-        out = np.zeros((n, 3, 3))
-        for t in range(burn_in + n):
-            state = self.step(state, u[t])
-            if t >= burn_in:
-                out[t - burn_in, 0 if state == self.EDGE13 else 1, 2] = 1.0
-        return AdjacencySeries(out, t0=t0)
+        states = self.simulate_states(n, seed=seed, rng=rng, burn_in=burn_in)
+        return AdjacencySeries(self.state_to_matrix(states), t0=t0)
 
     def simulate_states(self, n: int, seed=None, rng=None, burn_in: int = 0) -> np.ndarray:
         """State path (0/1 per step); lighter than full matrices for long runs."""
@@ -239,10 +230,6 @@ class FlipNetwork:
         return out
 
 
-def step_flip_network(model: FlipNetwork, state: int, u: float) -> int:
-    return model.step(state, u)
-
-
 def _require_binary(ad: np.ndarray, what: str) -> np.ndarray:
     ad = np.asarray(ad, dtype=float)
     if not np.isin(ad, (0.0, 1.0)).all():
@@ -253,7 +240,7 @@ def _require_binary(ad: np.ndarray, what: str) -> np.ndarray:
 def k_stage_neighborhood(ad, k: int) -> np.ndarray:
     """Indicator matrix of vertices reachable by a shortest path of length exactly k.
 
-    Row ``j`` marks the vertices ``v`` whose shortest directed path
+    Accepts one snapshot or a ``(..., d, d)`` stack.  Row ``j`` marks the vertices ``v`` whose shortest directed path
     ``v -> j`` has length ``k`` (the transpose reverses edge direction so
     that rows collect in-neighborhoods).  Computed as
     ``sign(|sign((Ad^T)^k) - sign(sum_{i<k} (Ad^T)^i)|_+)`` in exact
@@ -262,10 +249,10 @@ def k_stage_neighborhood(ad, k: int) -> np.ndarray:
     if k < 1:
         raise ValueError("k must be a positive integer")
     ad = _require_binary(ad, "k_stage_neighborhood")
-    at = ad.T.astype(np.int64)
+    at = ad.swapaxes(-1, -2).astype(np.int64)
     power = np.linalg.matrix_power(at, k)
     shorter = np.zeros_like(at)
-    acc = np.eye(at.shape[0], dtype=np.int64)
+    acc = np.eye(at.shape[-1], dtype=np.int64)
     for _ in range(k - 1):
         acc = acc @ at
         shorter += acc
@@ -414,29 +401,45 @@ class NeighborhoodFn:
         return NeighborhoodFn(kind, k=doc.get("k"), inner=inner)
 
 
-def apply_neighborhood_fn(fn: NeighborhoodFn, ad, lnar_safe: bool = False) -> np.ndarray:
-    """Evaluate a neighborhood descriptor on one snapshot.
+def apply_neighborhood_fn(fn: NeighborhoodFn, ad, lnar_safe: bool = False,
+                          zero_diag: bool = False) -> np.ndarray:
+    """Evaluate a neighborhood descriptor on a snapshot or a ``(..., d, d)`` stack.
 
-    With ``lnar_safe=True`` the call is rejected unless the variant
-    certifiably keeps the infinity norm at most 1 (required by the
-    per-component model's stationarity condition).
+    This is the one implementation of the modulation rule: every model,
+    fit, forecast and coupling run goes through it.  The result is always
+    a fresh C-contiguous array, so callers may modify it in place.  With
+    ``zero_diag=True`` the diagonal of every output is zeroed (the
+    per-component model's rule).  With ``lnar_safe=True`` the call is
+    rejected unless the variant certifiably keeps the infinity norm at
+    most 1 (required by the per-component model's stationarity condition).
     """
     ad = np.asarray(ad, dtype=float)
-    if ad.ndim != 2 or ad.shape[0] != ad.shape[1]:
-        raise ValueError("snapshot must be a square matrix")
+    if ad.ndim < 2 or ad.shape[-1] != ad.shape[-2]:
+        raise ValueError("snapshot must be a square matrix or a stack of them")
     if lnar_safe and not fn.infty_norm_certified():
         raise ValueError(
             f"neighborhood variant {fn.kind!r} has no infinity-norm certificate; "
             "refusing in LNAR-safe mode"
         )
+    out = _evaluate(fn, ad)
+    if not out.flags.c_contiguous or np.may_share_memory(out, ad):
+        out = np.array(out, order="C")
+    if zero_diag:
+        idx = np.arange(ad.shape[-1])
+        out[..., idx, idx] = 0.0
+    return out
+
+
+def _evaluate(fn: NeighborhoodFn, ad: np.ndarray) -> np.ndarray:
+    """Variant bodies over the trailing two axes; may return a view of ``ad``."""
     if fn.kind == "transpose":
-        return ad.T.copy()
+        return ad.swapaxes(-1, -2)
     if fn.kind == "transpose_of":
-        return apply_neighborhood_fn(fn.inner, ad).T
+        return _evaluate(fn.inner, ad).swapaxes(-1, -2)
     if fn.kind == "sign_poly":
         at = _require_binary(ad, "sign_poly").astype(np.int64)
-        acc = np.eye(ad.shape[0], dtype=np.int64)
-        total = np.zeros_like(acc)
+        acc = np.eye(ad.shape[-1], dtype=np.int64)
+        total = np.zeros_like(at)
         for _ in range(fn.k):
             acc = acc @ at
             total += acc
@@ -444,20 +447,20 @@ def apply_neighborhood_fn(fn: NeighborhoodFn, ad, lnar_safe: bool = False) -> np
     if fn.kind == "k_stage":
         return k_stage_neighborhood(ad, fn.k)
     if fn.kind == "row_normalized_transpose":
-        at = ad.T
-        sums = at.sum(axis=1, keepdims=True)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            out = np.where(sums != 0, at / np.where(sums != 0, sums, 1.0), 0.0)
-        return out
+        at = ad.swapaxes(-1, -2)
+        sums = at.sum(axis=-1, keepdims=True)
+        return np.divide(at, sums, out=np.zeros(at.shape), where=sums != 0)
     if fn.kind == "mask":
         w = fn.mask_matrix
-        if w.shape != ad.shape:
+        if w.shape != ad.shape[-2:]:
             raise ValueError("mask weight dimension does not match snapshot")
         return w * ad
     if fn.kind == "identity_plus":
-        inner = apply_neighborhood_fn(fn.inner, ad)
-        np.fill_diagonal(inner, 0.0)
-        return np.eye(ad.shape[0]) + inner
+        # off the diagonal this is 0 + inner(Ad), exactly as I + zero-diagonal inner
+        out = np.eye(ad.shape[-1]) + _evaluate(fn.inner, ad)
+        idx = np.arange(ad.shape[-1])
+        out[..., idx, idx] = 1.0
+        return out
     raise AssertionError(f"unhandled variant {fn.kind}")  # pragma: no cover
 
 

@@ -9,7 +9,6 @@ from netar import (
     MarkovEdgeNetwork,
     NarSpec,
     NeighborhoodFn,
-    build_index_set,
     build_regressors,
     eval_theorem2_bound,
     fit_component_ls,
@@ -20,9 +19,9 @@ from netar import (
     simulate_lnar,
     simulate_nar,
 )
-from netar.estimate import IndexSet, build_regressors_lnar, index_sets
+from netar.estimate import IndexSet, _lnar_design, index_sets
 
-from test_netdyn import example1_network_matrices
+from test_netdyn import example1_network_matrices, zero_diag_oracle
 from test_model import example1_alpha
 
 
@@ -43,6 +42,17 @@ def literal_block_system(Y, y):
     rhs[k, 1:] = sum_y
     sol = np.linalg.solve(rhs, lhs)
     return sol[0], sol[1:]
+
+
+def lnar_design_oracle(x, ads, g_list, p, t_start):
+    """Per-target-time loop for the per-component design, one snapshot at a time."""
+    d, n = x.shape
+    Y = np.zeros((d, n - t_start, 2 * p))
+    for j in range(1, p + 1):
+        for row, t in enumerate(range(t_start - j, n - j)):
+            Y[:, row, 2 * (j - 1)] = x[:, t]
+            Y[:, row, 2 * (j - 1) + 1] = zero_diag_oracle(g_list[j - 1], ads[t]) @ x[:, t]
+    return Y, x[:, t_start:]
 
 
 def ols_with_intercept(Y, y):
@@ -103,6 +113,23 @@ class TestComponentSolver:
         assert fit.w.size == 0
         assert fit.resid_var == pytest.approx(np.var(y, ddof=1))
 
+    def test_solver_failure_on_nan_is_estimation_error(self):
+        rng = np.random.default_rng(9)
+        Y = rng.normal(size=(40, 3))
+        Y[7, 1] = np.nan
+        with pytest.raises(EstimationError, match="did not converge") as info:
+            fit_component_ls(rng.normal(size=40), Y, r=2)
+        assert info.value.diagnostics == {"k": 3, "n_obs": 40, "finite": False}
+
+    def test_inverse_failure_is_estimation_error(self, monkeypatch):
+        def singular(a):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        rng = np.random.default_rng(10)
+        monkeypatch.setattr(np.linalg, "inv", singular)
+        with pytest.raises(EstimationError, match="asymptotic covariance"):
+            fit_component_ls(rng.normal(size=30), rng.normal(size=(30, 2)), r=0)
+
     def test_too_few_observations(self):
         with pytest.raises(EstimationError, match="observations"):
             fit_component_ls(np.zeros(3), np.zeros((3, 5)), r=0)
@@ -111,13 +138,13 @@ class TestComponentSolver:
 class TestIndexSets:
     def test_zero_network_gives_empty_set(self):
         ads = AdjacencySeries(np.zeros((20, 3, 3)))
-        idx = build_index_set(20, ads, [NeighborhoodFn.transpose()], 1, r=0)
+        idx = index_sets(20, ads, [NeighborhoodFn.transpose()], 1)[0]
         assert len(idx) == 0
 
     def test_static_complete_network_activates_all(self):
         ads = AdjacencySeries(np.ones((20, 3, 3)))
         for r in range(3):
-            idx = build_index_set(20, ads, [NeighborhoodFn.transpose()], 1, r=r)
+            idx = index_sets(20, ads, [NeighborhoodFn.transpose()], 1)[r]
             assert idx.members == tuple(range(3))
 
     def test_matches_brute_force_scan(self):
@@ -151,7 +178,7 @@ class TestRegressors:
         x = rng.normal(size=(d, n))
         ads = AdjacencySeries(np.ones((n, d, d)))
         g = [NeighborhoodFn.transpose()]
-        idx = build_index_set(n, ads, g, 1, r=1)
+        idx = index_sets(n, ads, g, 1)[1]
         Y, y = build_regressors(x, ads, g, 1, r=1, idx=idx)
         assert np.allclose(Y, x[:, :-1].T)
         assert np.array_equal(y, x[1, 1:])
@@ -177,11 +204,27 @@ class TestRegressors:
         mats[0][1, 2] = 1.0
         ads = AdjacencySeries(mats)
         g = [NeighborhoodFn.row_normalized_transpose()]
-        Y, y = build_regressors_lnar(x, ads, g, 1, r=2)
+        Y, y = _lnar_design(x, ads, g, 1, None)
+        Y, y = Y[2], y[2]
         # own lag then the equal-weight average of the in-neighbors
         assert Y[0, 0] == x[2, 0]
         assert Y[0, 1] == pytest.approx(0.5 * (x[0, 0] + x[1, 0]))
         assert y[0] == x[2, 1]
+
+
+    @pytest.mark.parametrize("d", [1, 4, 33, 100])
+    def test_lnar_design_matches_per_t_oracle(self, d):
+        rng = np.random.default_rng(d)
+        n = 60
+        x = rng.normal(size=(d, n)) * 3.0
+        ads = AdjacencySeries(rng.uniform(-1, 1, (n, d, d)) * (rng.random((n, d, d)) < 0.3))
+        for g, p, t_start in ((NeighborhoodFn.row_normalized_transpose(), 1, None),
+                              (NeighborhoodFn.transpose(), 3, None),
+                              (NeighborhoodFn.identity(), 2, 5)):
+            got = _lnar_design(x, ads, [g] * p, p, t_start)
+            expected = lnar_design_oracle(x, ads, [g] * p, p, p if t_start is None else t_start)
+            assert np.array_equal(got[0], expected[0]), (g.kind, d)
+            assert np.array_equal(got[1], expected[1])
 
 
 class TestFitNar:
@@ -255,6 +298,20 @@ class TestPartialFits:
         coef = fit.coefficient_matrices()[0]
         assert np.isnan(coef[0]).all()
         assert np.isfinite(coef[1:]).all()
+
+
+class TestNonFiniteInput:
+    def test_every_fit_rejects_a_nan_series(self):
+        rng = np.random.default_rng(11)
+        d, n = 3, 80
+        x = rng.normal(size=(d, n))
+        x[1, 40] = np.nan
+        ads = AdjacencySeries((rng.random((n, d, d)) < 0.5).astype(float))
+        g = [NeighborhoodFn.transpose()]
+        for fit in (lambda: fit_nar(x, ads, g, 1), lambda: fit_lnar(x, ads, g, 1),
+                    lambda: fit_var(x, 1), lambda: select_order_bic(x, ads, g[0], 2)):
+            with pytest.raises(ValueError, match="component 1, time 40"):
+                fit()
 
 
 class TestFitVar:

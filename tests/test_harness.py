@@ -228,6 +228,30 @@ class TestPanelIngestion:
         with pytest.raises(ValueError, match="non-numeric"):
             ingest_panel(str(bad), weights)
 
+    def test_non_finite_cells_rejected(self, tmp_path):
+        labels, quarters, levels, raw_by_year, _, _ = synthetic_panel_arrays(2, d=3,
+                                                                             n_years=13)
+        levels_path, weights = write_panel_files(tmp_path, labels, quarters, levels,
+                                                 raw_by_year)
+        bad = tmp_path / "levels_bad.csv"
+        text = open(levels_path).read().splitlines()
+        parts = text[3].split(",")
+        parts[2] = "nan"
+        text[3] = ",".join(parts)
+        bad.write_text("\n".join(text) + "\n")
+        with pytest.raises(ValueError, match=f"non-finite level cell in quarter {parts[0]}, "
+                                             f"column {labels[1]}"):
+            ingest_panel(str(bad), weights)
+        year = min(weights)
+        text = open(weights[year]).read().splitlines()
+        parts = text[2].split(",")
+        parts[3] = "inf"
+        text[2] = ",".join(parts)
+        bad_w = tmp_path / "weights_bad.csv"
+        bad_w.write_text("\n".join(text) + "\n")
+        with pytest.raises(ValueError, match=f"year {year}, row {labels[1]}, column {labels[2]}"):
+            ingest_panel(levels_path, {**weights, year: str(bad_w)})
+
 
 @pytest.fixture(scope="module")
 def panel(tmp_path_factory):

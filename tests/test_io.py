@@ -65,6 +65,18 @@ class TestSeriesRoundtrip:
         assert t0 == 5
         assert np.array_equal(back, x)
 
+    def test_non_finite_cell_names_row_and_column(self, tmp_path):
+        path = tmp_path / "series.csv"
+        path.write_text("t,x1,x2\n0,1.0,2.0\n1,3.0,nan\n2,4.0,5.0\n")
+        with pytest.raises(ValueError, match="row t=1, column x2"):
+            nio.read_series_csv(path)
+
+    def test_non_finite_network_weight_rejected(self, tmp_path):
+        path = tmp_path / "net.csv"
+        path.write_text("t,i,j,w\n0,1,2,1\n0,2,2,0\n1,2,1,nan\n1,2,2,0\n")
+        with pytest.raises(ValueError, match="snapshot 1, entry \\(2, 1\\)"):
+            nio.read_adjacency_csv(path)
+
 
 class TestModelSpecJson:
     def test_nar_roundtrip(self, tmp_path):

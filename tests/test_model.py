@@ -243,6 +243,36 @@ class TestSimulation:
         x = simulate_nar(spec, ads, innov, n=20, burn_in=0, seed=0, allow_explosive=True)
         assert np.isfinite(x).all()
 
+    def test_uncertified_explosive_lnar_needs_override(self):
+        # transpose has no a-priori certificate; on a complete network the
+        # zero-diagonal rows sum to 2, so the path would reach ~1e258
+        spec = LnarSpec(1, np.full((1, 3), 0.9), np.full((1, 3), 0.9),
+                        [NeighborhoodFn.transpose()])
+        innov = InnovationSpec.standard(3)
+        ads = AdjacencySeries(np.ones((600, 3, 3)))
+        with pytest.raises(ValueError, match="stationarity"):
+            simulate_lnar(spec, ads, innov, n=100, burn_in=500, seed=0)
+        c_below_one = LnarSpec(1, np.full((1, 3), 0.3), np.full((1, 3), 0.6),
+                               [NeighborhoodFn.transpose()])
+        with pytest.raises(ValueError, match="reaches 2 on the supplied network"):
+            simulate_lnar(c_below_one, ads, innov, n=100, burn_in=500, seed=0)
+        x = simulate_lnar(c_below_one, ads, innov, n=100, burn_in=500, seed=0,
+                          allow_explosive=True)
+        assert np.abs(x).max() > 1e100
+
+    def test_uncertified_g_certified_on_the_path(self):
+        # transpose of column-stochastic weights: every zero-diagonal row sums to 1
+        rng = np.random.default_rng(12)
+        d, total = 5, 80
+        raw = rng.uniform(0.1, 1.0, (total, d, d))
+        raw[:, np.arange(d), np.arange(d)] = 0.0
+        ads = AdjacencySeries(raw / raw.sum(axis=1, keepdims=True))
+        spec = LnarSpec(1, np.full((1, d), 0.3), np.full((1, d), 0.6),
+                        [NeighborhoodFn.transpose()])
+        assert not check_stationarity_lnar(spec).holds
+        x = simulate_lnar(spec, ads, InnovationSpec.standard(d), n=40, burn_in=40, seed=3)
+        assert np.isfinite(x).all()
+
     def test_lnar_equals_nar_embedding(self):
         rng = np.random.default_rng(303)
         for _ in range(50):

@@ -11,7 +11,6 @@ from netar import (
     generate_density_matched_markov,
     k_stage_neighborhood,
 )
-from netar.netdyn import step_flip_network, step_markov_network
 
 
 def bfs_stage_oracle(ad, k):
@@ -44,10 +43,125 @@ def bfs_stage_oracle(ad, k):
     return out
 
 
+def neighborhood_oracle(fn, ad):
+    """Per-snapshot G on one (d, d) matrix: the oracle for the batched kernel."""
+    ad = np.asarray(ad, dtype=float)
+    if fn.kind == "transpose":
+        return ad.T.copy()
+    if fn.kind == "transpose_of":
+        return neighborhood_oracle(fn.inner, ad).T
+    if fn.kind == "sign_poly":
+        at = ad.astype(np.int64)
+        acc = np.eye(ad.shape[0], dtype=np.int64)
+        total = np.zeros_like(acc)
+        for _ in range(fn.k):
+            acc = acc @ at
+            total += acc
+        return (total > 0).astype(float)
+    if fn.kind == "k_stage":
+        at = ad.T.astype(np.int64)
+        power = np.linalg.matrix_power(at, fn.k)
+        shorter = np.zeros_like(at)
+        acc = np.eye(at.shape[0], dtype=np.int64)
+        for _ in range(fn.k - 1):
+            acc = acc @ at
+            shorter += acc
+        return np.clip((power > 0).astype(np.int64) - (shorter > 0), 0, None).astype(float)
+    if fn.kind == "row_normalized_transpose":
+        at = ad.T
+        sums = at.sum(axis=1, keepdims=True)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return np.where(sums != 0, at / np.where(sums != 0, sums, 1.0), 0.0)
+    if fn.kind == "mask":
+        return fn.mask_matrix * ad
+    if fn.kind == "identity_plus":
+        inner = neighborhood_oracle(fn.inner, ad).copy()
+        np.fill_diagonal(inner, 0.0)
+        return np.eye(ad.shape[0]) + inner
+    raise AssertionError(fn.kind)
+
+
+def zero_diag_oracle(fn, ad):
+    m = neighborhood_oracle(fn, ad).copy()
+    np.fill_diagonal(m, 0.0)
+    return m
+
+
+def kernel_variants(d, rng):
+    """Every variant plus the identity; the flag says whether it needs binary input."""
+    return [
+        (NeighborhoodFn.transpose(), False),
+        (NeighborhoodFn.identity(), False),
+        (NeighborhoodFn.transpose_of(NeighborhoodFn.row_normalized_transpose()), False),
+        (NeighborhoodFn.sign_poly(2), True),
+        (NeighborhoodFn.k_stage(2), True),
+        (NeighborhoodFn.row_normalized_transpose(), False),
+        (NeighborhoodFn.mask(rng.uniform(-1, 1, (d, d))), False),
+        (NeighborhoodFn.identity_plus(NeighborhoodFn.transpose()), False),
+        (NeighborhoodFn.identity_plus(NeighborhoodFn.k_stage(1)), True),
+    ]
+
+
+class TestNeighborhoodKernel:
+    """The batched kernel against the per-snapshot oracle, bit for bit."""
+
+    @pytest.mark.parametrize("shape", [(), (1,), (7,), (2, 3)],
+                             ids=["single", "one-stack", "stack", "4d-stack"])
+    @pytest.mark.parametrize("d", [1, 2, 5, 33])
+    def test_matches_per_snapshot_oracle(self, shape, d):
+        rng = np.random.default_rng(1000 * d + len(shape))
+        binary = (rng.random(shape + (d, d)) < 0.4).astype(float)
+        signed = rng.uniform(-1, 1, shape + (d, d)) * binary
+        for fn, needs_binary in kernel_variants(d, rng):
+            ad = binary if needs_binary else signed
+            before = ad.copy()
+            flat = ad.reshape(-1, d, d)
+            for zero_diag, oracle in ((False, neighborhood_oracle), (True, zero_diag_oracle)):
+                out = apply_neighborhood_fn(fn, ad, zero_diag=zero_diag)
+                expected = np.stack([oracle(fn, a) for a in flat]).reshape(ad.shape)
+                assert out.shape == ad.shape
+                assert np.array_equal(out, expected), (fn.kind, zero_diag)
+                assert out.flags.c_contiguous
+                assert not np.shares_memory(out, ad)
+                assert np.array_equal(ad, before), "kernel wrote into its input"
+
+    def test_identity_zero_diag_leaves_caller_network_alone(self):
+        # transpose_of(transpose) is a view of its input before the copy
+        ad = np.ones((4, 3, 3))
+        out = apply_neighborhood_fn(NeighborhoodFn.identity(), ad, zero_diag=True)
+        assert (ad == 1.0).all()
+        assert np.array_equal(out, np.ones((4, 3, 3)) - np.eye(3))
+
+    def test_non_contiguous_stack(self):
+        rng = np.random.default_rng(5)
+        ad = rng.uniform(-1, 1, (6, 4, 4))[::2].swapaxes(-1, -2)
+        fn = NeighborhoodFn.row_normalized_transpose()
+        out = apply_neighborhood_fn(fn, ad, zero_diag=True)
+        assert out.flags.c_contiguous
+        assert np.array_equal(out, np.stack([zero_diag_oracle(fn, a) for a in ad]))
+
+    def test_rejects_non_square_and_mask_mismatch(self):
+        with pytest.raises(ValueError, match="square"):
+            apply_neighborhood_fn(NeighborhoodFn.transpose(), np.zeros((2, 3, 4)))
+        with pytest.raises(ValueError, match="square"):
+            apply_neighborhood_fn(NeighborhoodFn.transpose(), np.zeros(3))
+        with pytest.raises(ValueError, match="mask"):
+            apply_neighborhood_fn(NeighborhoodFn.mask(np.eye(2)), np.zeros((5, 3, 3)))
+
+
 class TestAdjacencySeries:
     def test_rejects_out_of_range_weights(self):
         with pytest.raises(ValueError, match="\\[-1, 1\\]"):
             AdjacencySeries(np.full((2, 3, 3), 1.5))
+
+    def test_rejects_non_finite_weights_naming_the_entry(self):
+        mats = np.zeros((3, 2, 2))
+        mats[2, 0, 1] = np.nan
+        with pytest.raises(ValueError, match="snapshot 2, entry \\(1, 2\\)"):
+            AdjacencySeries(mats)
+        mats[2, 0, 1] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            AdjacencySeries(mats)
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
@@ -98,19 +212,35 @@ class TestMarkovEdges:
         active = (pi > 0) & (pi < 1)
         assert (np.abs(freq - pi)[active] <= 3 * se[active] + 1e-9).all()
 
+    def test_step_broadcasts_over_a_stack(self):
+        stay, enter = example1_network_matrices()
+        m = MarkovEdgeNetwork(stay, enter)
+        rng = np.random.default_rng(8)
+        states = (rng.random((5, 4, 4)) < 0.5).astype(float)
+        u = rng.random((5, 4, 4))
+        assert np.array_equal(m.step(states, u), np.stack([m.step(s, v) for s, v in zip(states, u)]))
+
     def test_dimension_mismatch_rejected(self):
         m = MarkovEdgeNetwork(np.ones((2, 2)) * 0.5, np.ones((2, 2)) * 0.5)
         with pytest.raises(ValueError, match="dimension"):
-            step_markov_network(m, np.zeros((3, 3)), np.zeros((3, 3)))
+            m.step(np.zeros((3, 3)), np.zeros((3, 3)))
 
 
 class TestFlipNetwork:
     def test_flip_thresholds(self):
         fn = FlipNetwork(0.95)
-        assert step_flip_network(fn, FlipNetwork.EDGE13, 0.5) == FlipNetwork.EDGE13
-        assert step_flip_network(fn, FlipNetwork.EDGE23, 0.96) == FlipNetwork.EDGE13
-        assert step_flip_network(fn, FlipNetwork.EDGE13, 0.04) == FlipNetwork.EDGE23
-        assert step_flip_network(fn, FlipNetwork.EDGE23, 0.5) == FlipNetwork.EDGE23
+        assert fn.step(FlipNetwork.EDGE13, 0.5) == FlipNetwork.EDGE13
+        assert fn.step(FlipNetwork.EDGE23, 0.96) == FlipNetwork.EDGE13
+        assert fn.step(FlipNetwork.EDGE13, 0.04) == FlipNetwork.EDGE23
+        assert fn.step(FlipNetwork.EDGE23, 0.5) == FlipNetwork.EDGE23
+
+    def test_simulate_is_state_to_matrix_of_states(self):
+        net = FlipNetwork(0.9)
+        states = net.simulate_states(50, seed=4, burn_in=7)
+        mats = net.simulate(50, seed=4, burn_in=7).mats
+        assert np.array_equal(mats, net.state_to_matrix(states))
+        assert np.array_equal(net.state_to_matrix(FlipNetwork.EDGE23),
+                              np.array([[0, 0, 0], [0, 0, 1.0], [0, 0, 0]]))
 
     def test_exactly_one_edge_present(self):
         ads = FlipNetwork(0.95).simulate(500, seed=5)
