@@ -21,8 +21,8 @@ from typing import Union
 
 import numpy as np
 
-from .model import InnovationSpec, LnarSpec, NarSpec
-from .netdyn import FlipNetwork, MarkovEdgeNetwork, apply_neighborhood_fn
+from .model import InnovationSpec, LnarSpec, NarSpec, _nar_coefficients, _nar_step
+from .netdyn import FlipNetwork, MarkovEdgeNetwork
 
 __all__ = ["CouplingRun", "estimate_delta_network", "estimate_delta_x"]
 
@@ -80,6 +80,15 @@ def _decay_fit(lags: np.ndarray, delta: np.ndarray):
     return float(np.exp(slope)), r2
 
 
+def _initial_states(model, rng: np.random.Generator, reps: int) -> np.ndarray:
+    """Start states of ``reps`` chains: flip states, or Markov snapshots drawn from ``rng``."""
+    if isinstance(model, FlipNetwork):
+        return np.full(reps, model.initial, dtype=np.int8)
+    if isinstance(model, MarkovEdgeNetwork):
+        return np.stack([model.initial_state(rng) for _ in range(reps)])
+    raise TypeError(f"unsupported network model {type(model).__name__}")
+
+
 def estimate_delta_network(model: Union[MarkovEdgeNetwork, FlipNetwork], q: float,
                            max_lag: int, reps: int, seed=None,
                            burn_in: int = 200) -> CouplingRun:
@@ -96,47 +105,19 @@ def estimate_delta_network(model: Union[MarkovEdgeNetwork, FlipNetwork], q: floa
     if q <= 0:
         raise ValueError("q must be positive")
     rng = np.random.default_rng(seed)
-    if isinstance(model, FlipNetwork):
-        state = np.full(reps, model.initial, dtype=np.int8)
-        for _ in range(burn_in):
-            u = rng.random(reps)
-            state = _flip_step_vec(model, state, u)
-        ua, ub = rng.random(reps), rng.random(reps)
-        sa = _flip_step_vec(model, state, ua)
-        sb = _flip_step_vec(model, state, ub)
-        powers = np.empty((reps, max_lag + 1))
-        powers[:, 0] = (sa != sb).astype(float)
-        for j in range(1, max_lag + 1):
-            u = rng.random(reps)
-            sa = _flip_step_vec(model, sa, u)
-            sb = _flip_step_vec(model, sb, u)
-            powers[:, j] = (sa != sb).astype(float)
-        return _finalize(q, powers, reps)
-    if isinstance(model, MarkovEdgeNetwork):
-        d = model.d
-        state = np.stack([model.initial_state(rng) for _ in range(reps)])
-        for _ in range(burn_in):
-            u = rng.random((reps, d, d))
-            state = model.step(state, u)
-        ua, ub = rng.random((reps, d, d)), rng.random((reps, d, d))
-        sa = model.step(state, ua)
-        sb = model.step(state, ub)
-        powers = np.empty((reps, max_lag + 1))
-        powers[:, 0] = np.abs(sa - sb).max(axis=(1, 2)) ** q
-        for j in range(1, max_lag + 1):
-            u = rng.random((reps, d, d))
+    state = _initial_states(model, rng, reps)
+    for _ in range(burn_in):
+        state = model.step(state, rng.random(state.shape))
+    sa = model.step(state, rng.random(state.shape))
+    sb = model.step(state, rng.random(state.shape))
+    powers = np.empty((reps, max_lag + 1))
+    for j in range(max_lag + 1):
+        if j > 0:
+            u = rng.random(state.shape)
             sa = model.step(sa, u)
             sb = model.step(sb, u)
-            powers[:, j] = np.abs(sa - sb).max(axis=(1, 2)) ** q
-        return _finalize(q, powers, reps)
-    raise TypeError(f"unsupported network model {type(model).__name__}")
-
-
-def _flip_step_vec(model: FlipNetwork, states, uniforms):
-    rho = model.persist_prob
-    from0 = np.where(uniforms > 1.0 - rho, 0, 1).astype(np.int8)
-    from1 = np.where(uniforms > rho, 0, 1).astype(np.int8)
-    return np.where(states == 0, from0, from1)
+        powers[:, j] = np.abs(sa - sb).reshape(reps, -1).max(axis=1) ** q
+    return _finalize(q, powers, reps)
 
 
 def estimate_delta_x(spec: Union[NarSpec, LnarSpec], model: Union[MarkovEdgeNetwork, FlipNetwork],
@@ -161,75 +142,41 @@ def estimate_delta_x(spec: Union[NarSpec, LnarSpec], model: Union[MarkovEdgeNetw
     rng = np.random.default_rng(seed)
     # network state is carried as matrices for the Markov model and as the
     # scalar flip state otherwise
-    flip = isinstance(model, FlipNetwork)
-    if flip:
-        net_a = np.full(reps, model.initial, dtype=np.int8)
-    else:
-        net_a = np.stack([model.initial_state(rng) for _ in range(reps)])
+    net = _initial_states(model, rng, reps)
+    shape = net.shape
 
     # shared prehistory: evolve one chain, keep the last p snapshots and
     # series lags; both copies start identical at time -1
-    x_lags = np.zeros((p, reps, d))
-    mats_lags = np.zeros((p, reps, d, d))
+    state_a = {"x": np.zeros((p, reps, d)), "m": np.zeros((p, reps, d, d)), "net": net}
     for _ in range(burn_in):
-        if flip:
-            u = rng.random(reps)
-            net_a = _flip_step_vec(model, net_a, u)
-            mat = model.state_to_matrix(net_a)
-        else:
-            u = rng.random((reps, d, d))
-            net_a = model.step(net_a, u)
-            mat = net_a
-        eps = innov.sample(rng, reps)
-        x_new = _batched_nar_step(nar, x_lags, mats_lags, eps)
-        mats_lags = np.concatenate([mat[None], mats_lags[:-1]], axis=0)
-        x_lags = np.concatenate([x_new[None], x_lags[:-1]], axis=0)
-
-    state_a = {"x": x_lags.copy(), "m": mats_lags.copy(), "net": net_a.copy()}
-    state_b = {"x": x_lags.copy(), "m": mats_lags.copy(), "net": net_a.copy()}
+        u = rng.random(shape)
+        _advance(nar, model, state_a, u, innov.sample(rng, reps))
+    state_b = {k: v.copy() for k, v in state_a.items()}
 
     powers = np.empty((reps, max_lag + 1))
     for j in range(max_lag + 1):
-        if flip:
-            u_shared = rng.random(reps)
-        else:
-            u_shared = rng.random((reps, d, d))
+        u_shared = rng.random(shape)
         eps_shared = innov.sample(rng, reps)
         if j == 0:
-            u_b = rng.random(reps) if flip else rng.random((reps, d, d))
+            u_b = rng.random(shape)
             eps_b = eps_shared if mode == "network_only" else innov.sample(rng, reps)
         else:
             u_b, eps_b = u_shared, eps_shared
-        xa = _advance(nar, model, state_a, u_shared, eps_shared, flip)
-        xb = _advance(nar, model, state_b, u_b, eps_b, flip)
+        xa = _advance(nar, model, state_a, u_shared, eps_shared)
+        xb = _advance(nar, model, state_b, u_b, eps_b)
         powers[:, j] = np.abs(xa - xb).max(axis=1) ** q
     return _finalize(q, powers, reps)
 
 
-def _advance(nar: NarSpec, model, state: dict, u, eps, flip: bool) -> np.ndarray:
-    if flip:
-        state["net"] = _flip_step_vec(model, state["net"], u)
-        mat = model.state_to_matrix(state["net"])
-    else:
-        state["net"] = model.step(state["net"], u)
-        mat = state["net"]
-    x_new = _batched_nar_step(nar, state["x"], state["m"], eps)
+def _advance(nar: NarSpec, model, state: dict, u, eps) -> np.ndarray:
+    """Step the network, then the series, of a batch of replicate paths.
+
+    ``state["x"][j-1]`` holds X_{t-j} (reps, d) and ``state["m"][j-1]``
+    the snapshots Ad_{t-j} (reps, d, d).
+    """
+    state["net"] = model.step(state["net"], u)
+    mat = model.state_to_matrix(state["net"]) if isinstance(model, FlipNetwork) else state["net"]
+    x_new = _nar_step(eps, _nar_coefficients(nar.A, nar.G, state["m"]), state["x"])
     state["m"] = np.concatenate([mat[None], state["m"][:-1]], axis=0)
     state["x"] = np.concatenate([x_new[None], state["x"][:-1]], axis=0)
     return x_new
-
-
-def _batched_nar_step(nar: NarSpec, x_lags: np.ndarray, mats_lags: np.ndarray,
-                      eps: np.ndarray) -> np.ndarray:
-    """One recursion step for a batch of replicate paths.
-
-    ``x_lags[j-1]`` holds X_{t-j} (reps, d); ``mats_lags[j-1]`` the
-    snapshots Ad_{t-j} (reps, d, d).
-    """
-    out = eps.copy()
-    for j in range(1, nar.p + 1):
-        mods = apply_neighborhood_fn(nar.G[j - 1], mats_lags[j - 1])
-        coef = nar.A[j - 1][None] * mods
-        out = out + np.einsum("rij,rj->ri", coef, x_lags[j - 1])
-    return out
-

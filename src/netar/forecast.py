@@ -16,7 +16,8 @@ from typing import Optional, Union
 import numpy as np
 
 from .estimate import ModelFit
-from .netdyn import AdjacencySeries, apply_neighborhood_fn
+from .model import _nar_coefficients, _run_recursion
+from .netdyn import AdjacencySeries, NeighborhoodFn
 
 __all__ = [
     "Known",
@@ -131,12 +132,14 @@ def forecast_h(fit: ModelFit, x_hist: np.ndarray, ads_hist: Optional[AdjacencySe
     if n < fit.p:
         raise ValueError(f"history of length {n} cannot feed a lag-{fit.p} forecast")
     coef = fit.coefficient_matrices()
-    mu = fit.mu_hat()
-    # mods[j-1][s-1] modulates lag j at horizon s; the per-component family
-    # uses its embedding I + zero-diagonal G, the VAR no modulation at all
-    mods = [np.ones((h, d, d))] * fit.p
+    p = fit.p
+    # the recursion runs on a window of the last p observations and the h
+    # horizons; the window's snapshots share its time axis
+    total = p + h
     nets = None
-    if fit.family != "var":
+    if fit.family == "var":
+        coefs = [np.broadcast_to(a, (total, d, d)) for a in coef]
+    else:
         if ads_hist is None or policy is None:
             raise ValueError("network-modulated forecasts need a history and a policy")
         if len(ads_hist) < n - 1:
@@ -145,21 +148,12 @@ def forecast_h(fit: ModelFit, x_hist: np.ndarray, ads_hist: Optional[AdjacencySe
         # beyond them must come through the policy
         hist_use = ads_hist.take_first(n - 1)
         nets = forecast_network(hist_use, policy, h)
-        mats_ext = np.concatenate([hist_use.mats, nets.mats], axis=0)
-        lnar = fit.family == "lnar"
-        mods = [apply_neighborhood_fn(g, mats_ext[n - j: n + h - j], zero_diag=lnar)
-                for j, g in enumerate(fit.g, start=1)]
-        if lnar:
-            for m in mods:
-                m += np.eye(d)
-    x_ext = np.concatenate([x_hist, np.zeros((d, h))], axis=1)
-    for s in range(1, h + 1):
-        t = n + s - 1
-        acc = mu.copy()
-        for j in range(1, fit.p + 1):
-            acc = acc + (coef[j - 1] * mods[j - 1][s - 1]) @ x_ext[:, t - j]
-        x_ext[:, t] = acc
-    points = x_ext[:, n:]
+        mats = np.concatenate([hist_use.mats[n - p:], nets.mats], axis=0)
+        # the per-component family runs on its embedding I + zero-diagonal G
+        g = fit.g if fit.family == "nar" else [NeighborhoodFn.identity_plus(f) for f in fit.g]
+        coefs = _nar_coefficients(coef, g, [mats[: total - j] for j in range(1, p + 1)])
+    x = np.concatenate([x_hist[:, n - p:], np.zeros((d, h))], axis=1)
+    points = _run_recursion(x, np.broadcast_to(fit.mu_hat(), (h, d)), coefs, start=p)[:, p:]
     errors = None
     if truth is not None:
         truth = np.atleast_2d(np.asarray(truth, dtype=float))

@@ -723,20 +723,9 @@ def run_rolling_forecast(panel: PanelDataset, methods=("var", "lnar", "nar"), h:
     errors = {}
     orders = {}
     for name in methods:
-        if name == "var":
-            sel = select_order_bic(x_est, p_max=p_max, family="var")
-            fit = fit_var(x_est, sel.p)
-            fc = forecast_h(fit, x_est, None, None, h)
-        elif name == "nar":
-            sel = select_order_bic(x_est, ads_est, g, p_max=p_max, family="nar")
-            fit = fit_nar(x_est, ads_est, [g] * sel.p, sel.p)
-            fc = forecast_h(fit, x_est, ads_est, HoldLast(), h)
-        elif name == "lnar":
-            sel = select_order_bic(x_est, ads_est, g, p_max=p_max, family="lnar")
-            fit = fit_lnar(x_est, ads_est, [g] * sel.p, sel.p)
-            fc = forecast_h(fit, x_est, ads_est, HoldLast(), h)
-        else:
-            raise ValueError(f"unknown panel method {name!r}")
+        fit, sel = _fit_with_bic(MethodSpec(family=name, policy="holdlast", g=g),
+                                 x_est, ads_est, p_max)
+        fc = forecast_h(fit, x_est, ads_est, HoldLast(), h)
         levels_fc = integrate(origin_level, fc)
         forecasts[name] = levels_fc
         errors[name] = truth_levels - levels_fc

@@ -11,6 +11,12 @@ per lag.  Both reduce to an order-1 recursion on the stacked state via
 the companion form, which is also used for the stationarity diagnostics
 and the moving-average coefficient matrices.
 
+One recursion: every path, forecast and coupled pair is stepped by the
+private ``_nar_step``, ``drive + sum_j C_j x_{t-j}`` with the coefficient
+``C_j = A_j * G_j(Ad_{t-j})`` built beforehand, one neighborhood-kernel
+call per lag.  The per-component model runs on its embedding, whose lag-j
+coefficient is bitwise ``A_j * (I + zero-diag G_j)``.
+
 Array convention: a simulated path ``x`` has shape ``(d, n)`` and
 ``x[:, t]`` is modulated by the snapshot ``ads[t - j]`` at lag ``j``, so
 series and network share one time axis (the network snapshot at array
@@ -146,6 +152,11 @@ class InnovationSpec:
     def __init__(self, mu, sigma):
         mu = np.atleast_1d(np.asarray(mu, dtype=float))
         sigma = _sigma_from_any(sigma, mu.shape[0])
+        for name, m in (("mu", mu), ("sigma", sigma)):
+            bad = np.argwhere(~np.isfinite(m))
+            if bad.size:
+                entry = ", ".join(str(i + 1) for i in bad[0])
+                raise ValueError(f"{name} must be finite; found {m[tuple(bad[0])]} at entry ({entry})")
         if not np.allclose(sigma, sigma.T, atol=1e-10):
             raise ValueError("sigma must be symmetric")
         try:
@@ -293,6 +304,52 @@ def _check_network_cover(ads: AdjacencySeries, total: int, what: str) -> None:
         )
 
 
+def _nar_step(drive: np.ndarray, coefs: Sequence[np.ndarray],
+              lags: Sequence[np.ndarray]) -> np.ndarray:
+    """One step of the recursion, ``drive + sum_j coefs[j] . lags[j]``.
+
+    Batched over leading axes: ``coefs[j]`` is ``(..., d, d)`` and
+    ``lags[j]`` and ``drive`` are ``(..., d)``.  Simulation, forecasting
+    and the coupling estimator all contract through this one einsum, so
+    they agree bit for bit.  Without lags the result is ``drive`` itself.
+    """
+    out = drive
+    for c, x in zip(coefs, lags):
+        out = out + np.einsum("...ij,...j->...i", c, x)
+    return out
+
+
+def _nar_coefficients(A: Sequence[np.ndarray], G: Sequence[NeighborhoodFn],
+                      snapshots: Sequence[np.ndarray]) -> List[np.ndarray]:
+    """Coefficient stacks ``A_j * G_j(snapshots[j-1])``, one kernel call per lag."""
+    coefs = []
+    for a, g, ad in zip(A, G, snapshots):
+        c = apply_neighborhood_fn(g, ad)
+        c *= a
+        coefs.append(c)
+    return coefs
+
+
+def _run_recursion(x: np.ndarray, drive: np.ndarray, coefs: Sequence[np.ndarray],
+                   start: int = 0, check_finite: bool = False) -> np.ndarray:
+    """Fill ``x[:, start:]`` in place by the order-p recursion and return ``x``.
+
+    ``x[:, t] = drive[t - start] + sum_j coefs[j-1][t-j] . x[:, t-j]``:
+    lag j's stack is indexed by the time of its snapshot, which shares the
+    axis of ``x``, and lags before column 0 are zero.
+    """
+    p = len(coefs)
+    rows = x.T.copy()  # time-major, so each step reads and writes contiguous rows
+    for t in range(start, len(rows)):
+        js = range(1, min(p, t) + 1)
+        rows[t] = _nar_step(drive[t - start], [coefs[j - 1][t - j] for j in js],
+                            [rows[t - j] for j in js])
+        if check_finite and not np.isfinite(rows[t]).all():
+            raise FloatingPointError(f"simulation became non-finite at step {t}")
+    x[:, start:] = rows[start:].T
+    return x
+
+
 def simulate_nar(spec: NarSpec, ads: AdjacencySeries, innov: InnovationSpec,
                  n: int, burn_in: int = 500, seed=None,
                  rng: Optional[np.random.Generator] = None,
@@ -316,20 +373,13 @@ def simulate_nar(spec: NarSpec, ads: AdjacencySeries, innov: InnovationSpec,
         raise ValueError("innovation dimension does not match spec")
     total = burn_in + n
     _check_network_cover(ads, total, "simulate_nar")
+    # lag j reads the snapshots s < total - j
+    coefs = _nar_coefficients(spec.A, spec.G,
+                              [ads.mats[: max(total - j, 0)] for j in range(1, spec.p + 1)])
     if rng is None:
         rng = np.random.default_rng(seed)
     eps = innov.sample(rng, total)
-    d, p = spec.d, spec.p
-    x = np.zeros((d, total))
-    for t in range(total):
-        acc = eps[t].copy()
-        for j in range(1, p + 1):
-            if t - j < 0:
-                break
-            acc += (spec.A[j - 1] * spec.G[j - 1].apply(ads[t - j])) @ x[:, t - j]
-        x[:, t] = acc
-        if allow_explosive and not np.isfinite(acc).all():
-            raise FloatingPointError(f"simulation became non-finite at step {t}")
+    x = _run_recursion(np.zeros((spec.d, total)), eps, coefs, check_finite=allow_explosive)
     return x[:, burn_in:]
 
 
@@ -339,51 +389,42 @@ def simulate_lnar(spec: LnarSpec, ads: AdjacencySeries, innov: InnovationSpec,
                   allow_explosive: bool = False) -> np.ndarray:
     """Simulate the per-component model; same contract as :func:`simulate_nar`.
 
-    The recursion is run in its componentwise form
-    ``x_r = sum_j alpha_{j,r} x_{t-j;r} + beta_{j,r} (G_j x_{t-j})_r + eps_r``
-    with zero-diagonal modulation, which coincides elementwise with the
-    full-model embedding.  A G without an a-priori infinity-norm
-    certificate is certified on the supplied snapshots instead: if
-    ``max_t ||zero-diag G_j(Ad_t)||_inf <= 1`` for every such lag,
-    ``c_lambda < 1`` still suffices.
+    The recursion runs on the full-model embedding: lag j's coefficient is
+    ``beta_{j,r}`` times the zero-diagonal ``G_j`` off the diagonal and
+    ``alpha_{j,r}`` on it, bitwise ``A_j * (I + zero-diag G_j)``.  A G
+    without an a-priori infinity-norm certificate is certified on the
+    supplied snapshots instead: if ``max_t ||zero-diag G_j(Ad_t)||_inf <= 1``
+    for every such lag, ``c_lambda < 1`` still suffices.
     """
     if innov.d != spec.d:
         raise ValueError("innovation dimension does not match spec")
     total = burn_in + n
     _check_network_cover(ads, total, "simulate_lnar")
-    if not allow_explosive:
-        if not spec.c_lambda < 1.0:
-            raise ValueError(
-                f"spec fails the stationarity check (c_lambda={spec.c_lambda:.6f}); "
-                "pass allow_explosive=True to override"
-            )
-        for j, g in enumerate(spec.G, start=1):
-            if g.infty_norm_certified():
-                continue
-            mods = apply_neighborhood_fn(g, ads.mats[: total - j], zero_diag=True)
-            norm = float(np.abs(mods).sum(axis=-1).max(initial=0.0))
+    if not allow_explosive and not spec.c_lambda < 1.0:
+        raise ValueError(
+            f"spec fails the stationarity check (c_lambda={spec.c_lambda:.6f}); "
+            "pass allow_explosive=True to override"
+        )
+    diag = np.arange(spec.d)
+    coefs = []
+    for j, g in enumerate(spec.G, start=1):
+        # one zero-diagonal stack per lag serves the certificate and the coefficients
+        c = apply_neighborhood_fn(g, ads.mats[: max(total - j, 0)], zero_diag=True)
+        if not (allow_explosive or g.infty_norm_certified()):
+            norm = float(np.abs(c).sum(axis=-1).max(initial=0.0))
             if norm > 1.0 + _WEIGHT_TOL:
                 raise ValueError(
                     f"spec fails the stationarity check: G_{j} ({g.kind}) has no "
                     f"infinity-norm certificate and reaches {norm:.6g} on the "
                     "supplied network; pass allow_explosive=True to override"
                 )
+        c *= spec.beta[j - 1][:, None]
+        c[..., diag, diag] = spec.alpha[j - 1]
+        coefs.append(c)
     if rng is None:
         rng = np.random.default_rng(seed)
     eps = innov.sample(rng, total)
-    d, p = spec.d, spec.p
-    x = np.zeros((d, total))
-    for t in range(total):
-        acc = eps[t].copy()
-        for j in range(1, p + 1):
-            if t - j < 0:
-                break
-            xl = x[:, t - j]
-            g = apply_neighborhood_fn(spec.G[j - 1], ads[t - j], zero_diag=True)
-            acc += spec.alpha[j - 1] * xl + spec.beta[j - 1] * (g @ xl)
-        x[:, t] = acc
-        if allow_explosive and not np.isfinite(acc).all():
-            raise FloatingPointError(f"simulation became non-finite at step {t}")
+    x = _run_recursion(np.zeros((spec.d, total)), eps, coefs, check_finite=allow_explosive)
     return x[:, burn_in:]
 
 

@@ -110,8 +110,12 @@ class MarkovEdgeNetwork:
         if stay.shape != enter.shape or stay.ndim != 2 or stay.shape[0] != stay.shape[1]:
             raise ValueError("stay/enter probability matrices must be square and equally shaped")
         for name, m in (("stay_prob", stay), ("enter_prob", enter)):
-            if ((m < 0) | (m > 1)).any():
-                raise ValueError(f"{name} entries must lie in [0, 1]")
+            bad = ~((m >= 0) & (m <= 1))
+            if bad.any():
+                i, j = np.argwhere(bad)[0]
+                raise ValueError(
+                    f"{name} entries must lie in [0, 1]; found {m[i, j]} at entry ({i + 1}, {j + 1})"
+                )
         if isinstance(initial, str):
             if initial != "stationary":
                 raise ValueError(f"unknown initial state spec {initial!r}")
@@ -198,10 +202,11 @@ class FlipNetwork:
         self.persist_prob = float(persist_prob)
         self.initial = initial_state
 
-    def step(self, state: int, u: float) -> int:
-        if state == self.EDGE13:
-            return self.EDGE13 if u > 1.0 - self.persist_prob else self.EDGE23
-        return self.EDGE13 if u > self.persist_prob else self.EDGE23
+    def step(self, state, u):
+        """One transition given the step's uniform; broadcasts over arrays of states."""
+        to13 = np.where(np.asarray(state) == self.EDGE13, u > 1.0 - self.persist_prob,
+                        u > self.persist_prob)
+        return np.where(to13, self.EDGE13, self.EDGE23).astype(np.int8)
 
     def state_to_matrix(self, states) -> np.ndarray:
         """Adjacency matrices ``(..., 3, 3)`` for a state or an array of states."""
@@ -217,17 +222,26 @@ class FlipNetwork:
         return AdjacencySeries(self.state_to_matrix(states), t0=t0)
 
     def simulate_states(self, n: int, seed=None, rng=None, burn_in: int = 0) -> np.ndarray:
-        """State path (0/1 per step); lighter than full matrices for long runs."""
+        """State path (0/1 per step); lighter than full matrices for long runs.
+
+        Both possible transitions of every step come from one broadcast
+        :meth:`step`.  A step whose two transitions agree fixes the state;
+        after it, each step whose transitions disagree either keeps the
+        state or swaps the two states, so the path is the last fixed state
+        with the parity of the swaps since applied.
+        """
         if rng is None:
             rng = np.random.default_rng(seed)
-        state = self.initial
         u = rng.random(burn_in + n)
-        out = np.empty(n, dtype=np.int8)
-        for t in range(burn_in + n):
-            state = self.step(state, u[t])
-            if t >= burn_in:
-                out[t - burn_in] = state
-        return out
+        from13 = self.step(self.EDGE13, u)
+        from23 = self.step(self.EDGE23, u)
+        steps = np.arange(u.size)
+        last_fix = np.maximum.accumulate(np.where(from13 == from23, steps, -1))
+        swaps = np.cumsum(from13 > from23)
+        fixed = last_fix >= 0
+        start = np.where(fixed, from13[last_fix], self.initial)
+        parity = (swaps - np.where(fixed, swaps[last_fix], 0)) % 2
+        return (start ^ parity).astype(np.int8)[burn_in:]
 
 
 def _require_binary(ad: np.ndarray, what: str) -> np.ndarray:
@@ -401,26 +415,18 @@ class NeighborhoodFn:
         return NeighborhoodFn(kind, k=doc.get("k"), inner=inner)
 
 
-def apply_neighborhood_fn(fn: NeighborhoodFn, ad, lnar_safe: bool = False,
-                          zero_diag: bool = False) -> np.ndarray:
+def apply_neighborhood_fn(fn: NeighborhoodFn, ad, zero_diag: bool = False) -> np.ndarray:
     """Evaluate a neighborhood descriptor on a snapshot or a ``(..., d, d)`` stack.
 
     This is the one implementation of the modulation rule: every model,
     fit, forecast and coupling run goes through it.  The result is always
     a fresh C-contiguous array, so callers may modify it in place.  With
     ``zero_diag=True`` the diagonal of every output is zeroed (the
-    per-component model's rule).  With ``lnar_safe=True`` the call is
-    rejected unless the variant certifiably keeps the infinity norm at
-    most 1 (required by the per-component model's stationarity condition).
+    per-component model's rule).
     """
     ad = np.asarray(ad, dtype=float)
     if ad.ndim < 2 or ad.shape[-1] != ad.shape[-2]:
         raise ValueError("snapshot must be a square matrix or a stack of them")
-    if lnar_safe and not fn.infty_norm_certified():
-        raise ValueError(
-            f"neighborhood variant {fn.kind!r} has no infinity-norm certificate; "
-            "refusing in LNAR-safe mode"
-        )
     out = _evaluate(fn, ad)
     if not out.flags.c_contiguous or np.may_share_memory(out, ad):
         out = np.array(out, order="C")

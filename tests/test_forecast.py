@@ -15,6 +15,8 @@ from netar import (
 )
 from netar.estimate import ComponentFit, IndexSet, ModelFit
 
+from test_netdyn import kernel_variants, neighborhood_oracle, zero_diag_oracle
+
 
 def manual_fit(family, A_mats, mu, g=None):
     """Assemble a ModelFit with known coefficients for forecasting tests."""
@@ -37,6 +39,40 @@ def manual_fit(family, A_mats, mu, g=None):
         ))
     return ModelFit(family=family, p=p, d=d,
                     g=None if g is None else tuple(g), components=comps)
+
+
+def manual_lnar_fit(alpha, beta, mu, g):
+    """Per-component fit with known (alpha, beta); weights interleave per lag."""
+    p, d = alpha.shape
+    comps = [ComponentFit(
+        r=r, index_set=IndexSet(r=r, members=()),
+        w=np.column_stack([alpha[:, r], beta[:, r]]).ravel(), mu=float(mu[r]),
+        resid_var=1.0, gamma_y0=np.eye(2 * p), asymp_cov=np.eye(2 * p), rss=0.0, n_obs=100,
+    ) for r in range(d)]
+    return ModelFit(family="lnar", p=p, d=d, g=tuple(g), components=comps)
+
+
+def forecast_horizon_oracle(fit, x_hist, ads_hist, policy, h):
+    """The horizon loop forecast_h ran before it shared the batched step:
+    per-horizon modulation snapshot by snapshot, one matmul per lag."""
+    d, n = x_hist.shape
+    coef = fit.coefficient_matrices()
+    x = np.concatenate([x_hist, np.zeros((d, h))], axis=1)
+    if fit.family != "var":
+        hist = ads_hist.take_first(n - 1)
+        mats = np.concatenate([hist.mats, forecast_network(hist, policy, h).mats])
+    for t in range(n, n + h):
+        acc = fit.mu_hat()
+        for j in range(1, fit.p + 1):
+            if fit.family == "var":
+                mod = 1.0
+            elif fit.family == "nar":
+                mod = neighborhood_oracle(fit.g[j - 1], mats[t - j])
+            else:
+                mod = np.eye(d) + zero_diag_oracle(fit.g[j - 1], mats[t - j])
+            acc = acc + (coef[j - 1] * mod) @ x[:, t - j]
+        x[:, t] = acc
+    return x[:, n:]
 
 
 class TestForecastNetwork:
@@ -200,6 +236,36 @@ class TestForecastH:
             a = forecast_h(fit, x, clean_hist, policy, 4)
             b = forecast_h(fit, x, poisoned, policy, 4)
             assert np.array_equal(a.points, b.points)
+
+
+class TestForecastRecursionOracle:
+    def test_matches_horizon_loop_oracle(self):
+        # random d (1 included), p in {1, 2, 3}, every G variant, signed weights
+        # and every policy; coefficients large enough that some forecasts grow
+        rng = np.random.default_rng(808)
+        n, h = 12, 5
+        for d in (1, 2, 4, 7):
+            for p in (1, 2, 3):
+                for fn, needs_binary in kernel_variants(d, rng):
+                    binary = (rng.random((n - 1 + h, d, d)) < 0.4).astype(float)
+                    mats = binary if needs_binary else rng.uniform(-1, 1, binary.shape) * binary
+                    hist = AdjacencySeries(mats[: n - 1])
+                    policies = [Known(AdjacencySeries(mats[n - 1:])), HoldLast()]
+                    if needs_binary:
+                        policies.append(PerEdgeMarkov())
+                    x = rng.normal(size=(d, n))
+                    mu = rng.normal(size=d)
+                    A = [rng.uniform(-1, 1, (d, d)) / p for _ in range(p)]
+                    alpha, beta = rng.uniform(-1, 1, (2, p, d)) / p
+                    cases = [(manual_fit("var", A, mu), [None])]
+                    cases += [(fit, policies) for fit in (manual_fit("nar", A, mu, [fn] * p),
+                                                          manual_lnar_fit(alpha, beta, mu, [fn] * p))]
+                    for fit, fit_policies in cases:
+                        for policy in fit_policies:
+                            got = forecast_h(fit, x, hist, policy, h).points
+                            want = forecast_horizon_oracle(fit, x, hist, policy, h)
+                            assert got.shape == (d, h)
+                            assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
 
 class TestDifferenceIntegrate:

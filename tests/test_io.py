@@ -105,6 +105,19 @@ class TestModelSpecJson:
         assert doc["innov"]["sigma"]["kind"] == "banded1"
 
 
+class TestModelSpecNonFinite:
+    def test_nan_mu_names_the_entry(self):
+        spec = NarSpec(1, [np.eye(2) * 0.3], [NeighborhoodFn.transpose()])
+        doc = nio.model_spec_to_json(spec, InnovationSpec.standard(2))
+        doc["innov"]["mu"][1] = float("nan")
+        with pytest.raises(ValueError, match=r"mu must be finite; found nan at entry \(2\)"):
+            nio.model_spec_from_json(json.loads(json.dumps(doc)))
+        doc["innov"]["mu"][1] = 0.0
+        doc["innov"]["sigma"] = {"kind": "diagonal", "values": [1.0, float("inf")]}
+        with pytest.raises(ValueError, match=r"sigma must be finite; found inf at entry \(2, 2\)"):
+            nio.model_spec_from_json(json.loads(json.dumps(doc)))
+
+
 class TestNetworkModelJson:
     def test_markov_roundtrip(self):
         m = MarkovEdgeNetwork(np.full((2, 2), 0.9), np.full((2, 2), 0.1),
@@ -116,6 +129,14 @@ class TestNetworkModelJson:
     def test_flip_roundtrip(self):
         back = nio.network_model_from_json(nio.network_model_to_json(FlipNetwork(0.9, 1)))
         assert back.persist_prob == 0.9 and back.initial == 1
+
+    @pytest.mark.parametrize("key, name", [("stay", "stay_prob"), ("enter", "enter_prob")])
+    def test_markov_nan_probability_names_the_entry(self, key, name):
+        doc = nio.network_model_to_json(
+            MarkovEdgeNetwork(np.full((2, 2), 0.9), np.full((2, 2), 0.1)))
+        doc[key][0][1] = float("nan")
+        with pytest.raises(ValueError, match=rf"{name} .* found nan at entry \(1, 2\)"):
+            nio.network_model_from_json(json.loads(json.dumps(doc)))
 
     def test_density_matched_from_json(self):
         m = nio.network_model_from_json(

@@ -19,7 +19,7 @@ from netar import (
     simulate_nar,
 )
 
-from test_netdyn import example1_network_matrices
+from test_netdyn import example1_network_matrices, kernel_variants, zero_diag_oracle
 
 
 def example1_alpha():
@@ -55,7 +55,11 @@ def random_stationary_nar(rng, d, p):
 
 
 def direct_recursion(spec, ads, eps):
-    """Literal lag-by-lag recursion, the oracle for all simulation paths."""
+    """Literal lag-by-lag recursion, the oracle for all simulation paths.
+
+    This is the per-step body ``simulate_nar`` ran before it shared the
+    batched step: G applied snapshot by snapshot, one matmul per lag.
+    """
     d, p = spec.d, spec.p
     total = eps.shape[0]
     x = np.zeros((d, total))
@@ -65,6 +69,25 @@ def direct_recursion(spec, ads, eps):
             if t - j < 0:
                 break
             acc = acc + (spec.A[j - 1] * spec.G[j - 1].apply(ads[t - j])) @ x[:, t - j]
+        x[:, t] = acc
+    return x
+
+
+def lnar_componentwise_recursion(spec, ads, eps):
+    """The per-component model in its componentwise form,
+    ``x_r = sum_j alpha_{j,r} x_{t-j;r} + beta_{j,r} (G_j x_{t-j})_r + eps_r``
+    with the zero-diagonal G applied snapshot by snapshot."""
+    d, p = spec.d, spec.p
+    total = eps.shape[0]
+    x = np.zeros((d, total))
+    for t in range(total):
+        acc = eps[t].copy()
+        for j in range(1, p + 1):
+            if t - j < 0:
+                break
+            xl = x[:, t - j]
+            g = zero_diag_oracle(spec.G[j - 1], ads[t - j])
+            acc += spec.alpha[j - 1] * xl + spec.beta[j - 1] * (g @ xl)
         x[:, t] = acc
     return x
 
@@ -286,11 +309,14 @@ class TestSimulation:
             innov = InnovationSpec(rng.normal(size=d), np.eye(d))
             seed = int(rng.integers(1 << 31))
             xl = simulate_lnar(spec, ads, innov, n=n, burn_in=0, seed=seed)
+            eps = innov.sample(np.random.default_rng(seed), n)
+            assert np.abs(xl - lnar_componentwise_recursion(spec, ads, eps)).max() <= 1e-12
             # the embedded spec is stationary through the norm condition, not
-            # the coefficient one, so the coefficient check must be overridden
+            # the coefficient one, so the coefficient check must be overridden;
+            # both runs build bitwise the same coefficients A_j * (I + zero-diag G_j)
             xn = simulate_nar(spec.to_nar(), ads, innov, n=n, burn_in=0, seed=seed,
                               allow_explosive=True)
-            assert np.abs(xl - xn).max() <= 1e-12
+            assert np.array_equal(xl, xn)
 
     def test_alpha_beta_zero_is_noise(self):
         d, n = 4, 100
@@ -315,6 +341,52 @@ class TestSimulation:
             half1 = x[:, 5000:7500].var(axis=1)
             half2 = x[:, 7500:].var(axis=1)
             assert (half2 < 3 * half1 + 1.0).all()
+
+
+def _oracle_case(rng, d, p, needs_binary, total):
+    binary = (rng.random((total, d, d)) < 0.4).astype(float)
+    ads = AdjacencySeries(binary if needs_binary else rng.uniform(-1, 1, binary.shape) * binary)
+    innov = InnovationSpec(rng.normal(size=d), np.eye(d))
+    # half the cases fail the stationarity checks and run with allow_explosive
+    scale = float(rng.choice([0.5, 3.0])) / (d * p)
+    return ads, innov, scale, int(rng.integers(1 << 31))
+
+
+class TestOneRecursion:
+    """Both simulators against the stepwise oracles, over random d (1 included),
+    p in {1, 2, 3}, every G variant and signed weights."""
+
+    def test_simulate_nar_matches_stepwise_oracle(self):
+        rng = np.random.default_rng(606)
+        burn_in, n = 5, 30
+        for d in (1, 2, 3, 6):
+            for p in (1, 2, 3):
+                for fn, needs_binary in kernel_variants(d, rng):
+                    ads, innov, scale, seed = _oracle_case(rng, d, p, needs_binary, burn_in + n)
+                    spec = NarSpec(p, [rng.uniform(-1, 1, (d, d)) * scale for _ in range(p)],
+                                   [fn] * p)
+                    explosive = not check_stationarity_nar(spec).holds
+                    x = simulate_nar(spec, ads, innov, n=n, burn_in=burn_in, seed=seed,
+                                     allow_explosive=explosive)
+                    eps = innov.sample(np.random.default_rng(seed), burn_in + n)
+                    want = direct_recursion(spec, ads, eps)[:, burn_in:]
+                    assert np.abs(x - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+    def test_simulate_lnar_matches_componentwise_oracle(self):
+        rng = np.random.default_rng(707)
+        burn_in, n = 5, 30
+        for d in (1, 2, 3, 6):
+            for p in (1, 2, 3):
+                for fn, needs_binary in kernel_variants(d, rng):
+                    ads, innov, scale, seed = _oracle_case(rng, d, p, needs_binary, burn_in + n)
+                    spec = LnarSpec(p, rng.uniform(-1, 1, (p, d)) * scale * d,
+                                    rng.uniform(-1, 1, (p, d)) * scale * d, [fn] * p)
+                    explosive = not (spec.c_lambda < 1.0 and fn.infty_norm_certified())
+                    x = simulate_lnar(spec, ads, innov, n=n, burn_in=burn_in, seed=seed,
+                                      allow_explosive=explosive)
+                    eps = innov.sample(np.random.default_rng(seed), burn_in + n)
+                    want = lnar_componentwise_recursion(spec, ads, eps)[:, burn_in:]
+                    assert np.abs(x - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
 
 class TestGnlp:

@@ -226,7 +226,41 @@ class TestMarkovEdges:
             m.step(np.zeros((3, 3)), np.zeros((3, 3)))
 
 
+def flip_step_oracle(persist, state, u):
+    """The scalar flip transition: from edge (1,3) stay iff u > 1 - persist,
+    from edge (2,3) move to (1,3) iff u > persist."""
+    if state == FlipNetwork.EDGE13:
+        return FlipNetwork.EDGE13 if u > 1.0 - persist else FlipNetwork.EDGE23
+    return FlipNetwork.EDGE13 if u > persist else FlipNetwork.EDGE23
+
+
 class TestFlipNetwork:
+    def test_step_broadcasts_over_states(self):
+        rng = np.random.default_rng(17)
+        net = FlipNetwork(0.7)
+        states = rng.integers(0, 2, (4, 6)).astype(np.int8)
+        u = rng.random((4, 6))
+        out = net.step(states, u)
+        assert out.dtype == np.int8
+        expected = [[flip_step_oracle(0.7, s, v) for s, v in zip(rs, ru)]
+                    for rs, ru in zip(states, u)]
+        assert np.array_equal(out, expected)
+
+    @pytest.mark.parametrize("persist", [0.0, 0.3, 0.5, 0.95, 1.0])
+    @pytest.mark.parametrize("initial", [FlipNetwork.EDGE13, FlipNetwork.EDGE23])
+    def test_states_match_sequential_chain(self, persist, initial):
+        # below persist = 1/2 a step can swap the two states, above it only keep or reset
+        net = FlipNetwork(persist, initial)
+        for burn_in in (0, 7):
+            u = np.random.default_rng(3).random(burn_in + 400)
+            state, path = initial, []
+            for v in u:
+                state = flip_step_oracle(persist, state, v)
+                path.append(state)
+            states = net.simulate_states(400, seed=3, burn_in=burn_in)
+            assert states.dtype == np.int8
+            assert np.array_equal(states, path[burn_in:])
+
     def test_flip_thresholds(self):
         fn = FlipNetwork(0.95)
         assert fn.step(FlipNetwork.EDGE13, 0.5) == FlipNetwork.EDGE13
@@ -356,13 +390,10 @@ class TestNeighborhoodFns:
             rows = fn.apply(ad).sum(axis=1)
             assert ((np.abs(rows - 1.0) < 1e-12) | (np.abs(rows) < 1e-12)).all()
 
-    def test_mask_requires_infty_norm_in_lnar_safe_mode(self):
+    def test_mask_infty_norm_certificate(self):
         w = np.ones((3, 3)) * 0.6  # row sums 1.8 > 1
-        fn = NeighborhoodFn.mask(w)
-        with pytest.raises(ValueError, match="LNAR-safe"):
-            apply_neighborhood_fn(fn, np.eye(3), lnar_safe=True)
-        ok = NeighborhoodFn.mask(np.eye(3) * 0.9)
-        apply_neighborhood_fn(ok, np.eye(3), lnar_safe=True)
+        assert not NeighborhoodFn.mask(w).infty_norm_certified()
+        assert NeighborhoodFn.mask(np.eye(3) * 0.9).infty_norm_certified()
 
     def test_descriptor_json_roundtrip(self):
         fns = [
