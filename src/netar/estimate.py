@@ -12,14 +12,22 @@ the Gram matrix is numerically singular.
 The same solver backs the plain VAR benchmark (optionally with a
 network-induced sparsity mask) and the per-component model, whose
 regressor vector is the 2p-dimensional own-lag / pooled-network pair per
-lag.
+lag.  All VAR equations share one Gram matrix of the lagged series; each
+equation solves the principal block on its mask's columns.
+
+BIC order selection fits every candidate order on one common window, so
+a candidate's regressors are the leading columns of the order-p_max
+regressors and its normal equations are the leading block of the p_max
+ones: those are built once and each candidate solves its block.
+Candidate fits yield only residual sums of squares; the plug-in
+asymptotic covariance is computed for returned fits alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import log
-from typing import List, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -166,13 +174,17 @@ def _lag_stacks(n: int, ads: AdjacencySeries, g_list, p: int, t_start: int) -> L
     """Per-lag stacks of modulation matrices over the estimation window.
 
     ``stacks[j-1][row] = G_j(Ad_{t-j})`` for target time t = t_start + row,
-    computed once and shared across components.
+    computed once and shared across components.  Each distinct G is
+    evaluated once, on the snapshots t_start-p..n-2 that the lags read, and
+    every lag that uses it is a view into that one stack.
     """
     if len(ads) < n - 1:
         raise ValueError(
             f"network series too short for the sample: need {n - 1} snapshots, got {len(ads)}"
         )
-    return [g_list[j - 1].apply(ads.mats[t_start - j: n - j]) for j in range(1, p + 1)]
+    lo = t_start - p
+    evaluated = {g: apply_neighborhood_fn(g, ads.mats[lo: n - 1]) for g in dict.fromkeys(g_list)}
+    return [evaluated[g][t_start - j - lo: n - j - lo] for j, g in enumerate(g_list, start=1)]
 
 
 def index_sets(n: int, ads: AdjacencySeries, g_list: Sequence[NeighborhoodFn], p: int,
@@ -218,8 +230,13 @@ def build_regressors(x: np.ndarray, ads: AdjacencySeries, g_list: Sequence[Neigh
 
 
 def _lnar_design(x, ads, g_list, p, t_start):
-    """Shared per-component design matrices; the pooled network series
-    G_j(Ad_t) x_t is computed once for all components."""
+    """Shared per-component design matrices.
+
+    Columns 2(j-1) and 2(j-1)+1 of component r are its own lag x_{t-j;r}
+    and its pooled network lag, entry r of zero-diagonal G_j(Ad_{t-j}) x_{t-j}.
+    The pooled series is computed once per distinct G, over every snapshot
+    the lags read, and each lag slices it.
+    """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     d, n = x.shape
     t_start = _resolve_t_start(p, t_start)
@@ -230,69 +247,72 @@ def _lnar_design(x, ads, g_list, p, t_start):
     m = n - t_start
     if m <= 0:
         raise ValueError("estimation window is empty")
-    Y = np.zeros((d, m, 2 * p))
-    for j in range(1, p + 1):
-        sl = slice(t_start - j, n - j)
-        Y[:, :, 2 * (j - 1)] = x[:, sl]
-        # pooled network lag: zero-diagonal G_j(Ad_t) @ x_t, one stacked product per lag
-        Y[:, :, 2 * (j - 1) + 1] = np.matmul(
-            apply_neighborhood_fn(g_list[j - 1], ads.mats[sl], zero_diag=True),
-            x[:, sl].T[..., None],
-        )[..., 0].T
-    targets = x[:, t_start:]
-    return Y, targets
+    lo = t_start - p
+    lagged = x[:, lo: n - 1].T[..., None]
+    pooled = {g: np.matmul(apply_neighborhood_fn(g, ads.mats[lo: n - 1], zero_diag=True),
+                           lagged)[..., 0].T
+              for g in dict.fromkeys(g_list)}
+    Y = np.empty((d, m, 2 * p))
+    for j, g in enumerate(g_list, start=1):
+        Y[:, :, 2 * (j - 1)] = x[:, t_start - j: n - j]
+        Y[:, :, 2 * (j - 1) + 1] = pooled[g][:, t_start - j - lo: n - j - lo]
+    return Y, x[:, t_start:]
 
 
-def fit_component_ls(y: np.ndarray, Y: np.ndarray, r: int, idx: Optional[IndexSet] = None,
-                     ridge_scale: float = RIDGE_SCALE) -> ComponentFit:
-    """Exact least squares with intercept via centered normal equations.
+class _Solution(NamedTuple):
+    w: np.ndarray
+    gram: np.ndarray  # the matrix actually solved, ridge jitter included
+    jitter: float
+    cond: float  # nan when a certificate skipped the eigenvalues
 
-    Solves Gram * w = cross with Gram = sum (Y - Ybar)(Y - Ybar)' and
-    cross = sum (Y - Ybar)(y - ybar), then mu = ybar - w'Ybar.  A
-    numerically singular Gram matrix gets a flagged ridge jitter of
-    ``ridge_scale * trace / dim``; if that still fails the component
-    errors out with diagnostics.
+
+def _certified(gram: np.ndarray) -> bool:
+    """Whether no principal block of this Gram matrix can trigger the ridge.
+
+    By Cauchy interlacing the eigenvalues of a principal submatrix lie in
+    [lambda_min, lambda_max] of the whole, so lambda_min > 0 and a condition
+    number of at most half ``_COND_LIMIT`` (a factor 2 spare for rounding)
+    certify every block.  A failed eigensolve certifies nothing.
     """
-    y = np.asarray(y, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    m, k = Y.shape if Y.ndim == 2 else (Y.shape[0], 0)
-    if m != y.shape[0]:
-        raise ValueError("regressor/target length mismatch")
-    if m < k + 1:
-        raise EstimationError(
-            f"component {r}: {m} observations cannot identify {k} coefficients plus intercept",
-            {"n_obs": m, "k": k},
-        )
-    if idx is None:
-        idx = IndexSet(r=r, members=tuple(range(k)))
-    ybar = float(y.mean())
-    if k == 0:
-        rss = float(((y - ybar) ** 2).sum())
-        dof = m - 1
-        return ComponentFit(
-            r=r, index_set=idx, w=np.empty(0), mu=ybar,
-            resid_var=rss / dof if dof > 0 else float("nan"),
-            gamma_y0=np.empty((0, 0)), asymp_cov=np.empty((0, 0)),
-            rss=rss, n_obs=m,
-        )
-    Ybar = Y.mean(axis=0)
-    Yc = Y - Ybar
-    gram = Yc.T @ Yc
-    cross = Yc.T @ (y - ybar)
-    jitter = 0.0
+    if gram.shape[0] == 0:
+        return False
     try:
         eigs = np.linalg.eigvalsh((gram + gram.T) / 2.0)
-    except np.linalg.LinAlgError as exc:
-        raise EstimationError(
-            f"component {r}: eigenvalues of the Gram matrix did not converge",
-            {"k": k, "n_obs": m, "finite": bool(np.isfinite(gram).all())},
-        ) from exc
-    cond = float(eigs[-1] / max(eigs[0], 1e-300)) if eigs[-1] > 0 else float("inf")
-    if eigs[0] <= 0.0 or eigs[-1] / max(eigs[0], 1e-300) > _COND_LIMIT:
-        jitter = ridge_scale * float(np.trace(gram)) / k
-        if jitter <= 0.0:
-            jitter = ridge_scale
-        gram = gram + jitter * np.eye(k)
+    except np.linalg.LinAlgError:
+        return False
+    return bool(eigs[0] > 0.0 and eigs[-1] / eigs[0] <= _COND_LIMIT / 2.0)
+
+
+def _solve_centered(gram: np.ndarray, cross: np.ndarray, r: int, m: int,
+                    ridge_scale: float = RIDGE_SCALE, certified: bool = False) -> _Solution:
+    """Solve the centered normal equations ``gram w = cross`` of component r.
+
+    A numerically singular Gram matrix (smallest eigenvalue not positive,
+    or condition number above ``_COND_LIMIT``) gets a flagged ridge jitter
+    of ``ridge_scale * trace / dim``; if the solve still fails the component
+    errors out with diagnostics.  ``certified`` skips the check because a
+    Gram holding this one as a principal block passed :func:`_certified`.
+    """
+    k = gram.shape[0]
+    if k == 0:
+        return _Solution(np.empty(0), gram, 0.0, 1.0)
+    jitter = 0.0
+    cond = float("nan")
+    if not certified:
+        try:
+            eigs = np.linalg.eigvalsh((gram + gram.T) / 2.0)
+        except np.linalg.LinAlgError as exc:
+            raise EstimationError(
+                f"component {r}: eigenvalues of the Gram matrix did not converge",
+                {"k": k, "n_obs": m, "finite": bool(np.isfinite(gram).all())},
+            ) from exc
+        ratio = eigs[-1] / max(eigs[0], 1e-300)
+        cond = float(ratio) if eigs[-1] > 0 else float("inf")
+        if eigs[0] <= 0.0 or ratio > _COND_LIMIT:
+            jitter = ridge_scale * float(np.trace(gram)) / k
+            if jitter <= 0.0:
+                jitter = ridge_scale
+            gram = gram + jitter * np.eye(k)
     try:
         w = np.linalg.solve(gram, cross)
     except np.linalg.LinAlgError:
@@ -310,24 +330,109 @@ def fit_component_ls(y: np.ndarray, Y: np.ndarray, r: int, idx: Optional[IndexSe
             f"component {r}: non-finite least-squares solution",
             {"k": k, "n_obs": m},
         )
-    mu = ybar - float(w @ Ybar)
-    resid = y - Y @ w - mu
-    rss = float(resid @ resid)
-    dof = m - k - 1
+    return _Solution(w, gram, jitter, cond)
+
+
+def _require_identified(m: int, k: int, r: int) -> None:
+    if m < k + 1:
+        raise EstimationError(
+            f"component {r}: {m} observations cannot identify {k} coefficients plus intercept",
+            {"n_obs": m, "k": k},
+        )
+
+
+def _component_fit(r: int, idx: IndexSet, sol: _Solution, mu: float, rss: float,
+                   m: int) -> ComponentFit:
+    """A returned fit: residual variance and the plug-in asymptotic
+    covariance ``resid_var * (gram / m)^{-1}``."""
+    dof = m - sol.w.size - 1
     resid_var = rss / dof if dof > 0 else float("nan")
-    gamma_y0 = gram / m
+    gamma_y0 = sol.gram / m
     try:
         asymp_cov = resid_var * np.linalg.inv(gamma_y0)
     except np.linalg.LinAlgError as exc:
         raise EstimationError(
             f"component {r}: Gram matrix not invertible for the asymptotic covariance",
-            {"k": k, "n_obs": m, "ridge_jitter": jitter},
+            {"k": sol.w.size, "n_obs": m, "ridge_jitter": sol.jitter},
         ) from exc
     return ComponentFit(
-        r=r, index_set=idx, w=w, mu=mu, resid_var=resid_var,
+        r=r, index_set=idx, w=sol.w, mu=mu, resid_var=resid_var,
         gamma_y0=gamma_y0, asymp_cov=asymp_cov, rss=rss, n_obs=m,
-        ridge_jitter=jitter, gram_cond=cond,
+        ridge_jitter=sol.jitter, gram_cond=sol.cond,
     )
+
+
+def fit_component_ls(y: np.ndarray, Y: np.ndarray, r: int, idx: Optional[IndexSet] = None,
+                     ridge_scale: float = RIDGE_SCALE) -> ComponentFit:
+    """Exact least squares with intercept via centered normal equations.
+
+    Solves Gram * w = cross with Gram = sum (Y - Ybar)(Y - Ybar)' and
+    cross = sum (Y - Ybar)(y - ybar), then mu = ybar - w'Ybar.  A
+    numerically singular Gram matrix gets a flagged ridge jitter of
+    ``ridge_scale * trace / dim``; if that still fails the component
+    errors out with diagnostics.
+    """
+    y = np.asarray(y, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    m, k = Y.shape if Y.ndim == 2 else (Y.shape[0], 0)
+    if m != y.shape[0]:
+        raise ValueError("regressor/target length mismatch")
+    _require_identified(m, k, r)
+    if idx is None:
+        idx = IndexSet(r=r, members=tuple(range(k)))
+    if Y.ndim != 2:
+        Y = np.empty((m, 0))
+    ybar = float(y.mean())
+    Ybar = Y.mean(axis=0)
+    Yc = Y - Ybar
+    sol = _solve_centered(Yc.T @ Yc, Yc.T @ (y - ybar), r, m, ridge_scale)
+    mu = ybar - float(sol.w @ Ybar)
+    resid = y - Y @ sol.w - mu
+    return _component_fit(r, idx, sol, mu, float(resid @ resid), m)
+
+
+class _VarEquations(NamedTuple):
+    """Centered normal equations of every VAR equation at once.
+
+    Column ``(j-1)d + i`` of the lagged design holds ``x_{t-j;i}`` for
+    targets t = t_start..n-1.  One Gram ``lc'lc`` and one cross term
+    ``lc'tc`` serve all equations: equation r's Gram on the columns of its
+    mask is the principal block ``gram[mem, mem]``.
+    """
+    lc: np.ndarray  # centered lagged design, (m, d*p)
+    tc: np.ndarray  # centered targets, (m, d)
+    lbar: np.ndarray
+    tbar: np.ndarray
+    gram: np.ndarray
+    cross: np.ndarray
+
+
+def _var_equations(x: np.ndarray, p: int, t_start: int) -> _VarEquations:
+    d, n = x.shape
+    m = n - t_start
+    if m <= 0:
+        raise ValueError("estimation window is empty")
+    lagged = np.empty((m, d * p))
+    for j in range(1, p + 1):
+        lagged[:, (j - 1) * d: j * d] = x[:, t_start - j: n - j].T
+    lbar = lagged.mean(axis=0)
+    tbar = x[:, t_start:].mean(axis=1)
+    lc = lagged - lbar
+    tc = x[:, t_start:].T - tbar
+    return _VarEquations(lc, tc, lbar, tbar, lc.T @ lc, lc.T @ tc)
+
+
+def _var_block(eq: _VarEquations, r: int, mem: np.ndarray, certified: bool = False):
+    """Equation r solved on the lagged columns ``mem`` from the shared
+    normal equations, and its residual sum of squares."""
+    m = eq.tc.shape[0]
+    _require_identified(m, mem.size, r)
+    sol = _solve_centered(eq.gram[np.ix_(mem, mem)], eq.cross[mem, r], r, m,
+                          certified=certified)
+    coef = np.zeros(eq.lc.shape[1])
+    coef[mem] = sol.w
+    resid = eq.tc[:, r] - eq.lc @ coef
+    return sol, float(resid @ resid)
 
 
 def fit_nar(x: np.ndarray, ads: AdjacencySeries, g_list: Sequence[NeighborhoodFn], p: int,
@@ -379,7 +484,8 @@ def fit_var(x: np.ndarray, p: int, mask: Optional[np.ndarray] = None,
     ``mask`` is a binary (d, d*p) matrix; a zero entry pins the matching
     coefficient to zero (used for network-induced sparsity).  An all-ones
     mask is the unrestricted VAR; an all-zero row yields an
-    intercept-only equation whose forecast is the sample mean.
+    intercept-only equation whose forecast is the sample mean.  Every
+    equation solves its block of one shared set of normal equations.
     """
     x = _finite_series(x)
     d, n = x.shape
@@ -389,20 +495,16 @@ def fit_var(x: np.ndarray, p: int, mask: Optional[np.ndarray] = None,
     mask = np.asarray(mask)
     if mask.shape != (d, d * p):
         raise ValueError(f"mask must have shape {(d, d * p)}, got {mask.shape}")
-    m = n - t_start
-    if m <= 0:
-        raise ValueError("estimation window is empty")
-    lagged = np.zeros((m, d * p))
-    for j in range(1, p + 1):
-        lagged[:, (j - 1) * d: j * d] = x[:, t_start - j: n - j].T
+    eq = _var_equations(x, p, t_start)
     comps: List[ComponentFit] = []
     errors = {}
     for r in range(d):
-        members = tuple(int(i) for i in np.flatnonzero(mask[r] != 0))
-        idx = IndexSet(r=r, members=members)
-        Y = lagged[:, list(members)]
+        mem = np.flatnonzero(mask[r] != 0)
+        idx = IndexSet(r=r, members=tuple(int(i) for i in mem))
         try:
-            comps.append(fit_component_ls(x[r, t_start:], Y, r, idx))
+            sol, rss = _var_block(eq, r, mem)
+            mu = float(eq.tbar[r]) - float(sol.w @ eq.lbar[mem])
+            comps.append(_component_fit(r, idx, sol, mu, rss, eq.tc.shape[0]))
         except EstimationError as exc:
             if not allow_partial:
                 raise
@@ -416,6 +518,57 @@ class OrderSelection:
     table: dict
 
 
+def _interpolating(m: int, k: np.ndarray) -> bool:
+    """Whether some component's candidate fit (near-)interpolates: the
+    criterion would reward it blindly."""
+    return bool((m - (k + 1) < 5).any())
+
+
+def _own_design_rss(design_of, k: np.ndarray, m: int) -> list:
+    """Candidate RSS for components that each have their own design.
+
+    ``design_of(r)`` gives component r's order-p_max design and targets;
+    order p uses its leading ``k[p-1, r]`` columns, so one centered Gram per
+    component serves every candidate.  Entry p-1 of the result is the
+    per-component RSS, or None if that candidate interpolates or fails.
+    """
+    p_max, d = k.shape
+    rss = [None if _interpolating(m, k[i]) else np.empty(d) for i in range(p_max)]
+    for r in range(d):
+        if all(v is None for v in rss):
+            break
+        Y, y = design_of(r)
+        yc = y - y.mean()
+        Yc = Y - Y.mean(axis=0)
+        gram, cross = Yc.T @ Yc, Yc.T @ yc
+        certified = _certified(gram)
+        for i, kp in enumerate(k[:, r]):
+            if rss[i] is None:
+                continue
+            try:
+                sol = _solve_centered(gram[:kp, :kp], cross[:kp], r, m, certified=certified)
+            except EstimationError:
+                rss[i] = None
+                continue
+            resid = yc - Yc[:, :kp] @ sol.w
+            rss[i][r] = resid @ resid
+    return rss
+
+
+def _var_rss(eq: _VarEquations, members: List[np.ndarray], k: np.ndarray, m: int) -> list:
+    """Candidate RSS of the VAR: order p solves equation r on the leading
+    ``k[p-1, r]`` of its p_max mask columns, a block of the one shared Gram."""
+    certified = _certified(eq.gram)
+    out = []
+    for kp in k:
+        try:
+            out.append(None if _interpolating(m, kp) else np.array(
+                [_var_block(eq, r, mem[: kp[r]], certified)[1] for r, mem in enumerate(members)]))
+        except EstimationError:
+            out.append(None)
+    return out
+
+
 def select_order_bic(x: np.ndarray, ads: Optional[AdjacencySeries] = None,
                      g: Optional[NeighborhoodFn] = None, p_max: int = 3,
                      family: str = "nar", mask: Optional[np.ndarray] = None) -> OrderSelection:
@@ -427,44 +580,60 @@ def select_order_bic(x: np.ndarray, ads: Optional[AdjacencySeries] = None,
     k_r the coefficient count including the intercept.  Ties resolve to
     the smaller order.  There is no order-0 candidate; white noise shows
     up as order 1 with near-zero coefficients.
+
+    The order-p regressors of a component are the leading columns of its
+    order-p_max regressors (for VAR, the leading columns of its mask), so
+    the p_max design and its centered normal equations are built once and
+    each candidate solves their leading block.  Candidates compute no
+    covariance; the ridge guard is skipped when the p_max Gram certifies
+    every block (see :func:`_certified`).
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
+    x = _finite_series(x)
     d, n = x.shape
     if p_max < 1:
         raise ValueError("p_max must be at least 1")
+    if family not in ("nar", "lnar", "var"):
+        raise ValueError(f"unknown family {family!r}")
+    if family == "var" and mask is not None:
+        mask = np.asarray(mask)
+        if mask.shape != (d, d * p_max):
+            raise ValueError(
+                f"mask must have shape (d, d*p_max) = {(d, d * p_max)}, got {mask.shape}"
+            )
+    if family != "var" and ads is None:
+        raise ValueError(f"family {family!r} needs the network series ads")
+    if family != "var" and g is None:
+        raise ValueError(f"family {family!r} needs the neighborhood function g")
     m = n - p_max
+    if m <= 0:
+        raise ValueError("estimation window is empty")
+    orders = range(1, p_max + 1)
+    if family == "var":
+        members = [np.flatnonzero(mask[r] != 0) if mask is not None else np.arange(d * p_max)
+                   for r in range(d)]
+        k = np.array([[np.searchsorted(mem, d * p) for mem in members] for p in orders])
+        rss = _var_rss(_var_equations(x, p_max, p_max), members, k, m)
+    elif family == "lnar":
+        design, targets = _lnar_design(x, ads, [g] * p_max, p_max, p_max)
+        k = np.array([[2 * p] * d for p in orders])
+        rss = _own_design_rss(lambda r: (design[r], targets[r]), k, m)
+    else:
+        g_list = [g] * p_max
+        stacks = _lag_stacks(n, ads, g_list, p_max, p_max)
+        sets = index_sets(n, ads, g_list, p_max, p_max, stacks=stacks)
+        k = np.array([[np.searchsorted(s.members, d * p) for s in sets] for p in orders])
+        rss = _own_design_rss(
+            lambda r: build_regressors(x, ads, g_list, p_max, r, sets[r], p_max, stacks=stacks),
+            k, m)
     table = {}
     best_p, best_val = None, None
     for p in range(1, p_max + 1):
-        try:
-            if family == "nar":
-                fit = fit_nar(x, ads, [g] * p, p, t_start=p_max)
-            elif family == "lnar":
-                fit = fit_lnar(x, ads, [g] * p, p, t_start=p_max)
-            elif family == "var":
-                sub_mask = None
-                if mask is not None:
-                    sub_mask = np.asarray(mask)[:, : d * p]
-                fit = fit_var(x, p, mask=sub_mask, t_start=p_max)
-            else:
-                raise ValueError(f"unknown family {family!r}")
-        except EstimationError:
-            # candidate order cannot be identified on this window; skip it
+        if rss[p - 1] is None:
             table[p] = float("inf")
             continue
         val = 0.0
-        degenerate = False
-        for c in fit.components:
-            assert c.n_obs == m, "BIC fits must share one observation window"
-            k_r = len(c.index_set) + 1
-            if m - k_r < 5:
-                # (near-)interpolating fit: the criterion would reward it blindly
-                degenerate = True
-                break
-            val += m * log(max(c.rss / m, 1e-300)) + k_r * log(m)
-        if degenerate:
-            table[p] = float("inf")
-            continue
+        for r in range(d):
+            val += m * log(max(float(rss[p - 1][r]) / m, 1e-300)) + int(k[p - 1, r] + 1) * log(m)
         table[p] = val
         if best_val is None or val < best_val - 1e-12:
             best_p, best_val = p, val

@@ -55,6 +55,15 @@ class AdjacencySeries:
         self.mats = arr
         self.t0 = int(t0)
 
+    @classmethod
+    def _checked(cls, mats: np.ndarray, t0: int) -> "AdjacencySeries":
+        """A series over snapshots already known to be valid (views and
+        concatenations of checked series), built without re-scanning them."""
+        out = cls.__new__(cls)
+        out.mats = mats
+        out.t0 = int(t0)
+        return out
+
     @property
     def d(self) -> int:
         return self.mats.shape[1]
@@ -76,18 +85,18 @@ class AdjacencySeries:
         """Series with the first ``k`` snapshots removed (time index keeps meaning)."""
         if not 0 <= k <= len(self):
             raise ValueError(f"cannot drop {k} of {len(self)} snapshots")
-        return AdjacencySeries(self.mats[k:], t0=self.t0 + k)
+        return AdjacencySeries._checked(self.mats[k:], self.t0 + k)
 
     def take_first(self, k: int) -> "AdjacencySeries":
         if not 0 <= k <= len(self):
             raise ValueError(f"cannot take {k} of {len(self)} snapshots")
-        return AdjacencySeries(self.mats[:k], t0=self.t0)
+        return AdjacencySeries._checked(self.mats[:k], self.t0)
 
     def extend(self, other: "AdjacencySeries") -> "AdjacencySeries":
         """Concatenate a series that continues directly after this one."""
         if other.d != self.d:
             raise ValueError("vertex count mismatch")
-        return AdjacencySeries(np.concatenate([self.mats, other.mats], axis=0), t0=self.t0)
+        return AdjacencySeries._checked(np.concatenate([self.mats, other.mats], axis=0), self.t0)
 
 
 class MarkovEdgeNetwork:

@@ -1,3 +1,5 @@
+from math import log
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from netar import (
     MarkovEdgeNetwork,
     NarSpec,
     NeighborhoodFn,
+    apply_neighborhood_fn,
     build_regressors,
     eval_theorem2_bound,
     fit_component_ls,
@@ -19,7 +22,8 @@ from netar import (
     simulate_lnar,
     simulate_nar,
 )
-from netar.estimate import IndexSet, _lnar_design, index_sets
+from netar import estimate
+from netar.estimate import IndexSet, OrderSelection, _lag_stacks, _lnar_design, index_sets
 
 from test_netdyn import example1_network_matrices, zero_diag_oracle
 from test_model import example1_alpha
@@ -53,6 +57,79 @@ def lnar_design_oracle(x, ads, g_list, p, t_start):
             Y[:, row, 2 * (j - 1)] = x[:, t]
             Y[:, row, 2 * (j - 1) + 1] = zero_diag_oracle(g_list[j - 1], ads[t]) @ x[:, t]
     return Y, x[:, t_start:]
+
+
+def bic_oracle(x, ads=None, g=None, p_max=3, family="nar", mask=None):
+    """Order selection with one full ``fit_*`` call per candidate order.
+
+    The former ``select_order_bic`` body: every candidate is refitted from
+    scratch on the common window t = p_max..n-1, covariances included.
+    """
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    d, n = x.shape
+    m = n - p_max
+    table = {}
+    best_p, best_val = None, None
+    for p in range(1, p_max + 1):
+        try:
+            if family == "nar":
+                fit = fit_nar(x, ads, [g] * p, p, t_start=p_max)
+            elif family == "lnar":
+                fit = fit_lnar(x, ads, [g] * p, p, t_start=p_max)
+            else:
+                sub_mask = None if mask is None else np.asarray(mask)[:, : d * p]
+                fit = fit_var(x, p, mask=sub_mask, t_start=p_max)
+        except EstimationError:
+            table[p] = float("inf")
+            continue
+        val = 0.0
+        degenerate = False
+        for c in fit.components:
+            k_r = len(c.index_set) + 1
+            if m - k_r < 5:
+                degenerate = True
+                break
+            val += m * log(max(c.rss / m, 1e-300)) + k_r * log(m)
+        if degenerate:
+            table[p] = float("inf")
+            continue
+        table[p] = val
+        if best_val is None or val < best_val - 1e-12:
+            best_p, best_val = p, val
+    if best_p is None:
+        raise EstimationError("no candidate order is identifiable on this sample")
+    return OrderSelection(p=best_p, table=table)
+
+
+def assert_matches_bic_oracle(x, **kwargs):
+    """Same order and tables within 1e-10 relative; returns the largest difference."""
+    expected = bic_oracle(x, **kwargs)
+    got = select_order_bic(x, **kwargs)
+    assert got.p == expected.p
+    assert set(got.table) == set(expected.table)
+    worst = 0.0
+    for p, val in expected.table.items():
+        if np.isinf(val):
+            assert got.table[p] == val
+            continue
+        rel = abs(got.table[p] - val) / abs(val)
+        assert rel <= 1e-10, (p, got.table[p], val)
+        worst = max(worst, rel)
+    return worst
+
+
+class CallCount:
+    """Counts the calls of ``owner.name`` while monkeypatched in."""
+
+    def __init__(self, monkeypatch, owner, name):
+        self.calls = 0
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
 
 
 def ols_with_intercept(Y, y):
@@ -212,18 +289,33 @@ class TestRegressors:
         assert y[0] == x[2, 1]
 
 
+    def test_lag_stacks_match_per_lag_evaluation(self):
+        # one kernel call per distinct G, sliced per lag, equals evaluating
+        # every lag on its own snapshots
+        rng = np.random.default_rng(31)
+        d, n = 5, 40
+        ads = AdjacencySeries(rng.uniform(-1, 1, (n, d, d)) * (rng.random((n, d, d)) < 0.5))
+        tr, rnt = NeighborhoodFn.transpose(), NeighborhoodFn.row_normalized_transpose()
+        for g_list, t_start in (([tr, rnt, tr], 3), ([rnt, tr, tr], 6), ([tr] * 2, 2)):
+            p = len(g_list)
+            stacks = _lag_stacks(n, ads, g_list, p, t_start)
+            for j, (g, got) in enumerate(zip(g_list, stacks), start=1):
+                expected = apply_neighborhood_fn(g, ads.mats[t_start - j: n - j])
+                assert np.array_equal(got, expected), (j, t_start)
+
     @pytest.mark.parametrize("d", [1, 4, 33, 100])
     def test_lnar_design_matches_per_t_oracle(self, d):
         rng = np.random.default_rng(d)
         n = 60
         x = rng.normal(size=(d, n)) * 3.0
         ads = AdjacencySeries(rng.uniform(-1, 1, (n, d, d)) * (rng.random((n, d, d)) < 0.3))
-        for g, p, t_start in ((NeighborhoodFn.row_normalized_transpose(), 1, None),
-                              (NeighborhoodFn.transpose(), 3, None),
-                              (NeighborhoodFn.identity(), 2, 5)):
-            got = _lnar_design(x, ads, [g] * p, p, t_start)
-            expected = lnar_design_oracle(x, ads, [g] * p, p, p if t_start is None else t_start)
-            assert np.array_equal(got[0], expected[0]), (g.kind, d)
+        rnt, tr = NeighborhoodFn.row_normalized_transpose(), NeighborhoodFn.transpose()
+        for g_list, t_start in (([rnt], None), ([tr] * 3, None),
+                                ([NeighborhoodFn.identity()] * 2, 5), ([tr, rnt, tr], 7)):
+            p = len(g_list)
+            got = _lnar_design(x, ads, g_list, p, t_start)
+            expected = lnar_design_oracle(x, ads, g_list, p, p if t_start is None else t_start)
+            assert np.array_equal(got[0], expected[0]), (g_list[0].kind, d, t_start)
             assert np.array_equal(got[1], expected[1])
 
 
@@ -380,6 +472,148 @@ class TestOrderSelection:
         x = rng.normal(size=(2, 200))
         sel = select_order_bic(x, p_max=3, family="var")
         assert set(sel.table) == {1, 2, 3}
+
+
+def bic_case(d, p_max, seed, n=60):
+    """A persistent series on a random binary network, and a random VAR mask."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(d, n)).cumsum(axis=1) * 0.3 + rng.normal(size=(d, n))
+    ads = AdjacencySeries((rng.random((n, d, d)) < 0.4).astype(float))
+    mask = (rng.random((d, d * p_max)) < 0.5).astype(float)
+    return x, ads, mask
+
+
+class TestBicLeadingBlocks:
+    """``select_order_bic`` solves leading blocks of the p_max normal
+    equations; ``bic_oracle`` refits every candidate from scratch."""
+
+    @pytest.mark.parametrize("p_max", [1, 2, 3])
+    @pytest.mark.parametrize("d", [1, 3, 12])
+    @pytest.mark.parametrize("case", ["nar", "lnar", "var", "var-masked", "var-zero-rows"])
+    def test_matches_per_candidate_refits(self, case, d, p_max):
+        for seed in range(3):
+            x, ads, mask = bic_case(d, p_max, seed)
+            if case == "var-zero-rows":
+                mask[::2] = 0.0
+            if case.startswith("var"):
+                kwargs = dict(family="var", mask=None if case == "var" else mask)
+            else:
+                g = (NeighborhoodFn.transpose() if case == "nar"
+                     else NeighborhoodFn.row_normalized_transpose())
+                kwargs = dict(ads=ads, g=g, family=case)
+            assert_matches_bic_oracle(x, p_max=p_max, **kwargs)
+
+    def test_collinear_series_falls_back_to_per_block_guard(self, monkeypatch):
+        # every Gram holding a series and its multiple is singular, and so is
+        # every LNAR Gram at d = 1, where the pooled lag is zero; a nearly
+        # collinear pair gives condition numbers near 1e14, past the limit:
+        # the certificate fails and the ridge jitter fires
+        rng = np.random.default_rng(21)
+        n, p_max = 80, 3
+        x = rng.normal(size=(3, n)).cumsum(axis=1)
+        near = x.copy()
+        near[1] = 2.0 * x[0] + 3e-6 * rng.normal(size=n)
+        x[1] = 2.0 * x[0]
+        g = NeighborhoodFn.transpose()
+        complete, lone = AdjacencySeries(np.ones((n, 3, 3))), AdjacencySeries(np.zeros((n, 1, 1)))
+        cases = (("var", x, {}, lambda: fit_var(x, 1, t_start=p_max)),
+                 ("var", near, {}, lambda: fit_var(near, 1, t_start=p_max)),
+                 ("nar", x, dict(ads=complete, g=g),
+                  lambda: fit_nar(x, complete, [g], 1, t_start=p_max)),
+                 ("lnar", x[:1], dict(ads=lone, g=g),
+                  lambda: fit_lnar(x[:1], lone, [g], 1, t_start=p_max)))
+        for family, xs, kwargs, order1_fit in cases:
+            assert any(c.ridge_jitter > 0 for c in order1_fit().components), family
+            eig = CallCount(monkeypatch, np.linalg, "eigvalsh")
+            select_order_bic(xs, p_max=p_max, family=family, **kwargs)
+            # the failed certificate, then the per-block check of every candidate
+            assert eig.calls > (1 if family == "var" else len(xs)), family
+            monkeypatch.undo()
+            assert_matches_bic_oracle(xs, p_max=p_max, family=family, **kwargs)
+
+    def test_certified_var_selection_makes_one_eigensolve_and_no_inverse(self, monkeypatch):
+        rng = np.random.default_rng(22)
+        d, p_max = 12, 3
+        x = rng.normal(size=(d, 300))
+        mask = (rng.random((d, d * p_max)) < 0.6).astype(float)
+        eig = CallCount(monkeypatch, np.linalg, "eigvalsh")
+        inv = CallCount(monkeypatch, np.linalg, "inv")
+        select_order_bic(x, p_max=p_max, family="var", mask=mask)
+        assert (eig.calls, inv.calls) == (1, 0)
+
+    @pytest.mark.parametrize("family", ["nar", "lnar"])
+    def test_network_candidates_make_one_eigensolve_per_component(self, family, monkeypatch):
+        d, p_max = 5, 3
+        x, ads, _ = bic_case(d, p_max, seed=23, n=300)
+        eig = CallCount(monkeypatch, np.linalg, "eigvalsh")
+        inv = CallCount(monkeypatch, np.linalg, "inv")
+        kernel = CallCount(monkeypatch, estimate, "apply_neighborhood_fn")
+        select_order_bic(x, ads, NeighborhoodFn.transpose(), p_max=p_max, family=family)
+        assert (eig.calls, inv.calls, kernel.calls) == (d, 0, 1)
+
+    def test_fits_make_one_kernel_call_per_distinct_g(self, monkeypatch):
+        d, n = 4, 50
+        x, ads, _ = bic_case(d, 3, seed=24, n=n)
+        tr, rnt = NeighborhoodFn.transpose(), NeighborhoodFn.row_normalized_transpose()
+        for fit in (fit_lnar, fit_nar):
+            for g_list, distinct in (([tr] * 3, 1), ([tr, rnt, tr], 2), ([rnt], 1)):
+                kernel = CallCount(monkeypatch, estimate, "apply_neighborhood_fn")
+                fit(x, ads, g_list, len(g_list))
+                assert kernel.calls == distinct, (fit.__name__, len(g_list))
+                monkeypatch.undo()
+
+    def test_fit_var_on_one_gram_matches_per_equation_solver(self):
+        rng = np.random.default_rng(25)
+        d, n, p = 6, 150, 2
+        x = rng.normal(size=(d, n)).cumsum(axis=1) * 0.2 + rng.normal(size=(d, n))
+        x[5] = x[4] - x[3]  # equations that see columns 3, 4 and 5 get the ridge
+        mask = (rng.random((d, d * p)) < 0.7).astype(float)
+        mask[1] = 0.0
+        mask[2] = 1.0
+        lagged = np.column_stack([x[:, p - j: n - j].T for j in range(1, p + 1)])
+        fit = fit_var(x, p, mask=mask)
+        jittered = 0
+        for r, c in enumerate(fit.components):
+            mem = np.flatnonzero(mask[r])
+            ref = fit_component_ls(x[r, p:], lagged[:, mem], r)
+            assert c.index_set.members == tuple(mem)
+            assert c.ridge_jitter == pytest.approx(ref.ridge_jitter, rel=1e-12)
+            jittered += c.ridge_jitter > 0
+            scale = max(1.0, np.abs(ref.w).max(initial=0.0))
+            tol = 1e-10 if c.ridge_jitter == 0 else 1e-6
+            assert np.abs(c.w - ref.w).max(initial=0.0) <= tol * scale
+            assert c.mu == pytest.approx(ref.mu, rel=tol, abs=tol)
+            assert c.rss == pytest.approx(ref.rss, rel=1e-10)
+            assert c.resid_var == pytest.approx(ref.resid_var, rel=1e-10)
+            if c.ridge_jitter == 0:
+                assert c.gram_cond == pytest.approx(ref.gram_cond, rel=1e-6)
+            else:  # the smallest eigenvalue is rounding noise; both exceed the limit
+                assert min(c.gram_cond, ref.gram_cond) > estimate._COND_LIMIT
+            assert np.allclose(c.gamma_y0, ref.gamma_y0, rtol=1e-12, atol=0)
+            assert np.allclose(c.asymp_cov, ref.asymp_cov, rtol=tol * 1e2,
+                               atol=tol * np.abs(ref.asymp_cov).max(initial=0.0))
+        assert jittered >= 1
+
+
+class TestOrderSelectionInputs:
+    @pytest.mark.parametrize("family", ["nar", "lnar"])
+    def test_network_family_names_the_missing_argument(self, family):
+        x, ads, _ = bic_case(3, 2, seed=26)
+        g = NeighborhoodFn.transpose()
+        with pytest.raises(ValueError, match="needs the network series ads"):
+            select_order_bic(x, g=g, p_max=2, family=family)
+        with pytest.raises(ValueError, match="needs the neighborhood function g"):
+            select_order_bic(x, ads, p_max=2, family=family)
+
+    @pytest.mark.parametrize("cols", [9, 4, 3])
+    def test_var_mask_must_cover_p_max_lags(self, cols):
+        x, _, _ = bic_case(3, 2, seed=27)
+        with pytest.raises(ValueError, match=r"\(d, d\*p_max\) = \(3, 6\), got \(3, %d\)" % cols):
+            select_order_bic(x, p_max=2, family="var", mask=np.ones((3, cols)))
+
+    def test_unknown_family(self):
+        with pytest.raises(ValueError, match="unknown family"):
+            select_order_bic(np.zeros((2, 30)), family="arma")
 
 
 class TestTheorem2Bound:

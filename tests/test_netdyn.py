@@ -172,6 +172,28 @@ class TestAdjacencySeries:
         tail = ads.drop_first(2)
         assert tail.t0 == 5 and len(tail) == 3
 
+    def test_views_and_extension_skip_the_weight_scan(self):
+        # the scan allocates an |arr| copy of the whole stack; views of a checked
+        # series are valid already, so they must not allocate one
+        import tracemalloc
+
+        rng = np.random.default_rng(3)
+        ads = AdjacencySeries(rng.uniform(-1, 1, (200, 40, 40)), t0=7)
+        stack_bytes = ads.mats.nbytes
+        tracemalloc.start()
+        head, tail = ads.take_first(150), ads.drop_first(50)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert peak < stack_bytes / 20
+        assert np.shares_memory(head.mats, ads.mats) and np.shares_memory(tail.mats, ads.mats)
+        assert (head.t0, len(head), tail.t0, len(tail)) == (7, 150, 57, 150)
+        tracemalloc.start()
+        joined = head.extend(ads.drop_first(150))
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert peak < 1.2 * stack_bytes  # the concatenation itself, and no scan on top
+        assert np.array_equal(joined.mats, ads.mats) and joined.t0 == 7
+
 
 class TestMarkovEdges:
     def test_degenerate_probabilities_absorb(self):
