@@ -12,22 +12,20 @@ the Gram matrix is numerically singular.
 The same solver backs the plain VAR benchmark (optionally with a
 network-induced sparsity mask) and the per-component model, whose
 regressor vector is the 2p-dimensional own-lag / pooled-network pair per
-lag.  All VAR equations share one Gram matrix of the lagged series; each
-equation solves the principal block on its mask's columns.
-
-BIC order selection fits every candidate order on one common window, so
-a candidate's regressors are the leading columns of the order-p_max
-regressors and its normal equations are the leading block of the p_max
-ones: those are built once and each candidate solves its block.
-Candidate fits yield only residual sums of squares; the plug-in
-asymptotic covariance is computed for returned fits alone.
+lag.  One builder, :func:`_equations`, gives every family's per-component
+normal equations, with columns ordered by lag so that a lower order is a
+leading block; all VAR equations are blocks of one shared Gram of the
+lagged series.  Two loops consume it: the fit loop solves each full block
+and adds the plug-in asymptotic covariance, and BIC order selection, which
+fits every candidate order on one common window, solves each candidate's
+leading block for its residual sum of squares alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import log
-from typing import List, NamedTuple, Optional, Sequence
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -244,15 +242,12 @@ def _lnar_design(x, ads, g_list, p, t_start):
         raise ValueError(
             f"network series too short for the sample: need {n - 1} snapshots, got {len(ads)}"
         )
-    m = n - t_start
-    if m <= 0:
-        raise ValueError("estimation window is empty")
     lo = t_start - p
     lagged = x[:, lo: n - 1].T[..., None]
     pooled = {g: np.matmul(apply_neighborhood_fn(g, ads.mats[lo: n - 1], zero_diag=True),
                            lagged)[..., 0].T
               for g in dict.fromkeys(g_list)}
-    Y = np.empty((d, m, 2 * p))
+    Y = np.empty((d, n - t_start, 2 * p))
     for j, g in enumerate(g_list, start=1):
         Y[:, :, 2 * (j - 1)] = x[:, t_start - j: n - j]
         Y[:, :, 2 * (j - 1) + 1] = pooled[g][:, t_start - j - lo: n - j - lo]
@@ -284,12 +279,12 @@ def _certified(gram: np.ndarray) -> bool:
 
 
 def _solve_centered(gram: np.ndarray, cross: np.ndarray, r: int, m: int,
-                    ridge_scale: float = RIDGE_SCALE, certified: bool = False) -> _Solution:
+                    certified: bool = False) -> _Solution:
     """Solve the centered normal equations ``gram w = cross`` of component r.
 
     A numerically singular Gram matrix (smallest eigenvalue not positive,
     or condition number above ``_COND_LIMIT``) gets a flagged ridge jitter
-    of ``ridge_scale * trace / dim``; if the solve still fails the component
+    of ``RIDGE_SCALE * trace / dim``; if the solve still fails the component
     errors out with diagnostics.  ``certified`` skips the check because a
     Gram holding this one as a principal block passed :func:`_certified`.
     """
@@ -309,14 +304,14 @@ def _solve_centered(gram: np.ndarray, cross: np.ndarray, r: int, m: int,
         ratio = eigs[-1] / max(eigs[0], 1e-300)
         cond = float(ratio) if eigs[-1] > 0 else float("inf")
         if eigs[0] <= 0.0 or ratio > _COND_LIMIT:
-            jitter = ridge_scale * float(np.trace(gram)) / k
+            jitter = RIDGE_SCALE * float(np.trace(gram)) / k
             if jitter <= 0.0:
-                jitter = ridge_scale
+                jitter = RIDGE_SCALE
             gram = gram + jitter * np.eye(k)
     try:
         w = np.linalg.solve(gram, cross)
     except np.linalg.LinAlgError:
-        jitter += ridge_scale * max(float(np.trace(gram)) / k, 1.0)
+        jitter += RIDGE_SCALE * max(float(np.trace(gram)) / k, 1.0)
         gram = gram + jitter * np.eye(k)
         try:
             w = np.linalg.solve(gram, cross)
@@ -333,148 +328,182 @@ def _solve_centered(gram: np.ndarray, cross: np.ndarray, r: int, m: int,
     return _Solution(w, gram, jitter, cond)
 
 
-def _require_identified(m: int, k: int, r: int) -> None:
-    if m < k + 1:
-        raise EstimationError(
-            f"component {r}: {m} observations cannot identify {k} coefficients plus intercept",
-            {"n_obs": m, "k": k},
-        )
+class _Equations(NamedTuple):
+    """Centered normal equations of one component.
 
-
-def _component_fit(r: int, idx: IndexSet, sol: _Solution, mu: float, rss: float,
-                   m: int) -> ComponentFit:
-    """A returned fit: residual variance and the plug-in asymptotic
-    covariance ``resid_var * (gram / m)^{-1}``."""
-    dof = m - sol.w.size - 1
-    resid_var = rss / dof if dof > 0 else float("nan")
-    gamma_y0 = sol.gram / m
-    try:
-        asymp_cov = resid_var * np.linalg.inv(gamma_y0)
-    except np.linalg.LinAlgError as exc:
-        raise EstimationError(
-            f"component {r}: Gram matrix not invertible for the asymptotic covariance",
-            {"k": sol.w.size, "n_obs": m, "ridge_jitter": sol.jitter},
-        ) from exc
-    return ComponentFit(
-        r=r, index_set=idx, w=sol.w, mu=mu, resid_var=resid_var,
-        gamma_y0=gamma_y0, asymp_cov=asymp_cov, rss=rss, n_obs=m,
-        ridge_jitter=sol.jitter, gram_cond=sol.cond,
-    )
-
-
-def fit_component_ls(y: np.ndarray, Y: np.ndarray, r: int, idx: Optional[IndexSet] = None,
-                     ridge_scale: float = RIDGE_SCALE) -> ComponentFit:
-    """Exact least squares with intercept via centered normal equations.
-
-    Solves Gram * w = cross with Gram = sum (Y - Ybar)(Y - Ybar)' and
-    cross = sum (Y - Ybar)(y - ybar), then mu = ybar - w'Ybar.  A
-    numerically singular Gram matrix gets a flagged ridge jitter of
-    ``ridge_scale * trace / dim``; if that still fails the component
-    errors out with diagnostics.
+    Column c holds regressor ``members[c]`` (a flat index; for LNAR a
+    position in the own/pooled pairs) of lag ``lags[c] + 1``.  Lags never
+    decrease, so order p solves the leading block ``gram[:k, :k] w =
+    cross[:k]`` with ``k = searchsorted(lags, p)``, and ``fitted(w)`` gives
+    that solution's intercept and centered residuals.  ``cert`` is the Gram
+    whose :func:`_certified` covers every block: the component's own, or
+    for the VAR the one Gram all equations share.
     """
-    y = np.asarray(y, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    m, k = Y.shape if Y.ndim == 2 else (Y.shape[0], 0)
-    if m != y.shape[0]:
-        raise ValueError("regressor/target length mismatch")
-    _require_identified(m, k, r)
-    if idx is None:
-        idx = IndexSet(r=r, members=tuple(range(k)))
-    if Y.ndim != 2:
-        Y = np.empty((m, 0))
+    r: int
+    members: tuple
+    lags: np.ndarray
+    gram: np.ndarray
+    cross: np.ndarray
+    cert: np.ndarray
+    fitted: Callable[[np.ndarray], Tuple[float, np.ndarray]]
+
+
+def _own_equations(r: int, members: tuple, lags: np.ndarray, Y: np.ndarray,
+                   y: np.ndarray) -> _Equations:
+    """Equations of a component with its own design ``Y`` and target ``y``."""
     ybar = float(y.mean())
     Ybar = Y.mean(axis=0)
     Yc = Y - Ybar
-    sol = _solve_centered(Yc.T @ Yc, Yc.T @ (y - ybar), r, m, ridge_scale)
-    mu = ybar - float(sol.w @ Ybar)
-    resid = y - Y @ sol.w - mu
-    return _component_fit(r, idx, sol, mu, float(resid @ resid), m)
+    yc = y - ybar
+    gram = Yc.T @ Yc
+
+    def fitted(w):
+        k = w.size
+        return ybar - float(w @ Ybar[:k]), yc - Yc[:, :k] @ w
+
+    return _Equations(r, members, lags, gram, Yc.T @ yc, gram, fitted)
 
 
-class _VarEquations(NamedTuple):
-    """Centered normal equations of every VAR equation at once.
+def _var_equations(x: np.ndarray, p: int, t_start: int, mask: Optional[np.ndarray]):
+    """Equations of every VAR equation, blocks of one shared Gram.
 
-    Column ``(j-1)d + i`` of the lagged design holds ``x_{t-j;i}`` for
-    targets t = t_start..n-1.  One Gram ``lc'lc`` and one cross term
-    ``lc'tc`` serve all equations: equation r's Gram on the columns of its
-    mask is the principal block ``gram[mem, mem]``.
+    Column ``(j-1)d + i`` of the lagged design holds ``x_{t-j;i}``.  One
+    Gram ``lc'lc`` and one cross term ``lc'tc`` serve all equations:
+    equation r's Gram on the columns of its mask is the principal block
+    ``gram[mem, mem]``, and its residuals scatter the solution into
+    ``lc @ coef`` rather than copy ``lc[:, mem]``.
     """
-    lc: np.ndarray  # centered lagged design, (m, d*p)
-    tc: np.ndarray  # centered targets, (m, d)
-    lbar: np.ndarray
-    tbar: np.ndarray
-    gram: np.ndarray
-    cross: np.ndarray
-
-
-def _var_equations(x: np.ndarray, p: int, t_start: int) -> _VarEquations:
     d, n = x.shape
-    m = n - t_start
-    if m <= 0:
-        raise ValueError("estimation window is empty")
-    lagged = np.empty((m, d * p))
+    if mask is not None and mask.shape != (d, d * p):
+        raise ValueError(f"mask must have shape {(d, d * p)}, got {mask.shape}")
+    lagged = np.empty((n - t_start, d * p))
     for j in range(1, p + 1):
         lagged[:, (j - 1) * d: j * d] = x[:, t_start - j: n - j].T
     lbar = lagged.mean(axis=0)
     tbar = x[:, t_start:].mean(axis=1)
     lc = lagged - lbar
     tc = x[:, t_start:].T - tbar
-    return _VarEquations(lc, tc, lbar, tbar, lc.T @ lc, lc.T @ tc)
+    gram, cross = lc.T @ lc, lc.T @ tc
+    for r in range(d):
+        mem = np.arange(d * p) if mask is None else np.flatnonzero(mask[r] != 0)
+
+        def fitted(w, r=r, mem=mem):
+            coef = np.zeros(d * p)
+            coef[mem[: w.size]] = w
+            return float(tbar[r]) - float(w @ lbar[mem[: w.size]]), tc[:, r] - lc @ coef
+
+        yield _Equations(r, tuple(int(i) for i in mem), mem // d, gram[np.ix_(mem, mem)],
+                         cross[mem, r], gram, fitted)
 
 
-def _var_block(eq: _VarEquations, r: int, mem: np.ndarray, certified: bool = False):
-    """Equation r solved on the lagged columns ``mem`` from the shared
-    normal equations, and its residual sum of squares."""
-    m = eq.tc.shape[0]
-    _require_identified(m, mem.size, r)
-    sol = _solve_centered(eq.gram[np.ix_(mem, mem)], eq.cross[mem, r], r, m,
-                          certified=certified)
-    coef = np.zeros(eq.lc.shape[1])
-    coef[mem] = sol.w
-    resid = eq.tc[:, r] - eq.lc @ coef
-    return sol, float(resid @ resid)
+def _equations(family: str, x: np.ndarray, ads: Optional[AdjacencySeries], g_list,
+               p: int, t_start: int, mask: Optional[np.ndarray]):
+    """The normal equations of every component, one at a time.
+
+    This is the one place that knows how each family builds its
+    regressors; the fit loop and the order-selection loop consume it alike.
+    """
+    d, n = x.shape
+    if n - t_start <= 0:
+        raise ValueError("estimation window is empty")
+    if family == "var":
+        yield from _var_equations(x, p, t_start, mask)
+    elif family == "lnar":
+        design, targets = _lnar_design(x, ads, g_list, p, t_start)
+        lags = np.arange(2 * p) // 2
+        for r in range(d):
+            yield _own_equations(r, tuple(range(2 * p)), lags, design[r], targets[r])
+    else:
+        stacks = _lag_stacks(n, ads, g_list, p, t_start)
+        sets = index_sets(n, ads, g_list, p, t_start, stacks=stacks)
+        for r, idx in enumerate(sets):
+            Y, y = build_regressors(x, ads, g_list, p, r, idx, t_start, stacks=stacks)
+            yield _own_equations(r, idx.members, np.array(idx.members, dtype=int) // d, Y, y)
+
+
+def _fit_component(eq: _Equations, m: int) -> ComponentFit:
+    """A returned fit on the full block: residual variance and the plug-in
+    asymptotic covariance ``resid_var * (gram / m)^{-1}``."""
+    k = len(eq.members)
+    if m < k + 1:
+        raise EstimationError(
+            f"component {eq.r}: {m} observations cannot identify {k} coefficients plus intercept",
+            {"n_obs": m, "k": k},
+        )
+    sol = _solve_centered(eq.gram, eq.cross, eq.r, m)
+    mu, resid = eq.fitted(sol.w)
+    rss = float(resid @ resid)
+    dof = m - k - 1
+    resid_var = rss / dof if dof > 0 else float("nan")
+    gamma_y0 = sol.gram / m
+    try:
+        asymp_cov = resid_var * np.linalg.inv(gamma_y0)
+    except np.linalg.LinAlgError as exc:
+        raise EstimationError(
+            f"component {eq.r}: Gram matrix not invertible for the asymptotic covariance",
+            {"k": k, "n_obs": m, "ridge_jitter": sol.jitter},
+        ) from exc
+    return ComponentFit(
+        r=eq.r, index_set=IndexSet(r=eq.r, members=eq.members), w=sol.w, mu=mu,
+        resid_var=resid_var, gamma_y0=gamma_y0, asymp_cov=asymp_cov, rss=rss, n_obs=m,
+        ridge_jitter=sol.jitter, gram_cond=sol.cond,
+    )
+
+
+def fit_component_ls(y: np.ndarray, Y: np.ndarray, r: int,
+                     idx: Optional[IndexSet] = None) -> ComponentFit:
+    """Exact least squares with intercept via centered normal equations.
+
+    Solves Gram * w = cross with Gram = sum (Y - Ybar)(Y - Ybar)' and
+    cross = sum (Y - Ybar)(y - ybar), then mu = ybar - w'Ybar.  A
+    numerically singular Gram matrix gets a flagged ridge jitter of
+    ``RIDGE_SCALE * trace / dim``; if that still fails the component
+    errors out with diagnostics.  This is the one-component case of the
+    fit loop behind :func:`fit_nar`, :func:`fit_lnar` and :func:`fit_var`.
+    """
+    y = np.asarray(y, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    m, k = Y.shape if Y.ndim == 2 else (Y.shape[0], 0)
+    if m != y.shape[0]:
+        raise ValueError("regressor/target length mismatch")
+    if Y.ndim != 2:
+        Y = np.empty((m, 0))
+    members = tuple(range(k)) if idx is None else idx.members
+    # one block: the columns carry no lag order
+    return _fit_component(_own_equations(r, members, np.zeros(k, dtype=int), Y, y), m)
+
+
+def _fit(family: str, x, ads, g_list, p: int, t_start: Optional[int],
+         mask: Optional[np.ndarray], allow_partial: bool) -> ModelFit:
+    """The one fit loop: every component solves its full block."""
+    x = _finite_series(x)
+    d, n = x.shape
+    if g_list is not None and len(g_list) != p:
+        raise ValueError("need one neighborhood function per lag")
+    t_start = _resolve_t_start(p, t_start)
+    comps: List[ComponentFit] = []
+    errors = {}
+    for eq in _equations(family, x, ads, g_list, p, t_start, mask):
+        try:
+            comps.append(_fit_component(eq, n - t_start))
+        except EstimationError as exc:
+            if not allow_partial:
+                raise
+            errors[eq.r] = str(exc)
+    return ModelFit(family=family, p=p, d=d, g=None if g_list is None else tuple(g_list),
+                    components=comps, errors=errors)
 
 
 def fit_nar(x: np.ndarray, ads: AdjacencySeries, g_list: Sequence[NeighborhoodFn], p: int,
             t_start: Optional[int] = None, allow_partial: bool = False) -> ModelFit:
     """Component-wise fit of the full model over the observed index sets."""
-    x = _finite_series(x)
-    d, n = x.shape
-    if len(g_list) != p:
-        raise ValueError("need one neighborhood function per lag")
-    stacks = _lag_stacks(n, ads, g_list, p, _resolve_t_start(p, t_start))
-    sets = index_sets(n, ads, g_list, p, t_start, stacks=stacks)
-    comps: List[ComponentFit] = []
-    errors = {}
-    for r in range(d):
-        Y, y = build_regressors(x, ads, g_list, p, r, sets[r], t_start, stacks=stacks)
-        try:
-            comps.append(fit_component_ls(y, Y, r, sets[r]))
-        except EstimationError as exc:
-            if not allow_partial:
-                raise
-            errors[r] = str(exc)
-    return ModelFit(family="nar", p=p, d=d, g=tuple(g_list), components=comps, errors=errors)
+    return _fit("nar", x, ads, g_list, p, t_start, None, allow_partial)
 
 
 def fit_lnar(x: np.ndarray, ads: AdjacencySeries, g_list: Sequence[NeighborhoodFn], p: int,
              t_start: Optional[int] = None, allow_partial: bool = False) -> ModelFit:
-    x = _finite_series(x)
-    d, n = x.shape
-    if len(g_list) != p:
-        raise ValueError("need one neighborhood function per lag")
-    design, targets = _lnar_design(x, ads, g_list, p, t_start)
-    comps: List[ComponentFit] = []
-    errors = {}
-    for r in range(d):
-        idx = IndexSet(r=r, members=tuple(range(2 * p)))
-        try:
-            comps.append(fit_component_ls(targets[r], design[r], r, idx))
-        except EstimationError as exc:
-            if not allow_partial:
-                raise
-            errors[r] = str(exc)
-    return ModelFit(family="lnar", p=p, d=d, g=tuple(g_list), components=comps, errors=errors)
+    """Component-wise fit of the per-component model: own and pooled lags."""
+    return _fit("lnar", x, ads, g_list, p, t_start, None, allow_partial)
 
 
 def fit_var(x: np.ndarray, p: int, mask: Optional[np.ndarray] = None,
@@ -482,91 +511,19 @@ def fit_var(x: np.ndarray, p: int, mask: Optional[np.ndarray] = None,
     """Per-equation VAR least squares, optionally sparsity-masked.
 
     ``mask`` is a binary (d, d*p) matrix; a zero entry pins the matching
-    coefficient to zero (used for network-induced sparsity).  An all-ones
-    mask is the unrestricted VAR; an all-zero row yields an
-    intercept-only equation whose forecast is the sample mean.  Every
-    equation solves its block of one shared set of normal equations.
+    coefficient to zero (used for network-induced sparsity).  No mask is
+    the unrestricted VAR; an all-zero row yields an intercept-only
+    equation whose forecast is the sample mean.  Every equation solves its
+    block of one shared set of normal equations.
     """
-    x = _finite_series(x)
-    d, n = x.shape
-    t_start = _resolve_t_start(p, t_start)
-    if mask is None:
-        mask = np.ones((d, d * p))
-    mask = np.asarray(mask)
-    if mask.shape != (d, d * p):
-        raise ValueError(f"mask must have shape {(d, d * p)}, got {mask.shape}")
-    eq = _var_equations(x, p, t_start)
-    comps: List[ComponentFit] = []
-    errors = {}
-    for r in range(d):
-        mem = np.flatnonzero(mask[r] != 0)
-        idx = IndexSet(r=r, members=tuple(int(i) for i in mem))
-        try:
-            sol, rss = _var_block(eq, r, mem)
-            mu = float(eq.tbar[r]) - float(sol.w @ eq.lbar[mem])
-            comps.append(_component_fit(r, idx, sol, mu, rss, eq.tc.shape[0]))
-        except EstimationError as exc:
-            if not allow_partial:
-                raise
-            errors[r] = str(exc)
-    return ModelFit(family="var", p=p, d=d, g=None, components=comps, errors=errors)
+    mask = None if mask is None else np.asarray(mask)
+    return _fit("var", x, None, None, p, t_start, mask, allow_partial)
 
 
 @dataclass
 class OrderSelection:
     p: int
     table: dict
-
-
-def _interpolating(m: int, k: np.ndarray) -> bool:
-    """Whether some component's candidate fit (near-)interpolates: the
-    criterion would reward it blindly."""
-    return bool((m - (k + 1) < 5).any())
-
-
-def _own_design_rss(design_of, k: np.ndarray, m: int) -> list:
-    """Candidate RSS for components that each have their own design.
-
-    ``design_of(r)`` gives component r's order-p_max design and targets;
-    order p uses its leading ``k[p-1, r]`` columns, so one centered Gram per
-    component serves every candidate.  Entry p-1 of the result is the
-    per-component RSS, or None if that candidate interpolates or fails.
-    """
-    p_max, d = k.shape
-    rss = [None if _interpolating(m, k[i]) else np.empty(d) for i in range(p_max)]
-    for r in range(d):
-        if all(v is None for v in rss):
-            break
-        Y, y = design_of(r)
-        yc = y - y.mean()
-        Yc = Y - Y.mean(axis=0)
-        gram, cross = Yc.T @ Yc, Yc.T @ yc
-        certified = _certified(gram)
-        for i, kp in enumerate(k[:, r]):
-            if rss[i] is None:
-                continue
-            try:
-                sol = _solve_centered(gram[:kp, :kp], cross[:kp], r, m, certified=certified)
-            except EstimationError:
-                rss[i] = None
-                continue
-            resid = yc - Yc[:, :kp] @ sol.w
-            rss[i][r] = resid @ resid
-    return rss
-
-
-def _var_rss(eq: _VarEquations, members: List[np.ndarray], k: np.ndarray, m: int) -> list:
-    """Candidate RSS of the VAR: order p solves equation r on the leading
-    ``k[p-1, r]`` of its p_max mask columns, a block of the one shared Gram."""
-    certified = _certified(eq.gram)
-    out = []
-    for kp in k:
-        try:
-            out.append(None if _interpolating(m, kp) else np.array(
-                [_var_block(eq, r, mem[: kp[r]], certified)[1] for r, mem in enumerate(members)]))
-        except EstimationError:
-            out.append(None)
-    return out
 
 
 def select_order_bic(x: np.ndarray, ads: Optional[AdjacencySeries] = None,
@@ -583,10 +540,11 @@ def select_order_bic(x: np.ndarray, ads: Optional[AdjacencySeries] = None,
 
     The order-p regressors of a component are the leading columns of its
     order-p_max regressors (for VAR, the leading columns of its mask), so
-    the p_max design and its centered normal equations are built once and
-    each candidate solves their leading block.  Candidates compute no
-    covariance; the ridge guard is skipped when the p_max Gram certifies
-    every block (see :func:`_certified`).
+    the p_max normal equations are built once and each candidate solves
+    their leading block.  Candidates compute no covariance; the ridge
+    guard is skipped when the certifying Gram certifies every block (see
+    :func:`_certified`).  A candidate whose fit (near-)interpolates, which
+    the criterion would reward blindly, or fails is dropped.
     """
     x = _finite_series(x)
     d, n = x.shape
@@ -607,24 +565,30 @@ def select_order_bic(x: np.ndarray, ads: Optional[AdjacencySeries] = None,
     m = n - p_max
     if m <= 0:
         raise ValueError("estimation window is empty")
-    orders = range(1, p_max + 1)
-    if family == "var":
-        members = [np.flatnonzero(mask[r] != 0) if mask is not None else np.arange(d * p_max)
-                   for r in range(d)]
-        k = np.array([[np.searchsorted(mem, d * p) for mem in members] for p in orders])
-        rss = _var_rss(_var_equations(x, p_max, p_max), members, k, m)
-    elif family == "lnar":
-        design, targets = _lnar_design(x, ads, [g] * p_max, p_max, p_max)
-        k = np.array([[2 * p] * d for p in orders])
-        rss = _own_design_rss(lambda r: (design[r], targets[r]), k, m)
-    else:
-        g_list = [g] * p_max
-        stacks = _lag_stacks(n, ads, g_list, p_max, p_max)
-        sets = index_sets(n, ads, g_list, p_max, p_max, stacks=stacks)
-        k = np.array([[np.searchsorted(s.members, d * p) for s in sets] for p in orders])
-        rss = _own_design_rss(
-            lambda r: build_regressors(x, ads, g_list, p_max, r, sets[r], p_max, stacks=stacks),
-            k, m)
+    orders = np.arange(1, p_max + 1)
+    k = np.zeros((p_max, d), dtype=int)
+    rss = [np.empty(d) for _ in orders]  # None drops the order
+    cert, certified = None, False
+    for eq in _equations(family, x, ads, [g] * p_max, p_max, p_max, mask):
+        if all(v is None for v in rss):
+            break
+        if eq.cert is not cert:  # equations sharing a certifying Gram share its verdict
+            cert, certified = eq.cert, _certified(eq.cert)
+        k[:, eq.r] = np.searchsorted(eq.lags, orders)
+        for i, kp in enumerate(k[:, eq.r]):
+            if rss[i] is None:
+                continue
+            if m - (kp + 1) < 5:
+                rss[i] = None
+                continue
+            try:
+                sol = _solve_centered(eq.gram[:kp, :kp], eq.cross[:kp], eq.r, m,
+                                      certified=certified)
+            except EstimationError:
+                rss[i] = None
+                continue
+            resid = eq.fitted(sol.w)[1]
+            rss[i][eq.r] = resid @ resid
     table = {}
     best_p, best_val = None, None
     for p in range(1, p_max + 1):

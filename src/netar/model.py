@@ -195,43 +195,44 @@ class CompanionForm:
     """Stacked order-1 representation of an order-p specification.
 
     ``tilde_a`` holds the coefficient blocks in the first block row and
-    identities on the sub-diagonal; :meth:`assemble` builds the matching
-    modulation matrix from the lagged snapshots (newest first) so that the
-    elementwise product drives ``(dp)``-dimensional recursion.
+    identities on the sub-diagonal; its elementwise product with the
+    stacked modulation matrix drives the ``(dp)``-dimensional recursion
+    (see :func:`_modulated_companions`).
     """
 
     tilde_a: np.ndarray
     d: int
     p: int
-    g: tuple
-    lnar_blocks: bool = False
 
-    def assemble(self, ad_lags: Sequence[np.ndarray]) -> np.ndarray:
-        """Modulation matrix for snapshots ``(Ad_{t-1}, ..., Ad_{t-p})``."""
-        if len(ad_lags) != self.p:
-            raise ValueError(f"need {self.p} lagged snapshots, got {len(ad_lags)}")
-        d, p = self.d, self.p
-        out = np.zeros((d * p, d * p))
-        for j, (g, ad) in enumerate(zip(self.g, ad_lags)):
-            out[:d, j * d:(j + 1) * d] = g.apply(ad)
-        for j in range(p - 1):
-            out[(j + 1) * d:(j + 2) * d, j * d:(j + 1) * d] = np.eye(d)
-        return out
+
+def _companion(blocks: Sequence[np.ndarray]) -> np.ndarray:
+    """Companion layout of lag blocks, each ``(..., d, d)``: the blocks in the
+    first block row, identities on the sub-diagonal."""
+    d, p = blocks[0].shape[-1], len(blocks)
+    out = np.zeros(blocks[0].shape[:-2] + (d * p, d * p))
+    for j, b in enumerate(blocks):
+        out[..., :d, j * d:(j + 1) * d] = b
+    for j in range(p - 1):
+        out[..., (j + 1) * d:(j + 2) * d, j * d:(j + 1) * d] = np.eye(d)
+    return out
 
 
 def build_companion(spec: Union[NarSpec, LnarSpec]) -> CompanionForm:
     if isinstance(spec, LnarSpec):
-        nar = spec.to_nar()
-        form = build_companion(nar)
-        form.lnar_blocks = True
-        return form
-    d, p = spec.d, spec.p
-    tilde = np.zeros((d * p, d * p))
-    for j, a in enumerate(spec.A):
-        tilde[:d, j * d:(j + 1) * d] = a
-    for j in range(p - 1):
-        tilde[(j + 1) * d:(j + 2) * d, j * d:(j + 1) * d] = np.eye(d)
-    return CompanionForm(tilde_a=tilde, d=d, p=p, g=spec.G)
+        return build_companion(spec.to_nar())
+    return CompanionForm(tilde_a=_companion(spec.A), d=spec.d, p=spec.p)
+
+
+def _modulated_companions(spec: Union[NarSpec, LnarSpec],
+                          snapshots: Sequence[np.ndarray]) -> np.ndarray:
+    """Stack of ``tilde_A * tilde_G`` companion matrices, one per entry of
+    the ``snapshots[j-1]`` stacks that lag j's block reads.
+
+    The top block row is ``A_j * G_j(snapshots[j-1][s])`` from
+    :func:`_nar_coefficients`, one kernel call per lag.
+    """
+    nar = spec.to_nar() if isinstance(spec, LnarSpec) else spec
+    return _companion(_nar_coefficients(nar.A, nar.G, snapshots))
 
 
 def spectral_radius(m: np.ndarray) -> float:
@@ -288,13 +289,11 @@ def check_stationarity_lnar(spec: LnarSpec) -> LnarStationarity:
 def snapshot_spectral_radii(spec: Union[NarSpec, LnarSpec], ads: AdjacencySeries) -> np.ndarray:
     """rho(tilde_A * tilde_G(snapshot)) per snapshot, the sampled form of the
     alternative stationarity condition on the stacked process."""
-    form = build_companion(spec)
-    p = form.p
-    out = np.empty(len(ads))
-    for t in range(len(ads)):
-        lags = [ads[t] for _ in range(p)]
-        out[t] = spectral_radius(form.tilde_a * form.assemble(lags))
-    return out
+    mods = _modulated_companions(spec, [ads.mats] * len(spec.G))
+    try:
+        return np.abs(np.linalg.eigvals(mods)).max(axis=-1)
+    except np.linalg.LinAlgError as exc:
+        raise RuntimeError("eigenvalue solver failed on the companion matrix") from exc
 
 
 def _check_network_cover(ads: AdjacencySeries, total: int, what: str) -> None:
@@ -470,14 +469,14 @@ def simulate_gnlp_truncated(coeff_fns: Sequence[CoefficientFn], ads: AdjacencySe
 
 
 def ma_infinity_coeffs(spec: Union[NarSpec, LnarSpec], ads: AdjacencySeries, t: int,
-                       J: int, check_bound: bool = True) -> List[np.ndarray]:
+                       J: int) -> List[np.ndarray]:
     """Moving-average coefficient matrices B_{t,0..J} of the causal solution.
 
     ``B_{t,j}`` is the top-left d x d block of the product of the first j
     stacked coefficient-modulation matrices along the path, so that
-    ``X_t = sum_j B_{t,j} eps_{t-j}``.  ``B_{t,0}`` is the identity.  When
-    ``check_bound`` is set, each coefficient is verified against the
-    spectral-norm envelope ``||B_{t,j}||_2 <= || |tilde_A|^j ||_2``.
+    ``X_t = sum_j B_{t,j} eps_{t-j}``.  ``B_{t,0}`` is the identity.  Each
+    coefficient is verified against the spectral-norm envelope
+    ``||B_{t,j}||_2 <= || |tilde_A|^j ||_2``.
     """
     if J < 0:
         raise ValueError("J must be nonnegative")
@@ -485,6 +484,11 @@ def ma_infinity_coeffs(spec: Union[NarSpec, LnarSpec], ads: AdjacencySeries, t: 
     d, p = form.d, form.p
     if t - J - p + 1 < 0:
         raise ValueError("network series does not reach back far enough for the requested truncation")
+    if t > len(ads):
+        raise ValueError(f"network series ends before t={t}: it has {len(ads)} snapshots")
+    # factor j of the stacked product reads Ad_{t-j-s+1} in lag s's block
+    steps = _modulated_companions(spec, [ads.mats[t - J - s + 1: t - s + 1][::-1]
+                                         for s in range(1, p + 1)])
     coeffs = [np.eye(d)]
     prod = np.eye(d * p)
     abs_tilde = np.abs(form.tilde_a)
@@ -492,19 +496,14 @@ def ma_infinity_coeffs(spec: Union[NarSpec, LnarSpec], ads: AdjacencySeries, t: 
     sel = np.zeros((d * p, d))
     sel[:d, :] = np.eye(d)
     for j in range(1, J + 1):
-        # factor s = j of the stacked product assembles (Ad_{t-j}, ..., Ad_{t-j-p+1})
-        u = t - j + 1
-        snap = [ads[u - s] for s in range(1, p + 1)]
-        step = form.tilde_a * form.assemble(snap)
-        prod = prod @ step
+        prod = prod @ steps[j - 1]
         coeffs.append(sel.T @ prod @ sel)
-        if check_bound:
-            abs_pow = abs_pow @ abs_tilde
-            lhs = np.linalg.norm(coeffs[-1], 2)
-            rhs = np.linalg.norm(abs_pow, 2)
-            if lhs > rhs + 1e-9:
-                raise AssertionError(
-                    f"moving-average coefficient at lag {j} violates its norm envelope "
-                    f"({lhs:.3e} > {rhs:.3e})"
-                )
+        abs_pow = abs_pow @ abs_tilde
+        lhs = np.linalg.norm(coeffs[-1], 2)
+        rhs = np.linalg.norm(abs_pow, 2)
+        if lhs > rhs + 1e-9:
+            raise AssertionError(
+                f"moving-average coefficient at lag {j} violates its norm envelope "
+                f"({lhs:.3e} > {rhs:.3e})"
+            )
     return coeffs

@@ -33,6 +33,17 @@ __all__ = [
 _WEIGHT_TOL = 1e-12
 
 
+def _check_weights(arr: np.ndarray, what: str) -> None:
+    """Raise naming the first entry that is not finite or lies outside
+    [-1, 1]; NaN fails the comparison, so it is caught."""
+    ok = np.abs(arr) <= 1.0 + _WEIGHT_TOL
+    if not ok.all():
+        *k, i, j = np.argwhere(~ok)[0]
+        at = "".join(f"snapshot {s}, " for s in k)
+        raise ValueError(f"{what} must be finite and lie in [-1, 1]; found "
+                         f"{arr[tuple(k) + (i, j)]} at {at}entry ({i + 1}, {j + 1})")
+
+
 class AdjacencySeries:
     """Time-indexed sequence of square edge-weight matrices.
 
@@ -46,12 +57,7 @@ class AdjacencySeries:
         arr = np.asarray(mats, dtype=float)
         if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
             raise ValueError(f"expected a (n, d, d) stack of square matrices, got shape {arr.shape}")
-        if not (np.abs(arr) <= 1.0 + _WEIGHT_TOL).all():
-            k, i, j = np.argwhere(~(np.abs(arr) <= 1.0 + _WEIGHT_TOL))[0]
-            raise ValueError(
-                f"edge weights must be finite and lie in [-1, 1]; found {arr[k, i, j]} "
-                f"at snapshot {k}, entry ({i + 1}, {j + 1})"
-            )
+        _check_weights(arr, "edge weights")
         self.mats = arr
         self.t0 = int(t0)
 
@@ -186,7 +192,7 @@ class MarkovEdgeNetwork:
             state = self.step(state, draws[t])
             if t >= burn_in:
                 out[t - burn_in] = state
-        return AdjacencySeries(out, t0=t0)
+        return AdjacencySeries._checked(out, t0)  # binary by construction
 
 
 class FlipNetwork:
@@ -288,9 +294,8 @@ def build_multiattribute_network(ad, b, c) -> np.ndarray:
     ad, b, c = (np.asarray(m, dtype=float) for m in (ad, b, c))
     if not (ad.shape == b.shape == c.shape) or ad.ndim != 2 or ad.shape[0] != ad.shape[1]:
         raise ValueError("all three blocks must be square matrices of equal dimension")
-    for m in (ad, b, c):
-        if (np.abs(m) > 1.0 + _WEIGHT_TOL).any():
-            raise ValueError("block entries must lie in [-1, 1]")
+    for name, m in (("Ad", ad), ("B", b), ("C", c)):
+        _check_weights(m, f"block {name} entries")
     return np.block([[ad, b], [c, ad]])
 
 
@@ -376,8 +381,7 @@ class NeighborhoodFn:
         w = np.asarray(w, dtype=float)
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise ValueError("mask weight must be a square matrix")
-        if (np.abs(w) > 1.0 + _WEIGHT_TOL).any():
-            raise ValueError("mask weights must lie in [-1, 1]")
+        _check_weights(w, "mask weights")
         return NeighborhoodFn("mask", w=tuple(map(tuple, w.tolist())))
 
     @staticmethod

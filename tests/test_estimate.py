@@ -503,6 +503,27 @@ class TestBicLeadingBlocks:
                 kwargs = dict(ads=ads, g=g, family=case)
             assert_matches_bic_oracle(x, p_max=p_max, **kwargs)
 
+    @pytest.mark.parametrize("p_max", [1, 2, 3])
+    @pytest.mark.parametrize("case", ["nar", "lnar", "var-masked"])
+    def test_top_candidate_is_the_returned_fit(self, case, p_max):
+        # the order-p_max candidate and fit_*(..., p_max, t_start=p_max) solve
+        # the same equations with the same residuals: equal bits, not just close
+        for seed in range(5):
+            x, ads, mask = bic_case(12, p_max, seed)
+            if case == "var-masked":
+                kwargs = dict(family="var", mask=mask)
+                fit = fit_var(x, p_max, mask=mask, t_start=p_max)
+            else:
+                g = NeighborhoodFn.transpose()
+                kwargs = dict(ads=ads, g=g, family=case)
+                fit = (fit_nar if case == "nar" else fit_lnar)(x, ads, [g] * p_max, p_max,
+                                                               t_start=p_max)
+            m = x.shape[1] - p_max
+            val = 0.0
+            for c in fit.components:
+                val += m * log(max(c.rss / m, 1e-300)) + (len(c.index_set) + 1) * log(m)
+            assert select_order_bic(x, p_max=p_max, **kwargs).table[p_max] == val, seed
+
     def test_collinear_series_falls_back_to_per_block_guard(self, monkeypatch):
         # every Gram holding a series and its multiple is singular, and so is
         # every LNAR Gram at d = 1, where the pooled lag is zero; a nearly

@@ -66,6 +66,20 @@ class TestRunExperiment:
         for name in os.listdir(out1):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    @pytest.mark.parametrize("name, config", [
+        ("example1", lambda out: example1_config(
+            replications=8, policies=("known", "holdlast", "markov"), out_dir=out)),
+        ("example2_d10", lambda out: example2_config(d=10, replications=8, out_dir=out)),
+    ])
+    def test_tables_match_committed_bytes(self, name, config, tmp_path):
+        # the fixtures are these runs' tables as first committed, so a change
+        # that moves a printed digit fails here, not only a nondeterministic one
+        run_experiment(config(str(tmp_path)))
+        golden = os.path.join(os.path.dirname(__file__), "fixtures", "golden_mse")
+        for table in (f"mse_{name}.csv", f"mse_se_{name}.csv"):
+            with open(os.path.join(golden, table), "rb") as fh:
+                assert (tmp_path / table).read_bytes() == fh.read(), table
+
     def test_relative_table_var_row_is_one(self):
         rep = run_experiment(tiny_config(reps=4))
         rel = rep.relative_mse()

@@ -118,6 +118,15 @@ class TestModelSpecNonFinite:
             nio.model_spec_from_json(json.loads(json.dumps(doc)))
 
 
+    def test_nan_mask_weight_names_the_entry(self):
+        spec = NarSpec(1, [np.eye(2) * 0.3], [NeighborhoodFn.mask(np.eye(2) * 0.5)])
+        doc = nio.model_spec_to_json(spec, InnovationSpec.standard(2))
+        doc["G"][0]["w"][0][1] = float("nan")
+        with pytest.raises(ValueError, match=r"mask weights must be finite and lie in "
+                                             r"\[-1, 1\]; found nan at entry \(1, 2\)"):
+            nio.model_spec_from_json(json.loads(json.dumps(doc)))
+
+
 class TestNetworkModelJson:
     def test_markov_roundtrip(self):
         m = MarkovEdgeNetwork(np.full((2, 2), 0.9), np.full((2, 2), 0.1),

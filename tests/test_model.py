@@ -92,6 +92,20 @@ def lnar_componentwise_recursion(spec, ads, eps):
     return x
 
 
+def assemble_oracle(form, g_list, ad_lags):
+    """Modulation matrix for snapshots ``(Ad_{t-1}, ..., Ad_{t-p})``, one G
+    call per snapshot: the former ``CompanionForm.assemble``."""
+    if len(ad_lags) != form.p:
+        raise ValueError(f"need {form.p} lagged snapshots, got {len(ad_lags)}")
+    d, p = form.d, form.p
+    out = np.zeros((d * p, d * p))
+    for j, (g, ad) in enumerate(zip(g_list, ad_lags)):
+        out[:d, j * d:(j + 1) * d] = g.apply(ad)
+    for j in range(p - 1):
+        out[(j + 1) * d:(j + 2) * d, j * d:(j + 1) * d] = np.eye(d)
+    return out
+
+
 def companion_recursion(spec, ads, eps):
     form = build_companion(spec)
     d, p = form.d, form.p
@@ -103,7 +117,7 @@ def companion_recursion(spec, ads, eps):
     for t in range(total):
         if t >= p:
             lags = [ads[t - s] for s in range(1, p + 1)]
-            state = (form.tilde_a * form.assemble(lags)) @ state + sel @ eps[t]
+            state = (form.tilde_a * assemble_oracle(form, spec.G, lags)) @ state + sel @ eps[t]
         else:
             # warm-up: fall back to the direct recursion until p lags exist
             acc = eps[t].copy()
@@ -235,7 +249,7 @@ class TestLnarStationarity:
         form = build_companion(nar)
         for _ in range(20):
             ad = (rng.random((d, d)) < 0.4).astype(float)
-            stacked = np.abs(form.tilde_a * form.assemble([ad] * p))
+            stacked = np.abs(form.tilde_a * assemble_oracle(form, nar.G, [ad] * p))
             rho = np.abs(np.linalg.eigvals(stacked)).max()
             assert rho <= res.rho_bound + 1e-9
 
@@ -522,7 +536,57 @@ class TestMaInfinity:
         rng = np.random.default_rng(62)
         spec = random_stationary_nar(rng, 3, 2)
         ads = random_binary_ads(rng, 3, 50)
-        ma_infinity_coeffs(spec, ads, t=45, J=10, check_bound=True)
+        ma_infinity_coeffs(spec, ads, t=45, J=10)
+
+
+def ma_infinity_oracle(spec, ads, t, J):
+    """The former ``ma_infinity_coeffs`` loop: one assembled companion per lag."""
+    form = build_companion(spec)
+    g_list = spec.to_nar().G if isinstance(spec, LnarSpec) else spec.G
+    d, p = form.d, form.p
+    coeffs = [np.eye(d)]
+    prod = np.eye(d * p)
+    for j in range(1, J + 1):
+        snap = [ads[t - j + 1 - s] for s in range(1, p + 1)]
+        prod = prod @ (form.tilde_a * assemble_oracle(form, g_list, snap))
+        coeffs.append(prod[:d, :d])
+    return coeffs
+
+
+class TestBatchedCompanions:
+    """The companion stacks built from ``_nar_coefficients`` against the
+    per-snapshot ``assemble_oracle``, bit for bit."""
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("d", [1, 3, 5])
+    def test_match_per_snapshot_assembly(self, d, p):
+        from netar.model import snapshot_spectral_radii
+        rng = np.random.default_rng(10 * d + p)
+        nar = random_stationary_nar(rng, d, p)
+        lnar = LnarSpec(p, rng.uniform(0, 0.3, (p, d)), rng.uniform(0, 0.15, (p, d)),
+                        [NeighborhoodFn.row_normalized_transpose(), NeighborhoodFn.transpose(),
+                         NeighborhoodFn.k_stage(2)][:p])
+        ads = random_binary_ads(rng, d, 30)
+        for spec in (nar, lnar):
+            form = build_companion(spec)
+            g_list = spec.to_nar().G if isinstance(spec, LnarSpec) else spec.G
+            radii = [np.abs(np.linalg.eigvals(
+                form.tilde_a * assemble_oracle(form, g_list, [ad] * p))).max() for ad in ads]
+            assert np.array_equal(snapshot_spectral_radii(spec, ads), radii)
+            for t, J in ((29, 0), (29, 5), (p + 9, 10), (30, 30 - p + 1)):
+                got = ma_infinity_coeffs(spec, ads, t=t, J=J)
+                want = ma_infinity_oracle(spec, ads, t, J)
+                assert len(got) == J + 1
+                assert all(np.array_equal(a, b) for a, b in zip(got, want)), (t, J)
+
+    def test_truncation_must_lie_inside_the_series(self):
+        rng = np.random.default_rng(7)
+        spec = random_stationary_nar(rng, 3, 2)
+        ads = random_binary_ads(rng, 3, 20)
+        with pytest.raises(ValueError, match="reach back"):
+            ma_infinity_coeffs(spec, ads, t=10, J=10)
+        with pytest.raises(ValueError, match="ends before t=21"):
+            ma_infinity_coeffs(spec, ads, t=21, J=3)
 
 
 def test_snapshot_spectral_radii_diagnostic():

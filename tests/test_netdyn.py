@@ -196,6 +196,20 @@ class TestAdjacencySeries:
 
 
 class TestMarkovEdges:
+    def test_simulate_skips_the_weight_scan(self):
+        # the draws and the output are the only stack-sized allocations; the
+        # output is binary by construction, so no |arr| copy is scanned on top
+        import tracemalloc
+
+        stay, enter = np.full((40, 40), 0.9), np.full((40, 40), 0.1)
+        model = MarkovEdgeNetwork(stay, enter)
+        tracemalloc.start()
+        ads = model.simulate(200, seed=4)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert peak < 2.5 * ads.mats.nbytes
+        assert np.isin(ads.mats, (0.0, 1.0)).all() and ads.t0 == 0
+
     def test_degenerate_probabilities_absorb(self):
         # stay=1, enter=0 with the edge on: persists forever
         m = MarkovEdgeNetwork(np.ones((2, 2)), np.zeros((2, 2)), initial=np.ones((2, 2)))
@@ -417,6 +431,15 @@ class TestNeighborhoodFns:
         assert not NeighborhoodFn.mask(w).infty_norm_certified()
         assert NeighborhoodFn.mask(np.eye(3) * 0.9).infty_norm_certified()
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1.5])
+    def test_mask_weight_out_of_range_names_the_entry(self, bad):
+        w = [[0.5, bad], [0.2, 0.1]]
+        msg = r"mask weights must be finite and lie in \[-1, 1\]; found %s at entry \(1, 2\)"
+        with pytest.raises(ValueError, match=msg % bad):
+            NeighborhoodFn.mask(w)
+        with pytest.raises(ValueError, match=msg % bad):
+            NeighborhoodFn.from_json({"kind": "mask", "w": w})
+
     def test_descriptor_json_roundtrip(self):
         fns = [
             NeighborhoodFn.identity(),
@@ -447,6 +470,15 @@ class TestMultiAttribute:
     def test_zero_blocks(self):
         z = np.zeros((2, 2))
         assert (build_multiattribute_network(z, z, z) == 0).all()
+
+    @pytest.mark.parametrize("block", [0, 1, 2])
+    def test_nan_block_names_the_entry(self, block):
+        blocks = [np.eye(2), np.zeros((2, 2)), np.zeros((2, 2))]
+        blocks[block][1, 0] = np.nan
+        name = ("Ad", "B", "C")[block]
+        with pytest.raises(ValueError, match=r"block %s entries must be finite and lie in "
+                                             r"\[-1, 1\]; found nan at entry \(2, 1\)" % name):
+            build_multiattribute_network(*blocks)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
