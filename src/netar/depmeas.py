@@ -11,7 +11,8 @@ innovations.
 ``estimate_delta_network`` couples the network alone;
 ``estimate_delta_x`` couples a network-modulated series, redrawing
 either the joint innovation (series noise and network uniforms) or only
-the network part.
+the network part.  Each copy's snapshot is modulated by every distinct G
+once, when it arrives, and kept for the p steps that read it.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from typing import Union
 
 import numpy as np
 
-from .model import InnovationSpec, LnarSpec, NarSpec, _nar_coefficients, _nar_step
-from .netdyn import FlipNetwork, MarkovEdgeNetwork
+from .model import InnovationSpec, LnarSpec, NarSpec, _nar_step
+from .netdyn import FlipNetwork, MarkovEdgeNetwork, apply_neighborhood_fn
 
 __all__ = ["CouplingRun", "estimate_delta_network", "estimate_delta_x"]
 
@@ -145,13 +146,15 @@ def estimate_delta_x(spec: Union[NarSpec, LnarSpec], model: Union[MarkovEdgeNetw
     net = _initial_states(model, rng, reps)
     shape = net.shape
 
-    # shared prehistory: evolve one chain, keep the last p snapshots and
+    # shared prehistory: evolve one chain from empty snapshots and zero
     # series lags; both copies start identical at time -1
-    state_a = {"x": np.zeros((p, reps, d)), "m": np.zeros((p, reps, d, d)), "net": net}
+    state_a = {"x": [np.zeros((reps, d))] * p,
+               "g": [_modulations(nar, np.zeros((reps, d, d)))] * p, "net": net}
     for _ in range(burn_in):
         u = rng.random(shape)
         _advance(nar, model, state_a, u, innov.sample(rng, reps))
-    state_b = {k: v.copy() for k, v in state_a.items()}
+    # _advance rebinds the entries and never writes into them
+    state_b = dict(state_a)
 
     powers = np.empty((reps, max_lag + 1))
     for j in range(max_lag + 1):
@@ -168,15 +171,25 @@ def estimate_delta_x(spec: Union[NarSpec, LnarSpec], model: Union[MarkovEdgeNetw
     return _finalize(q, powers, reps)
 
 
+def _modulations(nar: NarSpec, mat: np.ndarray) -> dict:
+    """Each distinct G of the spec evaluated once on a batch of snapshots."""
+    return {g: apply_neighborhood_fn(g, mat) for g in dict.fromkeys(nar.G)}
+
+
 def _advance(nar: NarSpec, model, state: dict, u, eps) -> np.ndarray:
     """Step the network, then the series, of a batch of replicate paths.
 
-    ``state["x"][j-1]`` holds X_{t-j} (reps, d) and ``state["m"][j-1]``
-    the snapshots Ad_{t-j} (reps, d, d).
+    ``state["x"][j-1]`` holds X_{t-j} (reps, d) and ``state["g"][j-1]``
+    the modulations of Ad_{t-j} (reps, d, d) by each distinct G, computed
+    when that snapshot arrived.
     """
     state["net"] = model.step(state["net"], u)
     mat = model.state_to_matrix(state["net"]) if isinstance(model, FlipNetwork) else state["net"]
-    x_new = _nar_step(eps, _nar_coefficients(nar.A, nar.G, state["m"]), state["x"])
-    state["m"] = np.concatenate([mat[None], state["m"][:-1]], axis=0)
-    state["x"] = np.concatenate([x_new[None], state["x"][:-1]], axis=0)
+    # scaled in place on a copy: a fresh A_j * G_j per step doubled the page faults
+    coefs = [mods[g].copy() for g, mods in zip(nar.G, state["g"])]
+    for c, a in zip(coefs, nar.A):
+        c *= a
+    x_new = _nar_step(eps, coefs, state["x"])
+    state["g"] = [_modulations(nar, mat)] + state["g"][:-1]
+    state["x"] = [x_new] + state["x"][:-1]
     return x_new

@@ -29,6 +29,7 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .model import LnarSpec
 from .netdyn import AdjacencySeries, NeighborhoodFn, apply_neighborhood_fn
 
 __all__ = [
@@ -118,21 +119,16 @@ class ModelFit:
     def coefficient_matrices(self) -> List[np.ndarray]:
         """Lag coefficient matrices with structural zeros filled in.
 
-        For the per-component family these are the matrices of the
-        embedding into the full model (alpha on the diagonal, beta off
-        the diagonal).  Rows of failed components are nan.
+        The per-component family's come from :meth:`LnarSpec.coefficient_matrix`.
+        Rows of failed components are nan.
         """
+        if self.family == "lnar":
+            spec = LnarSpec(self.p, *self.alpha_beta(), self.g)
+            return [spec.coefficient_matrix(j) for j in range(self.p)]
         mats = [np.zeros((self.d, self.d)) for _ in range(self.p)]
         for r in self.errors:
             for m in mats:
                 m[r] = np.nan
-        if self.family == "lnar":
-            alpha, beta = self.alpha_beta()
-            for j in range(self.p):
-                m = np.repeat(beta[j][:, None], self.d, axis=1)
-                np.fill_diagonal(m, alpha[j])
-                mats[j] = m
-            return mats
         for c in self.components:
             for pos, flat in enumerate(c.index_set.members):
                 i, j = flat % self.d, flat // self.d
@@ -140,10 +136,11 @@ class ModelFit:
         return mats
 
     def alpha_beta(self):
+        """(p, d) own-lag and network coefficients; failed components are nan."""
         if self.family != "lnar":
             raise ValueError("alpha/beta decomposition only exists for the per-component family")
-        alpha = np.zeros((self.p, self.d))
-        beta = np.zeros((self.p, self.d))
+        alpha = np.full((self.p, self.d), np.nan)
+        beta = np.full((self.p, self.d), np.nan)
         for c in self.components:
             for j in range(self.p):
                 alpha[j, c.r] = c.w[2 * j]
@@ -469,6 +466,8 @@ def fit_component_ls(y: np.ndarray, Y: np.ndarray, r: int,
     if Y.ndim != 2:
         Y = np.empty((m, 0))
     members = tuple(range(k)) if idx is None else idx.members
+    if len(members) != k:
+        raise ValueError(f"index set has {len(members)} members but Y has {k} columns")
     # one block: the columns carry no lag order
     return _fit_component(_own_equations(r, members, np.zeros(k, dtype=int), Y, y), m)
 

@@ -16,8 +16,8 @@ from typing import Optional, Union
 import numpy as np
 
 from .estimate import ModelFit
-from .model import _nar_coefficients, _run_recursion
-from .netdyn import AdjacencySeries, NeighborhoodFn
+from .model import LnarSpec, _nar_coefficients, _run_recursion
+from .netdyn import AdjacencySeries
 
 __all__ = [
     "Known",
@@ -131,8 +131,13 @@ def forecast_h(fit: ModelFit, x_hist: np.ndarray, ads_hist: Optional[AdjacencySe
     d, n = x_hist.shape
     if n < fit.p:
         raise ValueError(f"history of length {n} cannot feed a lag-{fit.p} forecast")
-    coef = fit.coefficient_matrices()
     p = fit.p
+    if fit.family == "lnar":
+        # the per-component family runs on its embedding into the full model
+        nar = LnarSpec(p, *fit.alpha_beta(), fit.g).to_nar()
+        coef, g = nar.A, nar.G
+    else:
+        coef, g = fit.coefficient_matrices(), fit.g
     # the recursion runs on a window of the last p observations and the h
     # horizons; the window's snapshots share its time axis
     total = p + h
@@ -149,8 +154,6 @@ def forecast_h(fit: ModelFit, x_hist: np.ndarray, ads_hist: Optional[AdjacencySe
         hist_use = ads_hist.take_first(n - 1)
         nets = forecast_network(hist_use, policy, h)
         mats = np.concatenate([hist_use.mats[n - p:], nets.mats], axis=0)
-        # the per-component family runs on its embedding I + zero-diagonal G
-        g = fit.g if fit.family == "nar" else [NeighborhoodFn.identity_plus(f) for f in fit.g]
         coefs = _nar_coefficients(coef, g, [mats[: total - j] for j in range(1, p + 1)])
     x = np.concatenate([x_hist[:, n - p:], np.zeros((d, h))], axis=1)
     points = _run_recursion(x, np.broadcast_to(fit.mu_hat(), (h, d)), coefs, start=p)[:, p:]

@@ -34,6 +34,7 @@ from .netdyn import (
     FlipNetwork,
     MarkovEdgeNetwork,
     NeighborhoodFn,
+    apply_neighborhood_fn,
     generate_density_matched_markov,
 )
 
@@ -271,7 +272,7 @@ def _fit_with_bic(method: MethodSpec, x_est, ads_est, p_max: int):
         if method.sparsity == "network":
             snaps = ads_est.mats[: x_est.shape[1] - 1]
             # one expression, so the modulation stack is freed before BIC runs
-            base = (snaps if method.g is None else method.g.apply(snaps)).any(axis=0)
+            base = (snaps if method.g is None else apply_neighborhood_fn(method.g, snaps)).any(axis=0)
             mask = np.concatenate([base.astype(float)] * p_max, axis=1)
         sel = select_order_bic(x_est, p_max=p_max, family="var", mask=mask)
         sub = None if mask is None else mask[:, : x_est.shape[0] * sel.p]
@@ -409,22 +410,14 @@ def write_experiment_reports(cfg: ExperimentConfig, report: ExperimentReport) ->
     """Emit the wide MSE table, the relative table and a run summary."""
     out = cfg.out_dir
     os.makedirs(out, exist_ok=True)
-    mse_path = os.path.join(out, f"mse_{report.experiment}.csv")
-    with nio.atomic_open(mse_path) as fh:
-        cols = ",".join(f"h={s}" for s in range(1, report.horizons + 1))
-        fh.write(f"n,method,{cols}\n")
-        for n in report.sample_sizes:
-            for lbl in report.method_labels:
-                row = ",".join(_table_fmt(v) for v in report.mse[(n, lbl)])
-                fh.write(f"{n},{lbl},{row}\n")
-    se_path = os.path.join(out, f"mse_se_{report.experiment}.csv")
-    with nio.atomic_open(se_path) as fh:
-        cols = ",".join(f"h={s}" for s in range(1, report.horizons + 1))
-        fh.write(f"n,method,{cols}\n")
-        for n in report.sample_sizes:
-            for lbl in report.method_labels:
-                row = ",".join(_table_fmt(v) for v in report.se[(n, lbl)])
-                fh.write(f"{n},{lbl},{row}\n")
+    cols = ",".join(f"h={s}" for s in range(1, report.horizons + 1))
+    for stem, table in (("mse", report.mse), ("mse_se", report.se)):
+        with nio.atomic_open(os.path.join(out, f"{stem}_{report.experiment}.csv")) as fh:
+            fh.write(f"n,method,{cols}\n")
+            for n in report.sample_sizes:
+                for lbl in report.method_labels:
+                    row = ",".join(_table_fmt(v) for v in table[(n, lbl)])
+                    fh.write(f"{n},{lbl},{row}\n")
     try:
         rel = report.relative_mse()
         rel_path = os.path.join(out, f"relative_mse_{report.experiment}.csv")

@@ -14,8 +14,8 @@ and the moving-average coefficient matrices.
 One recursion: every path, forecast and coupled pair is stepped by the
 private ``_nar_step``, ``drive + sum_j C_j x_{t-j}`` with the coefficient
 ``C_j = A_j * G_j(Ad_{t-j})`` built beforehand, one neighborhood-kernel
-call per lag.  The per-component model runs on its embedding, whose lag-j
-coefficient is bitwise ``A_j * (I + zero-diag G_j)``.
+call per lag.  The per-component model runs on its embedding, built only by
+:meth:`LnarSpec.to_nar`: lag-j coefficient ``A_j * (I + zero-diag G_j)``.
 
 Array convention: a simulated path ``x`` has shape ``(d, n)`` and
 ``x[:, t]`` is modulated by the snapshot ``ads[t - j]`` at lag ``j``, so
@@ -123,7 +123,7 @@ class LnarSpec:
         return m
 
     def to_nar(self) -> NarSpec:
-        """Exact embedding: A_j rows (alpha, beta, ..) with G'_j = I + zero-diag G_j."""
+        """Exact embedding, built only here: A_j rows (alpha, beta, ..), G'_j = I + zero-diag G_j."""
         A = [self.coefficient_matrix(j) for j in range(self.p)]
         G = [NeighborhoodFn.identity_plus(g) for g in self.G]
         return NarSpec(self.p, A, G)
@@ -349,6 +349,24 @@ def _run_recursion(x: np.ndarray, drive: np.ndarray, coefs: Sequence[np.ndarray]
     return x
 
 
+def _simulate(nar: NarSpec, ads: AdjacencySeries, innov: InnovationSpec, n: int,
+              burn_in: int, seed, rng: Optional[np.random.Generator],
+              check_finite: bool, what: str) -> np.ndarray:
+    """The simulation core behind both families."""
+    if innov.d != nar.d:
+        raise ValueError("innovation dimension does not match spec")
+    total = burn_in + n
+    _check_network_cover(ads, total, what)
+    # lag j reads the snapshots s < total - j
+    coefs = _nar_coefficients(nar.A, nar.G,
+                              [ads.mats[: max(total - j, 0)] for j in range(1, nar.p + 1)])
+    if rng is None:
+        rng = np.random.default_rng(seed)
+    eps = innov.sample(rng, total)
+    x = _run_recursion(np.zeros((nar.d, total)), eps, coefs, check_finite=check_finite)
+    return x[:, burn_in:]
+
+
 def simulate_nar(spec: NarSpec, ads: AdjacencySeries, innov: InnovationSpec,
                  n: int, burn_in: int = 500, seed=None,
                  rng: Optional[np.random.Generator] = None,
@@ -368,18 +386,7 @@ def simulate_nar(spec: NarSpec, ads: AdjacencySeries, innov: InnovationSpec,
                 f"spec fails the stationarity check (rho={st.rho:.6f}); "
                 "pass allow_explosive=True to override"
             )
-    if innov.d != spec.d:
-        raise ValueError("innovation dimension does not match spec")
-    total = burn_in + n
-    _check_network_cover(ads, total, "simulate_nar")
-    # lag j reads the snapshots s < total - j
-    coefs = _nar_coefficients(spec.A, spec.G,
-                              [ads.mats[: max(total - j, 0)] for j in range(1, spec.p + 1)])
-    if rng is None:
-        rng = np.random.default_rng(seed)
-    eps = innov.sample(rng, total)
-    x = _run_recursion(np.zeros((spec.d, total)), eps, coefs, check_finite=allow_explosive)
-    return x[:, burn_in:]
+    return _simulate(spec, ads, innov, n, burn_in, seed, rng, allow_explosive, "simulate_nar")
 
 
 def simulate_lnar(spec: LnarSpec, ads: AdjacencySeries, innov: InnovationSpec,
@@ -388,28 +395,21 @@ def simulate_lnar(spec: LnarSpec, ads: AdjacencySeries, innov: InnovationSpec,
                   allow_explosive: bool = False) -> np.ndarray:
     """Simulate the per-component model; same contract as :func:`simulate_nar`.
 
-    The recursion runs on the full-model embedding: lag j's coefficient is
-    ``beta_{j,r}`` times the zero-diagonal ``G_j`` off the diagonal and
-    ``alpha_{j,r}`` on it, bitwise ``A_j * (I + zero-diag G_j)``.  A G
-    without an a-priori infinity-norm certificate is certified on the
+    The recursion runs on the full-model embedding :meth:`LnarSpec.to_nar`.
+    A G without an a-priori infinity-norm certificate is certified on the
     supplied snapshots instead: if ``max_t ||zero-diag G_j(Ad_t)||_inf <= 1``
     for every such lag, ``c_lambda < 1`` still suffices.
     """
-    if innov.d != spec.d:
-        raise ValueError("innovation dimension does not match spec")
-    total = burn_in + n
-    _check_network_cover(ads, total, "simulate_lnar")
-    if not allow_explosive and not spec.c_lambda < 1.0:
-        raise ValueError(
-            f"spec fails the stationarity check (c_lambda={spec.c_lambda:.6f}); "
-            "pass allow_explosive=True to override"
-        )
-    diag = np.arange(spec.d)
-    coefs = []
-    for j, g in enumerate(spec.G, start=1):
-        # one zero-diagonal stack per lag serves the certificate and the coefficients
-        c = apply_neighborhood_fn(g, ads.mats[: max(total - j, 0)], zero_diag=True)
-        if not (allow_explosive or g.infty_norm_certified()):
+    if not allow_explosive:
+        if not spec.c_lambda < 1.0:
+            raise ValueError(
+                f"spec fails the stationarity check (c_lambda={spec.c_lambda:.6f}); "
+                "pass allow_explosive=True to override"
+            )
+        for j, g in enumerate(spec.G, start=1):
+            if g.infty_norm_certified():
+                continue
+            c = apply_neighborhood_fn(g, ads.mats[: max(burn_in + n - j, 0)], zero_diag=True)
             norm = float(np.abs(c).sum(axis=-1).max(initial=0.0))
             if norm > 1.0 + _WEIGHT_TOL:
                 raise ValueError(
@@ -417,14 +417,8 @@ def simulate_lnar(spec: LnarSpec, ads: AdjacencySeries, innov: InnovationSpec,
                     f"infinity-norm certificate and reaches {norm:.6g} on the "
                     "supplied network; pass allow_explosive=True to override"
                 )
-        c *= spec.beta[j - 1][:, None]
-        c[..., diag, diag] = spec.alpha[j - 1]
-        coefs.append(c)
-    if rng is None:
-        rng = np.random.default_rng(seed)
-    eps = innov.sample(rng, total)
-    x = _run_recursion(np.zeros((spec.d, total)), eps, coefs, check_finite=allow_explosive)
-    return x[:, burn_in:]
+    return _simulate(spec.to_nar(), ads, innov, n, burn_in, seed, rng, allow_explosive,
+                     "simulate_lnar")
 
 
 CoefficientFn = Union[NeighborhoodFn, Callable[..., np.ndarray], None]
@@ -445,27 +439,22 @@ def simulate_gnlp_truncated(coeff_fns: Sequence[CoefficientFn], ads: AdjacencySe
         X_t = sum_j f_j(Ad_{t-1}, ..., Ad_{t-j}) eps_{t-j} + eps_t.
     """
     total = burn_in + n
-    J = len(coeff_fns)
     _check_network_cover(ads, total, "simulate_gnlp_truncated")
     if rng is None:
         rng = np.random.default_rng(seed)
     eps = innov.sample(rng, total)
-    d = innov.d
-    x = np.zeros((d, total))
-    for t in range(total):
-        acc = eps[t].copy()
-        for j in range(1, J + 1):
-            fn = coeff_fns[j - 1]
-            if fn is None or t - j < 0:
-                continue
-            if isinstance(fn, NeighborhoodFn):
-                b = fn.apply(ads[t - j])
-            else:
-                lags = [ads[t - s] for s in range(1, j + 1)]
-                b = np.asarray(fn(*lags), dtype=float)
-            acc += b @ eps[t - j]
-        x[:, t] = acc
-    return x[:, burn_in:]
+    x = eps.copy()  # time-major, like eps
+    for j, fn in enumerate(coeff_fns, start=1):
+        if fn is None or j >= total:
+            continue
+        # lag j's coefficient at time t reads Ad_{t-j}, t = j..total-1
+        if isinstance(fn, NeighborhoodFn):
+            b = apply_neighborhood_fn(fn, ads.mats[: total - j])
+        else:
+            b = np.stack([np.asarray(fn(*ads.mats[t - j: t][::-1]), dtype=float)
+                          for t in range(j, total)])
+        x[j:] = _nar_step(x[j:], [b], [eps[: total - j]])
+    return np.ascontiguousarray(x.T)[:, burn_in:]
 
 
 def ma_infinity_coeffs(spec: Union[NarSpec, LnarSpec], ads: AdjacencySeries, t: int,

@@ -234,7 +234,7 @@ class FlipNetwork:
     def simulate(self, n: int, seed=None, rng: Optional[np.random.Generator] = None,
                  burn_in: int = 0, t0: int = 0) -> AdjacencySeries:
         states = self.simulate_states(n, seed=seed, rng=rng, burn_in=burn_in)
-        return AdjacencySeries(self.state_to_matrix(states), t0=t0)
+        return AdjacencySeries._checked(self.state_to_matrix(states), t0)  # binary by construction
 
     def simulate_states(self, n: int, seed=None, rng=None, burn_in: int = 0) -> np.ndarray:
         """State path (0/1 per step); lighter than full matrices for long runs.
@@ -475,8 +475,10 @@ def _evaluate(fn: NeighborhoodFn, ad: np.ndarray) -> np.ndarray:
             raise ValueError("mask weight dimension does not match snapshot")
         return w * ad
     if fn.kind == "identity_plus":
-        # off the diagonal this is 0 + inner(Ad), exactly as I + zero-diagonal inner
-        out = np.eye(ad.shape[-1]) + _evaluate(fn.inner, ad)
+        # I + zero-diagonal inner(Ad), in place unless inner returned a view of Ad
+        out = _evaluate(fn.inner, ad)
+        if np.may_share_memory(out, ad):
+            out = out.copy()
         idx = np.arange(ad.shape[-1])
         out[..., idx, idx] = 1.0
         return out

@@ -4,12 +4,15 @@ import pytest
 from netar import (
     FlipNetwork,
     InnovationSpec,
+    LnarSpec,
     MarkovEdgeNetwork,
     NarSpec,
     NeighborhoodFn,
     estimate_delta_network,
     estimate_delta_x,
 )
+from netar import depmeas, netdyn
+from netar.model import _nar_coefficients, _nar_step
 
 from test_netdyn import example1_network_matrices
 from test_model import example1_alpha
@@ -115,3 +118,98 @@ class TestSeriesCoupling:
         with pytest.raises(ValueError, match="mode"):
             estimate_delta_x(spec, m, InnovationSpec.standard(2), q=2,
                              max_lag=2, reps=10, seed=0, mode="bogus")
+
+
+def advance_oracle(nar, model, state, u, eps):
+    """The stepping rule estimate_delta_x used before it kept a ring of
+    modulations: every lag re-evaluates G on its stored snapshot each step.
+
+    ``state["x"][j-1]`` holds X_{t-j} (reps, d) and ``state["m"][j-1]``
+    the snapshots Ad_{t-j} (reps, d, d).
+    """
+    state["net"] = model.step(state["net"], u)
+    mat = model.state_to_matrix(state["net"]) if isinstance(model, FlipNetwork) else state["net"]
+    x_new = _nar_step(eps, _nar_coefficients(nar.A, nar.G, state["m"]), state["x"])
+    state["m"] = np.concatenate([mat[None], state["m"][:-1]], axis=0)
+    state["x"] = np.concatenate([x_new[None], state["x"][:-1]], axis=0)
+    return x_new
+
+
+def delta_x_oracle(spec, model, innov, q, max_lag, reps, seed, burn_in, mode):
+    """estimate_delta_x driven by advance_oracle, drawing in the same order."""
+    nar = spec.to_nar() if isinstance(spec, LnarSpec) else spec
+    d, p = nar.d, nar.p
+    rng = np.random.default_rng(seed)
+    net = depmeas._initial_states(model, rng, reps)
+    state_a = {"x": np.zeros((p, reps, d)), "m": np.zeros((p, reps, d, d)), "net": net}
+    for _ in range(burn_in):
+        u = rng.random(net.shape)
+        advance_oracle(nar, model, state_a, u, innov.sample(rng, reps))
+    state_b = {k: v.copy() for k, v in state_a.items()}
+    powers = np.empty((reps, max_lag + 1))
+    for j in range(max_lag + 1):
+        u_shared = rng.random(net.shape)
+        eps_shared = innov.sample(rng, reps)
+        if j == 0:
+            u_b = rng.random(net.shape)
+            eps_b = eps_shared if mode == "network_only" else innov.sample(rng, reps)
+        else:
+            u_b, eps_b = u_shared, eps_shared
+        xa = advance_oracle(nar, model, state_a, u_shared, eps_shared)
+        xb = advance_oracle(nar, model, state_b, u_b, eps_b)
+        powers[:, j] = np.abs(xa - xb).max(axis=1) ** q
+    return depmeas._finalize(q, powers, reps)
+
+
+def _coupling_specs(d, rng):
+    t, rn = NeighborhoodFn.transpose(), NeighborhoodFn.row_normalized_transpose()
+    a = [rng.uniform(-0.3, 0.3, (d, d)) / d for _ in range(3)]
+    return [
+        NarSpec(1, a[:1], [t]),
+        NarSpec(1, a[:1], [rn]),
+        NarSpec(3, a, [t] * 3),
+        NarSpec(3, a, [t, rn, t]),
+        LnarSpec(3, rng.uniform(-0.2, 0.2, (3, d)), rng.uniform(-0.1, 0.1, (3, d)), [rn, t, rn]),
+    ]
+
+
+class TestModulationRing:
+    @pytest.mark.parametrize("mode", ["joint", "network_only"])
+    @pytest.mark.parametrize("network", ["markov", "flip"])
+    def test_matches_per_step_oracle(self, mode, network):
+        rng = np.random.default_rng(31)
+        if network == "flip":
+            model, d = FlipNetwork(0.9), 3
+        else:
+            d = 4
+            model = MarkovEdgeNetwork(np.full((d, d), 0.8), np.full((d, d), 0.15))
+        innov = InnovationSpec(rng.normal(size=d), np.eye(d))
+        for spec in _coupling_specs(d, rng):
+            kwargs = dict(q=2, max_lag=6, reps=20, seed=32, burn_in=9, mode=mode)
+            run = estimate_delta_x(spec, model, innov, **kwargs)
+            want = delta_x_oracle(spec, model, innov, **kwargs)
+            assert np.array_equal(run.delta, want.delta)
+            assert np.array_equal(run.raw_qth, want.raw_qth)
+
+    @pytest.mark.parametrize("g_list", [["t"] * 3, ["t", "rn", "t"], ["rn"]])
+    def test_each_snapshot_evaluated_once_per_distinct_g(self, g_list, monkeypatch):
+        fns = {"t": NeighborhoodFn.transpose(), "rn": NeighborhoodFn.row_normalized_transpose()}
+        g = [fns[k] for k in g_list]
+        d, reps, burn_in, max_lag = 4, 50, 100, 10
+        spec = NarSpec(len(g), [np.eye(d) * 0.2] * len(g), g)
+        model = MarkovEdgeNetwork(np.full((d, d), 0.8), np.full((d, d), 0.1))
+        evaluated = []
+        evaluate = netdyn._evaluate
+
+        def counting(fn, ad):
+            evaluated.append(int(np.prod(ad.shape[:-2])))
+            return evaluate(fn, ad)
+
+        monkeypatch.setattr(netdyn, "_evaluate", counting)
+        estimate_delta_x(spec, model, InnovationSpec.standard(d), q=2, max_lag=max_lag,
+                         reps=reps, seed=0, burn_in=burn_in)
+        # the empty start snapshots, the shared prehistory, then both copies' lags
+        arrivals = 1 + burn_in + 2 * (max_lag + 1)
+        distinct = len(set(g_list))
+        assert len(evaluated) == distinct * arrivals
+        assert sum(evaluated) == distinct * arrivals * reps

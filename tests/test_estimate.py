@@ -211,6 +211,12 @@ class TestComponentSolver:
         with pytest.raises(EstimationError, match="observations"):
             fit_component_ls(np.zeros(3), np.zeros((3, 5)), r=0)
 
+    def test_index_set_length_must_match_columns(self):
+        rng = np.random.default_rng(11)
+        with pytest.raises(ValueError, match="2 members but Y has 3 columns"):
+            fit_component_ls(rng.normal(size=50), rng.normal(size=(50, 3)), r=0,
+                             idx=IndexSet(0, (1, 2)))
+
 
 class TestIndexSets:
     def test_zero_network_gives_empty_set(self):
@@ -390,6 +396,24 @@ class TestPartialFits:
         coef = fit.coefficient_matrices()[0]
         assert np.isnan(coef[0]).all()
         assert np.isfinite(coef[1:]).all()
+
+    @pytest.mark.parametrize("family", ["nar", "lnar"])
+    def test_failed_row_is_nan_in_both_families(self, family):
+        # the same fit with component 1 recorded as failed: its row, and only
+        # its row, turns nan in every lag matrix
+        rng = np.random.default_rng(72)
+        d, n, p = 4, 200, 2
+        ads = AdjacencySeries((rng.random((n, d, d)) < 0.4).astype(float))
+        x = rng.normal(size=(d, n))
+        g = [NeighborhoodFn.transpose()] * p
+        full = (fit_nar if family == "nar" else fit_lnar)(x, ads, g, p)
+        failed = estimate.ModelFit(family=family, p=p, d=d, g=full.g,
+                                   components=[c for c in full.components if c.r != 1],
+                                   errors={1: "singular"})
+        for want, got in zip(full.coefficient_matrices(), failed.coefficient_matrices()):
+            assert np.isnan(got[1]).all()
+            keep = np.arange(d) != 1
+            assert np.array_equal(got[keep], want[keep])
 
 
 class TestNonFiniteInput:

@@ -403,7 +403,51 @@ class TestOneRecursion:
                     assert np.abs(x - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
 
+def gnlp_oracle(coeff_fns, ads, eps):
+    """The time loop simulate_gnlp_truncated ran before it batched its lags:
+    every lag's coefficient built and applied one time point at a time."""
+    total, d = eps.shape
+    x = np.zeros((d, total))
+    for t in range(total):
+        acc = eps[t].copy()
+        for j in range(1, len(coeff_fns) + 1):
+            fn = coeff_fns[j - 1]
+            if fn is None or t - j < 0:
+                continue
+            if isinstance(fn, NeighborhoodFn):
+                b = fn.apply(ads[t - j])
+            else:
+                lags = [ads[t - s] for s in range(1, j + 1)]
+                b = np.asarray(fn(*lags), dtype=float)
+            acc += b @ eps[t - j]
+        x[:, t] = acc
+    return x
+
+
 class TestGnlp:
+    @pytest.mark.parametrize("J", [1, 2, 3])
+    @pytest.mark.parametrize("d", [1, 3, 5])
+    def test_batched_lags_match_time_loop_oracle(self, J, d):
+        rng = np.random.default_rng(100 * J + d)
+        w = rng.uniform(-1, 1, (d, d))
+
+        def newest_times_oldest(*lags):
+            return 0.5 * lags[0].T @ (w * lags[-1])
+
+        kinds = [None, NeighborhoodFn.transpose(), NeighborhoodFn.row_normalized_transpose(),
+                 newest_times_oldest]
+        for burn_in in (0, J + 2):
+            n = 25
+            ads = random_binary_ads(rng, d, burn_in + n)
+            innov = InnovationSpec(rng.normal(size=d), np.eye(d))
+            for trial in range(4):
+                fns = [kinds[(trial + j) % len(kinds)] for j in range(J)]
+                x = simulate_gnlp_truncated(fns, ads, innov, n=n, seed=trial, burn_in=burn_in)
+                eps = innov.sample(np.random.default_rng(trial), burn_in + n)
+                want = gnlp_oracle(fns, ads, eps)[:, burn_in:]
+                assert x.shape == want.shape
+                assert np.abs(x - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
     def test_zero_coefficients(self):
         innov = InnovationSpec.standard(2)
         ads = AdjacencySeries(np.zeros((30, 2, 2)))

@@ -312,6 +312,18 @@ class TestFlipNetwork:
         assert np.array_equal(net.state_to_matrix(FlipNetwork.EDGE23),
                               np.array([[0, 0, 0], [0, 0, 1.0], [0, 0, 0]]))
 
+    def test_simulate_skips_the_weight_scan(self):
+        # the output is binary by construction; scanning it again would
+        # allocate an |arr| copy the size of the stack
+        import tracemalloc
+
+        tracemalloc.start()
+        ads = FlipNetwork(0.9).simulate(100_000, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert peak < 1.6 * ads.mats.nbytes
+        assert ads.t0 == 0
+
     def test_exactly_one_edge_present(self):
         ads = FlipNetwork(0.95).simulate(500, seed=5)
         assert (ads.mats.sum(axis=(1, 2)) == 1.0).all()
