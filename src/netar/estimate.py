@@ -14,16 +14,19 @@ network-induced sparsity mask) and the per-component model, whose
 regressor vector is the 2p-dimensional own-lag / pooled-network pair per
 lag.  One builder, :func:`_equations`, gives every family's per-component
 normal equations, with columns ordered by lag so that a lower order is a
-leading block; all VAR equations are blocks of one shared Gram of the
-lagged series.  Two loops consume it: the fit loop solves each full block
-and adds the plug-in asymptotic covariance, and BIC order selection, which
-fits every candidate order on one common window, solves each candidate's
-leading block for its residual sum of squares alone.
+leading block.  All VAR equations restrict one shared regression of the
+lagged series: when its Gram is certified, each order is solved for every
+equation from one inverse, and ``gram_cond`` reports that Gram's condition
+number, which bounds every block's.  Two loops consume it: the fit loop
+solves each full block and adds the plug-in asymptotic covariance, and BIC
+order selection, which fits every candidate order on one common window,
+solves each candidate's leading block for its residual sum of squares alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import log
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -80,6 +83,8 @@ class IndexSet:
 
 @dataclass
 class ComponentFit:
+    """One component's fit.  ``gram_cond`` is the solved block's condition number,
+    or, where a certificate skipped it, the certifying Gram's: finite, and a bound on it."""
     r: int
     index_set: IndexSet
     w: np.ndarray
@@ -253,44 +258,48 @@ def _lnar_design(x, ads, g_list, p, t_start):
 
 class _Solution(NamedTuple):
     w: np.ndarray
-    gram: np.ndarray  # the matrix actually solved, ridge jitter included
+    mu: float
+    resid: np.ndarray  # centered residuals
     jitter: float
-    cond: float  # nan when a certificate skipped the eigenvalues
+    cond: float  # condition number of the solved block, or of the Gram certifying it
+    moments: Callable[[], Tuple[np.ndarray, np.ndarray]]  # gamma_y0 and its inverse
 
 
-def _certified(gram: np.ndarray) -> bool:
-    """Whether no principal block of this Gram matrix can trigger the ridge.
+def _certified(gram: np.ndarray) -> Optional[float]:
+    """The condition number of this Gram if no principal block can trigger the ridge, else None.
 
     By Cauchy interlacing the eigenvalues of a principal submatrix lie in
     [lambda_min, lambda_max] of the whole, so lambda_min > 0 and a condition
     number of at most half ``_COND_LIMIT`` (a factor 2 spare for rounding)
-    certify every block.  A failed eigensolve certifies nothing.
+    certify every block and bound its condition number.  A failed
+    eigensolve certifies nothing.
     """
     if gram.shape[0] == 0:
-        return False
+        return None
     try:
         eigs = np.linalg.eigvalsh((gram + gram.T) / 2.0)
     except np.linalg.LinAlgError:
-        return False
-    return bool(eigs[0] > 0.0 and eigs[-1] / eigs[0] <= _COND_LIMIT / 2.0)
+        return None
+    cond = float(eigs[-1] / eigs[0]) if eigs[0] > 0.0 else float("inf")
+    return cond if cond <= _COND_LIMIT / 2.0 else None
 
 
 def _solve_centered(gram: np.ndarray, cross: np.ndarray, r: int, m: int,
-                    certified: bool = False) -> _Solution:
+                    cond: Optional[float] = None):
     """Solve the centered normal equations ``gram w = cross`` of component r.
 
     A numerically singular Gram matrix (smallest eigenvalue not positive,
     or condition number above ``_COND_LIMIT``) gets a flagged ridge jitter
     of ``RIDGE_SCALE * trace / dim``; if the solve still fails the component
-    errors out with diagnostics.  ``certified`` skips the check because a
-    Gram holding this one as a principal block passed :func:`_certified`.
+    errors out with diagnostics.  A ``cond`` from :func:`_certified` on a Gram
+    holding this one as a principal block skips the check.  Returns w, the
+    matrix solved (jitter included), the jitter and the condition number.
     """
     k = gram.shape[0]
     if k == 0:
-        return _Solution(np.empty(0), gram, 0.0, 1.0)
+        return np.empty(0), gram, 0.0, 1.0
     jitter = 0.0
-    cond = float("nan")
-    if not certified:
+    if cond is None:
         try:
             eigs = np.linalg.eigvalsh((gram + gram.T) / 2.0)
         except np.linalg.LinAlgError as exc:
@@ -322,7 +331,7 @@ def _solve_centered(gram: np.ndarray, cross: np.ndarray, r: int, m: int,
             f"component {r}: non-finite least-squares solution",
             {"k": k, "n_obs": m},
         )
-    return _Solution(w, gram, jitter, cond)
+    return w, gram, jitter, cond
 
 
 class _Equations(NamedTuple):
@@ -330,50 +339,59 @@ class _Equations(NamedTuple):
 
     Column c holds regressor ``members[c]`` (a flat index; for LNAR a
     position in the own/pooled pairs) of lag ``lags[c] + 1``.  Lags never
-    decrease, so order p solves the leading block ``gram[:k, :k] w =
-    cross[:k]`` with ``k = searchsorted(lags, p)``, and ``fitted(w)`` gives
-    that solution's intercept and centered residuals.  ``cert`` is the Gram
-    whose :func:`_certified` covers every block: the component's own, or
-    for the VAR the one Gram all equations share.
+    decrease, so order p is the leading block of the first
+    ``k = searchsorted(lags, p)`` columns, and ``solve(p, k)`` solves it,
+    skipping the ridge guard where a :func:`_certified` Gram covers every block.
     """
     r: int
     members: tuple
     lags: np.ndarray
-    gram: np.ndarray
-    cross: np.ndarray
-    cert: np.ndarray
-    fitted: Callable[[np.ndarray], Tuple[float, np.ndarray]]
+    solve: Callable[[int, int], _Solution]
+
+
+def _block_equations(r: int, members: tuple, lags: np.ndarray, gram: np.ndarray,
+                     cross: np.ndarray, m: int, cond: Optional[float], fitted) -> _Equations:
+    """Leading blocks of ``gram``; ``fitted(w)`` gives the intercept and residuals."""
+
+    def solve(p, k):
+        w, solved, jitter, c = _solve_centered(gram[:k, :k], cross[:k], r, m, cond)
+        return _Solution(w, *fitted(w), jitter, c, lambda: (solved / m, np.linalg.inv(solved / m)))
+
+    return _Equations(r, members, lags, solve)
 
 
 def _own_equations(r: int, members: tuple, lags: np.ndarray, Y: np.ndarray,
                    y: np.ndarray) -> _Equations:
-    """Equations of a component with its own design ``Y`` and target ``y``."""
+    """Equations of a component with its own design ``Y`` and target ``y``,
+    certified by their own Gram."""
     ybar = float(y.mean())
     Ybar = Y.mean(axis=0)
     Yc = Y - Ybar
     yc = y - ybar
     gram = Yc.T @ Yc
-
-    def fitted(w):
-        k = w.size
-        return ybar - float(w @ Ybar[:k]), yc - Yc[:, :k] @ w
-
-    return _Equations(r, members, lags, gram, Yc.T @ yc, gram, fitted)
+    return _block_equations(r, members, lags, gram, Yc.T @ yc, y.size, _certified(gram),
+                            lambda w: (ybar - float(w @ Ybar[:w.size]), yc - Yc[:, :w.size] @ w))
 
 
 def _var_equations(x: np.ndarray, p: int, t_start: int, mask: Optional[np.ndarray]):
-    """Equations of every VAR equation, blocks of one shared Gram.
+    """Equations of every VAR equation, restrictions of one shared regression.
 
-    Column ``(j-1)d + i`` of the lagged design holds ``x_{t-j;i}``.  One
-    Gram ``lc'lc`` and one cross term ``lc'tc`` serve all equations:
-    equation r's Gram on the columns of its mask is the principal block
-    ``gram[mem, mem]``, and its residuals scatter the solution into
-    ``lc @ coef`` rather than copy ``lc[:, mem]``.
+    Column ``(j-1)d + i`` of the lagged design holds ``x_{t-j;i}``.  If the
+    Gram ``lc'lc`` is certified, order q inverts its leading block G once:
+    ``W = G^-1 lc'tc`` solves every equation unmasked, the mask's removed
+    columns S give the restricted-least-squares correction ``W_r - G^-1[:, S]
+    (G^-1[S, S])^-1 W_r[S]``, one product gives all residuals and the block-
+    inverse identity the covariance.  Otherwise each equation solves its
+    block ``gram[mem, mem]`` with the ridge guard.
     """
     d, n = x.shape
     if mask is not None and mask.shape != (d, d * p):
         raise ValueError(f"mask must have shape {(d, d * p)}, got {mask.shape}")
-    lagged = np.empty((n - t_start, d * p))
+    if mask is not None and not ((mask == 0) | (mask == 1)).all():
+        r, c = np.argwhere(~((mask == 0) | (mask == 1)))[0]
+        raise ValueError(f"mask entry ({r}, {c}) is {mask[r, c]}, not 0 or 1")
+    m = n - t_start
+    lagged = np.empty((m, d * p))
     for j in range(1, p + 1):
         lagged[:, (j - 1) * d: j * d] = x[:, t_start - j: n - j].T
     lbar = lagged.mean(axis=0)
@@ -381,16 +399,44 @@ def _var_equations(x: np.ndarray, p: int, t_start: int, mask: Optional[np.ndarra
     lc = lagged - lbar
     tc = x[:, t_start:].T - tbar
     gram, cross = lc.T @ lc, lc.T @ tc
+    cut = np.zeros((d, d * p), dtype=bool) if mask is None else mask == 0
+    cond = _certified(gram)
+
+    @lru_cache(maxsize=None)
+    def order(kp):
+        ginv = np.linalg.inv(gram[:kp, :kp])
+        coef = ginv @ cross[:kp]
+        for r in np.flatnonzero(cut[:, :kp].any(axis=1)):
+            s = np.flatnonzero(cut[r, :kp])
+            coef[:, r] -= ginv[:, s] @ np.linalg.solve(ginv[s[:, None], s], coef[s, r])
+            coef[s, r] = 0.0
+        return ginv, coef, tc - lc[:, :kp] @ coef
+
     for r in range(d):
-        mem = np.arange(d * p) if mask is None else np.flatnonzero(mask[r] != 0)
+        mem = np.flatnonzero(~cut[r])
+        if cond is None:
+            def fitted(w, r=r, mem=mem):
+                coef = np.zeros(d * p)
+                coef[mem[: w.size]] = w
+                return float(tbar[r]) - float(w @ lbar[mem[: w.size]]), tc[:, r] - lc @ coef
 
-        def fitted(w, r=r, mem=mem):
-            coef = np.zeros(d * p)
-            coef[mem[: w.size]] = w
-            return float(tbar[r]) - float(w @ lbar[mem[: w.size]]), tc[:, r] - lc @ coef
+            yield _block_equations(r, tuple(mem.tolist()), mem // d, gram[np.ix_(mem, mem)],
+                                   cross[mem, r], m, None, fitted)
+            continue
 
-        yield _Equations(r, tuple(int(i) for i in mem), mem // d, gram[np.ix_(mem, mem)],
-                         cross[mem, r], gram, fitted)
+        def solve(q, k, r=r, mem=mem):
+            ginv, coef, resid = order(d * q)
+            f, s = mem[:k], np.flatnonzero(cut[r, : d * q])
+            w = coef[f, r]
+
+            def moments():
+                g_fs = ginv[f[:, None], s]
+                inner = g_fs @ np.linalg.solve(ginv[s[:, None], s], g_fs.T) if s.size else 0.0
+                return gram[f[:, None], f] / m, m * (ginv[f[:, None], f] - inner)
+
+            return _Solution(w, float(tbar[r] - w @ lbar[f]), resid[:, r], 0.0, cond, moments)
+
+        yield _Equations(r, tuple(mem.tolist()), mem // d, solve)
 
 
 def _equations(family: str, x: np.ndarray, ads: Optional[AdjacencySeries], g_list,
@@ -418,32 +464,30 @@ def _equations(family: str, x: np.ndarray, ads: Optional[AdjacencySeries], g_lis
             yield _own_equations(r, idx.members, np.array(idx.members, dtype=int) // d, Y, y)
 
 
-def _fit_component(eq: _Equations, m: int) -> ComponentFit:
-    """A returned fit on the full block: residual variance and the plug-in
-    asymptotic covariance ``resid_var * (gram / m)^{-1}``."""
+def _fit_component(eq: _Equations, p: int, m: int) -> ComponentFit:
+    """A returned fit on the full order-p block: residual variance and the
+    plug-in asymptotic covariance ``resid_var * (gram / m)^{-1}``."""
     k = len(eq.members)
     if m < k + 1:
         raise EstimationError(
             f"component {eq.r}: {m} observations cannot identify {k} coefficients plus intercept",
             {"n_obs": m, "k": k},
         )
-    sol = _solve_centered(eq.gram, eq.cross, eq.r, m)
-    mu, resid = eq.fitted(sol.w)
-    rss = float(resid @ resid)
+    sol = eq.solve(p, k)
+    rss = float(sol.resid @ sol.resid)
     dof = m - k - 1
     resid_var = rss / dof if dof > 0 else float("nan")
-    gamma_y0 = sol.gram / m
     try:
-        asymp_cov = resid_var * np.linalg.inv(gamma_y0)
+        gamma_y0, gamma_inv = sol.moments()
     except np.linalg.LinAlgError as exc:
         raise EstimationError(
             f"component {eq.r}: Gram matrix not invertible for the asymptotic covariance",
             {"k": k, "n_obs": m, "ridge_jitter": sol.jitter},
         ) from exc
     return ComponentFit(
-        r=eq.r, index_set=IndexSet(r=eq.r, members=eq.members), w=sol.w, mu=mu,
-        resid_var=resid_var, gamma_y0=gamma_y0, asymp_cov=asymp_cov, rss=rss, n_obs=m,
-        ridge_jitter=sol.jitter, gram_cond=sol.cond,
+        r=eq.r, index_set=IndexSet(r=eq.r, members=eq.members), w=sol.w, mu=sol.mu,
+        resid_var=resid_var, gamma_y0=gamma_y0, asymp_cov=resid_var * gamma_inv, rss=rss,
+        n_obs=m, ridge_jitter=sol.jitter, gram_cond=sol.cond,
     )
 
 
@@ -469,7 +513,7 @@ def fit_component_ls(y: np.ndarray, Y: np.ndarray, r: int,
     if len(members) != k:
         raise ValueError(f"index set has {len(members)} members but Y has {k} columns")
     # one block: the columns carry no lag order
-    return _fit_component(_own_equations(r, members, np.zeros(k, dtype=int), Y, y), m)
+    return _fit_component(_own_equations(r, members, np.zeros(k, dtype=int), Y, y), 1, m)
 
 
 def _fit(family: str, x, ads, g_list, p: int, t_start: Optional[int],
@@ -484,7 +528,7 @@ def _fit(family: str, x, ads, g_list, p: int, t_start: Optional[int],
     errors = {}
     for eq in _equations(family, x, ads, g_list, p, t_start, mask):
         try:
-            comps.append(_fit_component(eq, n - t_start))
+            comps.append(_fit_component(eq, p, n - t_start))
         except EstimationError as exc:
             if not allow_partial:
                 raise
@@ -512,8 +556,8 @@ def fit_var(x: np.ndarray, p: int, mask: Optional[np.ndarray] = None,
     ``mask`` is a binary (d, d*p) matrix; a zero entry pins the matching
     coefficient to zero (used for network-induced sparsity).  No mask is
     the unrestricted VAR; an all-zero row yields an intercept-only
-    equation whose forecast is the sample mean.  Every equation solves its
-    block of one shared set of normal equations.
+    equation whose forecast is the sample mean.  Every equation restricts
+    one shared set of normal equations (see :func:`_var_equations`).
     """
     mask = None if mask is None else np.asarray(mask)
     return _fit("var", x, None, None, p, t_start, mask, allow_partial)
@@ -567,12 +611,9 @@ def select_order_bic(x: np.ndarray, ads: Optional[AdjacencySeries] = None,
     orders = np.arange(1, p_max + 1)
     k = np.zeros((p_max, d), dtype=int)
     rss = [np.empty(d) for _ in orders]  # None drops the order
-    cert, certified = None, False
     for eq in _equations(family, x, ads, [g] * p_max, p_max, p_max, mask):
         if all(v is None for v in rss):
             break
-        if eq.cert is not cert:  # equations sharing a certifying Gram share its verdict
-            cert, certified = eq.cert, _certified(eq.cert)
         k[:, eq.r] = np.searchsorted(eq.lags, orders)
         for i, kp in enumerate(k[:, eq.r]):
             if rss[i] is None:
@@ -581,12 +622,10 @@ def select_order_bic(x: np.ndarray, ads: Optional[AdjacencySeries] = None,
                 rss[i] = None
                 continue
             try:
-                sol = _solve_centered(eq.gram[:kp, :kp], eq.cross[:kp], eq.r, m,
-                                      certified=certified)
+                resid = eq.solve(i + 1, kp).resid
             except EstimationError:
                 rss[i] = None
                 continue
-            resid = eq.fitted(sol.w)[1]
             rss[i][eq.r] = resid @ resid
     table = {}
     best_p, best_val = None, None

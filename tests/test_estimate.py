@@ -1,4 +1,5 @@
 from math import log
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -576,7 +577,10 @@ class TestBicLeadingBlocks:
             monkeypatch.undo()
             assert_matches_bic_oracle(xs, p_max=p_max, family=family, **kwargs)
 
-    def test_certified_var_selection_makes_one_eigensolve_and_no_inverse(self, monkeypatch):
+    def test_certified_var_selection_makes_one_eigensolve_and_one_inverse_per_order(
+            self, monkeypatch):
+        # one inverse of each order's shared leading block, where a per-equation
+        # inverse would make d * p_max = 36
         rng = np.random.default_rng(22)
         d, p_max = 12, 3
         x = rng.normal(size=(d, 300))
@@ -584,7 +588,20 @@ class TestBicLeadingBlocks:
         eig = CallCount(monkeypatch, np.linalg, "eigvalsh")
         inv = CallCount(monkeypatch, np.linalg, "inv")
         select_order_bic(x, p_max=p_max, family="var", mask=mask)
-        assert (eig.calls, inv.calls) == (1, 0)
+        assert (eig.calls, inv.calls) == (1, p_max)
+
+    @pytest.mark.parametrize("d", [1, 4, 12])
+    def test_certified_var_fit_makes_one_eigensolve_and_one_inverse(self, d, monkeypatch):
+        rng = np.random.default_rng(28)
+        p = 2
+        x = rng.normal(size=(d, 300))
+        mask = (rng.random((d, d * p)) < 0.6).astype(float)
+        for m in (None, mask):
+            eig = CallCount(monkeypatch, np.linalg, "eigvalsh")
+            inv = CallCount(monkeypatch, np.linalg, "inv")
+            fit_var(x, p, mask=m)
+            assert (eig.calls, inv.calls) == (1, 1)
+            monkeypatch.undo()
 
     @pytest.mark.parametrize("family", ["nar", "lnar"])
     def test_network_candidates_make_one_eigensolve_per_component(self, family, monkeypatch):
@@ -640,6 +657,132 @@ class TestBicLeadingBlocks:
         assert jittered >= 1
 
 
+def per_block(fn, *args, **kwargs):
+    """``fn`` with every certificate withheld, so each VAR equation solves
+    its own principal block ``gram[mem, mem]`` with the ridge guard."""
+    with mock.patch.object(estimate, "_certified", lambda gram: None):
+        return fn(*args, **kwargs)
+
+
+def assert_var_fits_close(got, ref, rtol=1e-10):
+    """Same index sets and jitter; w, mu, rss, resid_var and asymp_cov within
+    ``rtol`` of the reference's largest entry."""
+    assert [c.r for c in got.components] == [c.r for c in ref.components]
+    for c, e in zip(got.components, ref.components):
+        assert c.index_set.members == e.index_set.members
+        assert c.ridge_jitter == e.ridge_jitter
+        for name in ("w", "mu", "rss", "resid_var", "asymp_cov"):
+            a, b = np.asarray(getattr(c, name)), np.asarray(getattr(e, name))
+            assert a.shape == b.shape, name
+            scale = np.abs(b).max(initial=0.0)
+            assert np.abs(a - b).max(initial=0.0) <= rtol * scale, (c.r, name)
+
+
+def var_mask(kind, d, p_max, rng):
+    if kind == "unmasked":
+        return None
+    mask = (rng.random((d, d * p_max)) < 0.6).astype(float)
+    if kind == "zero-rows":
+        mask[::2] = 0.0
+    elif kind == "one-column":
+        mask[0] = 0.0
+        mask[0, rng.integers(d * p_max)] = 1.0
+    return mask
+
+
+def assert_shared_matches_per_block(x, p_max, mask):
+    """Selection and every order's fit agree with the per-block path, and the
+    shared path ran: one eigensolve (the certificate) per call."""
+    d = x.shape[0]
+    with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eig:
+        got = select_order_bic(x, p_max=p_max, family="var", mask=mask)
+        assert eig.call_count == 1
+    ref = per_block(select_order_bic, x, p_max=p_max, family="var", mask=mask)
+    assert got.p == ref.p
+    for p, val in ref.table.items():
+        assert got.table[p] == pytest.approx(val, rel=1e-10, abs=0.0), p
+    for p in range(1, p_max + 1):
+        sub = None if mask is None else mask[:, : d * p]
+        with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eig:
+            fit = fit_var(x, p, mask=sub)
+            assert eig.call_count == 1
+        assert all(c.ridge_jitter == 0.0 for c in fit.components)
+        assert_var_fits_close(fit, per_block(fit_var, x, p, mask=sub))
+
+
+class TestSharedVarPath:
+    """The certified VAR solves every equation from one inverse per order;
+    ``per_block`` runs the ridge-guarded per-equation solve it replaces."""
+
+    @pytest.mark.parametrize("p_max", [1, 2, 3])
+    @pytest.mark.parametrize("d", [1, 3, 12])
+    @pytest.mark.parametrize("kind", ["unmasked", "random", "zero-rows", "one-column"])
+    def test_matches_per_block_path(self, kind, d, p_max):
+        for seed in range(2):
+            x, _, _ = bic_case(d, p_max, seed, n=120)
+            rng = np.random.default_rng(seed)
+            assert_shared_matches_per_block(x, p_max, var_mask(kind, d, p_max, rng))
+
+    def test_matches_per_block_path_at_d100(self):
+        rng = np.random.default_rng(29)
+        d, p_max = 100, 2
+        x = rng.normal(size=(d, 320)).cumsum(axis=1) * 0.1 + rng.normal(size=(d, 320))
+        mask = (rng.random((d, d * p_max)) < 0.9).astype(float)
+        mask[3] = 0.0
+        assert_shared_matches_per_block(x, p_max, mask)
+
+    def test_collinear_series_keeps_the_per_block_jitter(self):
+        # the shared Gram is singular, the certificate fails and every equation
+        # solves its own block: the fit is the per-block fit, bit for bit, and
+        # its jitter is the one the per-equation solver gives that block
+        rng = np.random.default_rng(30)
+        d, n, p = 3, 90, 2
+        x = rng.normal(size=(d, n)).cumsum(axis=1)
+        x[1] = 2.0 * x[0]
+        mask = np.ones((d, d * p))
+        mask[2, 1] = 0.0
+        lagged = np.column_stack([x[:, p - j: n - j].T for j in range(1, p + 1)])
+        fit = fit_var(x, p, mask=mask)
+        ref = per_block(fit_var, x, p, mask=mask)
+        assert_var_fits_close(fit, ref, rtol=0.0)
+        for c in fit.components:
+            mem = np.flatnonzero(mask[c.r])
+            solo = fit_component_ls(x[c.r, p:], lagged[:, mem], c.r)
+            assert c.ridge_jitter > 0.0
+            assert c.ridge_jitter == pytest.approx(solo.ridge_jitter, rel=1e-12)
+        assert_matches_bic_oracle(x, p_max=p, family="var", mask=mask)
+        sel = select_order_bic(x, p_max=p, family="var", mask=mask)
+        assert sel.table == per_block(select_order_bic, x, p_max=p, family="var",
+                                      mask=mask).table
+
+    def test_random_cases_match_per_block_path(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @hyp.settings(max_examples=30, deadline=None, derandomize=True)
+        @hyp.given(d=st.integers(1, 6), p_max=st.integers(1, 3),
+                   density=st.sampled_from([0.0, 0.3, 0.8, 1.0]), seed=st.integers(0, 2**16))
+        def check(d, p_max, density, seed):
+            rng = np.random.default_rng(seed)
+            x = rng.normal(size=(d, 80)).cumsum(axis=1) * 0.3 + rng.normal(size=(d, 80))
+            mask = (rng.random((d, d * p_max)) < density).astype(float)
+            assert_shared_matches_per_block(x, p_max, mask)
+
+        check()
+
+    def test_certified_fit_reports_the_certifying_condition_number(self):
+        rng = np.random.default_rng(31)
+        d, p = 4, 2
+        x = rng.normal(size=(d, 200))
+        mask = (rng.random((d, d * p)) < 0.7).astype(float)
+        fit = fit_var(x, p, mask=mask)
+        lagged = np.column_stack([x[:, p - j: -j].T for j in range(1, p + 1)])
+        eigs = np.linalg.eigvalsh(np.cov(lagged.T, bias=True) * lagged.shape[0])
+        for c, ref in zip(fit.components, per_block(fit_var, x, p, mask=mask).components):
+            assert c.gram_cond == pytest.approx(eigs[-1] / eigs[0], rel=1e-8)
+            assert 1.0 <= ref.gram_cond <= c.gram_cond * (1 + 1e-8)  # interlacing
+
+
 class TestOrderSelectionInputs:
     @pytest.mark.parametrize("family", ["nar", "lnar"])
     def test_network_family_names_the_missing_argument(self, family):
@@ -655,6 +798,16 @@ class TestOrderSelectionInputs:
         x, _, _ = bic_case(3, 2, seed=27)
         with pytest.raises(ValueError, match=r"\(d, d\*p_max\) = \(3, 6\), got \(3, %d\)" % cols):
             select_order_bic(x, p_max=2, family="var", mask=np.ones((3, cols)))
+
+    @pytest.mark.parametrize("bad", [np.nan, 0.5, -3.0])
+    def test_var_mask_entries_must_be_binary(self, bad):
+        x, _, _ = bic_case(3, 2, seed=32)
+        mask = np.ones((3, 6))
+        mask[1, 2] = bad
+        with pytest.raises(ValueError, match=r"mask entry \(1, 2\) is %s, not 0 or 1" % bad):
+            select_order_bic(x, p_max=2, family="var", mask=mask)
+        with pytest.raises(ValueError, match=r"mask entry \(1, 2\) is %s, not 0 or 1" % bad):
+            fit_var(x, 2, mask=mask)
 
     def test_unknown_family(self):
         with pytest.raises(ValueError, match="unknown family"):

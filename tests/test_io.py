@@ -167,6 +167,20 @@ class TestFitJson:
         assert np.array_equal(fit.mu_hat(), back.mu_hat())
         assert back.components[0].index_set.members == fit.components[0].index_set.members
 
+    def test_certified_var_fit_roundtrips_as_strict_json(self):
+        # a certified fit reports its certifying Gram's condition number,
+        # which must stay finite for a strict JSON document
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(4, 120))
+        mask = (rng.random((4, 8)) < 0.7).astype(float)
+        fit = fit_var(x, 2, mask=mask)
+        back = nio.fit_from_json(json.loads(json.dumps(nio.fit_to_json(fit), allow_nan=False)))
+        for c, b in zip(fit.components, back.components):
+            assert np.isfinite(c.gram_cond) and b.gram_cond == c.gram_cond
+            assert b.index_set == c.index_set and b.mu == c.mu and b.rss == c.rss
+            for name in ("w", "gamma_y0", "asymp_cov"):
+                assert np.array_equal(getattr(b, name), getattr(c, name)), name
+
 
 class TestAnalysisOutputs:
     def test_acf_csv_layout(self, tmp_path):
