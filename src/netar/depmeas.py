@@ -11,8 +11,9 @@ innovations.
 ``estimate_delta_network`` couples the network alone;
 ``estimate_delta_x`` couples a network-modulated series, redrawing
 either the joint innovation (series noise and network uniforms) or only
-the network part.  Each copy's snapshot is modulated by every distinct G
-once, when it arrives, and kept for the p steps that read it.
+the network part.  When a snapshot arrives, each copy builds its
+coefficients ``A_j * G_j`` for every lag at once (each distinct G
+evaluated once) and keeps them for the p steps that read them.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from typing import Union
 
 import numpy as np
 
-from .model import InnovationSpec, LnarSpec, NarSpec, _nar_step
-from .netdyn import FlipNetwork, MarkovEdgeNetwork, apply_neighborhood_fn
+from .model import InnovationSpec, LnarSpec, NarSpec, _nar_coefficients, _nar_step
+from .netdyn import FlipNetwork, MarkovEdgeNetwork
 
 __all__ = ["CouplingRun", "estimate_delta_network", "estimate_delta_x"]
 
@@ -148,8 +149,9 @@ def estimate_delta_x(spec: Union[NarSpec, LnarSpec], model: Union[MarkovEdgeNetw
 
     # shared prehistory: evolve one chain from empty snapshots and zero
     # series lags; both copies start identical at time -1
-    state_a = {"x": [np.zeros((reps, d))] * p,
-               "g": [_modulations(nar, np.zeros((reps, d, d)))] * p, "net": net}
+    empty = _nar_coefficients(nar.A, nar.G, np.zeros((reps, d, d)))
+    state_a = {"x": [np.zeros((reps, d))] * p, "c": [empty[k:] for k in range(p)], "net": net}
+    del empty  # the ring alone holds these stacks, and drops them as it moves on
     for _ in range(burn_in):
         u = rng.random(shape)
         _advance(nar, model, state_a, u, innov.sample(rng, reps))
@@ -171,25 +173,17 @@ def estimate_delta_x(spec: Union[NarSpec, LnarSpec], model: Union[MarkovEdgeNetw
     return _finalize(q, powers, reps)
 
 
-def _modulations(nar: NarSpec, mat: np.ndarray) -> dict:
-    """Each distinct G of the spec evaluated once on a batch of snapshots."""
-    return {g: apply_neighborhood_fn(g, mat) for g in dict.fromkeys(nar.G)}
-
-
 def _advance(nar: NarSpec, model, state: dict, u, eps) -> np.ndarray:
     """Step the network, then the series, of a batch of replicate paths.
 
-    ``state["x"][j-1]`` holds X_{t-j} (reps, d) and ``state["g"][j-1]``
-    the modulations of Ad_{t-j} (reps, d, d) by each distinct G, computed
-    when that snapshot arrived.
+    ``state["x"][j-1]`` holds X_{t-j} (reps, d) and ``state["c"][j-1]``
+    the coefficients ``A_i * G_i(Ad_{t-j})`` (reps, d, d) of the lags
+    i = j..p that have yet to read Ad_{t-j}, built when it arrived.
     """
     state["net"] = model.step(state["net"], u)
     mat = model.state_to_matrix(state["net"]) if isinstance(model, FlipNetwork) else state["net"]
-    # scaled in place on a copy: a fresh A_j * G_j per step doubled the page faults
-    coefs = [mods[g].copy() for g, mods in zip(nar.G, state["g"])]
-    for c, a in zip(coefs, nar.A):
-        c *= a
-    x_new = _nar_step(eps, coefs, state["x"])
-    state["g"] = [_modulations(nar, mat)] + state["g"][:-1]
+    x_new = _nar_step(eps, [c[0] for c in state["c"]], state["x"])
+    # each entry drops the stack its lag has just read
+    state["c"] = [_nar_coefficients(nar.A, nar.G, mat)] + [c[1:] for c in state["c"][:-1]]
     state["x"] = [x_new] + state["x"][:-1]
     return x_new

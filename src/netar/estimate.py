@@ -447,6 +447,10 @@ def _equations(family: str, x: np.ndarray, ads: Optional[AdjacencySeries], g_lis
     regressors; the fit loop and the order-selection loop consume it alike.
     """
     d, n = x.shape
+    if family != "var" and ads is None:
+        raise ValueError(f"family {family!r} needs the network series ads")
+    if family != "var" and (g_list is None or any(g is None for g in g_list)):
+        raise ValueError(f"family {family!r} needs the neighborhood function g")
     if n - t_start <= 0:
         raise ValueError("estimation window is empty")
     if family == "var":
@@ -601,13 +605,7 @@ def select_order_bic(x: np.ndarray, ads: Optional[AdjacencySeries] = None,
             raise ValueError(
                 f"mask must have shape (d, d*p_max) = {(d, d * p_max)}, got {mask.shape}"
             )
-    if family != "var" and ads is None:
-        raise ValueError(f"family {family!r} needs the network series ads")
-    if family != "var" and g is None:
-        raise ValueError(f"family {family!r} needs the neighborhood function g")
     m = n - p_max
-    if m <= 0:
-        raise ValueError("estimation window is empty")
     orders = np.arange(1, p_max + 1)
     k = np.zeros((p_max, d), dtype=int)
     rss = [np.empty(d) for _ in orders]  # None drops the order

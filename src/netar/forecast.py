@@ -154,7 +154,7 @@ def forecast_h(fit: ModelFit, x_hist: np.ndarray, ads_hist: Optional[AdjacencySe
         hist_use = ads_hist.take_first(n - 1)
         nets = forecast_network(hist_use, policy, h)
         mats = np.concatenate([hist_use.mats[n - p:], nets.mats], axis=0)
-        coefs = _nar_coefficients(coef, g, [mats[: total - j] for j in range(1, p + 1)])
+        coefs = _nar_coefficients(coef, g, mats)
     x = np.concatenate([x_hist[:, n - p:], np.zeros((d, h))], axis=1)
     points = _run_recursion(x, np.broadcast_to(fit.mu_hat(), (h, d)), coefs, start=p)[:, p:]
     errors = None

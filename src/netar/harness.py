@@ -163,8 +163,14 @@ def validate_config(doc: dict) -> List[str]:
             problems.append(f"missing required key {key!r}")
     if problems:
         return problems
-    if not isinstance(doc["experiment"], str):
-        problems.append("experiment must be a string")
+    # the scalar keys, with the types and lower bounds the schema states
+    for key, rule in CONFIG_SCHEMA["properties"].items():
+        kind = rule.get("type") if key in doc else None
+        value, lo = doc.get(key), rule.get("minimum")
+        if kind == "string" and not isinstance(value, str):
+            problems.append(f"{key} must be a string")
+        elif kind == "integer" and not (type(value) is int and (lo is None or value >= lo)):
+            problems.append(f"{key} must be an integer" + ("" if lo is None else f" >= {lo}"))
     net = doc["network"]
     if not isinstance(net, dict) or net.get("kind") not in ("markov_edges", "flip",
                                                             "density_matched"):
@@ -173,13 +179,8 @@ def validate_config(doc: dict) -> List[str]:
     if not isinstance(proc, dict) or proc.get("type") not in ("nar", "lnar"):
         problems.append("process.type must be nar or lnar")
     if not (isinstance(doc["sample_sizes"], list) and doc["sample_sizes"]
-            and all(isinstance(n, int) and n >= 10 for n in doc["sample_sizes"])):
+            and all(type(n) is int and n >= 10 for n in doc["sample_sizes"])):
         problems.append("sample_sizes must be a nonempty list of integers >= 10")
-    for key, lo in (("horizons", 1), ("replications", 1)):
-        if not (isinstance(doc[key], int) and doc[key] >= lo):
-            problems.append(f"{key} must be an integer >= {lo}")
-    if not isinstance(doc["seed"], int):
-        problems.append("seed must be an integer")
     methods = doc["methods"]
     if not (isinstance(methods, list) and methods):
         problems.append("methods must be a nonempty list")
@@ -193,6 +194,10 @@ def validate_config(doc: dict) -> List[str]:
                     problems.append(f"methods[{i}].policy invalid for {fam}")
                 if "g" not in m:
                     problems.append(f"methods[{i}] needs a neighborhood descriptor g")
+            if m.get("sparsity", "none") not in ("none", "network"):
+                problems.append(f"methods[{i}].sparsity must be none or network")
+            if not isinstance(m.get("freeze_markov", True), bool):
+                problems.append(f"methods[{i}].freeze_markov must be a boolean")
     return problems
 
 

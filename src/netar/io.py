@@ -286,8 +286,17 @@ def network_model_from_json(doc: dict):
 
 # --- fits -------------------------------------------------------------------
 
+def _strict_json(doc):
+    """``doc`` with non-finite floats as "inf", "-inf", "nan", which JSON lacks."""
+    if isinstance(doc, dict):
+        return {k: _strict_json(v) for k, v in doc.items()}
+    if isinstance(doc, list):
+        return [_strict_json(v) for v in doc]
+    return str(doc) if isinstance(doc, float) and not np.isfinite(doc) else doc
+
+
 def fit_to_json(fit: ModelFit) -> dict:
-    return {
+    return _strict_json({
         "family": fit.family,
         "p": fit.p,
         "d": fit.d,
@@ -309,7 +318,7 @@ def fit_to_json(fit: ModelFit) -> dict:
             for c in fit.components
         ],
         "errors": {str(k): v for k, v in fit.errors.items()},
-    }
+    })
 
 
 def fit_from_json(doc: dict) -> ModelFit:
@@ -341,7 +350,7 @@ def fit_from_json(doc: dict) -> ModelFit:
 
 def write_fit_json(path, fit: ModelFit) -> None:
     with atomic_open(path) as fh:
-        json.dump(fit_to_json(fit), fh, indent=2)
+        json.dump(fit_to_json(fit), fh, indent=2, allow_nan=False)
         fh.write("\n")
 
 

@@ -12,9 +12,9 @@ the companion form, which is also used for the stationarity diagnostics
 and the moving-average coefficient matrices.
 
 One recursion: every path, forecast and coupled pair is stepped by the
-private ``_nar_step``, ``drive + sum_j C_j x_{t-j}`` with the coefficient
-``C_j = A_j * G_j(Ad_{t-j})`` built beforehand, one neighborhood-kernel
-call per lag.  The per-component model runs on its embedding, built only by
+private ``_nar_step``, ``drive + sum_j C_j x_{t-j}``; ``_nar_coefficients``
+alone builds ``C_j = A_j * G_j(Ad_{t-j})``, evaluating each distinct G once.
+The per-component model runs on its embedding, built only by
 :meth:`LnarSpec.to_nar`: lag-j coefficient ``A_j * (I + zero-diag G_j)``.
 
 Array convention: a simulated path ``x`` has shape ``(d, n)`` and
@@ -197,7 +197,7 @@ class CompanionForm:
     ``tilde_a`` holds the coefficient blocks in the first block row and
     identities on the sub-diagonal; its elementwise product with the
     stacked modulation matrix drives the ``(dp)``-dimensional recursion
-    (see :func:`_modulated_companions`).
+    (:func:`_companion` of the :func:`_nar_coefficients` stacks).
     """
 
     tilde_a: np.ndarray
@@ -223,21 +223,10 @@ def build_companion(spec: Union[NarSpec, LnarSpec]) -> CompanionForm:
     return CompanionForm(tilde_a=_companion(spec.A), d=spec.d, p=spec.p)
 
 
-def _modulated_companions(spec: Union[NarSpec, LnarSpec],
-                          snapshots: Sequence[np.ndarray]) -> np.ndarray:
-    """Stack of ``tilde_A * tilde_G`` companion matrices, one per entry of
-    the ``snapshots[j-1]`` stacks that lag j's block reads.
-
-    The top block row is ``A_j * G_j(snapshots[j-1][s])`` from
-    :func:`_nar_coefficients`, one kernel call per lag.
-    """
-    nar = spec.to_nar() if isinstance(spec, LnarSpec) else spec
-    return _companion(_nar_coefficients(nar.A, nar.G, snapshots))
-
-
-def spectral_radius(m: np.ndarray) -> float:
+def spectral_radius(m: np.ndarray) -> np.ndarray:
+    """Spectral radius of a square matrix, or of each one in a ``(..., k, k)`` stack."""
     try:
-        return float(np.abs(np.linalg.eigvals(m)).max())
+        return np.abs(np.linalg.eigvals(m)).max(axis=-1)
     except np.linalg.LinAlgError as exc:
         raise RuntimeError("eigenvalue solver failed on the companion matrix") from exc
 
@@ -264,7 +253,7 @@ def check_stationarity_nar(spec: NarSpec, tol: float = STATIONARITY_TOL) -> NarS
     causal solution regardless of the network.  The boundary counts as
     failure (strict inequality required).
     """
-    rho = spectral_radius(np.abs(build_companion(spec).tilde_a))
+    rho = float(spectral_radius(np.abs(build_companion(spec).tilde_a)))
     return NarStationarity(holds=bool(rho < 1.0 - tol), rho=rho)
 
 
@@ -289,11 +278,8 @@ def check_stationarity_lnar(spec: LnarSpec) -> LnarStationarity:
 def snapshot_spectral_radii(spec: Union[NarSpec, LnarSpec], ads: AdjacencySeries) -> np.ndarray:
     """rho(tilde_A * tilde_G(snapshot)) per snapshot, the sampled form of the
     alternative stationarity condition on the stacked process."""
-    mods = _modulated_companions(spec, [ads.mats] * len(spec.G))
-    try:
-        return np.abs(np.linalg.eigvals(mods)).max(axis=-1)
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError("eigenvalue solver failed on the companion matrix") from exc
+    nar = spec.to_nar() if isinstance(spec, LnarSpec) else spec
+    return spectral_radius(_companion(_nar_coefficients(nar.A, nar.G, ads.mats)))
 
 
 def _check_network_cover(ads: AdjacencySeries, total: int, what: str) -> None:
@@ -319,14 +305,17 @@ def _nar_step(drive: np.ndarray, coefs: Sequence[np.ndarray],
 
 
 def _nar_coefficients(A: Sequence[np.ndarray], G: Sequence[NeighborhoodFn],
-                      snapshots: Sequence[np.ndarray]) -> List[np.ndarray]:
-    """Coefficient stacks ``A_j * G_j(snapshots[j-1])``, one kernel call per lag."""
-    coefs = []
-    for a, g, ad in zip(A, G, snapshots):
-        c = apply_neighborhood_fn(g, ad)
-        c *= a
-        coefs.append(c)
-    return coefs
+                      mats: np.ndarray) -> List[np.ndarray]:
+    """Coefficient stacks ``A_j * G_j(mats)``, one per lag, over one snapshot stack.
+
+    The only place that forms ``A_j * G_j``.  Each distinct G is evaluated
+    once; the last lag that reads an evaluation scales it in place and
+    earlier lags take a product, so no two stacks share memory.
+    """
+    last = {g: j for j, g in enumerate(G)}
+    evaluated = {g: apply_neighborhood_fn(g, mats) for g in last}
+    return [np.multiply(evaluated[g], a, out=evaluated[g] if last[g] == j else None)
+            for j, (a, g) in enumerate(zip(A, G))]
 
 
 def _run_recursion(x: np.ndarray, drive: np.ndarray, coefs: Sequence[np.ndarray],
@@ -357,9 +346,8 @@ def _simulate(nar: NarSpec, ads: AdjacencySeries, innov: InnovationSpec, n: int,
         raise ValueError("innovation dimension does not match spec")
     total = burn_in + n
     _check_network_cover(ads, total, what)
-    # lag j reads the snapshots s < total - j
-    coefs = _nar_coefficients(nar.A, nar.G,
-                              [ads.mats[: max(total - j, 0)] for j in range(1, nar.p + 1)])
+    # lag j reads the snapshots s < total - j, all inside the first total - 1
+    coefs = _nar_coefficients(nar.A, nar.G, ads.mats[: max(total - 1, 0)])
     if rng is None:
         rng = np.random.default_rng(seed)
     eps = innov.sample(rng, total)
@@ -406,8 +394,9 @@ def simulate_lnar(spec: LnarSpec, ads: AdjacencySeries, innov: InnovationSpec,
                 f"spec fails the stationarity check (c_lambda={spec.c_lambda:.6f}); "
                 "pass allow_explosive=True to override"
             )
+        # the first lag that uses a G reads the widest window, covering the later ones
         for j, g in enumerate(spec.G, start=1):
-            if g.infty_norm_certified():
+            if g.infty_norm_certified() or g in spec.G[: j - 1]:
                 continue
             c = apply_neighborhood_fn(g, ads.mats[: max(burn_in + n - j, 0)], zero_diag=True)
             norm = float(np.abs(c).sum(axis=-1).max(initial=0.0))
@@ -469,15 +458,17 @@ def ma_infinity_coeffs(spec: Union[NarSpec, LnarSpec], ads: AdjacencySeries, t: 
     """
     if J < 0:
         raise ValueError("J must be nonnegative")
-    form = build_companion(spec)
+    nar = spec.to_nar() if isinstance(spec, LnarSpec) else spec
+    form = build_companion(nar)
     d, p = form.d, form.p
     if t - J - p + 1 < 0:
         raise ValueError("network series does not reach back far enough for the requested truncation")
     if t > len(ads):
         raise ValueError(f"network series ends before t={t}: it has {len(ads)} snapshots")
-    # factor j of the stacked product reads Ad_{t-j-s+1} in lag s's block
-    steps = _modulated_companions(spec, [ads.mats[t - J - s + 1: t - s + 1][::-1]
-                                         for s in range(1, p + 1)])
+    # factor j of the stacked product reads Ad_{t-j-s+1} in lag s's block, which is
+    # entry j+s-2 of the window Ad_{t-1}, Ad_{t-2}, ..., Ad_{t-J-p+1}
+    lag_coefs = _nar_coefficients(nar.A, nar.G, ads.mats[t - J - p + 1: t][::-1])
+    steps = _companion([c[s: s + J] for s, c in enumerate(lag_coefs)])
     coeffs = [np.eye(d)]
     prod = np.eye(d * p)
     abs_tilde = np.abs(form.tilde_a)

@@ -8,11 +8,12 @@ from netar import (
     MarkovEdgeNetwork,
     NarSpec,
     NeighborhoodFn,
+    apply_neighborhood_fn,
     estimate_delta_network,
     estimate_delta_x,
 )
 from netar import depmeas, netdyn
-from netar.model import _nar_coefficients, _nar_step
+from netar.model import _nar_step
 
 from test_netdyn import example1_network_matrices
 from test_model import example1_alpha
@@ -129,7 +130,8 @@ def advance_oracle(nar, model, state, u, eps):
     """
     state["net"] = model.step(state["net"], u)
     mat = model.state_to_matrix(state["net"]) if isinstance(model, FlipNetwork) else state["net"]
-    x_new = _nar_step(eps, _nar_coefficients(nar.A, nar.G, state["m"]), state["x"])
+    coefs = [apply_neighborhood_fn(g, m) * a for a, g, m in zip(nar.A, nar.G, state["m"])]
+    x_new = _nar_step(eps, coefs, state["x"])
     state["m"] = np.concatenate([mat[None], state["m"][:-1]], axis=0)
     state["x"] = np.concatenate([x_new[None], state["x"][:-1]], axis=0)
     return x_new

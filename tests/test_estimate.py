@@ -813,6 +813,15 @@ class TestOrderSelectionInputs:
         with pytest.raises(ValueError, match="unknown family"):
             select_order_bic(np.zeros((2, 30)), family="arma")
 
+    @pytest.mark.parametrize("fit", [fit_nar, fit_lnar])
+    def test_fits_name_the_missing_argument(self, fit):
+        x, ads, _ = bic_case(3, 2, seed=28)
+        g = NeighborhoodFn.transpose()
+        with pytest.raises(ValueError, match="needs the network series ads"):
+            fit(x, None, [g, g], 2)
+        with pytest.raises(ValueError, match="needs the neighborhood function g"):
+            fit(x, ads, [g, None], 2)
+
 
 class TestTheorem2Bound:
     CONSTANTS = {

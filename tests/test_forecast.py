@@ -15,6 +15,7 @@ from netar import (
 )
 from netar.estimate import ComponentFit, IndexSet, ModelFit
 
+from test_model import kernel_snapshots
 from test_netdyn import kernel_variants, neighborhood_oracle, zero_diag_oracle
 
 
@@ -266,6 +267,18 @@ class TestForecastRecursionOracle:
                             want = forecast_horizon_oracle(fit, x, hist, policy, h)
                             assert got.shape == (d, h)
                             assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+    def test_shared_g_evaluates_the_window_once(self, monkeypatch):
+        # [transpose] * 3: one kernel call over the last p - 1 observed snapshots
+        # and the h from the policy
+        seen = kernel_snapshots(monkeypatch)
+        rng = np.random.default_rng(809)
+        d, n, h, p = 4, 1000, 5, 3
+        fit = manual_fit("nar", [np.eye(d) * 0.1] * p, np.zeros(d),
+                         [NeighborhoodFn.transpose()] * p)
+        hist = AdjacencySeries((rng.random((n - 1, d, d)) < 0.4).astype(float))
+        forecast_h(fit, rng.normal(size=(d, n)), hist, HoldLast(), h)
+        assert seen == [p - 1 + h]
 
 
 class TestDifferenceIntegrate:

@@ -154,6 +154,25 @@ class TestConfigJson:
         doc2["methods"][0] = {"family": "nar", "policy": "bogus", "g": {"kind": "transpose"}}
         assert any("policy" in p for p in validate_config(doc2))
 
+    @pytest.mark.parametrize("key, value, problem", [
+        ("p_max", 0, "p_max must be an integer >= 1"),
+        ("burn_in", -3, "burn_in must be an integer >= 0"),
+        ("horizons", True, "horizons must be an integer >= 1"),
+    ])
+    def test_schema_bounds_are_enforced(self, key, value, problem):
+        doc = config_to_json(example1_config(replications=5))
+        doc[key] = value
+        assert problem in validate_config(doc)
+        with pytest.raises(ValueError, match=problem):
+            config_from_json(doc)
+
+    def test_method_sparsity_and_freeze_flag_are_checked(self):
+        doc = config_to_json(example1_config(replications=5))
+        doc["methods"][0]["sparsity"] = "dense"
+        doc["methods"][1]["freeze_markov"] = "yes"
+        assert validate_config(doc) == ["methods[0].sparsity must be none or network",
+                                        "methods[1].freeze_markov must be a boolean"]
+
     def test_schema_lists_required_keys(self):
         assert set(CONFIG_SCHEMA["required"]) <= set(CONFIG_SCHEMA["properties"])
 

@@ -15,6 +15,7 @@ from netar import (
     fit_var,
     sample_acf,
 )
+from netar.estimate import ModelFit, fit_component_ls
 from netar.forecast import ForecastSet
 
 
@@ -180,6 +181,41 @@ class TestFitJson:
             assert b.index_set == c.index_set and b.mu == c.mu and b.rss == c.rss
             for name in ("w", "gamma_y0", "asymp_cov"):
                 assert np.array_equal(getattr(b, name), getattr(c, name)), name
+
+    @staticmethod
+    def assert_strict_roundtrip(fit):
+        text = json.dumps(nio.fit_to_json(fit), allow_nan=False)
+        back = nio.fit_from_json(json.loads(text))
+        for c, b in zip(fit.components, back.components):
+            assert b.gram_cond == c.gram_cond or np.isnan(b.gram_cond) and np.isnan(c.gram_cond)
+            assert np.array_equal(b.resid_var, c.resid_var, equal_nan=True)
+            for name in ("w", "gamma_y0", "asymp_cov"):
+                assert np.array_equal(getattr(b, name), getattr(c, name), equal_nan=True), name
+        return text
+
+    def test_infinite_gram_cond_is_written_as_a_string(self, tmp_path):
+        # component 0 is constant and mask row 1 keeps only its column, so
+        # that equation's Gram block has no positive eigenvalue
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(3, 60))
+        x[0] = 2.0
+        mask = np.ones((3, 3))
+        mask[1] = [1, 0, 0]
+        fit = fit_var(x, 1, mask=mask)
+        assert fit.components[1].gram_cond == np.inf
+        assert '"gram_cond": "inf"' in self.assert_strict_roundtrip(fit)
+        path = tmp_path / "fit.json"
+        nio.write_fit_json(path, fit)
+        assert nio.read_fit_json(path).components[1].gram_cond == np.inf
+
+    def test_nan_residual_variance_is_written_as_a_string(self):
+        # m = k + 1 observations leave no degree of freedom for the variance
+        rng = np.random.default_rng(6)
+        comp = fit_component_ls(rng.normal(size=3), rng.normal(size=(3, 2)), 0)
+        assert np.isnan(comp.resid_var) and np.isnan(comp.asymp_cov).all()
+        fit = ModelFit(family="var", p=2, d=1, g=None, components=[comp])
+        text = self.assert_strict_roundtrip(fit)
+        assert '"resid_var": "nan"' in text
 
 
 class TestAnalysisOutputs:

@@ -9,6 +9,7 @@ from netar import (
     MarkovEdgeNetwork,
     NarSpec,
     NeighborhoodFn,
+    apply_neighborhood_fn,
     build_companion,
     check_stationarity_lnar,
     check_stationarity_nar,
@@ -18,6 +19,8 @@ from netar import (
     simulate_lnar,
     simulate_nar,
 )
+from netar import model
+from netar.model import _nar_coefficients, snapshot_spectral_radii
 
 from test_netdyn import example1_network_matrices, kernel_variants, zero_diag_oracle
 
@@ -643,6 +646,126 @@ def test_snapshot_spectral_radii_diagnostic():
     radii = snapshot_spectral_radii(spec, ads)
     assert radii.shape == (4,)
     assert np.allclose(radii, np.abs(np.linalg.eigvals(a)).max())
+
+
+def nar_coefficients_oracle(A, G, mats):
+    """One kernel call per lag, scaled by that lag's coefficient matrix."""
+    return [apply_neighborhood_fn(g, mats) * a for a, g in zip(A, G)]
+
+
+def assert_matches_coefficient_oracle(A, G, mats):
+    before = mats.copy()
+    got = _nar_coefficients(A, G, mats)
+    want = nar_coefficients_oracle(A, G, mats)
+    assert np.array_equal(mats, before)
+    assert len(got) == len(want)
+    for c, w in zip(got, want):
+        assert c.shape == w.shape and np.array_equal(c, w)
+        assert not np.shares_memory(c, mats)
+    for i in range(len(got)):
+        for j in range(i):
+            assert not np.shares_memory(got[i], got[j]), (i, j)
+
+
+def coefficient_g_pool(d, rng):
+    """Variants for the coefficient builder: a signed mask, identity_plus, and
+    a second identity_plus equal to the first but built apart."""
+    return [NeighborhoodFn.mask(rng.uniform(-1, 1, (d, d))),
+            NeighborhoodFn.identity_plus(NeighborhoodFn.k_stage(1)),
+            NeighborhoodFn.transpose(),
+            NeighborhoodFn.row_normalized_transpose(),
+            NeighborhoodFn.identity_plus(NeighborhoodFn.k_stage(1))]
+
+
+class TestNarCoefficients:
+    """``_nar_coefficients`` evaluates each distinct G once; its stacks equal
+    the per-lag evaluation bit for bit."""
+
+    @pytest.mark.parametrize("n", [0, 1, 9], ids=["empty", "one-snapshot", "stack"])
+    @pytest.mark.parametrize("sharing", ["shared", "distinct", "mixed"])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("d", [1, 3, 5])
+    def test_matches_per_lag_oracle(self, d, p, sharing, n):
+        rng = np.random.default_rng(100 * d + 10 * p + n)
+        pool = coefficient_g_pool(d, rng)
+        G = {"shared": [pool[0]] * p, "distinct": pool[:p],
+             "mixed": [pool[1], pool[0], pool[4]][:p]}[sharing]
+        A = [rng.uniform(-1, 1, (d, d)) for _ in range(p)]
+        mats = (rng.random((n, d, d)) < 0.4).astype(float)
+        assert_matches_coefficient_oracle(A, G, mats)
+
+    def test_random_cases_match_per_lag_oracle(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @hyp.settings(max_examples=40, deadline=None, derandomize=True)
+        @hyp.given(d=st.integers(1, 5), n=st.integers(0, 4), seed=st.integers(0, 2**16),
+                   picks=st.lists(st.integers(0, 4), min_size=1, max_size=4))
+        def check(d, n, seed, picks):
+            rng = np.random.default_rng(seed)
+            pool = coefficient_g_pool(d, rng)
+            A = [rng.uniform(-1, 1, (d, d)) for _ in picks]
+            mats = (rng.random((n, d, d)) < 0.5).astype(float)
+            assert_matches_coefficient_oracle(A, [pool[i] for i in picks], mats)
+
+        check()
+
+
+def kernel_snapshots(monkeypatch):
+    """Records the snapshots of each kernel call made through the model module."""
+    seen = []
+    original = model.apply_neighborhood_fn
+
+    def counted(fn, ad, *args, **kwargs):
+        seen.append(int(np.prod(np.shape(ad)[:-2])))
+        return original(fn, ad, *args, **kwargs)
+
+    monkeypatch.setattr(model, "apply_neighborhood_fn", counted)
+    return seen
+
+
+class TestKernelWork:
+    """With ``[transpose] * 3`` every consumer of the coefficient builder
+    evaluates each snapshot once, in one kernel call."""
+
+    d, p = 4, 3
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        return kernel_snapshots(monkeypatch)
+
+    def case(self, n=1000):
+        rng = np.random.default_rng(91)
+        spec = NarSpec(self.p, [np.eye(self.d) * 0.1] * self.p,
+                       [NeighborhoodFn.transpose()] * self.p)
+        return spec, random_binary_ads(rng, self.d, n)
+
+    def test_simulate_nar(self, calls):
+        spec, ads = self.case()
+        simulate_nar(spec, ads, InnovationSpec.standard(self.d), n=500, burn_in=500, seed=1)
+        assert calls == [999]
+
+    def test_simulate_lnar_certifies_each_g_once(self, calls):
+        # permutation snapshots keep the uncertified transpose within norm 1
+        rng = np.random.default_rng(92)
+        ads = AdjacencySeries(np.stack([np.eye(self.d)[rng.permutation(self.d)]
+                                        for _ in range(1000)]))
+        t = NeighborhoodFn.transpose()
+        spec = LnarSpec(self.p, np.full((self.p, self.d), 0.1), np.full((self.p, self.d), 0.05),
+                        [t] * self.p)
+        simulate_lnar(spec, ads, InnovationSpec.standard(self.d), n=500, burn_in=500, seed=1)
+        # the certificate of transpose on lag 1's window, then the embedding's coefficients
+        assert calls == [999, 999]
+
+    def test_snapshot_spectral_radii(self, calls):
+        spec, ads = self.case()
+        snapshot_spectral_radii(spec, ads)
+        assert calls == [1000]
+
+    def test_ma_infinity_coeffs(self, calls):
+        spec, ads = self.case()
+        ma_infinity_coeffs(spec, ads, t=500, J=10)
+        assert calls == [10 + self.p - 1]
 
 
 class TestInnovationSpec:
