@@ -60,18 +60,15 @@ def _load_network_model(path):
 
 def cmd_simulate(args) -> int:
     spec, innov = nio.read_model_spec(args.model)
+    sim = simulate_lnar if isinstance(spec, LnarSpec) else simulate_nar
     if args.network:
         model = _load_network_model(args.network)
         rng = np.random.default_rng(args.seed)
         ads = model.simulate(args.burn_in + args.n, rng=rng)
-        if isinstance(spec, LnarSpec):
-            x = simulate_lnar(spec, ads, innov, n=args.n, burn_in=args.burn_in, rng=rng)
-        else:
-            x = simulate_nar(spec, ads, innov, n=args.n, burn_in=args.burn_in, rng=rng)
+        x = sim(spec, ads, innov, n=args.n, burn_in=args.burn_in, rng=rng)
         ads_out = ads.drop_first(args.burn_in)
     else:
         ads_out = nio.read_adjacency(args.ads)
-        sim = simulate_lnar if isinstance(spec, LnarSpec) else simulate_nar
         x = sim(spec, ads_out, innov, n=args.n, burn_in=0, seed=args.seed)
     nio.write_series_csv(_out_path(args, "series.csv"), x)
     nio.write_adjacency_csv(_out_path(args, "network.csv"), ads_out)

@@ -137,7 +137,7 @@ def estimate_delta_x(spec: Union[NarSpec, LnarSpec], model: Union[MarkovEdgeNetw
         raise ValueError("mode must be 'joint' or 'network_only'")
     if reps < 2:
         raise ValueError("need at least 2 replicate pairs")
-    nar = spec.to_nar() if isinstance(spec, LnarSpec) else spec
+    nar = spec.to_nar()
     d, p = nar.d, nar.p
     if innov.d != d:
         raise ValueError("innovation dimension does not match spec")

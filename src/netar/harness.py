@@ -16,7 +16,6 @@ integrates the growth forecasts back to levels.
 
 from __future__ import annotations
 
-import json
 import os
 import re
 from concurrent.futures import ProcessPoolExecutor
@@ -84,6 +83,8 @@ class MethodSpec:
             raise ValueError(f"unknown network policy {self.policy!r}")
         if self.family != "var" and self.g is None:
             raise ValueError(f"{self.family} methods need a neighborhood function")
+        if self.sparsity not in ("none", "network"):
+            raise ValueError(f"unknown sparsity {self.sparsity!r}")
 
     @property
     def label(self) -> str:
@@ -262,12 +263,8 @@ def _replicate_seed(root_seed: int, n_index: int, rep: int) -> np.random.Generat
 def _simulate_replicate(cfg: ExperimentConfig, n: int, rng: np.random.Generator):
     total = cfg.burn_in + n + cfg.horizons
     ads = cfg.network.simulate(total, rng=rng)
-    if isinstance(cfg.process, LnarSpec):
-        x = simulate_lnar(cfg.process, ads, cfg.innov, n=n + cfg.horizons,
-                          burn_in=cfg.burn_in, rng=rng)
-    else:
-        x = simulate_nar(cfg.process, ads, cfg.innov, n=n + cfg.horizons,
-                         burn_in=cfg.burn_in, rng=rng)
+    sim = simulate_lnar if isinstance(cfg.process, LnarSpec) else simulate_nar
+    x = sim(cfg.process, ads, cfg.innov, n=n + cfg.horizons, burn_in=cfg.burn_in, rng=rng)
     return x, ads.drop_first(cfg.burn_in)
 
 
@@ -435,16 +432,14 @@ def write_experiment_reports(cfg: ExperimentConfig, report: ExperimentReport) ->
     summary_path = os.path.join(out, f"report_{report.experiment}.json")
     config_echo = config_to_json(cfg)
     config_echo.pop("out_dir", None)  # location must not break byte-identity
-    with nio.atomic_open(summary_path) as fh:
-        json.dump({
-            "experiment": report.experiment,
-            "seed": report.seed,
-            "replications": report.replications,
-            "sample_sizes": report.sample_sizes,
-            "failures": {f"{n}/{lbl}": c for (n, lbl), c in report.failures.items()},
-            "config": config_echo,
-        }, fh, indent=2)
-        fh.write("\n")
+    nio._write_json(summary_path, {
+        "experiment": report.experiment,
+        "seed": report.seed,
+        "replications": report.replications,
+        "sample_sizes": report.sample_sizes,
+        "failures": {f"{n}/{lbl}": c for (n, lbl), c in report.failures.items()},
+        "config": config_echo,
+    })
 
 
 # --- canonical experiment configurations -------------------------------------
@@ -606,34 +601,16 @@ def ingest_panel(levels_path, weights_by_year: Dict[int, str]) -> PanelDataset:
     labeled row per entity.  Every year touched by the level quarters must
     have a matrix; gaps are a hard error naming the missing year.
     """
-    import csv as _csv
-
-    with open(levels_path, newline="") as fh:
-        r = _csv.reader(fh)
-        header = next(r)
-        if header[0] != "t":
-            raise ValueError("levels CSV must start with a 't' column")
-        labels = header[1:]
-        quarters = []
-        rows = []
-        for row in r:
-            if not row:
-                continue
-            quarters.append(_parse_quarter(row[0]))
-            try:
-                rows.append([float(v) for v in row[1:]])
-            except ValueError as exc:
-                raise ValueError(f"non-numeric level cell in quarter {row[0]}") from exc
-            if not np.isfinite(rows[-1]).all():
-                bad = labels[int(np.argmin(np.isfinite(rows[-1])))]
-                raise ValueError(f"non-finite level cell in quarter {row[0]}, column {bad}")
-    if len(rows) < 2:
+    header, stamps, cells = nio._read_table(levels_path, "level", "quarter {}")
+    if header[0] != "t":
+        raise ValueError("levels CSV must start with a 't' column")
+    labels = header[1:]
+    quarters = [_parse_quarter(q) for q in stamps]
+    if len(quarters) < 2:
         raise ValueError("need at least two quarters of levels")
     for a, b in zip(quarters, quarters[1:]):
         if b != _next_quarter(a):
             raise ValueError(f"quarters not contiguous around {a[0]}Q{a[1]}")
-    levels = np.asarray(rows, dtype=float).T
-    d = len(labels)
 
     years_needed = sorted({y for (y, _) in quarters})
     missing = [y for y in years_needed if y not in weights_by_year]
@@ -641,28 +618,13 @@ def ingest_panel(levels_path, weights_by_year: Dict[int, str]) -> PanelDataset:
         raise ValueError(f"missing trade matrix for year {missing[0]}")
     normalized = {}
     for year in years_needed:
-        with open(weights_by_year[year], newline="") as fh:
-            r = _csv.reader(fh)
-            header = next(r)
-            if header[1:] != labels:
-                raise ValueError(f"weight matrix {year}: entity labels do not match levels")
-            entries = []
-            row_labels = []
-            for row in r:
-                if not row:
-                    continue
-                row_labels.append(row[0])
-                try:
-                    entries.append([float(v) for v in row[1:]])
-                except ValueError as exc:
-                    raise ValueError(f"non-numeric trade cell in year {year}") from exc
-                if not np.isfinite(entries[-1]).all():
-                    bad = labels[int(np.argmin(np.isfinite(entries[-1])))]
-                    raise ValueError(
-                        f"non-finite trade cell in year {year}, row {row[0]}, column {bad}")
-            if row_labels != labels:
-                raise ValueError(f"weight matrix {year}: row labels do not match levels")
-        normalized[year] = normalize_trade_matrix(np.asarray(entries))
+        header, row_labels, raw = nio._read_table(weights_by_year[year], "trade",
+                                                  f"year {year}, row {{}}")
+        if header[1:] != labels:
+            raise ValueError(f"weight matrix {year}: entity labels do not match levels")
+        if row_labels != labels:
+            raise ValueError(f"weight matrix {year}: row labels do not match levels")
+        normalized[year] = normalize_trade_matrix(raw)
 
     # growth quarter k spans levels k -> k+1 and uses the matrix of the
     # year of its ending quarter, annual matrices repeated quarterly
@@ -671,7 +633,7 @@ def ingest_panel(levels_path, weights_by_year: Dict[int, str]) -> PanelDataset:
     mats = AdjacencySeries(growth_mats)
     colsums = growth_mats.sum(axis=1)
     rows_stochastic = bool(((np.abs(colsums - 1.0) < 1e-9) | (np.abs(colsums) < 1e-9)).all())
-    return PanelDataset(labels=labels, quarters=quarters, levels=levels,
+    return PanelDataset(labels=labels, quarters=quarters, levels=cells.T,
                         mats_growth=mats, rows_stochastic=rows_stochastic)
 
 
@@ -747,19 +709,15 @@ def write_panel_reports(result: PanelForecastResult, out_dir) -> None:
         totals = result.total_errors()
         fh.write("squared_error," + ",".join(_table_fmt(totals[m][0]) for m in methods) + "\n")
         fh.write("absolute_error," + ",".join(_table_fmt(totals[m][1]) for m in methods) + "\n")
-    with nio.atomic_open(os.path.join(out_dir, "panel_entity_errors.csv")) as fh:
-        head_sq = ",".join(f"sq_{m}" for m in methods)
-        head_abs = ",".join(f"abs_{m}" for m in methods)
-        fh.write(f"entity,{head_sq},{head_abs}\n")
-        for i, label in enumerate(result.labels):
-            sq = ",".join(_table_fmt((result.errors[m][i] ** 2).sum()) for m in methods)
-            ab = ",".join(_table_fmt(np.abs(result.errors[m][i]).sum()) for m in methods)
-            fh.write(f"{label},{sq},{ab}\n")
-    with nio.atomic_open(os.path.join(out_dir, "panel_horizon_errors.csv")) as fh:
-        head_sq = ",".join(f"sq_{m}" for m in methods)
-        head_abs = ",".join(f"abs_{m}" for m in methods)
-        fh.write(f"h,{head_sq},{head_abs}\n")
-        for s in range(result.horizons):
-            sq = ",".join(_table_fmt((result.errors[m][:, s] ** 2).sum()) for m in methods)
-            ab = ",".join(_table_fmt(np.abs(result.errors[m][:, s]).sum()) for m in methods)
-            fh.write(f"{s + 1},{sq},{ab}\n")
+    head = ",".join([f"sq_{m}" for m in methods] + [f"abs_{m}" for m in methods])
+    errors = result.errors
+    for stem, first, rows in (
+            ("entity", "entity", [(label, [errors[m][i] for m in methods])
+                                  for i, label in enumerate(result.labels)]),
+            ("horizon", "h", [(s + 1, [errors[m][:, s] for m in methods])
+                              for s in range(result.horizons)])):
+        with nio.atomic_open(os.path.join(out_dir, f"panel_{stem}_errors.csv")) as fh:
+            fh.write(f"{first},{head}\n")
+            for key, errs in rows:
+                cells = [(e ** 2).sum() for e in errs] + [np.abs(e).sum() for e in errs]
+                fh.write(f"{key}," + ",".join(_table_fmt(v) for v in cells) + "\n")

@@ -1,7 +1,8 @@
 """File formats and serialization.
 
 All writers go through an atomic temp-file-plus-rename so interrupted
-runs never leave half-written reports.  Column orders are fixed:
+runs never leave half-written reports, and JSON files are strict.
+Numeric tables are rectangular and finite.  Column orders are fixed:
 
 network (long CSV)    t,i,j,w        1-based vertex indices; absent
                                      entries are zero; the (d, d) entry
@@ -9,6 +10,8 @@ network (long CSV)    t,i,j,w        1-based vertex indices; absent
                                      and time coverage are recoverable
 network (dense JSON)  array of {"t": int, "rows": [[...]]}
 series CSV            t,x1,...,xd
+panel levels CSV      t,<label>,...  t like 1980Q1, contiguous quarters
+panel trade CSV       <any>,<label>,...  one labeled row per entity
 ACF CSV               h,i,j,gamma,se
 forecast CSV          h,component,point[,truth,error]
 coupling CSV          j,delta,se
@@ -80,6 +83,40 @@ def atomic_open(path, mode="w"):
         raise
 
 
+def _write_json(path, doc, indent=2) -> None:
+    with atomic_open(path) as fh:
+        json.dump(doc, fh, indent=indent, allow_nan=False)
+        fh.write("\n")
+
+
+def _read_table(path, what: str, row: str):
+    """Header, first-column labels and float cells of a table, blank lines skipped.
+
+    Errors name the table ``what`` and a row label formatted by ``row``, e.g.
+    ``"quarter {}"``: an empty table, a row not as wide as the header, a bad cell."""
+    with open(path, newline="") as fh:
+        header, *body = [r for r in csv.reader(fh) if r] or [[]]
+    if not body:
+        raise ValueError(f"empty {what} file")
+    cells = np.empty((len(body), len(header) - 1))
+    for k, r in enumerate(body):
+        if len(r) != len(header):
+            raise ValueError(f"{what} file: {row.format(r[0])} has {len(r)} cells, "
+                             f"the header {len(header)}")
+        for c, v in enumerate(r[1:]):
+            try:
+                cells[k, c] = float(v)
+            except ValueError:
+                raise ValueError(f"non-numeric {what} cell in {row.format(r[0])}, "
+                                 f"column {header[c + 1]}: {v!r}") from None
+    bad = np.argwhere(~np.isfinite(cells))
+    if bad.size:
+        k, c = bad[0]
+        raise ValueError(f"non-finite {what} cell in {row.format(body[k][0])}, "
+                         f"column {header[c + 1]}")
+    return header, [r[0] for r in body], cells
+
+
 # --- dynamic networks ------------------------------------------------------
 
 def write_adjacency_csv(path, ads: AdjacencySeries) -> None:
@@ -105,13 +142,23 @@ def read_adjacency_csv(path) -> AdjacencySeries:
     entries = []
     with open(path, newline="") as fh:
         r = csv.reader(fh)
-        header = next(r)
-        if header != ["t", "i", "j", "w"]:
+        header = next(r, None)  # an empty file falls through to "empty network file"
+        if header not in (None, ["t", "i", "j", "w"]):
             raise ValueError(f"unexpected network CSV header {header}")
         for row in r:
             if not row:
                 continue
-            entries.append((int(row[0]), int(row[1]), int(row[2]), float(row[3])))
+            where = f"network CSV line {r.line_num}"
+            if len(row) != 4:
+                raise ValueError(f"{where}: expected 4 cells t,i,j,w, found {len(row)}")
+            try:
+                t, i, j, wt = int(row[0]), int(row[1]), int(row[2]), float(row[3])
+            except ValueError:
+                raise ValueError(f"{where}: t, i, j must be integers and w a number, "
+                                 f"found {row}") from None
+            if min(i, j) < 1:
+                raise ValueError(f"{where}: vertex indices start at 1, found ({i}, {j})")
+            entries.append((t, i, j, wt))
     if not entries:
         raise ValueError("empty network file")
     ts = sorted({e[0] for e in entries})
@@ -126,10 +173,8 @@ def read_adjacency_csv(path) -> AdjacencySeries:
 
 
 def write_adjacency_json(path, ads: AdjacencySeries) -> None:
-    doc = [{"t": int(ads.t0 + k), "rows": ads[k].tolist()} for k in range(len(ads))]
-    with atomic_open(path) as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+    _write_json(path, [{"t": int(ads.t0 + k), "rows": ads[k].tolist()}
+                       for k in range(len(ads))], indent=None)
 
 
 def read_adjacency_json(path) -> AdjacencySeries:
@@ -162,20 +207,10 @@ def write_series_csv(path, x: np.ndarray, t0: int = 0) -> None:
 
 
 def read_series_csv(path) -> Tuple[np.ndarray, int]:
-    with open(path, newline="") as fh:
-        r = csv.reader(fh)
-        header = next(r)
-        if not header or header[0] != "t":
-            raise ValueError("series CSV must start with a 't' column")
-        rows = [row for row in r if row]
-    if not rows:
-        raise ValueError("empty series file")
-    t0 = int(rows[0][0])
-    x = np.array([[float(v) for v in row[1:]] for row in rows], dtype=float).T
-    if not np.isfinite(x).all():
-        c, k = np.argwhere(~np.isfinite(x))[0]
-        raise ValueError(f"series CSV: non-finite value in row t={rows[k][0]}, column {header[c + 1]}")
-    return x, t0
+    header, ts, cells = _read_table(path, "series", "row t={}")
+    if header[0] != "t":
+        raise ValueError("series CSV must start with a 't' column")
+    return cells.T, int(ts[0])
 
 
 # --- model specifications ---------------------------------------------------
@@ -231,18 +266,25 @@ def model_spec_from_json(doc: dict):
                            _sigma_from_json(doc["innov"]["sigma"]))
     if doc["type"] == "nar":
         spec = NarSpec(int(doc["p"]), [np.asarray(a, dtype=float) for a in doc["A"]], g)
+        coefs = {"A": spec.A}
     elif doc["type"] == "lnar":
         spec = LnarSpec(int(doc["p"]), np.asarray(doc["alpha"], dtype=float),
                         np.asarray(doc["beta"], dtype=float), g)
+        coefs = {"alpha": spec.alpha, "beta": spec.beta}
     else:
         raise ValueError(f"unknown model type {doc['type']!r}")
+    for key, lags in coefs.items():
+        for j, a in enumerate(lags):
+            bad = np.argwhere(~np.isfinite(a))
+            if bad.size:
+                entry = ", ".join(str(i + 1) for i in bad[0])
+                raise ValueError(f"{key} must be finite; found {a[tuple(bad[0])]} "
+                                 f"at lag {j + 1}, entry ({entry})")
     return spec, innov
 
 
 def write_model_spec(path, spec, innov) -> None:
-    with atomic_open(path) as fh:
-        json.dump(model_spec_to_json(spec, innov), fh, indent=2)
-        fh.write("\n")
+    _write_json(path, model_spec_to_json(spec, innov))
 
 
 def read_model_spec(path):
@@ -349,9 +391,7 @@ def fit_from_json(doc: dict) -> ModelFit:
 
 
 def write_fit_json(path, fit: ModelFit) -> None:
-    with atomic_open(path) as fh:
-        json.dump(fit_to_json(fit), fh, indent=2, allow_nan=False)
-        fh.write("\n")
+    _write_json(path, fit_to_json(fit))
 
 
 def read_fit_json(path) -> ModelFit:
@@ -398,14 +438,11 @@ def write_coupling_csv(path, run) -> None:
 
 
 def write_decay_json(path, run) -> None:
-    doc = {
+    _write_json(path, _strict_json({
         "q": run.q,
         "max_lag": int(run.lags[-1]),
         "delta_total": run.delta_total,
         "tail_value": run.tail_value,
         "decay_ratio": run.decay_ratio,
         "decay_r2": run.decay_r2,
-    }
-    with atomic_open(path) as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    }))

@@ -75,6 +75,10 @@ class NarSpec:
     def d(self) -> int:
         return self.A[0].shape[0]
 
+    def to_nar(self) -> "NarSpec":
+        """The full model is its own embedding (see :meth:`LnarSpec.to_nar`)."""
+        return self
+
 
 @dataclass(frozen=True)
 class LnarSpec:
@@ -218,9 +222,8 @@ def _companion(blocks: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def build_companion(spec: Union[NarSpec, LnarSpec]) -> CompanionForm:
-    if isinstance(spec, LnarSpec):
-        return build_companion(spec.to_nar())
-    return CompanionForm(tilde_a=_companion(spec.A), d=spec.d, p=spec.p)
+    nar = spec.to_nar()
+    return CompanionForm(tilde_a=_companion(nar.A), d=nar.d, p=nar.p)
 
 
 def spectral_radius(m: np.ndarray) -> np.ndarray:
@@ -278,7 +281,7 @@ def check_stationarity_lnar(spec: LnarSpec) -> LnarStationarity:
 def snapshot_spectral_radii(spec: Union[NarSpec, LnarSpec], ads: AdjacencySeries) -> np.ndarray:
     """rho(tilde_A * tilde_G(snapshot)) per snapshot, the sampled form of the
     alternative stationarity condition on the stacked process."""
-    nar = spec.to_nar() if isinstance(spec, LnarSpec) else spec
+    nar = spec.to_nar()
     return spectral_radius(_companion(_nar_coefficients(nar.A, nar.G, ads.mats)))
 
 
@@ -458,7 +461,7 @@ def ma_infinity_coeffs(spec: Union[NarSpec, LnarSpec], ads: AdjacencySeries, t: 
     """
     if J < 0:
         raise ValueError("J must be nonnegative")
-    nar = spec.to_nar() if isinstance(spec, LnarSpec) else spec
+    nar = spec.to_nar()
     form = build_companion(nar)
     d, p = form.d, form.p
     if t - J - p + 1 < 0:

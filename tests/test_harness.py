@@ -173,6 +173,10 @@ class TestConfigJson:
         assert validate_config(doc) == ["methods[0].sparsity must be none or network",
                                         "methods[1].freeze_markov must be a boolean"]
 
+    def test_method_spec_rejects_unknown_sparsity(self):
+        with pytest.raises(ValueError, match="unknown sparsity 'dense'"):
+            MethodSpec("var", sparsity="dense")
+
     def test_schema_lists_required_keys(self):
         assert set(CONFIG_SCHEMA["required"]) <= set(CONFIG_SCHEMA["properties"])
 

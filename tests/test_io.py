@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -15,8 +16,10 @@ from netar import (
     fit_var,
     sample_acf,
 )
+from netar.depmeas import estimate_delta_network
 from netar.estimate import ModelFit, fit_component_ls
 from netar.forecast import ForecastSet
+from netar.harness import ingest_panel
 
 
 class TestAdjacencyRoundtrip:
@@ -79,6 +82,81 @@ class TestSeriesRoundtrip:
             nio.read_adjacency_csv(path)
 
 
+# one well-formed table per kind; every fault hits the second data row's last cell
+_TABLES = {
+    "series": ("t,x1,x2\n0,1,2\n1,3,4\n", "row t=1", "x2"),
+    "levels": ("t,A,B\n2000Q1,1,2\n2000Q2,3,4\n2000Q3,5,6\n", "quarter 2000Q2", "B"),
+    "trade": ("w,A,B\nA,0,1\nB,2,0\n", "year 2000, row B", "B"),
+}
+
+
+def _read_kind(kind, text, tmp_path):
+    path = tmp_path / f"{kind}.csv"
+    path.write_text(text)
+    if kind == "series":
+        return nio.read_series_csv(path)
+    levels, trade = tmp_path / "levels_ok.csv", tmp_path / "trade_ok.csv"
+    levels.write_text(_TABLES["levels"][0])
+    trade.write_text(_TABLES["trade"][0])
+    if kind == "levels":
+        return ingest_panel(path, {2000: str(trade)})
+    return ingest_panel(levels, {2000: str(path)})
+
+
+def _fault_second_row(text, fault):
+    lines = text.splitlines()
+    cells = lines[2].split(",")
+    if fault == "short":
+        cells = cells[:-1]
+    elif fault == "long":
+        cells = cells + ["7"]
+    else:
+        cells[-1] = {"non_numeric": "abc", "non_finite": "inf"}[fault]
+    lines[2] = ",".join(cells)
+    return "\n".join(lines) + "\n"
+
+
+class TestNumericTables:
+    @pytest.mark.parametrize("kind", sorted(_TABLES))
+    def test_well_formed_tables_read(self, kind, tmp_path):
+        _read_kind(kind, _TABLES[kind][0], tmp_path)
+
+    @pytest.mark.parametrize("kind", sorted(_TABLES))
+    @pytest.mark.parametrize("fault", ["empty", "short", "long", "non_numeric", "non_finite"])
+    def test_malformed_table_names_row_and_column(self, kind, fault, tmp_path):
+        text, row, col = _TABLES[kind]
+        # the levels table is named by its cells, "level"
+        name = {"levels": "level"}.get(kind, kind)
+        message = {
+            "empty": f"empty {name} file",
+            "short": f"{name} file: {row} has 2 cells, the header 3",
+            "long": f"{name} file: {row} has 4 cells, the header 3",
+            "non_numeric": f"non-numeric {name} cell in {row}, column {col}: 'abc'",
+            "non_finite": f"non-finite {name} cell in {row}, column {col}",
+        }[fault]
+        text = "" if fault == "empty" else _fault_second_row(text, fault)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            _read_kind(kind, text, tmp_path)
+
+
+class TestNetworkCsvRows:
+    @pytest.mark.parametrize("text, message", [
+        ("t,i,j,w\n0,0,2,1\n0,3,3,0\n", "line 2: vertex indices start at 1, found (0, 2)"),
+        ("t,i,j,w\n0,1,2,1\n0,1,2,1,9\n", "line 3: expected 4 cells t,i,j,w, found 5"),
+        ("t,i,j,w\n0,1,2\n", "line 2: expected 4 cells t,i,j,w, found 3"),
+        ("t,i,j,w\n0,1,2,x\n", "line 2: t, i, j must be integers and w a number, "
+                               "found ['0', '1', '2', 'x']"),
+        ("t,i,j,w\n0,1.5,2,1\n", "line 2: t, i, j must be integers and w a number"),
+        ("", "empty network file"),
+    ], ids=["vertex_zero", "five_cells", "three_cells", "non_numeric_w", "non_integer_i",
+            "empty"])
+    def test_malformed_row_names_the_line(self, text, message, tmp_path):
+        path = tmp_path / "net.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            nio.read_adjacency_csv(path)
+
+
 class TestModelSpecJson:
     def test_nar_roundtrip(self, tmp_path):
         spec = NarSpec(2, [np.eye(3) * 0.3, np.eye(3) * 0.1],
@@ -118,6 +196,23 @@ class TestModelSpecNonFinite:
         with pytest.raises(ValueError, match=r"sigma must be finite; found inf at entry \(2, 2\)"):
             nio.model_spec_from_json(json.loads(json.dumps(doc)))
 
+
+    @pytest.mark.parametrize("key, at, entry", [("A", (1, 0, 1), "lag 2, entry (1, 2)"),
+                                               ("alpha", (0, 1), "lag 1, entry (2)"),
+                                               ("beta", (0, 0), "lag 1, entry (1)")],
+                             ids=["A", "alpha", "beta"])
+    def test_nan_coefficient_names_key_lag_and_entry(self, key, at, entry):
+        g = NeighborhoodFn.transpose()
+        spec = (NarSpec(2, [np.eye(2) * 0.3, np.eye(2) * 0.1], [g, g]) if key == "A"
+                else LnarSpec(1, np.full((1, 2), 0.2), np.full((1, 2), 0.3), [g]))
+        doc = nio.model_spec_to_json(spec, InnovationSpec.standard(2))
+        cells = doc[key]
+        for k in at[:-1]:
+            cells = cells[k]
+        cells[at[-1]] = float("nan")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{key} must be finite; found nan at {entry}")):
+            nio.model_spec_from_json(json.loads(json.dumps(doc)))
 
     def test_nan_mask_weight_names_the_entry(self):
         spec = NarSpec(1, [np.eye(2) * 0.3], [NeighborhoodFn.mask(np.eye(2) * 0.5)])
@@ -248,3 +343,21 @@ class TestAnalysisOutputs:
         with nio.atomic_open(path) as fh:
             fh.write("two\n")
         assert path.read_text() == "two\n"
+
+
+class TestDecayJson:
+    def test_nan_decay_fit_is_strict_json(self, tmp_path):
+        # max_lag=1 leaves too few positive lags for the decay fit: both are NaN
+        run = estimate_delta_network(FlipNetwork(0.5), q=2, max_lag=1, reps=10, seed=0,
+                                     burn_in=5)
+        assert np.isnan(run.decay_ratio) and np.isnan(run.decay_r2)
+        path = tmp_path / "decay.json"
+        nio.write_decay_json(path, run)
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        doc = json.loads(path.read_text(), parse_constant=reject)
+        assert doc["decay_ratio"] == doc["decay_r2"] == "nan"
+        assert np.isnan(float(doc["decay_ratio"]))
+        assert doc["delta_total"] == run.delta_total

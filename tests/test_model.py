@@ -158,6 +158,10 @@ class TestCompanion:
             comp = companion_recursion(spec, ads, eps)
             assert np.abs(direct - comp).max() <= 1e-12
 
+    def test_nar_spec_is_its_own_embedding(self):
+        spec = NarSpec(1, [np.eye(2) * 0.3], [NeighborhoodFn.transpose()])
+        assert spec.to_nar() is spec
+
     def test_subdiagonal_blocks_are_identity(self):
         rng = np.random.default_rng(5)
         spec = random_stationary_nar(rng, 3, 3)
