@@ -16,6 +16,7 @@ integrates the growth forecasts back to levels.
 
 from __future__ import annotations
 
+import numbers
 import os
 import re
 from concurrent.futures import ProcessPoolExecutor
@@ -77,14 +78,15 @@ class MethodSpec:
         if self.family not in ("nar", "lnar", "var"):
             raise ValueError(f"unknown family {self.family!r}")
         if self.family == "var":
-            if self.policy != "none":
-                object.__setattr__(self, "policy", "none")
+            object.__setattr__(self, "policy", "none")
         elif self.policy not in ("known", "holdlast", "markov"):
             raise ValueError(f"unknown network policy {self.policy!r}")
         if self.family != "var" and self.g is None:
             raise ValueError(f"{self.family} methods need a neighborhood function")
         if self.sparsity not in ("none", "network"):
             raise ValueError(f"unknown sparsity {self.sparsity!r}")
+        if not isinstance(self.freeze_markov, bool):
+            raise ValueError(f"freeze_markov must be a boolean, not {self.freeze_markov!r}")
 
     @property
     def label(self) -> str:
@@ -109,12 +111,14 @@ class ExperimentConfig:
     out_dir: Optional[str] = None
 
     def __post_init__(self):
-        if self.replications < 1:
-            raise ValueError("need at least one replicate")
-        if self.horizons < 1:
-            raise ValueError("need at least one horizon")
-        if not self.methods:
-            raise ValueError("methods list must not be empty")
+        problems = _schema_problems({k: v for k, v in vars(self).items()
+                                     if v is not None or k != "out_dir"})
+        if not problems:  # methods is then a nonempty list
+            labels = [m.label for m in self.methods]
+            problems = [f"methods[{i}]: label {lbl!r} repeats methods[{labels.index(lbl)}]"
+                        for i, lbl in enumerate(labels) if labels.index(lbl) < i]
+        if problems:
+            raise ValueError("; ".join(problems))
 
 
 CONFIG_SCHEMA = {
@@ -156,79 +160,87 @@ CONFIG_SCHEMA = {
 }
 
 
-def validate_config(doc: dict) -> List[str]:
-    """Hand-rolled schema check; returns a list of problems (empty when valid)."""
-    problems = []
-    for key in CONFIG_SCHEMA["required"]:
-        if key not in doc:
-            problems.append(f"missing required key {key!r}")
+def _fits(value, rule: dict) -> bool:
+    """Whether ``value`` has the schema type of ``rule`` and reaches its minimum."""
+    kind = rule.get("type")
+    if kind == "array":
+        return (isinstance(value, (list, tuple)) and len(value) > 0
+                and all(_fits(v, rule["items"]) for v in value))
+    if kind == "integer":
+        return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+                and value >= rule.get("minimum", value))
+    return kind != "string" or isinstance(value, str)
+
+
+def _describe(rule: dict, many: bool = False) -> str:
+    """The schema's wording of ``rule``, e.g. ``an integer >= 1``."""
+    if rule["type"] == "array":
+        item = rule["items"]
+        return "a nonempty list" + (f" of {_describe(item, True)}" if "type" in item else "")
+    noun = {"string": ("a string", "strings"), "integer": ("an integer", "integers")}
+    return noun[rule["type"]][many] + (f" >= {rule['minimum']}" if "minimum" in rule else "")
+
+
+def _schema_problems(values: dict) -> List[str]:
+    """CONFIG_SCHEMA's types and minimums, checked on the keys present in ``values``."""
+    return [f"{key} must be {_describe(rule)}"
+            for key, rule in CONFIG_SCHEMA["properties"].items()
+            if key in values and not _fits(values[key], rule)]
+
+
+def _method_from_json(doc: dict) -> MethodSpec:
+    """A method entry: MethodSpec's fields, with ``g`` as a neighborhood descriptor."""
+    fields = {**doc}  # a non-object entry raises "'str' object is not a mapping"
+    g = fields.pop("g", None)
+    return MethodSpec(**fields, g=None if g is None else NeighborhoodFn.from_json(g))
+
+
+def _build(doc) -> Tuple[Optional[ExperimentConfig], List[str]]:
+    """Build a config document in one walk, each part by its typed constructor.
+
+    What a constructor raises on malformed input becomes a problem under the
+    path of its part (``network``, ``process``, ``methods[i]``); the config
+    is returned only when there is no problem.
+    """
+    if not isinstance(doc, dict):
+        return None, [f"a config is an object, not {type(doc).__name__}"]
+    problems = [f"missing required key {k!r}" for k in CONFIG_SCHEMA["required"] if k not in doc]
     if problems:
-        return problems
-    # the scalar keys, with the types and lower bounds the schema states
-    for key, rule in CONFIG_SCHEMA["properties"].items():
-        kind = rule.get("type") if key in doc else None
-        value, lo = doc.get(key), rule.get("minimum")
-        if kind == "string" and not isinstance(value, str):
-            problems.append(f"{key} must be a string")
-        elif kind == "integer" and not (type(value) is int and (lo is None or value >= lo)):
-            problems.append(f"{key} must be an integer" + ("" if lo is None else f" >= {lo}"))
-    net = doc["network"]
-    if not isinstance(net, dict) or net.get("kind") not in ("markov_edges", "flip",
-                                                            "density_matched"):
-        problems.append("network.kind must be markov_edges, flip or density_matched")
-    proc = doc["process"]
-    if not isinstance(proc, dict) or proc.get("type") not in ("nar", "lnar"):
-        problems.append("process.type must be nar or lnar")
-    if not (isinstance(doc["sample_sizes"], list) and doc["sample_sizes"]
-            and all(type(n) is int and n >= 10 for n in doc["sample_sizes"])):
-        problems.append("sample_sizes must be a nonempty list of integers >= 10")
-    methods = doc["methods"]
-    if not (isinstance(methods, list) and methods):
-        problems.append("methods must be a nonempty list")
-    else:
-        for i, m in enumerate(methods):
-            fam = m.get("family")
-            if fam not in ("nar", "lnar", "var"):
-                problems.append(f"methods[{i}].family must be nar, lnar or var")
-            elif fam != "var":
-                if m.get("policy", "known") not in ("known", "holdlast", "markov"):
-                    problems.append(f"methods[{i}].policy invalid for {fam}")
-                if "g" not in m:
-                    problems.append(f"methods[{i}] needs a neighborhood descriptor g")
-            if m.get("sparsity", "none") not in ("none", "network"):
-                problems.append(f"methods[{i}].sparsity must be none or network")
-            if not isinstance(m.get("freeze_markov", True), bool):
-                problems.append(f"methods[{i}].freeze_markov must be a boolean")
-    return problems
+        return None, problems
+    problems = _schema_problems(doc)
+
+    def build(path, make, part):
+        try:
+            return make(part)
+        except KeyError as exc:
+            problems.append(f"{path}: missing key {exc}")
+        except (IndexError, OverflowError, TypeError, ValueError) as exc:
+            problems.append(f"{path}: {exc}")
+
+    network = build("network", nio.network_model_from_json, doc["network"])
+    process = build("process", nio.model_spec_from_json, doc["process"])
+    methods = doc["methods"] if isinstance(doc["methods"], list) else []
+    methods = [build(f"methods[{i}]", _method_from_json, m) for i, m in enumerate(methods)]
+    if problems:
+        return None, problems
+    fields = {k: v for k, v in doc.items() if k in CONFIG_SCHEMA["properties"]}
+    try:
+        return ExperimentConfig(**{**fields, "network": network, "process": process[0],
+                                   "innov": process[1], "methods": methods}), []
+    except ValueError as exc:
+        return None, [str(exc)]
+
+
+def validate_config(doc: dict) -> List[str]:
+    """Every problem of a config document, each naming its path; empty when valid."""
+    return _build(doc)[1]
 
 
 def config_from_json(doc: dict) -> ExperimentConfig:
-    problems = validate_config(doc)
+    cfg, problems = _build(doc)
     if problems:
         raise ValueError("invalid experiment config: " + "; ".join(problems))
-    spec, innov = nio.model_spec_from_json(doc["process"])
-    methods = []
-    for m in doc["methods"]:
-        g = NeighborhoodFn.from_json(m["g"]) if "g" in m else None
-        methods.append(MethodSpec(
-            family=m["family"], policy=m.get("policy", "known" if m["family"] != "var" else "none"),
-            g=g, sparsity=m.get("sparsity", "none"),
-            freeze_markov=bool(m.get("freeze_markov", True)),
-        ))
-    return ExperimentConfig(
-        experiment=doc["experiment"],
-        network=nio.network_model_from_json(doc["network"]),
-        process=spec,
-        innov=innov,
-        sample_sizes=list(doc["sample_sizes"]),
-        horizons=int(doc["horizons"]),
-        replications=int(doc["replications"]),
-        seed=int(doc["seed"]),
-        methods=methods,
-        burn_in=int(doc.get("burn_in", 500)),
-        p_max=int(doc.get("p_max", 3)),
-        out_dir=doc.get("out_dir"),
-    )
+    return cfg
 
 
 def config_to_json(cfg: ExperimentConfig) -> dict:
@@ -242,16 +254,12 @@ def config_to_json(cfg: ExperimentConfig) -> dict:
         "seed": cfg.seed,
         "burn_in": cfg.burn_in,
         "p_max": cfg.p_max,
-        "methods": [],
+        "methods": [{"family": m.family, "policy": m.policy, "sparsity": m.sparsity,
+                     "freeze_markov": m.freeze_markov,
+                     **({} if m.g is None else {"g": m.g.to_json()})} for m in cfg.methods],
     }
     if cfg.out_dir:
         doc["out_dir"] = cfg.out_dir
-    for m in cfg.methods:
-        entry = {"family": m.family, "policy": m.policy, "sparsity": m.sparsity,
-                 "freeze_markov": m.freeze_markov}
-        if m.g is not None:
-            entry["g"] = m.g.to_json()
-        doc["methods"].append(entry)
     return doc
 
 
@@ -338,55 +346,36 @@ class ExperimentReport:
 
     def relative_mse(self) -> Dict[str, float]:
         """Each method's MSE averaged over n and h, relative to the VAR row."""
-        base_label = None
-        for lbl in self.method_labels:
-            if lbl.startswith("var"):
-                base_label = lbl
-                break
-        if base_label is None:
+        base = next((lbl for lbl in self.method_labels if lbl.startswith("var")), None)
+        if base is None:
             raise ValueError("relative table needs a var method as basing point")
-        out = {}
-        for lbl in self.method_labels:
-            ratios = []
-            for n in self.sample_sizes:
-                base = self.mse[(n, base_label)]
-                ratios.extend((self.mse[(n, lbl)] / base).tolist())
-            out[lbl] = float(np.mean(ratios))
-        return out
+        return {lbl: float(np.concatenate([self.mse[(n, lbl)] / self.mse[(n, base)]
+                                           for n in self.sample_sizes]).mean())
+                for lbl in self.method_labels}
 
 
 def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentReport:
     h = cfg.horizons
     labels = [m.label for m in cfg.methods]
-    if len(set(labels)) != len(labels):
-        raise ValueError("method labels collide; give each method a distinct role")
     mse: Dict[Tuple[int, str], np.ndarray] = {}
     se: Dict[Tuple[int, str], np.ndarray] = {}
     failures: Dict[Tuple[int, str], int] = {}
     for n_index, n in enumerate(cfg.sample_sizes):
-        per_method: Dict[str, List[np.ndarray]] = {lbl: [] for lbl in labels}
-        fail_count = {lbl: 0 for lbl in labels}
         args = [(cfg, n_index, n, rep) for rep in range(cfg.replications)]
         if threads > 1:
             with ProcessPoolExecutor(max_workers=threads) as pool:
                 results = list(pool.map(_replicate_worker, args, chunksize=8))
         else:
             results = [_run_one_replicate(*a) for a in args]
-        for res in results:
-            for lbl in labels:
-                err = res[lbl]
-                if err is None:
-                    fail_count[lbl] += 1
-                else:
-                    per_method[lbl].append(err)
         for lbl in labels:
-            failures[(n, lbl)] = fail_count[lbl]
-            if fail_count[lbl] > FAILURE_ABORT_RATE * cfg.replications:
+            errs = [res[lbl] for res in results if res[lbl] is not None]
+            failures[(n, lbl)] = fails = len(results) - len(errs)
+            if fails > FAILURE_ABORT_RATE * cfg.replications:
                 raise RuntimeError(
-                    f"method {lbl} failed on {fail_count[lbl]} of {cfg.replications} "
+                    f"method {lbl} failed on {fails} of {cfg.replications} "
                     f"replicates at n={n}; aborting (threshold {FAILURE_ABORT_RATE:.0%})"
                 )
-            stack = np.stack(per_method[lbl])  # (B_ok, d, h)
+            stack = np.stack(errs)  # (B_ok, d, h)
             sq = stack ** 2
             rep_means = sq.mean(axis=1)  # per-replicate component average, (B_ok, h)
             mse[(n, lbl)] = rep_means.mean(axis=0)

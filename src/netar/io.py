@@ -127,13 +127,9 @@ def write_adjacency_csv(path, ads: AdjacencySeries) -> None:
         for k in range(len(ads)):
             t = ads.t0 + k
             m = ads[k]
-            rows, cols = np.nonzero(m)
-            seen_corner = False
-            for i, j in zip(rows, cols):
-                if i == d - 1 and j == d - 1:
-                    seen_corner = True
+            for i, j in zip(*np.nonzero(m)):
                 w.writerow([t, i + 1, j + 1, fmt(m[i, j])])
-            if not seen_corner:
+            if m[d - 1, d - 1] == 0:
                 # anchor row: keeps d and the time range recoverable
                 w.writerow([t, d, d, fmt(m[d - 1, d - 1])])
 
@@ -180,13 +176,28 @@ def write_adjacency_json(path, ads: AdjacencySeries) -> None:
 def read_adjacency_json(path) -> AdjacencySeries:
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, list):
+        raise ValueError('network JSON must be a list of {"t", "rows"} snapshots')
     if not doc:
         raise ValueError("empty network file")
-    doc = sorted(doc, key=lambda e: e["t"])
-    ts = [e["t"] for e in doc]
-    if ts != list(range(ts[0], ts[-1] + 1)):
+    snaps = []
+    for k, e in enumerate(doc):
+        t = e.get("t") if isinstance(e, dict) else None
+        if type(t) is not int:
+            raise ValueError(f"network JSON entry {k}: t must be an integer, found {t!r}")
+        try:
+            m = np.array(e.get("rows"), dtype=float, ndmin=1)
+        except (TypeError, ValueError):  # ragged or non-numeric rows
+            m = np.empty(0)
+        d = len(snaps[0][1] if snaps else m)
+        if m.shape != (d, d):
+            raise ValueError(f"network snapshot t={t}: rows must form a square numeric matrix "
+                             "as large as every other snapshot")
+        snaps.append((t, m))
+    ts, mats = zip(*sorted(snaps, key=lambda s: s[0]))
+    if list(ts) != list(range(ts[0], ts[-1] + 1)):
         raise ValueError("network time indices must be contiguous")
-    return AdjacencySeries(np.array([e["rows"] for e in doc], dtype=float), t0=ts[0])
+    return AdjacencySeries(np.stack(mats), t0=ts[0])
 
 
 def read_adjacency(path) -> AdjacencySeries:
@@ -210,6 +221,9 @@ def read_series_csv(path) -> Tuple[np.ndarray, int]:
     header, ts, cells = _read_table(path, "series", "row t={}")
     if header[0] != "t":
         raise ValueError("series CSV must start with a 't' column")
+    for k, t in enumerate(ts):
+        if not (t.removeprefix("-").isdecimal() and int(t) == int(ts[0]) + k):
+            raise ValueError(f"series file: row t={t}: t labels must be consecutive integers")
     return cells.T, int(ts[0])
 
 
@@ -312,11 +326,7 @@ def network_model_to_json(model) -> dict:
 def network_model_from_json(doc: dict):
     kind = doc["kind"]
     if kind == "markov_edges":
-        initial = doc.get("initial", "stationary")
-        if not isinstance(initial, str):
-            initial = np.asarray(initial, dtype=float)
-        return MarkovEdgeNetwork(np.asarray(doc["stay"], dtype=float),
-                                 np.asarray(doc["enter"], dtype=float), initial)
+        return MarkovEdgeNetwork(doc["stay"], doc["enter"], doc.get("initial", "stationary"))
     if kind == "flip":
         return FlipNetwork(float(doc.get("persist_prob", 0.95)),
                            int(doc.get("initial_state", 0)))

@@ -1,10 +1,15 @@
+import copy
+import dataclasses
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
+import netar.io as nio
 from netar import InnovationSpec, NarSpec, NeighborhoodFn
+from netar.cli import main
 from netar.harness import (
     CONFIG_SCHEMA,
     ExperimentConfig,
@@ -136,6 +141,26 @@ class TestRunExperiment:
         assert markov.mean() >= known.mean() * 0.85
 
 
+# each edit of the example-1 document breaks one part; the problem must name that part
+_MALFORMED = {
+    "markov_network_without_stay": (lambda doc: doc["network"].pop("stay"), "network"),
+    "stay_shape_against_enter": (lambda doc: doc["network"].update(stay=[[0.5]]), "network"),
+    "method_as_string": (lambda doc: doc["methods"].__setitem__(1, "nar"), "methods[1]"),
+    "method_with_bogus_g": (lambda doc: doc["methods"][0].update(g={"kind": "bogus"}),
+                            "methods[0]"),
+    "process_without_A": (lambda doc: doc["process"].pop("A"), "process"),
+    "process_p2_with_one_A": (lambda doc: doc["process"].update(p=2), "process"),
+    "density_matched_without_parameters": (
+        lambda doc: doc.update(network={"kind": "density_matched", "d": 4}), "network"),
+    "flip_persist_prob_above_one": (
+        lambda doc: doc.update(network={"kind": "flip", "persist_prob": 2.0}), "network"),
+    "two_entry_mu_for_d4": (lambda doc: doc["process"]["innov"].update(mu=[1.0, 2.0]),
+                            "process"),
+    "method_listed_twice": (lambda doc: doc["methods"].append(copy.deepcopy(doc["methods"][0])),
+                            "methods[3]"),
+}
+
+
 class TestConfigJson:
     def test_roundtrip(self):
         cfg = example1_config(replications=5, sample_sizes=(100,))
@@ -170,8 +195,62 @@ class TestConfigJson:
         doc = config_to_json(example1_config(replications=5))
         doc["methods"][0]["sparsity"] = "dense"
         doc["methods"][1]["freeze_markov"] = "yes"
-        assert validate_config(doc) == ["methods[0].sparsity must be none or network",
-                                        "methods[1].freeze_markov must be a boolean"]
+        assert validate_config(doc) == ["methods[0]: unknown sparsity 'dense'",
+                                        "methods[1]: freeze_markov must be a boolean, not 'yes'"]
+
+    @pytest.mark.parametrize("case", sorted(_MALFORMED))
+    def test_malformed_document_names_its_path(self, case):
+        edit, path = _MALFORMED[case]
+        doc = config_to_json(example1_config(replications=5))
+        edit(doc)
+        problems = validate_config(doc)
+        assert any(p.startswith(path + ": ") for p in problems), problems
+        with pytest.raises(ValueError, match=re.escape(path + ": ")):
+            config_from_json(doc)
+
+    @pytest.mark.parametrize("field, value, problem", [
+        ("p_max", 0, "p_max must be an integer >= 1"),
+        ("burn_in", -3, "burn_in must be an integer >= 0"),
+        ("sample_sizes", (), "sample_sizes must be a nonempty list of integers >= 10"),
+        ("sample_sizes", (3,), "sample_sizes must be a nonempty list of integers >= 10"),
+    ])
+    def test_config_constructor_applies_the_schema_rules(self, field, value, problem):
+        with pytest.raises(ValueError, match=re.escape(problem)):
+            dataclasses.replace(tiny_config(), **{field: value})
+
+    def test_method_spec_rejects_non_boolean_freeze_flag(self):
+        with pytest.raises(ValueError, match="freeze_markov must be a boolean"):
+            MethodSpec("nar", "markov", NeighborhoodFn.transpose(), freeze_markov="yes")
+
+    def test_schema_agrees_with_the_constructors(self, capsys):
+        g = NeighborhoodFn.transpose()
+        makers = {
+            "family": lambda v: MethodSpec(v, g=g),
+            # a VAR ignores its policy, so "none" is checked on the VAR
+            "policy": lambda v: MethodSpec("var", v) if v == "none" else MethodSpec("nar", v, g),
+            "sparsity": lambda v: MethodSpec("var", sparsity=v),
+        }
+        listed = CONFIG_SCHEMA["properties"]["methods"]["items"]["properties"]
+        for key, make in makers.items():
+            for value in listed[key]["enum"]:
+                make(value)
+            with pytest.raises(ValueError):
+                make("unlisted")
+        parameters = {"markov_edges": {"stay": [[0.5]], "enter": [[0.5]]}, "flip": {},
+                      "density_matched": {"d": 4, "mean_density": 0.5, "persistence": 0.9}}
+        variants = CONFIG_SCHEMA["properties"]["network"]["oneOf"]
+        assert sorted(v["properties"]["kind"]["const"] for v in variants) == sorted(parameters)
+        for variant in variants:
+            kind = variant["properties"]["kind"]["const"]
+            doc = {"kind": kind, **parameters[kind]}
+            nio.network_model_from_json(doc)
+            for key in variant["required"]:
+                with pytest.raises(KeyError):
+                    nio.network_model_from_json({k: v for k, v in doc.items() if k != key})
+        with pytest.raises(ValueError, match="unknown network model kind"):
+            nio.network_model_from_json({"kind": "unlisted"})
+        assert main(["experiment", "--print-schema"]) == 0
+        assert json.loads(capsys.readouterr().out) == CONFIG_SCHEMA
 
     def test_method_spec_rejects_unknown_sparsity(self):
         with pytest.raises(ValueError, match="unknown sparsity 'dense'"):

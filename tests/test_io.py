@@ -52,6 +52,21 @@ class TestAdjacencyRoundtrip:
         assert back.t0 == -3
         assert np.allclose(back.mats, ads.mats)
 
+    @pytest.mark.parametrize("doc, where", [
+        ({"t": 0, "rows": [[0.0]]}, "must be a list"),
+        ([{"t": 0, "rows": [[0, 1], [1, 0]]}, {"rows": [[0, 1], [1, 0]]}], "entry 1: t must"),
+        ([{"t": 0.5, "rows": [[0.0]]}], "entry 0: t must"),
+        ([{"t": 0, "rows": [[0, 1], [1]]}], "snapshot t=0: rows"),
+        ([{"t": 0, "rows": [[0, 1]]}], "snapshot t=0: rows"),
+        ([{"t": 0, "rows": [[0, 1], [1, 0]]}, {"t": 1, "rows": [[0]]}], "snapshot t=1: rows"),
+    ], ids=["not_a_list", "entry_without_t", "non_integer_t", "ragged_rows",
+            "non_square_rows", "snapshot_of_another_size"])
+    def test_malformed_json_names_the_snapshot(self, doc, where, tmp_path):
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=re.escape(where)):
+            nio.read_adjacency_json(path)
+
     def test_non_contiguous_times_rejected(self, tmp_path):
         path = tmp_path / "net.csv"
         path.write_text("t,i,j,w\n0,1,1,1\n2,1,1,1\n")
@@ -73,6 +88,16 @@ class TestSeriesRoundtrip:
         path = tmp_path / "series.csv"
         path.write_text("t,x1,x2\n0,1.0,2.0\n1,3.0,nan\n2,4.0,5.0\n")
         with pytest.raises(ValueError, match="row t=1, column x2"):
+            nio.read_series_csv(path)
+
+    @pytest.mark.parametrize("text, row", [
+        ("t,x1\n0,1.0\n5,2.0\n", "row t=5"),  # a gap: t=5 does not follow t=0
+        ("t,x1\n0.5,1.0\n1.5,2.0\n", "row t=0.5"),
+    ], ids=["gap", "non_integer"])
+    def test_t_labels_must_be_consecutive_integers(self, text, row, tmp_path):
+        path = tmp_path / "series.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(f"series file: {row}: ")):
             nio.read_series_csv(path)
 
     def test_non_finite_network_weight_rejected(self, tmp_path):
