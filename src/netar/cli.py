@@ -64,8 +64,8 @@ def cmd_simulate(args) -> int:
     if args.network:
         model = _load_network_model(args.network)
         rng = np.random.default_rng(args.seed)
-        ads = model.simulate(args.burn_in + args.n, rng=rng)
-        x = sim(spec, ads, innov, n=args.n, burn_in=args.burn_in, rng=rng)
+        ads = model.simulate(args.burn_in + args.n, seed=rng)
+        x = sim(spec, ads, innov, n=args.n, burn_in=args.burn_in, seed=rng)
         ads_out = ads.drop_first(args.burn_in)
     else:
         ads_out = nio.read_adjacency(args.ads)

@@ -32,7 +32,7 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .model import LnarSpec
+from .model import LnarSpec, _check_network_cover
 from .netdyn import AdjacencySeries, NeighborhoodFn, apply_neighborhood_fn
 
 __all__ = [
@@ -240,10 +240,6 @@ def _lnar_design(x, ads, g_list, p, t_start):
     x = np.atleast_2d(np.asarray(x, dtype=float))
     d, n = x.shape
     t_start = _resolve_t_start(p, t_start)
-    if len(ads) < n - 1:
-        raise ValueError(
-            f"network series too short for the sample: need {n - 1} snapshots, got {len(ads)}"
-        )
     lo = t_start - p
     lagged = x[:, lo: n - 1].T[..., None]
     pooled = {g: np.matmul(apply_neighborhood_fn(g, ads.mats[lo: n - 1], zero_diag=True),
@@ -451,6 +447,8 @@ def _equations(family: str, x: np.ndarray, ads: Optional[AdjacencySeries], g_lis
         raise ValueError(f"family {family!r} needs the network series ads")
     if family != "var" and (g_list is None or any(g is None for g in g_list)):
         raise ValueError(f"family {family!r} needs the neighborhood function g")
+    if family != "var":
+        _check_network_cover(ads, d, n - 1, f"{family} fit")
     if n - t_start <= 0:
         raise ValueError("estimation window is empty")
     if family == "var":

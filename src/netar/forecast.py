@@ -16,7 +16,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .estimate import ModelFit
-from .model import LnarSpec, _nar_coefficients, _run_recursion
+from .model import LnarSpec, _check_network_cover, _nar_coefficients, _run_recursion
 from .netdyn import AdjacencySeries
 
 __all__ = [
@@ -147,12 +147,12 @@ def forecast_h(fit: ModelFit, x_hist: np.ndarray, ads_hist: Optional[AdjacencySe
     else:
         if ads_hist is None or policy is None:
             raise ValueError("network-modulated forecasts need a history and a policy")
-        if len(ads_hist) < n - 1:
-            raise ValueError("network history must cover the observed sample")
+        _check_network_cover(ads_hist, d, n - 1, "forecast_h")
         # only the n-1 estimation-aligned snapshots are visible; anything
         # beyond them must come through the policy
         hist_use = ads_hist.take_first(n - 1)
         nets = forecast_network(hist_use, policy, h)
+        _check_network_cover(nets, d, h, "forecast_h (policy snapshots)")
         mats = np.concatenate([hist_use.mats[n - p:], nets.mats], axis=0)
         coefs = _nar_coefficients(coef, g, mats)
     x = np.concatenate([x_hist[:, n - p:], np.zeros((d, h))], axis=1)
@@ -192,10 +192,6 @@ def integrate(y_n: np.ndarray, forecasts: Union[ForecastSet, np.ndarray]) -> np.
 class MseReport:
     per_horizon: np.ndarray
     per_component: np.ndarray
-
-    @property
-    def overall(self) -> float:
-        return float(self.per_horizon.mean())
 
 
 def evaluate_mse(truth: np.ndarray, forecasts: np.ndarray) -> MseReport:

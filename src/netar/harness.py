@@ -56,6 +56,7 @@ __all__ = [
 ]
 
 FAILURE_ABORT_RATE = 0.01
+_MIN_PANEL_QUARTERS = 40
 
 
 @dataclass(frozen=True)
@@ -87,6 +88,11 @@ class MethodSpec:
             raise ValueError(f"unknown sparsity {self.sparsity!r}")
         if not isinstance(self.freeze_markov, bool):
             raise ValueError(f"freeze_markov must be a boolean, not {self.freeze_markov!r}")
+        # settings the method would ignore
+        if self.family != "var" and self.sparsity == "network":
+            raise ValueError(f"sparsity 'network' applies to var only, not {self.family}")
+        if self.family == "var" and self.g is not None and self.sparsity != "network":
+            raise ValueError("a var method reads g only with sparsity 'network'")
 
     @property
     def label(self) -> str:
@@ -117,6 +123,10 @@ class ExperimentConfig:
             labels = [m.label for m in self.methods]
             problems = [f"methods[{i}]: label {lbl!r} repeats methods[{labels.index(lbl)}]"
                         for i, lbl in enumerate(labels) if labels.index(lbl) < i]
+            dims = {"network": self.network.d, "process": self.process.d, "innov": self.innov.d}
+            if len(set(dims.values())) > 1:
+                problems.append("dimensions differ: "
+                                + ", ".join(f"{k} {v}" for k, v in dims.items()))
         if problems:
             raise ValueError("; ".join(problems))
 
@@ -270,9 +280,9 @@ def _replicate_seed(root_seed: int, n_index: int, rep: int) -> np.random.Generat
 
 def _simulate_replicate(cfg: ExperimentConfig, n: int, rng: np.random.Generator):
     total = cfg.burn_in + n + cfg.horizons
-    ads = cfg.network.simulate(total, rng=rng)
+    ads = cfg.network.simulate(total, seed=rng)
     sim = simulate_lnar if isinstance(cfg.process, LnarSpec) else simulate_nar
-    x = sim(cfg.process, ads, cfg.innov, n=n + cfg.horizons, burn_in=cfg.burn_in, rng=rng)
+    x = sim(cfg.process, ads, cfg.innov, n=n + cfg.horizons, burn_in=cfg.burn_in, seed=rng)
     return x, ads.drop_first(cfg.burn_in)
 
 
@@ -450,33 +460,23 @@ def example1_network() -> MarkovEdgeNetwork:
     return MarkovEdgeNetwork(stay, enter, initial="stationary")
 
 
-def example1_process(g_variant: str = "transpose"):
-    """Order-1 circulant benchmark process on the four-vertex network."""
+def example1_process():
+    """Order-1 circulant benchmark process on the four-vertex network, G = transpose."""
     alpha = np.array([
         [0.25, 0.7, 0.0, 0.0],
         [0.0, 0.25, 0.7, 0.0],
         [0.0, 0.0, 0.25, 0.7],
         [0.7, 0.0, 0.0, 0.25],
     ])
-    g = _g_variant(g_variant)
-    spec = NarSpec(1, [alpha], [g])
+    spec = NarSpec(1, [alpha], [NeighborhoodFn.transpose()])
     innov = InnovationSpec(np.array([-1.0, 4.0, -9.0, 16.0]), np.eye(4))
     return spec, innov
 
 
-def _g_variant(name: str) -> NeighborhoodFn:
-    if name == "identity":
-        return NeighborhoodFn.identity()
-    if name == "transpose":
-        return NeighborhoodFn.transpose()
-    raise ValueError(f"unknown modulation variant {name!r}")
-
-
 def example1_config(sample_sizes=(500,), replications: int = 200, seed: int = 20240,
-                    horizons: int = 4, g_variant: str = "transpose",
-                    policies=("known",), include_var: bool = True,
+                    horizons: int = 4, policies=("known",), include_var: bool = True,
                     include_lnar: bool = True, out_dir=None) -> ExperimentConfig:
-    spec, innov = example1_process(g_variant)
+    spec, innov = example1_process()
     g = spec.G[0]
     methods = []
     for policy in policies:
@@ -646,18 +646,17 @@ class PanelForecastResult:
 
 
 def run_rolling_forecast(panel: PanelDataset, methods=("var", "lnar", "nar"), h: int = 8,
-                         p_max: int = 3, min_quarters: int = 40,
-                         out_dir: Optional[str] = None) -> PanelForecastResult:
+                         p_max: int = 3, out_dir: Optional[str] = None) -> PanelForecastResult:
     """Difference, fit with BIC, forecast h steps with hold-last networks,
     integrate back to levels, and tabulate squared/absolute errors.
 
     The last h quarters are held out as truth; the estimation sample is
-    everything before them.
+    everything before them, at least 40 quarters.
     """
     n_q = panel.n_quarters
-    if n_q - h < min_quarters:
+    if n_q - h < _MIN_PANEL_QUARTERS:
         raise ValueError(
-            f"panel too short: {n_q - h} estimation quarters, need {min_quarters}"
+            f"panel too short: {n_q - h} estimation quarters, need {_MIN_PANEL_QUARTERS}"
         )
     x = difference(panel.levels)
     n_growth = x.shape[1]
@@ -672,8 +671,8 @@ def run_rolling_forecast(panel: PanelDataset, methods=("var", "lnar", "nar"), h:
     errors = {}
     orders = {}
     for name in methods:
-        fit, sel = _fit_with_bic(MethodSpec(family=name, policy="holdlast", g=g),
-                                 x_est, ads_est, p_max)
+        method = MethodSpec(family=name, policy="holdlast", g=None if name == "var" else g)
+        fit, sel = _fit_with_bic(method, x_est, ads_est, p_max)
         fc = forecast_h(fit, x_est, ads_est, HoldLast(), h)
         levels_fc = integrate(origin_level, fc)
         forecasts[name] = levels_fc

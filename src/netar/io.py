@@ -68,13 +68,13 @@ def fmt(x: float) -> str:
 
 
 @contextmanager
-def atomic_open(path, mode="w"):
+def atomic_open(path):
     path = os.fspath(path)
     d = os.path.dirname(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=os.path.basename(path))
     try:
-        with os.fdopen(fd, mode, newline="") as fh:
+        with os.fdopen(fd, "w", newline="") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:

@@ -26,7 +26,7 @@ index ``t`` sits between observations ``t`` and ``t + 1``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Union
+from typing import Callable, List, Sequence, Union
 
 import numpy as np
 
@@ -248,16 +248,16 @@ class LnarStationarity:
     rho_bound: float
 
 
-def check_stationarity_nar(spec: NarSpec, tol: float = STATIONARITY_TOL) -> NarStationarity:
+def check_stationarity_nar(spec: NarSpec) -> NarStationarity:
     """Spectral-radius check on the companion matrix of elementwise |A_j|.
 
     The modulation matrices have entries bounded by 1 in magnitude, so
     rho < 1 for the absolute-value companion guarantees a stationary
     causal solution regardless of the network.  The boundary counts as
-    failure (strict inequality required).
+    failure (strict inequality, by ``STATIONARITY_TOL``).
     """
     rho = float(spectral_radius(np.abs(build_companion(spec).tilde_a)))
-    return NarStationarity(holds=bool(rho < 1.0 - tol), rho=rho)
+    return NarStationarity(holds=bool(rho < 1.0 - STATIONARITY_TOL), rho=rho)
 
 
 def check_stationarity_lnar(spec: LnarSpec) -> LnarStationarity:
@@ -285,7 +285,11 @@ def snapshot_spectral_radii(spec: Union[NarSpec, LnarSpec], ads: AdjacencySeries
     return spectral_radius(_companion(_nar_coefficients(nar.A, nar.G, ads.mats)))
 
 
-def _check_network_cover(ads: AdjacencySeries, total: int, what: str) -> None:
+def _check_network_cover(ads: AdjacencySeries, d: int, total: int, what: str) -> None:
+    """Raise unless the network has ``d`` vertices and ``total`` snapshots or more."""
+    if ads.d != d:
+        raise ValueError(f"{what}: the network has {ads.d} vertices but the process has "
+                         f"{d} components")
     if len(ads) < total:
         raise ValueError(
             f"{what}: network series too short, need at least {total} snapshots, got {len(ads)}"
@@ -342,31 +346,30 @@ def _run_recursion(x: np.ndarray, drive: np.ndarray, coefs: Sequence[np.ndarray]
 
 
 def _simulate(nar: NarSpec, ads: AdjacencySeries, innov: InnovationSpec, n: int,
-              burn_in: int, seed, rng: Optional[np.random.Generator],
-              check_finite: bool, what: str) -> np.ndarray:
+              burn_in: int, seed, check_finite: bool, what: str) -> np.ndarray:
     """The simulation core behind both families."""
     if innov.d != nar.d:
         raise ValueError("innovation dimension does not match spec")
     total = burn_in + n
-    _check_network_cover(ads, total, what)
+    _check_network_cover(ads, nar.d, total, what)
     # lag j reads the snapshots s < total - j, all inside the first total - 1
     coefs = _nar_coefficients(nar.A, nar.G, ads.mats[: max(total - 1, 0)])
-    if rng is None:
-        rng = np.random.default_rng(seed)
-    eps = innov.sample(rng, total)
+    eps = innov.sample(np.random.default_rng(seed), total)
     x = _run_recursion(np.zeros((nar.d, total)), eps, coefs, check_finite=check_finite)
     return x[:, burn_in:]
 
 
 def simulate_nar(spec: NarSpec, ads: AdjacencySeries, innov: InnovationSpec,
                  n: int, burn_in: int = 500, seed=None,
-                 rng: Optional[np.random.Generator] = None,
                  allow_explosive: bool = False) -> np.ndarray:
     """Simulate the full model by exact recursion; returns the last n columns.
 
     Pre-sample values are zero and washed out by the burn-in.  The network
-    series must cover the whole run (``burn_in + n`` snapshots aligned to
-    the output axis).  Raises for non-stationary specifications unless
+    series must have the spec's vertex count and cover the whole run
+    (``burn_in + n`` snapshots aligned to the output axis).  ``seed`` is
+    anything :func:`numpy.random.default_rng` takes; a Generator is drawn
+    from in place, so a network simulated from it just before shares one
+    stream with the path.  Raises for non-stationary specifications unless
     ``allow_explosive`` is set, in which case every step is checked for
     finiteness.
     """
@@ -377,12 +380,11 @@ def simulate_nar(spec: NarSpec, ads: AdjacencySeries, innov: InnovationSpec,
                 f"spec fails the stationarity check (rho={st.rho:.6f}); "
                 "pass allow_explosive=True to override"
             )
-    return _simulate(spec, ads, innov, n, burn_in, seed, rng, allow_explosive, "simulate_nar")
+    return _simulate(spec, ads, innov, n, burn_in, seed, allow_explosive, "simulate_nar")
 
 
 def simulate_lnar(spec: LnarSpec, ads: AdjacencySeries, innov: InnovationSpec,
                   n: int, burn_in: int = 500, seed=None,
-                  rng: Optional[np.random.Generator] = None,
                   allow_explosive: bool = False) -> np.ndarray:
     """Simulate the per-component model; same contract as :func:`simulate_nar`.
 
@@ -409,7 +411,7 @@ def simulate_lnar(spec: LnarSpec, ads: AdjacencySeries, innov: InnovationSpec,
                     f"infinity-norm certificate and reaches {norm:.6g} on the "
                     "supplied network; pass allow_explosive=True to override"
                 )
-    return _simulate(spec.to_nar(), ads, innov, n, burn_in, seed, rng, allow_explosive,
+    return _simulate(spec.to_nar(), ads, innov, n, burn_in, seed, allow_explosive,
                      "simulate_lnar")
 
 
@@ -418,23 +420,20 @@ CoefficientFn = Union[NeighborhoodFn, Callable[..., np.ndarray], None]
 
 def simulate_gnlp_truncated(coeff_fns: Sequence[CoefficientFn], ads: AdjacencySeries,
                             innov: InnovationSpec, n: int, seed=None,
-                            rng: Optional[np.random.Generator] = None,
                             burn_in: int = 0) -> np.ndarray:
     """Simulate a truncated network linear (moving-average) process.
 
     ``coeff_fns[j-1]`` produces the lag-j coefficient matrix; it may be a
     :class:`NeighborhoodFn` (applied to the lag-j snapshot), a callable
     receiving the snapshots ``(Ad_{t-1}, ..., Ad_{t-j})`` newest first, or
-    None for a zero lag.  The result is exact for finite-order
-    moving averages:
+    None for a zero lag.  ``seed`` is read as by :func:`simulate_nar`.  The
+    result is exact for finite-order moving averages:
 
         X_t = sum_j f_j(Ad_{t-1}, ..., Ad_{t-j}) eps_{t-j} + eps_t.
     """
     total = burn_in + n
-    _check_network_cover(ads, total, "simulate_gnlp_truncated")
-    if rng is None:
-        rng = np.random.default_rng(seed)
-    eps = innov.sample(rng, total)
+    _check_network_cover(ads, innov.d, total, "simulate_gnlp_truncated")
+    eps = innov.sample(np.random.default_rng(seed), total)
     x = eps.copy()  # time-major, like eps
     for j, fn in enumerate(coeff_fns, start=1):
         if fn is None or j >= total:

@@ -80,10 +80,6 @@ class AdjacencySeries:
     def __getitem__(self, k: int) -> np.ndarray:
         return self.mats[k]
 
-    @property
-    def times(self) -> np.ndarray:
-        return self.t0 + np.arange(len(self))
-
     def is_binary(self) -> bool:
         return bool(np.isin(self.mats, (0.0, 1.0)).all())
 
@@ -180,11 +176,13 @@ class MarkovEdgeNetwork:
         p = np.where(state == 1.0, self.stay_prob, self.enter_prob)
         return (uniforms < p).astype(float)
 
-    def simulate(self, n: int, seed=None, rng: Optional[np.random.Generator] = None,
-                 burn_in: int = 0, t0: int = 0) -> AdjacencySeries:
-        """Simulate ``n`` snapshots after discarding ``burn_in`` transitions."""
-        if rng is None:
-            rng = np.random.default_rng(seed)
+    def simulate(self, n: int, seed=None, burn_in: int = 0) -> AdjacencySeries:
+        """Simulate ``n`` snapshots after discarding ``burn_in`` transitions.
+
+        ``seed`` is anything :func:`numpy.random.default_rng` takes; a
+        Generator is drawn from in place.
+        """
+        rng = np.random.default_rng(seed)
         state = self.initial_state(rng)
         draws = rng.random((burn_in + n, self.d, self.d))
         out = np.empty((n, self.d, self.d))
@@ -192,7 +190,7 @@ class MarkovEdgeNetwork:
             state = self.step(state, draws[t])
             if t >= burn_in:
                 out[t - burn_in] = state
-        return AdjacencySeries._checked(out, t0)  # binary by construction
+        return AdjacencySeries._checked(out, 0)  # binary by construction
 
 
 class FlipNetwork:
@@ -231,23 +229,21 @@ class FlipNetwork:
         mats[..., 1, 2] = states != self.EDGE13
         return mats
 
-    def simulate(self, n: int, seed=None, rng: Optional[np.random.Generator] = None,
-                 burn_in: int = 0, t0: int = 0) -> AdjacencySeries:
-        states = self.simulate_states(n, seed=seed, rng=rng, burn_in=burn_in)
-        return AdjacencySeries._checked(self.state_to_matrix(states), t0)  # binary by construction
+    def simulate(self, n: int, seed=None, burn_in: int = 0) -> AdjacencySeries:
+        states = self.simulate_states(n, seed=seed, burn_in=burn_in)
+        return AdjacencySeries._checked(self.state_to_matrix(states), 0)  # binary by construction
 
-    def simulate_states(self, n: int, seed=None, rng=None, burn_in: int = 0) -> np.ndarray:
+    def simulate_states(self, n: int, seed=None, burn_in: int = 0) -> np.ndarray:
         """State path (0/1 per step); lighter than full matrices for long runs.
 
         Both possible transitions of every step come from one broadcast
         :meth:`step`.  A step whose two transitions agree fixes the state;
         after it, each step whose transitions disagree either keeps the
         state or swaps the two states, so the path is the last fixed state
-        with the parity of the swaps since applied.
+        with the parity of the swaps since applied.  ``seed`` is read as by
+        :meth:`MarkovEdgeNetwork.simulate`.
         """
-        if rng is None:
-            rng = np.random.default_rng(seed)
-        u = rng.random(burn_in + n)
+        u = np.random.default_rng(seed).random(burn_in + n)
         from13 = self.step(self.EDGE13, u)
         from23 = self.step(self.EDGE23, u)
         steps = np.arange(u.size)
@@ -266,27 +262,34 @@ def _require_binary(ad: np.ndarray, what: str) -> np.ndarray:
     return ad
 
 
+def _walks_within(ad: np.ndarray, k: int) -> np.ndarray:
+    """0/1 indicator of a walk of length 1..k from ``i`` to ``j`` in a binary
+    snapshot or ``(..., d, d)`` stack; all zeros for ``k = 0``.
+
+    The indicator is retaken after each product, so no entry exceeds d + 1
+    and the float products are exact (raw walk counts overflow on dense
+    graphs).
+    """
+    within = np.zeros(ad.shape)
+    for _ in range(k):
+        within = np.minimum(ad + within @ ad, 1.0)
+    return within
+
+
 def k_stage_neighborhood(ad, k: int) -> np.ndarray:
     """Indicator matrix of vertices reachable by a shortest path of length exactly k.
 
-    Accepts one snapshot or a ``(..., d, d)`` stack.  Row ``j`` marks the vertices ``v`` whose shortest directed path
-    ``v -> j`` has length ``k`` (the transpose reverses edge direction so
-    that rows collect in-neighborhoods).  Computed as
-    ``sign(|sign((Ad^T)^k) - sign(sum_{i<k} (Ad^T)^i)|_+)`` in exact
-    integer arithmetic.
+    Accepts one snapshot or a ``(..., d, d)`` stack.  Row ``j`` marks the
+    vertices ``v`` whose shortest directed path ``v -> j`` has length ``k``
+    (the transpose reverses edge direction so that rows collect
+    in-neighborhoods): there is a walk of length ``k`` in ``Ad^T`` but none
+    of length 1..k-1, i.e. the walks of length at most ``k`` minus those of
+    length at most ``k - 1``.
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
-    ad = _require_binary(ad, "k_stage_neighborhood")
-    at = ad.swapaxes(-1, -2).astype(np.int64)
-    power = np.linalg.matrix_power(at, k)
-    shorter = np.zeros_like(at)
-    acc = np.eye(at.shape[-1], dtype=np.int64)
-    for _ in range(k - 1):
-        acc = acc @ at
-        shorter += acc
-    diff = (power > 0).astype(np.int64) - (shorter > 0).astype(np.int64)
-    return np.clip(diff, 0, None).astype(float)
+    at = _require_binary(ad, "k_stage_neighborhood").swapaxes(-1, -2)
+    return _walks_within(at, k) - _walks_within(at, k - 1)
 
 
 def build_multiattribute_network(ad, b, c) -> np.ndarray:
@@ -456,13 +459,7 @@ def _evaluate(fn: NeighborhoodFn, ad: np.ndarray) -> np.ndarray:
     if fn.kind == "transpose_of":
         return _evaluate(fn.inner, ad).swapaxes(-1, -2)
     if fn.kind == "sign_poly":
-        at = _require_binary(ad, "sign_poly").astype(np.int64)
-        acc = np.eye(ad.shape[-1], dtype=np.int64)
-        total = np.zeros_like(at)
-        for _ in range(fn.k):
-            acc = acc @ at
-            total += acc
-        return (total > 0).astype(float)
+        return _walks_within(_require_binary(ad, "sign_poly"), fn.k)
     if fn.kind == "k_stage":
         return k_stage_neighborhood(ad, fn.k)
     if fn.kind == "row_normalized_transpose":

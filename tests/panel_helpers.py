@@ -46,7 +46,7 @@ def synthetic_panel_arrays(seed, d=24, n_years=18, alpha_level=0.25, beta_level=
     burn = 100
     ads = AdjacencySeries(np.concatenate([np.repeat(growth_mats[:1], burn, axis=0),
                                           growth_mats]))
-    x = simulate_lnar(spec, ads, innov, n=n_q - 1, burn_in=burn, rng=rng)
+    x = simulate_lnar(spec, ads, innov, n=n_q - 1, burn_in=burn, seed=rng)
     levels = np.concatenate([np.full((d, 1), 10.0), 10.0 + np.cumsum(x, axis=1)], axis=1)
     return labels, quarters, levels, raw_by_year, spec, innov
 

@@ -136,8 +136,8 @@ def test_criterion3_consistency_rate():
         for i in range(reps):
             rng = np.random.default_rng(np.random.SeedSequence(entropy=23,
                                                                spawn_key=(n, i)))
-            ads = net.simulate(n + 400, rng=rng)
-            x = simulate_nar(spec, ads, innov, n=n, burn_in=400, rng=rng)
+            ads = net.simulate(n + 400, seed=rng)
+            x = simulate_nar(spec, ads, innov, n=n, burn_in=400, seed=rng)
             fit = fit_nar(x, ads.drop_first(400), list(spec.G), 1)
             sq = 0.0
             for c in fit.components:
@@ -167,8 +167,8 @@ def test_criterion4_dimension_free_lnar():
         for i in range(reps):
             rng = np.random.default_rng(np.random.SeedSequence(entropy=29,
                                                                spawn_key=(d, i)))
-            ads = net.simulate(1300, rng=rng)
-            x = simulate_lnar(spec, ads, innov, n=1000, burn_in=300, rng=rng)
+            ads = net.simulate(1300, seed=rng)
+            x = simulate_lnar(spec, ads, innov, n=1000, burn_in=300, seed=rng)
             fit = fit_lnar(x, ads.drop_first(300), list(spec.G), 1)
             a_hat, b_hat = fit.alpha_beta()
             w_err = np.sqrt((a_hat - spec.alpha) ** 2 + (b_hat - spec.beta) ** 2)

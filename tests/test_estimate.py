@@ -235,7 +235,7 @@ class TestIndexSets:
         rng = np.random.default_rng(5)
         stay, enter = example1_network_matrices()
         net = MarkovEdgeNetwork(stay, enter)
-        ads = net.simulate(500, rng=rng)
+        ads = net.simulate(500, seed=rng)
         n = 500
         p = 2
         g = [NeighborhoodFn.identity(), NeighborhoodFn.identity()]
@@ -361,13 +361,13 @@ class TestFitNar:
         rng = np.random.default_rng(9)
         stay, enter = example1_network_matrices()
         net = MarkovEdgeNetwork(stay, enter)
-        ads = net.simulate(600, rng=rng)
+        ads = net.simulate(600, seed=rng)
         alpha = example1_alpha()
         spec = NarSpec(1, [alpha], [NeighborhoodFn.identity()])
         # noiseless: the signal comes from nonzero innovation means while the
         # noise variance is negligible, so the regression interpolates exactly
         innov = InnovationSpec(np.array([-1.0, 4.0, -9.0, 16.0]), np.eye(4) * 1e-24)
-        x = simulate_nar(spec, ads, innov, n=500, burn_in=100, rng=rng)
+        x = simulate_nar(spec, ads, innov, n=500, burn_in=100, seed=rng)
         fit = fit_nar(x, ads.drop_first(100), [NeighborhoodFn.identity()], 1)
         coef = fit.coefficient_matrices()[0]
         for r in range(4):
@@ -485,8 +485,8 @@ class TestOrderSelection:
         reps = 20
         for i in range(reps):
             rng = np.random.default_rng(200 + i)
-            ads = net.simulate(800, rng=rng)
-            x = simulate_nar(spec, ads, innov, n=500, burn_in=300, rng=rng)
+            ads = net.simulate(800, seed=rng)
+            x = simulate_nar(spec, ads, innov, n=500, burn_in=300, seed=rng)
             sel = select_order_bic(x, ads.drop_first(300), NeighborhoodFn.identity(),
                                    p_max=3, family="nar")
             wins += sel.p == 1
@@ -870,10 +870,23 @@ class TestLnarFit:
         g = [NeighborhoodFn.row_normalized_transpose()]
         spec = LnarSpec(1, alpha, beta, g)
         net = MarkovEdgeNetwork(np.full((d, d), 0.9), np.full((d, d), 0.2))
-        ads = net.simulate(n + 300, rng=rng)
+        ads = net.simulate(n + 300, seed=rng)
         innov = InnovationSpec.standard(d)
-        x = simulate_lnar(spec, ads, innov, n=n, burn_in=300, rng=rng)
+        x = simulate_lnar(spec, ads, innov, n=n, burn_in=300, seed=rng)
         fit = fit_lnar(x, ads.drop_first(300), g, 1)
         a_hat, b_hat = fit.alpha_beta()
         assert np.abs(a_hat - alpha).max() < 0.08
         assert np.abs(b_hat - beta).max() < 0.12
+
+
+@pytest.mark.parametrize("fit", [
+    lambda x, ads, g: fit_nar(x, ads, [g], 1),
+    lambda x, ads, g: fit_lnar(x, ads, [g], 1),
+    lambda x, ads, g: select_order_bic(x, ads, g, p_max=2, family="nar"),
+], ids=["fit_nar", "fit_lnar", "select_order_bic"])
+def test_network_vertex_count_must_match_the_series(fit):
+    x = np.random.default_rng(3).standard_normal((4, 60))
+    ads = AdjacencySeries(np.ones((59, 3, 3)))
+    with pytest.raises(ValueError, match="the network has 3 vertices but the process has "
+                                         "4 components"):
+        fit(x, ads, NeighborhoodFn.transpose())

@@ -239,6 +239,23 @@ class TestForecastH:
             assert np.array_equal(a.points, b.points)
 
 
+class TestForecastVertexCount:
+    # a 4-component fit fed 3-vertex snapshots, in the history or from the policy
+    fit = manual_fit("nar", [0.3 * np.eye(4)], np.zeros(4), [NeighborhoodFn.transpose()])
+    x = np.random.default_rng(5).normal(size=(4, 30))
+
+    def test_history(self):
+        with pytest.raises(ValueError, match="forecast_h: the network has 3 vertices but the "
+                                             "process has 4 components"):
+            forecast_h(self.fit, self.x, AdjacencySeries(np.ones((29, 3, 3))), HoldLast(), 2)
+
+    def test_policy_snapshots(self):
+        futures = Known(AdjacencySeries(np.ones((2, 3, 3))))
+        with pytest.raises(ValueError, match=r"forecast_h \(policy snapshots\): the network "
+                                             "has 3 vertices"):
+            forecast_h(self.fit, self.x, AdjacencySeries(np.ones((29, 4, 4))), futures, 2)
+
+
 class TestForecastRecursionOracle:
     def test_matches_horizon_loop_oracle(self):
         # random d (1 included), p in {1, 2, 3}, every G variant, signed weights

@@ -225,7 +225,7 @@ class TestConfigJson:
     def test_schema_agrees_with_the_constructors(self, capsys):
         g = NeighborhoodFn.transpose()
         makers = {
-            "family": lambda v: MethodSpec(v, g=g),
+            "family": lambda v: MethodSpec(v, g=None if v == "var" else g),
             # a VAR ignores its policy, so "none" is checked on the VAR
             "policy": lambda v: MethodSpec("var", v) if v == "none" else MethodSpec("nar", v, g),
             "sparsity": lambda v: MethodSpec("var", sparsity=v),
@@ -255,6 +255,20 @@ class TestConfigJson:
     def test_method_spec_rejects_unknown_sparsity(self):
         with pytest.raises(ValueError, match="unknown sparsity 'dense'"):
             MethodSpec("var", sparsity="dense")
+
+    @pytest.mark.parametrize("family, sparsity, problem", [
+        ("nar", "network", "sparsity 'network' applies to var only, not nar"),
+        ("lnar", "network", "sparsity 'network' applies to var only, not lnar"),
+        ("var", "none", "a var method reads g only with sparsity 'network'"),
+    ])
+    def test_method_spec_rejects_a_setting_it_would_ignore(self, family, sparsity, problem):
+        with pytest.raises(ValueError, match=re.escape(problem)):
+            MethodSpec(family, g=NeighborhoodFn.transpose(), sparsity=sparsity)
+
+    def test_network_vertex_count_must_match_the_process(self):
+        doc = config_to_json(example1_config(replications=5))
+        doc["network"] = {"kind": "flip", "persist_prob": 0.9}
+        assert validate_config(doc) == ["dimensions differ: network 3, process 4, innov 4"]
 
     def test_schema_lists_required_keys(self):
         assert set(CONFIG_SCHEMA["required"]) <= set(CONFIG_SCHEMA["properties"])

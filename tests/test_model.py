@@ -571,7 +571,7 @@ class TestMaInfinity:
         innov = InnovationSpec(np.array([-1.0, 4.0, -9.0, 16.0]), np.eye(4))
         rng = np.random.default_rng(71)
         n, burn = 40, 200
-        ads = net.simulate(burn + n, rng=rng)
+        ads = net.simulate(burn + n, seed=rng)
         x = simulate_nar(spec, ads, innov, n=n, burn_in=burn, seed=99)
         eps = innov.sample(np.random.default_rng(99), burn + n)
         J = 60
@@ -799,8 +799,8 @@ def test_example1_sample_mean_self_consistency():
 
     long_rng = np.random.default_rng(1234)
     n_long = 100_000
-    ads = net.simulate(n_long + 300, rng=long_rng)
-    x = simulate_nar(spec, ads, innov, n=n_long, burn_in=300, rng=long_rng)
+    ads = net.simulate(n_long + 300, seed=long_rng)
+    x = simulate_nar(spec, ads, innov, n=n_long, burn_in=300, seed=long_rng)
     long_means = x.mean(axis=1)
 
     reps, n_rep = 200, 2000
@@ -808,8 +808,8 @@ def test_example1_sample_mean_self_consistency():
     root = np.random.SeedSequence(777)
     for i in range(reps):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=root.entropy, spawn_key=(i,)))
-        ads_i = net.simulate(n_rep + 300, rng=rng)
-        xi = simulate_nar(spec, ads_i, innov, n=n_rep, burn_in=300, rng=rng)
+        ads_i = net.simulate(n_rep + 300, seed=rng)
+        xi = simulate_nar(spec, ads_i, innov, n=n_rep, burn_in=300, seed=rng)
         rep_means[i] = xi.mean(axis=1)
     mc_mean = rep_means.mean(axis=0)
     se = rep_means.std(axis=0, ddof=1) / np.sqrt(reps)
@@ -817,3 +817,68 @@ def test_example1_sample_mean_self_consistency():
     # plus the long-path spread scaled by sqrt(n_rep / n_long)
     tol = 3 * se + 3 * rep_means.std(axis=0, ddof=1) * np.sqrt(n_rep / n_long) / np.sqrt(1)
     assert (np.abs(long_means - mc_mean) <= tol).all()
+
+
+def _seed_cases():
+    """Each simulator as ``run(**randomness)`` plus the draws it makes from one Generator."""
+    markov = MarkovEdgeNetwork(np.full((3, 3), 0.8), np.full((3, 3), 0.3))
+    flip = FlipNetwork(0.9)
+    ads = flip.simulate(40, seed=0)
+    nar = NarSpec(1, [0.3 * np.eye(3)], [NeighborhoodFn.transpose()])
+    lnar = LnarSpec(1, [[0.2] * 3], [[0.3] * 3], [NeighborhoodFn.row_normalized_transpose()])
+    innov = InnovationSpec.standard(3)
+
+    def path_draws(g):
+        g.standard_normal((40, 3))
+
+    return {
+        "MarkovEdgeNetwork.simulate": (
+            lambda **kw: markov.simulate(20, burn_in=5, **kw).mats,
+            lambda g: (g.random((3, 3)), g.random((25, 3, 3)))),
+        "FlipNetwork.simulate": (
+            lambda **kw: flip.simulate(20, burn_in=5, **kw).mats, lambda g: g.random(25)),
+        "FlipNetwork.simulate_states": (
+            lambda **kw: flip.simulate_states(20, burn_in=5, **kw), lambda g: g.random(25)),
+        "simulate_nar": (
+            lambda **kw: simulate_nar(nar, ads, innov, n=30, burn_in=10, **kw), path_draws),
+        "simulate_lnar": (
+            lambda **kw: simulate_lnar(lnar, ads, innov, n=30, burn_in=10, **kw), path_draws),
+        "simulate_gnlp_truncated": (
+            lambda **kw: simulate_gnlp_truncated([NeighborhoodFn.transpose()], ads, innov, n=30,
+                                                 burn_in=10, **kw), path_draws),
+    }
+
+
+_SEED_CASES = _seed_cases()
+
+
+@pytest.mark.parametrize("name", sorted(_SEED_CASES))
+def test_seed_is_the_one_randomness_input(name):
+    # a Generator passed as seed is continued in place: same output as its
+    # integer seed, and advanced by exactly the draws the simulator made
+    run, draws = _SEED_CASES[name]
+    gen = np.random.default_rng(17)
+    assert np.array_equal(run(seed=gen), run(seed=17))
+    ref = np.random.default_rng(17)
+    draws(ref)
+    assert gen.bit_generator.state == ref.bit_generator.state
+    with pytest.raises(TypeError):
+        run(rng=np.random.default_rng(17))
+
+
+class TestNetworkVertexCount:
+    # a 3-vertex network under a 4-component process
+    ads = FlipNetwork(0.9).simulate(60, seed=0)
+    innov = InnovationSpec.standard(4)
+
+    def test_simulate_nar(self):
+        spec = NarSpec(1, [0.3 * np.eye(4)], [NeighborhoodFn.transpose()])
+        with pytest.raises(ValueError, match="simulate_nar: the network has 3 vertices but "
+                                             "the process has 4 components"):
+            simulate_nar(spec, self.ads, self.innov, n=50, burn_in=10, seed=1)
+
+    def test_simulate_gnlp_truncated(self):
+        with pytest.raises(ValueError, match="simulate_gnlp_truncated: the network has 3 "
+                                             "vertices"):
+            simulate_gnlp_truncated([NeighborhoodFn.transpose()], self.ads, self.innov, n=50,
+                                    seed=1)

@@ -60,16 +60,16 @@ def flip_path_factory(mu, n=4000, persist=0.95, fast=False):
 
     def simulate_path(rng):
         if fast:
-            states = net.simulate_states(n + 1, rng=rng)
+            states = net.simulate_states(n + 1, seed=rng)
             eps = innov.sample(rng, n + 1)
             x = np.empty((3, n))
             x[0] = eps[1:, 0]
             x[1] = eps[1:, 1]
             x[2] = np.where(states[:-1] == 0, eps[:-1, 0], eps[:-1, 1]) + eps[1:, 2]
             return x
-        ads = net.simulate(n + 1, rng=rng)
+        ads = net.simulate(n + 1, seed=rng)
         return simulate_gnlp_truncated([NeighborhoodFn.transpose()], ads, innov,
-                                       n=n, rng=rng, burn_in=1)
+                                       n=n, seed=rng, burn_in=1)
 
     return simulate_path
 
@@ -114,7 +114,7 @@ class TestMcAutocov:
         ads = AdjacencySeries(np.ones((2600, d, d)))
 
         def path(rng):
-            return simulate_nar(spec, ads, innov, n=2000, burn_in=500, rng=rng)
+            return simulate_nar(spec, ads, innov, n=2000, burn_in=500, seed=rng)
 
         est = mc_autocov(path, max_lag=1, reps=150, seed=10)
         vec_gamma0 = np.linalg.solve(np.eye(d * d) - np.kron(a, a), np.eye(d).reshape(-1))

@@ -532,3 +532,15 @@ def example1_network_matrices():
         [0.30, 0.0, 0.0, 0.05],
     ])
     return stay, enter
+
+
+class TestDenseWalks:
+    # on the complete graph with loops, raw walk counts 100**k overflow int64 by k = 10
+    ones = np.ones((100, 100))
+
+    def test_k_stage_beyond_one_is_empty(self):
+        assert (k_stage_neighborhood(self.ones, 1) == 1.0).all()
+        assert not k_stage_neighborhood(self.ones, 13).any()
+
+    def test_sign_poly_is_all_ones(self):
+        assert (apply_neighborhood_fn(NeighborhoodFn.sign_poly(12), self.ones) == 1.0).all()

@@ -32,8 +32,8 @@ class TestExample1Recovery:
         reps, wins = 50, 0
         for i in range(reps):
             rng = seeded_rng(11, i)
-            ads = net.simulate(900, rng=rng)
-            x = simulate_nar(spec, ads, innov, n=500, burn_in=400, rng=rng)
+            ads = net.simulate(900, seed=rng)
+            x = simulate_nar(spec, ads, innov, n=500, burn_in=400, seed=rng)
             fit = fit_nar(x, ads.drop_first(400), list(spec.G), 1)
             coef = fit.coefficient_matrices()[0]
             estimable = np.zeros((4, 4), dtype=bool)
@@ -56,8 +56,8 @@ class TestExample1Recovery:
         reps, wins = 200, 0
         for i in range(reps):
             rng = seeded_rng(13, i)
-            ads = net.simulate(2400, rng=rng)
-            x = simulate_nar(spec, ads, innov, n=2000, burn_in=400, rng=rng)
+            ads = net.simulate(2400, seed=rng)
+            x = simulate_nar(spec, ads, innov, n=2000, burn_in=400, seed=rng)
             fit = fit_nar(x, ads.drop_first(400), list(spec.G), 1)
             err = 0.0
             for c in fit.components:
@@ -80,8 +80,8 @@ def test_plugin_asymptotic_variance_matches_replication():
     plugin: dict = {}
     for i in range(reps):
         rng = seeded_rng(17, i)
-        ads = net.simulate(n + 400, rng=rng)
-        x = simulate_nar(spec, ads, innov, n=n, burn_in=400, rng=rng)
+        ads = net.simulate(n + 400, seed=rng)
+        x = simulate_nar(spec, ads, innov, n=n, burn_in=400, seed=rng)
         fit = fit_nar(x, ads.drop_first(400), list(spec.G), 1)
         for c in fit.components:
             diag = np.diag(c.asymp_cov)
@@ -111,8 +111,8 @@ def test_lnar_oracle_one_step_floor_d10():
     sq = np.empty(reps)
     for i in range(reps):
         rng = seeded_rng(31, i)
-        ads = net.simulate(302, rng=rng)
-        x = simulate_lnar(spec, ads, innov, n=2, burn_in=300, rng=rng)
+        ads = net.simulate(302, seed=rng)
+        x = simulate_lnar(spec, ads, innov, n=2, burn_in=300, seed=rng)
         g = spec.G[0].apply(ads[300])
         np.fill_diagonal(g, 0.0)
         pred = spec.alpha[0] * x[:, 0] + spec.beta[0] * (g @ x[:, 0]) + innov.mu
@@ -131,8 +131,8 @@ def test_lnar_alpha_recovery_d33():
     reps, wins = 25, 0
     for i in range(reps):
         rng = seeded_rng(19, i)
-        ads = net.simulate(800, rng=rng)
-        x = simulate_lnar(spec, ads, innov, n=500, burn_in=300, rng=rng)
+        ads = net.simulate(800, seed=rng)
+        x = simulate_lnar(spec, ads, innov, n=500, burn_in=300, seed=rng)
         fit = fit_lnar(x, ads.drop_first(300), list(spec.G), 1)
         a_hat, _ = fit.alpha_beta()
         wins += np.abs(a_hat - spec.alpha).max() < 0.1
