@@ -29,7 +29,6 @@ from .estimate import (
     EstimationError,
     IndexSet,
     ModelFit,
-    build_regressors,
     eval_theorem2_bound,
     fit_component_ls,
     fit_lnar,

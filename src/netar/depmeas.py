@@ -82,6 +82,16 @@ def _decay_fit(lags: np.ndarray, delta: np.ndarray):
     return float(np.exp(slope)), r2
 
 
+def _check_coupling(q: float, max_lag: int, reps: int) -> None:
+    """The arguments both coupling estimators share."""
+    if reps < 2:
+        raise ValueError("need at least 2 replicate pairs")
+    if q <= 0:
+        raise ValueError("q must be positive")
+    if max_lag < 0:
+        raise ValueError(f"max_lag must be at least 0, got {max_lag}")
+
+
 def _initial_states(model, rng: np.random.Generator, reps: int) -> np.ndarray:
     """Start states of ``reps`` chains: flip states, or Markov snapshots drawn from ``rng``."""
     if isinstance(model, FlipNetwork):
@@ -102,10 +112,7 @@ def estimate_delta_network(model: Union[MarkovEdgeNetwork, FlipNetwork], q: floa
     so the averaged q-th power is exactly the probability that the copies
     differ anywhere at that lag, independent of q.
     """
-    if reps < 2:
-        raise ValueError("need at least 2 replicate pairs")
-    if q <= 0:
-        raise ValueError("q must be positive")
+    _check_coupling(q, max_lag, reps)
     rng = np.random.default_rng(seed)
     state = _initial_states(model, rng, reps)
     for _ in range(burn_in):
@@ -135,12 +142,13 @@ def estimate_delta_x(spec: Union[NarSpec, LnarSpec], model: Union[MarkovEdgeNetw
     """
     if mode not in ("joint", "network_only"):
         raise ValueError("mode must be 'joint' or 'network_only'")
-    if reps < 2:
-        raise ValueError("need at least 2 replicate pairs")
+    _check_coupling(q, max_lag, reps)
     nar = spec.to_nar()
     d, p = nar.d, nar.p
     if innov.d != d:
         raise ValueError("innovation dimension does not match spec")
+    if model.d != d:
+        raise ValueError(f"the network has {model.d} vertices but the process has {d} components")
     rng = np.random.default_rng(seed)
     # network state is carried as matrices for the Markov model and as the
     # scalar flip state otherwise

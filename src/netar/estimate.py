@@ -40,8 +40,6 @@ __all__ = [
     "ComponentFit",
     "ModelFit",
     "EstimationError",
-    "index_sets",
-    "build_regressors",
     "fit_component_ls",
     "fit_nar",
     "fit_lnar",
@@ -128,17 +126,22 @@ class ModelFit:
         Rows of failed components are nan.
         """
         if self.family == "lnar":
-            spec = LnarSpec(self.p, *self.alpha_beta(), self.g)
-            return [spec.coefficient_matrix(j) for j in range(self.p)]
-        mats = [np.zeros((self.d, self.d)) for _ in range(self.p)]
+            spec = self._lnar_spec()
+            mats = [spec.coefficient_matrix(j) for j in range(self.p)]
+        else:
+            mats = [np.zeros((self.d, self.d)) for _ in range(self.p)]
+            for c in self.components:
+                for pos, flat in enumerate(c.index_set.members):
+                    i, j = flat % self.d, flat // self.d
+                    mats[j][c.r, i] = c.w[pos]
         for r in self.errors:
             for m in mats:
                 m[r] = np.nan
-        for c in self.components:
-            for pos, flat in enumerate(c.index_set.members):
-                i, j = flat % self.d, flat // self.d
-                mats[j][c.r, i] = c.w[pos]
         return mats
+
+    def _lnar_spec(self) -> LnarSpec:
+        """The fitted model; a failed component's coefficients read 0, its intercept stays nan."""
+        return LnarSpec(self.p, *np.nan_to_num(self.alpha_beta(), nan=0.0), self.g)
 
     def alpha_beta(self):
         """(p, d) own-lag and network coefficients; failed components are nan."""
@@ -162,94 +165,50 @@ def _finite_series(x) -> np.ndarray:
     return x
 
 
-def _resolve_t_start(p: int, t_start: Optional[int]) -> int:
-    if t_start is None:
-        return p
-    if t_start < p:
-        raise ValueError(f"t_start={t_start} must be at least the lag order p={p}")
-    return t_start
+def _check_order(name: str, p, least: int) -> None:
+    """A lag order is an integer of at least ``least``."""
+    if not isinstance(p, (int, np.integer)) or p < least:
+        raise ValueError(f"{name} must be an integer of at least {least}, got {p!r}")
 
 
-def _lag_stacks(n: int, ads: AdjacencySeries, g_list, p: int, t_start: int) -> List[np.ndarray]:
-    """Per-lag stacks of modulation matrices over the estimation window.
+def _nar_design(x: np.ndarray, ads: AdjacencySeries, g_list, p: int):
+    """Index set and design of each component of the full model, for targets t = p..n-1.
 
-    ``stacks[j-1][row] = G_j(Ad_{t-j})`` for target time t = t_start + row,
-    computed once and shared across components.  Each distinct G is
-    evaluated once, on the snapshots t_start-p..n-2 that the lags read, and
-    every lag that uses it is a view into that one stack.
+    Row t - p of component r's design holds ``(e_r' G_j(Ad_{t-j}) e_i) x_{t-j;i}`` at
+    the flat indices ``i + (j-1)d`` with positive modulation mass.  Each distinct G
+    is evaluated once, on the snapshots 0..n-2 that the lags read, and sliced per lag.
     """
-    if len(ads) < n - 1:
-        raise ValueError(
-            f"network series too short for the sample: need {n - 1} snapshots, got {len(ads)}"
-        )
-    lo = t_start - p
-    evaluated = {g: apply_neighborhood_fn(g, ads.mats[lo: n - 1]) for g in dict.fromkeys(g_list)}
-    return [evaluated[g][t_start - j - lo: n - j - lo] for j, g in enumerate(g_list, start=1)]
-
-
-def index_sets(n: int, ads: AdjacencySeries, g_list: Sequence[NeighborhoodFn], p: int,
-               t_start: Optional[int] = None,
-               stacks: Optional[List[np.ndarray]] = None) -> List[IndexSet]:
-    """Active regressor indices for every component at once."""
-    t_start = _resolve_t_start(p, t_start)
-    if stacks is None:
-        stacks = _lag_stacks(n, ads, g_list, p, t_start)
-    d = ads.d
+    d, n = x.shape
+    evaluated = {g: apply_neighborhood_fn(g, ads.mats[: n - 1]) for g in dict.fromkeys(g_list)}
+    stacks = [evaluated[g][p - j: n - j] for j, g in enumerate(g_list, start=1)]
     mass = [np.abs(s).sum(axis=0) for s in stacks]
-    out = []
     for r in range(d):
         members = [i + j * d for j in range(p) for i in range(d) if mass[j][r, i] > 0.0]
-        out.append(IndexSet(r=r, members=tuple(sorted(members))))
-    return out
+        Y = np.empty((n - p, len(members)))
+        for col, flat in enumerate(members):
+            i, j = flat % d, flat // d + 1
+            Y[:, col] = stacks[j - 1][:, r, i] * x[i, p - j: n - j]
+        yield IndexSet(r=r, members=tuple(members)), Y
 
 
-def build_regressors(x: np.ndarray, ads: AdjacencySeries, g_list: Sequence[NeighborhoodFn],
-                     p: int, r: int, idx: IndexSet, t_start: Optional[int] = None,
-                     stacks: Optional[List[np.ndarray]] = None):
-    """Regressor matrix and target for one component of the full model.
-
-    Row for time t holds ``(e_r' G_j(Ad_{t-j}) e_i) x_{t-j;i}`` at the
-    positions listed in ``idx``; targets are ``x_{t;r}`` for
-    t = t_start..n-1.
-    """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    d, n = x.shape
-    t_start = _resolve_t_start(p, t_start)
-    m = n - t_start
-    if m <= 0:
-        raise ValueError("estimation window is empty")
-    if stacks is None:
-        stacks = _lag_stacks(n, ads, g_list, p, t_start)
-    k = len(idx)
-    Y = np.zeros((m, k))
-    for col, flat in enumerate(idx.members):
-        i, j0 = flat % d, flat // d
-        j = j0 + 1
-        Y[:, col] = stacks[j0][:, r, i] * x[i, t_start - j: n - j]
-    return Y, x[r, t_start:]
-
-
-def _lnar_design(x, ads, g_list, p, t_start):
-    """Shared per-component design matrices.
+def _lnar_design(x, ads, g_list, p):
+    """Shared per-component design matrices and targets t = p..n-1.
 
     Columns 2(j-1) and 2(j-1)+1 of component r are its own lag x_{t-j;r}
     and its pooled network lag, entry r of zero-diagonal G_j(Ad_{t-j}) x_{t-j}.
-    The pooled series is computed once per distinct G, over every snapshot
-    the lags read, and each lag slices it.
+    The pooled series is computed once per distinct G, over the snapshots
+    0..n-2 that the lags read, and each lag slices it.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
     d, n = x.shape
-    t_start = _resolve_t_start(p, t_start)
-    lo = t_start - p
-    lagged = x[:, lo: n - 1].T[..., None]
-    pooled = {g: np.matmul(apply_neighborhood_fn(g, ads.mats[lo: n - 1], zero_diag=True),
+    lagged = x[:, : n - 1].T[..., None]
+    pooled = {g: np.matmul(apply_neighborhood_fn(g, ads.mats[: n - 1], zero_diag=True),
                            lagged)[..., 0].T
               for g in dict.fromkeys(g_list)}
-    Y = np.empty((d, n - t_start, 2 * p))
+    Y = np.empty((d, n - p, 2 * p))
     for j, g in enumerate(g_list, start=1):
-        Y[:, :, 2 * (j - 1)] = x[:, t_start - j: n - j]
-        Y[:, :, 2 * (j - 1) + 1] = pooled[g][:, t_start - j - lo: n - j - lo]
-    return Y, x[:, t_start:]
+        Y[:, :, 2 * (j - 1)] = x[:, p - j: n - j]
+        Y[:, :, 2 * (j - 1) + 1] = pooled[g][:, p - j: n - j]
+    return Y, x[:, p:]
 
 
 class _Solution(NamedTuple):
@@ -369,7 +328,7 @@ def _own_equations(r: int, members: tuple, lags: np.ndarray, Y: np.ndarray,
                             lambda w: (ybar - float(w @ Ybar[:w.size]), yc - Yc[:, :w.size] @ w))
 
 
-def _var_equations(x: np.ndarray, p: int, t_start: int, mask: Optional[np.ndarray]):
+def _var_equations(x: np.ndarray, p: int, mask: Optional[np.ndarray]):
     """Equations of every VAR equation, restrictions of one shared regression.
 
     Column ``(j-1)d + i`` of the lagged design holds ``x_{t-j;i}``.  If the
@@ -381,19 +340,20 @@ def _var_equations(x: np.ndarray, p: int, t_start: int, mask: Optional[np.ndarra
     block ``gram[mem, mem]`` with the ridge guard.
     """
     d, n = x.shape
+    mask = None if mask is None else np.asarray(mask)
     if mask is not None and mask.shape != (d, d * p):
         raise ValueError(f"mask must have shape {(d, d * p)}, got {mask.shape}")
     if mask is not None and not ((mask == 0) | (mask == 1)).all():
         r, c = np.argwhere(~((mask == 0) | (mask == 1)))[0]
         raise ValueError(f"mask entry ({r}, {c}) is {mask[r, c]}, not 0 or 1")
-    m = n - t_start
+    m = n - p
     lagged = np.empty((m, d * p))
     for j in range(1, p + 1):
-        lagged[:, (j - 1) * d: j * d] = x[:, t_start - j: n - j].T
+        lagged[:, (j - 1) * d: j * d] = x[:, p - j: n - j].T
     lbar = lagged.mean(axis=0)
-    tbar = x[:, t_start:].mean(axis=1)
+    tbar = x[:, p:].mean(axis=1)
     lc = lagged - lbar
-    tc = x[:, t_start:].T - tbar
+    tc = x[:, p:].T - tbar
     gram, cross = lc.T @ lc, lc.T @ tc
     cut = np.zeros((d, d * p), dtype=bool) if mask is None else mask == 0
     cond = _certified(gram)
@@ -436,34 +396,36 @@ def _var_equations(x: np.ndarray, p: int, t_start: int, mask: Optional[np.ndarra
 
 
 def _equations(family: str, x: np.ndarray, ads: Optional[AdjacencySeries], g_list,
-               p: int, t_start: int, mask: Optional[np.ndarray]):
-    """The normal equations of every component, one at a time.
+               p: int, mask: Optional[np.ndarray]):
+    """The normal equations of every component, for the targets t = p..n-1.
 
     This is the one place that knows how each family builds its
-    regressors; the fit loop and the order-selection loop consume it alike.
+    regressors, and that checks the arguments they share; the fit loop and
+    the order-selection loop consume it alike.
     """
     d, n = x.shape
+    if family not in ("nar", "lnar", "var"):
+        raise ValueError(f"unknown family {family!r}")
+    _check_order("p", p, 0)
+    if g_list is not None and len(g_list) != p:
+        raise ValueError("need one neighborhood function per lag")
     if family != "var" and ads is None:
         raise ValueError(f"family {family!r} needs the network series ads")
     if family != "var" and (g_list is None or any(g is None for g in g_list)):
         raise ValueError(f"family {family!r} needs the neighborhood function g")
     if family != "var":
         _check_network_cover(ads, d, n - 1, f"{family} fit")
-    if n - t_start <= 0:
+    if n - p <= 0:
         raise ValueError("estimation window is empty")
     if family == "var":
-        yield from _var_equations(x, p, t_start, mask)
-    elif family == "lnar":
-        design, targets = _lnar_design(x, ads, g_list, p, t_start)
+        return _var_equations(x, p, mask)
+    if family == "lnar":
+        design, targets = _lnar_design(x, ads, g_list, p)
         lags = np.arange(2 * p) // 2
-        for r in range(d):
-            yield _own_equations(r, tuple(range(2 * p)), lags, design[r], targets[r])
-    else:
-        stacks = _lag_stacks(n, ads, g_list, p, t_start)
-        sets = index_sets(n, ads, g_list, p, t_start, stacks=stacks)
-        for r, idx in enumerate(sets):
-            Y, y = build_regressors(x, ads, g_list, p, r, idx, t_start, stacks=stacks)
-            yield _own_equations(r, idx.members, np.array(idx.members, dtype=int) // d, Y, y)
+        return (_own_equations(r, tuple(range(2 * p)), lags, design[r], targets[r])
+                for r in range(d))
+    return (_own_equations(idx.r, idx.members, np.array(idx.members, dtype=int) // d, Y,
+                           x[idx.r, p:]) for idx, Y in _nar_design(x, ads, g_list, p))
 
 
 def _fit_component(eq: _Equations, p: int, m: int) -> ComponentFit:
@@ -518,19 +480,16 @@ def fit_component_ls(y: np.ndarray, Y: np.ndarray, r: int,
     return _fit_component(_own_equations(r, members, np.zeros(k, dtype=int), Y, y), 1, m)
 
 
-def _fit(family: str, x, ads, g_list, p: int, t_start: Optional[int],
-         mask: Optional[np.ndarray], allow_partial: bool) -> ModelFit:
+def _fit(family: str, x, ads, g_list, p: int, mask: Optional[np.ndarray],
+         allow_partial: bool) -> ModelFit:
     """The one fit loop: every component solves its full block."""
     x = _finite_series(x)
     d, n = x.shape
-    if g_list is not None and len(g_list) != p:
-        raise ValueError("need one neighborhood function per lag")
-    t_start = _resolve_t_start(p, t_start)
     comps: List[ComponentFit] = []
     errors = {}
-    for eq in _equations(family, x, ads, g_list, p, t_start, mask):
+    for eq in _equations(family, x, ads, g_list, p, mask):
         try:
-            comps.append(_fit_component(eq, p, n - t_start))
+            comps.append(_fit_component(eq, p, n - p))
         except EstimationError as exc:
             if not allow_partial:
                 raise
@@ -540,19 +499,19 @@ def _fit(family: str, x, ads, g_list, p: int, t_start: Optional[int],
 
 
 def fit_nar(x: np.ndarray, ads: AdjacencySeries, g_list: Sequence[NeighborhoodFn], p: int,
-            t_start: Optional[int] = None, allow_partial: bool = False) -> ModelFit:
+            allow_partial: bool = False) -> ModelFit:
     """Component-wise fit of the full model over the observed index sets."""
-    return _fit("nar", x, ads, g_list, p, t_start, None, allow_partial)
+    return _fit("nar", x, ads, g_list, p, None, allow_partial)
 
 
 def fit_lnar(x: np.ndarray, ads: AdjacencySeries, g_list: Sequence[NeighborhoodFn], p: int,
-             t_start: Optional[int] = None, allow_partial: bool = False) -> ModelFit:
+             allow_partial: bool = False) -> ModelFit:
     """Component-wise fit of the per-component model: own and pooled lags."""
-    return _fit("lnar", x, ads, g_list, p, t_start, None, allow_partial)
+    return _fit("lnar", x, ads, g_list, p, None, allow_partial)
 
 
 def fit_var(x: np.ndarray, p: int, mask: Optional[np.ndarray] = None,
-            t_start: Optional[int] = None, allow_partial: bool = False) -> ModelFit:
+            allow_partial: bool = False) -> ModelFit:
     """Per-equation VAR least squares, optionally sparsity-masked.
 
     ``mask`` is a binary (d, d*p) matrix; a zero entry pins the matching
@@ -561,8 +520,7 @@ def fit_var(x: np.ndarray, p: int, mask: Optional[np.ndarray] = None,
     equation whose forecast is the sample mean.  Every equation restricts
     one shared set of normal equations (see :func:`_var_equations`).
     """
-    mask = None if mask is None else np.asarray(mask)
-    return _fit("var", x, None, None, p, t_start, mask, allow_partial)
+    return _fit("var", x, None, None, p, mask, allow_partial)
 
 
 @dataclass
@@ -593,21 +551,15 @@ def select_order_bic(x: np.ndarray, ads: Optional[AdjacencySeries] = None,
     """
     x = _finite_series(x)
     d, n = x.shape
-    if p_max < 1:
-        raise ValueError("p_max must be at least 1")
-    if family not in ("nar", "lnar", "var"):
-        raise ValueError(f"unknown family {family!r}")
-    if family == "var" and mask is not None:
-        mask = np.asarray(mask)
-        if mask.shape != (d, d * p_max):
-            raise ValueError(
-                f"mask must have shape (d, d*p_max) = {(d, d * p_max)}, got {mask.shape}"
-            )
+    _check_order("p_max", p_max, 1)
+    if family == "var" and mask is not None and np.shape(mask) != (d, d * p_max):
+        raise ValueError(
+            f"mask must have shape (d, d*p_max) = {(d, d * p_max)}, got {np.shape(mask)}")
     m = n - p_max
     orders = np.arange(1, p_max + 1)
     k = np.zeros((p_max, d), dtype=int)
     rss = [np.empty(d) for _ in orders]  # None drops the order
-    for eq in _equations(family, x, ads, [g] * p_max, p_max, p_max, mask):
+    for eq in _equations(family, x, ads, [g] * p_max, p_max, mask):
         if all(v is None for v in rss):
             break
         k[:, eq.r] = np.searchsorted(eq.lags, orders)

@@ -16,7 +16,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .estimate import ModelFit
-from .model import LnarSpec, _check_network_cover, _nar_coefficients, _run_recursion
+from .model import _check_network_cover, _nar_coefficients, _run_recursion
 from .netdyn import AdjacencySeries
 
 __all__ = [
@@ -129,12 +129,16 @@ def forecast_h(fit: ModelFit, x_hist: np.ndarray, ads_hist: Optional[AdjacencySe
     """
     x_hist = np.atleast_2d(np.asarray(x_hist, dtype=float))
     d, n = x_hist.shape
+    if d != fit.d:
+        raise ValueError(f"history has {d} components but the fit has {fit.d}")
     if n < fit.p:
         raise ValueError(f"history of length {n} cannot feed a lag-{fit.p} forecast")
+    if h < 1:
+        raise ValueError("need at least one horizon")
     p = fit.p
     if fit.family == "lnar":
         # the per-component family runs on its embedding into the full model
-        nar = LnarSpec(p, *fit.alpha_beta(), fit.g).to_nar()
+        nar = fit._lnar_spec().to_nar()
         coef, g = nar.A, nar.G
     else:
         coef, g = fit.coefficient_matrices(), fit.g

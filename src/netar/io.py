@@ -280,20 +280,11 @@ def model_spec_from_json(doc: dict):
                            _sigma_from_json(doc["innov"]["sigma"]))
     if doc["type"] == "nar":
         spec = NarSpec(int(doc["p"]), [np.asarray(a, dtype=float) for a in doc["A"]], g)
-        coefs = {"A": spec.A}
     elif doc["type"] == "lnar":
         spec = LnarSpec(int(doc["p"]), np.asarray(doc["alpha"], dtype=float),
                         np.asarray(doc["beta"], dtype=float), g)
-        coefs = {"alpha": spec.alpha, "beta": spec.beta}
     else:
         raise ValueError(f"unknown model type {doc['type']!r}")
-    for key, lags in coefs.items():
-        for j, a in enumerate(lags):
-            bad = np.argwhere(~np.isfinite(a))
-            if bad.size:
-                entry = ", ".join(str(i + 1) for i in bad[0])
-                raise ValueError(f"{key} must be finite; found {a[tuple(bad[0])]} "
-                                 f"at lag {j + 1}, entry ({entry})")
     return spec, innov
 
 

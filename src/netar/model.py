@@ -50,6 +50,14 @@ __all__ = [
 STATIONARITY_TOL = 1e-8
 
 
+def _require_finite(name: str, a: np.ndarray, at: str = "") -> None:
+    """Raise a ValueError naming the first non-finite entry of ``a`` (1-based), after ``at``."""
+    bad = np.argwhere(~np.isfinite(a))
+    if bad.size:
+        entry = ", ".join(str(i + 1) for i in bad[0])
+        raise ValueError(f"{name} must be finite; found {a[tuple(bad[0])]} at {at}entry ({entry})")
+
+
 @dataclass(frozen=True)
 class NarSpec:
     """Order-p network autoregression: coefficient matrices plus one G per lag."""
@@ -61,12 +69,15 @@ class NarSpec:
     def __init__(self, p: int, A: Sequence, G: Sequence[NeighborhoodFn]):
         A = tuple(np.asarray(a, dtype=float) for a in A)
         G = tuple(G)
+        if p < 1:
+            raise ValueError("p must be at least 1")
         if len(A) != p or len(G) != p:
             raise ValueError(f"need exactly p={p} coefficient matrices and neighborhood functions")
         d = A[0].shape[0]
-        for a in A:
+        for j, a in enumerate(A, start=1):
             if a.shape != (d, d):
                 raise ValueError("all coefficient matrices must be square of common dimension")
+            _require_finite("A", a, f"lag {j}, ")
         object.__setattr__(self, "p", int(p))
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "G", G)
@@ -102,6 +113,9 @@ class LnarSpec:
             raise ValueError("alpha and beta must both have shape (p, d)")
         if len(G) != p:
             raise ValueError("need one neighborhood function per lag")
+        for name, coef in (("alpha", alpha), ("beta", beta)):
+            for j, row in enumerate(coef, start=1):
+                _require_finite(name, row, f"lag {j}, ")
         object.__setattr__(self, "p", int(p))
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
@@ -156,11 +170,8 @@ class InnovationSpec:
     def __init__(self, mu, sigma):
         mu = np.atleast_1d(np.asarray(mu, dtype=float))
         sigma = _sigma_from_any(sigma, mu.shape[0])
-        for name, m in (("mu", mu), ("sigma", sigma)):
-            bad = np.argwhere(~np.isfinite(m))
-            if bad.size:
-                entry = ", ".join(str(i + 1) for i in bad[0])
-                raise ValueError(f"{name} must be finite; found {m[tuple(bad[0])]} at entry ({entry})")
+        _require_finite("mu", mu)
+        _require_finite("sigma", sigma)
         if not np.allclose(sigma, sigma.T, atol=1e-10):
             raise ValueError("sigma must be symmetric")
         try:
@@ -184,7 +195,6 @@ class InnovationSpec:
         """Tridiagonal covariance from its main and first off-diagonal."""
         main = np.asarray(main, dtype=float)
         off1 = np.asarray(off1, dtype=float)
-        d = main.shape[0]
         sigma = np.diag(main) + np.diag(off1, 1) + np.diag(off1, -1)
         return InnovationSpec(mu, scale * sigma)
 
@@ -345,12 +355,19 @@ def _run_recursion(x: np.ndarray, drive: np.ndarray, coefs: Sequence[np.ndarray]
     return x
 
 
+def _path_length(n: int, burn_in: int) -> int:
+    """Steps a simulation runs, ``burn_in + n``; neither count may be negative."""
+    if min(n, burn_in) < 0:
+        raise ValueError(f"n and burn_in must be at least 0, got n={n}, burn_in={burn_in}")
+    return burn_in + n
+
+
 def _simulate(nar: NarSpec, ads: AdjacencySeries, innov: InnovationSpec, n: int,
               burn_in: int, seed, check_finite: bool, what: str) -> np.ndarray:
     """The simulation core behind both families."""
     if innov.d != nar.d:
         raise ValueError("innovation dimension does not match spec")
-    total = burn_in + n
+    total = _path_length(n, burn_in)
     _check_network_cover(ads, nar.d, total, what)
     # lag j reads the snapshots s < total - j, all inside the first total - 1
     coefs = _nar_coefficients(nar.A, nar.G, ads.mats[: max(total - 1, 0)])
@@ -431,7 +448,7 @@ def simulate_gnlp_truncated(coeff_fns: Sequence[CoefficientFn], ads: AdjacencySe
 
         X_t = sum_j f_j(Ad_{t-1}, ..., Ad_{t-j}) eps_{t-j} + eps_t.
     """
-    total = burn_in + n
+    total = _path_length(n, burn_in)
     _check_network_cover(ads, innov.d, total, "simulate_gnlp_truncated")
     eps = innov.sample(np.random.default_rng(seed), total)
     x = eps.copy()  # time-major, like eps

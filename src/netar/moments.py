@@ -49,6 +49,8 @@ def sample_acf(x: np.ndarray, max_lag: int) -> AcfEstimate:
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     d, n = x.shape
+    if max_lag < 0:
+        raise ValueError(f"max_lag must be at least 0, got {max_lag}")
     if max_lag >= n:
         raise ValueError(f"max_lag={max_lag} must be smaller than the series length {n}")
     xc = x - x.mean(axis=1, keepdims=True)

@@ -13,7 +13,6 @@ from netar import (
     NarSpec,
     NeighborhoodFn,
     apply_neighborhood_fn,
-    build_regressors,
     eval_theorem2_bound,
     fit_component_ls,
     fit_lnar,
@@ -24,7 +23,7 @@ from netar import (
     simulate_nar,
 )
 from netar import estimate
-from netar.estimate import IndexSet, OrderSelection, _lag_stacks, _lnar_design, index_sets
+from netar.estimate import IndexSet, OrderSelection, _lnar_design, _nar_design
 
 from test_netdyn import example1_network_matrices, zero_diag_oracle
 from test_model import example1_alpha
@@ -49,22 +48,23 @@ def literal_block_system(Y, y):
     return sol[0], sol[1:]
 
 
-def lnar_design_oracle(x, ads, g_list, p, t_start):
+def lnar_design_oracle(x, ads, g_list, p):
     """Per-target-time loop for the per-component design, one snapshot at a time."""
     d, n = x.shape
-    Y = np.zeros((d, n - t_start, 2 * p))
+    Y = np.zeros((d, n - p, 2 * p))
     for j in range(1, p + 1):
-        for row, t in enumerate(range(t_start - j, n - j)):
+        for row, t in enumerate(range(p - j, n - j)):
             Y[:, row, 2 * (j - 1)] = x[:, t]
             Y[:, row, 2 * (j - 1) + 1] = zero_diag_oracle(g_list[j - 1], ads[t]) @ x[:, t]
-    return Y, x[:, t_start:]
+    return Y, x[:, p:]
 
 
 def bic_oracle(x, ads=None, g=None, p_max=3, family="nar", mask=None):
     """Order selection with one full ``fit_*`` call per candidate order.
 
     The former ``select_order_bic`` body: every candidate is refitted from
-    scratch on the common window t = p_max..n-1, covariances included.
+    scratch on the common window t = p_max..n-1, covariances included:
+    order p fits the series from time p_max - p on.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     d, n = x.shape
@@ -72,14 +72,15 @@ def bic_oracle(x, ads=None, g=None, p_max=3, family="nar", mask=None):
     table = {}
     best_p, best_val = None, None
     for p in range(1, p_max + 1):
+        xs, s = x[:, p_max - p:], p_max - p
         try:
             if family == "nar":
-                fit = fit_nar(x, ads, [g] * p, p, t_start=p_max)
+                fit = fit_nar(xs, ads.drop_first(s), [g] * p, p)
             elif family == "lnar":
-                fit = fit_lnar(x, ads, [g] * p, p, t_start=p_max)
+                fit = fit_lnar(xs, ads.drop_first(s), [g] * p, p)
             else:
                 sub_mask = None if mask is None else np.asarray(mask)[:, : d * p]
-                fit = fit_var(x, p, mask=sub_mask, t_start=p_max)
+                fit = fit_var(xs, p, mask=sub_mask)
         except EstimationError:
             table[p] = float("inf")
             continue
@@ -219,16 +220,20 @@ class TestComponentSolver:
                              idx=IndexSet(0, (1, 2)))
 
 
+def nar_index_sets(x, ads, g_list, p):
+    return [idx for idx, _ in _nar_design(x, ads, g_list, p)]
+
+
 class TestIndexSets:
     def test_zero_network_gives_empty_set(self):
         ads = AdjacencySeries(np.zeros((20, 3, 3)))
-        idx = index_sets(20, ads, [NeighborhoodFn.transpose()], 1)[0]
+        idx = nar_index_sets(np.zeros((3, 20)), ads, [NeighborhoodFn.transpose()], 1)[0]
         assert len(idx) == 0
 
     def test_static_complete_network_activates_all(self):
         ads = AdjacencySeries(np.ones((20, 3, 3)))
         for r in range(3):
-            idx = index_sets(20, ads, [NeighborhoodFn.transpose()], 1)[r]
+            idx = nar_index_sets(np.zeros((3, 20)), ads, [NeighborhoodFn.transpose()], 1)[r]
             assert idx.members == tuple(range(3))
 
     def test_matches_brute_force_scan(self):
@@ -239,7 +244,7 @@ class TestIndexSets:
         n = 500
         p = 2
         g = [NeighborhoodFn.identity(), NeighborhoodFn.identity()]
-        sets = index_sets(n, ads, g, p)
+        sets = nar_index_sets(np.zeros((4, n)), ads, g, p)
         d = 4
         for r in range(d):
             brute = []
@@ -262,10 +267,9 @@ class TestRegressors:
         x = rng.normal(size=(d, n))
         ads = AdjacencySeries(np.ones((n, d, d)))
         g = [NeighborhoodFn.transpose()]
-        idx = index_sets(n, ads, g, 1)[1]
-        Y, y = build_regressors(x, ads, g, 1, r=1, idx=idx)
+        idx, Y = list(_nar_design(x, ads, g, 1))[1]
+        assert idx == IndexSet(r=1, members=(0, 1, 2))
         assert np.allclose(Y, x[:, :-1].T)
-        assert np.array_equal(y, x[1, 1:])
 
     def test_hand_computed_three_node_case(self):
         # weighted snapshot, p = 1, check the t = 2 row entry by entry
@@ -274,12 +278,12 @@ class TestRegressors:
         mats[1] = np.array([[0.0, 0.5, 0.0], [0.2, 0.0, 0.0], [0.0, -0.3, 0.0]])
         ads = AdjacencySeries(mats)
         g = [NeighborhoodFn.transpose()]
-        idx = IndexSet(r=1, members=(0, 1, 2))
-        Y, y = build_regressors(x, ads, g, 1, r=1, idx=idx)
+        idx, Y = list(_nar_design(x, ads, g, 1))[1]
+        # vertex 2 carries no mass into component 1
+        assert idx == IndexSet(r=1, members=(0, 2))
         # row for t=2 uses G(Ad_1) = Ad_1^T, row 1: (0.5, 0, -0.3)
-        expected = [0.5 * x[0, 1], 0.0 * x[1, 1], -0.3 * x[2, 1]]
+        expected = [0.5 * x[0, 1], -0.3 * x[2, 1]]
         assert np.allclose(Y[1], expected)
-        assert y[1] == x[1, 2]
 
     def test_lnar_regressor_is_in_neighbor_average(self):
         x = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
@@ -288,7 +292,7 @@ class TestRegressors:
         mats[0][1, 2] = 1.0
         ads = AdjacencySeries(mats)
         g = [NeighborhoodFn.row_normalized_transpose()]
-        Y, y = _lnar_design(x, ads, g, 1, None)
+        Y, y = _lnar_design(x, ads, g, 1)
         Y, y = Y[2], y[2]
         # own lag then the equal-weight average of the in-neighbors
         assert Y[0, 0] == x[2, 0]
@@ -301,14 +305,19 @@ class TestRegressors:
         # every lag on its own snapshots
         rng = np.random.default_rng(31)
         d, n = 5, 40
+        x = rng.normal(size=(d, n))
         ads = AdjacencySeries(rng.uniform(-1, 1, (n, d, d)) * (rng.random((n, d, d)) < 0.5))
         tr, rnt = NeighborhoodFn.transpose(), NeighborhoodFn.row_normalized_transpose()
-        for g_list, t_start in (([tr, rnt, tr], 3), ([rnt, tr, tr], 6), ([tr] * 2, 2)):
+        for g_list, s in (([tr, rnt, tr], 0), ([rnt, tr, tr], 3), ([tr] * 2, 0)):
             p = len(g_list)
-            stacks = _lag_stacks(n, ads, g_list, p, t_start)
-            for j, (g, got) in enumerate(zip(g_list, stacks), start=1):
-                expected = apply_neighborhood_fn(g, ads.mats[t_start - j: n - j])
-                assert np.array_equal(got, expected), (j, t_start)
+            xs, sub = x[:, s:], ads.drop_first(s)
+            stacks = [apply_neighborhood_fn(g, sub.mats[p - j: n - s - j])
+                      for j, g in enumerate(g_list, start=1)]
+            for r, (idx, Y) in enumerate(_nar_design(xs, sub, g_list, p)):
+                for col, flat in enumerate(idx.members):
+                    i, j = flat % d, flat // d + 1
+                    expected = stacks[j - 1][:, r, i] * xs[i, p - j: n - s - j]
+                    assert np.array_equal(Y[:, col], expected), (j, s)
 
     @pytest.mark.parametrize("d", [1, 4, 33, 100])
     def test_lnar_design_matches_per_t_oracle(self, d):
@@ -317,12 +326,13 @@ class TestRegressors:
         x = rng.normal(size=(d, n)) * 3.0
         ads = AdjacencySeries(rng.uniform(-1, 1, (n, d, d)) * (rng.random((n, d, d)) < 0.3))
         rnt, tr = NeighborhoodFn.row_normalized_transpose(), NeighborhoodFn.transpose()
-        for g_list, t_start in (([rnt], None), ([tr] * 3, None),
-                                ([NeighborhoodFn.identity()] * 2, 5), ([tr, rnt, tr], 7)):
+        for g_list, s in (([rnt], 0), ([tr] * 3, 0),
+                          ([NeighborhoodFn.identity()] * 2, 3), ([tr, rnt, tr], 4)):
             p = len(g_list)
-            got = _lnar_design(x, ads, g_list, p, t_start)
-            expected = lnar_design_oracle(x, ads, g_list, p, p if t_start is None else t_start)
-            assert np.array_equal(got[0], expected[0]), (g_list[0].kind, d, t_start)
+            xs, sub = x[:, s:], ads.drop_first(s)
+            got = _lnar_design(xs, sub, g_list, p)
+            expected = lnar_design_oracle(xs, sub, g_list, p)
+            assert np.array_equal(got[0], expected[0]), (g_list[0].kind, d, s)
             assert np.array_equal(got[1], expected[1])
 
 
@@ -531,18 +541,17 @@ class TestBicLeadingBlocks:
     @pytest.mark.parametrize("p_max", [1, 2, 3])
     @pytest.mark.parametrize("case", ["nar", "lnar", "var-masked"])
     def test_top_candidate_is_the_returned_fit(self, case, p_max):
-        # the order-p_max candidate and fit_*(..., p_max, t_start=p_max) solve
+        # the order-p_max candidate and the order-p_max fit solve
         # the same equations with the same residuals: equal bits, not just close
         for seed in range(5):
             x, ads, mask = bic_case(12, p_max, seed)
             if case == "var-masked":
                 kwargs = dict(family="var", mask=mask)
-                fit = fit_var(x, p_max, mask=mask, t_start=p_max)
+                fit = fit_var(x, p_max, mask=mask)
             else:
                 g = NeighborhoodFn.transpose()
                 kwargs = dict(ads=ads, g=g, family=case)
-                fit = (fit_nar if case == "nar" else fit_lnar)(x, ads, [g] * p_max, p_max,
-                                                               t_start=p_max)
+                fit = (fit_nar if case == "nar" else fit_lnar)(x, ads, [g] * p_max, p_max)
             m = x.shape[1] - p_max
             val = 0.0
             for c in fit.components:
@@ -562,12 +571,13 @@ class TestBicLeadingBlocks:
         x[1] = 2.0 * x[0]
         g = NeighborhoodFn.transpose()
         complete, lone = AdjacencySeries(np.ones((n, 3, 3))), AdjacencySeries(np.zeros((n, 1, 1)))
-        cases = (("var", x, {}, lambda: fit_var(x, 1, t_start=p_max)),
-                 ("var", near, {}, lambda: fit_var(near, 1, t_start=p_max)),
+        s = p_max - 1  # order 1 on the common window t = p_max..n-1
+        cases = (("var", x, {}, lambda: fit_var(x[:, s:], 1)),
+                 ("var", near, {}, lambda: fit_var(near[:, s:], 1)),
                  ("nar", x, dict(ads=complete, g=g),
-                  lambda: fit_nar(x, complete, [g], 1, t_start=p_max)),
+                  lambda: fit_nar(x[:, s:], complete.drop_first(s), [g], 1)),
                  ("lnar", x[:1], dict(ads=lone, g=g),
-                  lambda: fit_lnar(x[:1], lone, [g], 1, t_start=p_max)))
+                  lambda: fit_lnar(x[:1, s:], lone.drop_first(s), [g], 1)))
         for family, xs, kwargs, order1_fit in cases:
             assert any(c.ridge_jitter > 0 for c in order1_fit().components), family
             eig = CallCount(monkeypatch, np.linalg, "eigvalsh")
