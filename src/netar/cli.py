@@ -77,7 +77,7 @@ def cmd_simulate(args) -> int:
 
 
 def _run_fit(args):
-    x, _ = nio.read_series_csv(args.series)
+    x = nio.read_series_csv(args.series)
     ads = nio.read_adjacency(args.ads) if args.ads else None
     if args.family in ("nar", "lnar") and ads is None:
         raise SystemExit("nar/lnar fitting needs --ads")
@@ -118,7 +118,7 @@ def cmd_fit(args) -> int:
 
 def cmd_forecast(args) -> int:
     fit = nio.read_fit_json(args.fit)
-    x, _ = nio.read_series_csv(args.series)
+    x = nio.read_series_csv(args.series)
     ads = nio.read_adjacency(args.ads) if args.ads else None
     if args.policy == "holdlast":
         policy = HoldLast()
@@ -133,7 +133,7 @@ def cmd_forecast(args) -> int:
         raise SystemExit(f"unknown policy {args.policy!r}")
     truth = None
     if args.truth:
-        truth, _ = nio.read_series_csv(args.truth)
+        truth = nio.read_series_csv(args.truth)
     fc = forecast_h(fit, x, ads, policy, args.h, truth=truth)
     nio.write_forecast_csv(_out_path(args, "forecast.csv"), fc)
     print(f"wrote forecast.csv ({fit.d} components x {args.h} horizons) to {args.out}")
@@ -141,7 +141,7 @@ def cmd_forecast(args) -> int:
 
 
 def cmd_acf(args) -> int:
-    x, _ = nio.read_series_csv(args.series)
+    x = nio.read_series_csv(args.series)
     est = sample_acf(x, args.max_lag)
     nio.write_acf_csv(_out_path(args, "acf.csv"), est)
     print(f"wrote acf.csv (lags 0..{args.max_lag}) to {args.out}")

@@ -82,7 +82,7 @@ def _decay_fit(lags: np.ndarray, delta: np.ndarray):
     return float(np.exp(slope)), r2
 
 
-def _check_coupling(q: float, max_lag: int, reps: int) -> None:
+def _check_coupling(q: float, max_lag: int, reps: int, burn_in: int) -> None:
     """The arguments both coupling estimators share."""
     if reps < 2:
         raise ValueError("need at least 2 replicate pairs")
@@ -90,6 +90,8 @@ def _check_coupling(q: float, max_lag: int, reps: int) -> None:
         raise ValueError("q must be positive")
     if max_lag < 0:
         raise ValueError(f"max_lag must be at least 0, got {max_lag}")
+    if burn_in < 0:
+        raise ValueError(f"burn_in must be at least 0, got {burn_in}")
 
 
 def _initial_states(model, rng: np.random.Generator, reps: int) -> np.ndarray:
@@ -112,7 +114,7 @@ def estimate_delta_network(model: Union[MarkovEdgeNetwork, FlipNetwork], q: floa
     so the averaged q-th power is exactly the probability that the copies
     differ anywhere at that lag, independent of q.
     """
-    _check_coupling(q, max_lag, reps)
+    _check_coupling(q, max_lag, reps, burn_in)
     rng = np.random.default_rng(seed)
     state = _initial_states(model, rng, reps)
     for _ in range(burn_in):
@@ -142,7 +144,7 @@ def estimate_delta_x(spec: Union[NarSpec, LnarSpec], model: Union[MarkovEdgeNetw
     """
     if mode not in ("joint", "network_only"):
         raise ValueError("mode must be 'joint' or 'network_only'")
-    _check_coupling(q, max_lag, reps)
+    _check_coupling(q, max_lag, reps, burn_in)
     nar = spec.to_nar()
     d, p = nar.d, nar.p
     if innov.d != d:

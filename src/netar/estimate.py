@@ -552,9 +552,6 @@ def select_order_bic(x: np.ndarray, ads: Optional[AdjacencySeries] = None,
     x = _finite_series(x)
     d, n = x.shape
     _check_order("p_max", p_max, 1)
-    if family == "var" and mask is not None and np.shape(mask) != (d, d * p_max):
-        raise ValueError(
-            f"mask must have shape (d, d*p_max) = {(d, d * p_max)}, got {np.shape(mask)}")
     m = n - p_max
     orders = np.arange(1, p_max + 1)
     k = np.zeros((p_max, d), dtype=int)

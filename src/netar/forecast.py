@@ -79,8 +79,7 @@ def forecast_network(history: AdjacencySeries, policy: NetworkForecastPolicy,
         raise ValueError("cannot forecast a network from an empty history")
     if isinstance(policy, HoldLast):
         last = history[len(history) - 1]
-        return AdjacencySeries(np.repeat(last[None, :, :], h, axis=0),
-                               t0=history.t0 + len(history))
+        return AdjacencySeries(np.repeat(last[None, :, :], h, axis=0))
     if isinstance(policy, PerEdgeMarkov):
         mats = history.mats
         if not history.is_binary():
@@ -100,7 +99,7 @@ def forecast_network(history: AdjacencySeries, policy: NetworkForecastPolicy,
             out[s] = (prob > 0.5).astype(float)
         if policy.freeze_first:
             out[1:] = out[0]
-        return AdjacencySeries(out, t0=history.t0 + len(history))
+        return AdjacencySeries(out)
     raise TypeError(f"unknown network forecast policy {policy!r}")
 
 
@@ -136,7 +135,7 @@ def forecast_h(fit: ModelFit, x_hist: np.ndarray, ads_hist: Optional[AdjacencySe
     if h < 1:
         raise ValueError("need at least one horizon")
     p = fit.p
-    if fit.family == "lnar":
+    if fit.family == "lnar" and p > 0:
         # the per-component family runs on its embedding into the full model
         nar = fit._lnar_spec().to_nar()
         coef, g = nar.A, nar.G

@@ -294,22 +294,17 @@ def _fit_with_bic(method: MethodSpec, x_est, ads_est, p_max: int):
             # one expression, so the modulation stack is freed before BIC runs
             base = (snaps if method.g is None else apply_neighborhood_fn(method.g, snaps)).any(axis=0)
             mask = np.concatenate([base.astype(float)] * p_max, axis=1)
-        sel = select_order_bic(x_est, p_max=p_max, family="var", mask=mask)
-        sub = None if mask is None else mask[:, : x_est.shape[0] * sel.p]
-        return fit_var(x_est, sel.p, mask=sub), sel
-    sel = select_order_bic(x_est, ads_est, method.g, p_max=p_max, family=method.family)
-    if method.family == "nar":
-        return fit_nar(x_est, ads_est, [method.g] * sel.p, sel.p), sel
-    return fit_lnar(x_est, ads_est, [method.g] * sel.p, sel.p), sel
+        p = select_order_bic(x_est, p_max=p_max, family="var", mask=mask).p
+        return fit_var(x_est, p, mask=None if mask is None else mask[:, : x_est.shape[0] * p])
+    p = select_order_bic(x_est, ads_est, method.g, p_max=p_max, family=method.family).p
+    return (fit_nar if method.family == "nar" else fit_lnar)(x_est, ads_est, [method.g] * p, p)
 
 
 def _resolve_policy(method: MethodSpec, ads_post: AdjacencySeries, n: int, h: int):
     if method.family == "var":
         return None
     if method.policy == "known":
-        future = AdjacencySeries(ads_post.mats[n - 1: n - 1 + h],
-                                 t0=ads_post.t0 + n - 1)
-        return Known(future)
+        return Known(ads_post.drop_first(n - 1).take_first(h))
     if method.policy == "holdlast":
         return HoldLast()
     return PerEdgeMarkov(laplace_alpha=1.0, freeze_first=method.freeze_markov)
@@ -329,7 +324,7 @@ def _run_one_replicate(cfg: ExperimentConfig, n_index: int, n: int, rep: int):
     errors: Dict[str, Optional[np.ndarray]] = {}
     for method in cfg.methods:
         try:
-            fit, _ = _fit_with_bic(method, x_est, ads_est, cfg.p_max)
+            fit = _fit_with_bic(method, x_est, ads_est, cfg.p_max)
             policy = _resolve_policy(method, ads_post, n, h)
             fc = forecast_h(fit, x_est, ads_est, policy, h, truth=truth)
             errors[method.label] = fc.errors
@@ -672,12 +667,12 @@ def run_rolling_forecast(panel: PanelDataset, methods=("var", "lnar", "nar"), h:
     orders = {}
     for name in methods:
         method = MethodSpec(family=name, policy="holdlast", g=None if name == "var" else g)
-        fit, sel = _fit_with_bic(method, x_est, ads_est, p_max)
+        fit = _fit_with_bic(method, x_est, ads_est, p_max)
         fc = forecast_h(fit, x_est, ads_est, HoldLast(), h)
         levels_fc = integrate(origin_level, fc)
         forecasts[name] = levels_fc
         errors[name] = truth_levels - levels_fc
-        orders[name] = sel.p
+        orders[name] = fit.p
     result = PanelForecastResult(
         labels=panel.labels, methods=list(methods), horizons=h,
         level_forecasts=forecasts, level_truth=truth_levels, errors=errors,

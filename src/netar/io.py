@@ -15,6 +15,9 @@ panel trade CSV       <any>,<label>,...  one labeled row per entity
 ACF CSV               h,i,j,gamma,se
 forecast CSV          h,component,point[,truth,error]
 coupling CSV          j,delta,se
+
+Network and series writers label times from 0, a snapshot's or column's
+position; readers accept any consecutive integer labels and keep the order.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import json
 import os
 import tempfile
 from contextlib import contextmanager
-from typing import Tuple, Union
+from typing import Union
 
 import numpy as np
 
@@ -124,9 +127,7 @@ def write_adjacency_csv(path, ads: AdjacencySeries) -> None:
         w = csv.writer(fh)
         w.writerow(["t", "i", "j", "w"])
         d = ads.d
-        for k in range(len(ads)):
-            t = ads.t0 + k
-            m = ads[k]
+        for t, m in enumerate(ads.mats):
             for i, j in zip(*np.nonzero(m)):
                 w.writerow([t, i + 1, j + 1, fmt(m[i, j])])
             if m[d - 1, d - 1] == 0:
@@ -165,12 +166,11 @@ def read_adjacency_csv(path) -> AdjacencySeries:
     mats = np.zeros((t_end - t0 + 1, d, d))
     for t, i, j, wt in entries:
         mats[t - t0, i - 1, j - 1] = wt
-    return AdjacencySeries(mats, t0=t0)
+    return AdjacencySeries(mats)
 
 
 def write_adjacency_json(path, ads: AdjacencySeries) -> None:
-    _write_json(path, [{"t": int(ads.t0 + k), "rows": ads[k].tolist()}
-                       for k in range(len(ads))], indent=None)
+    _write_json(path, [{"t": t, "rows": m.tolist()} for t, m in enumerate(ads.mats)], indent=None)
 
 
 def read_adjacency_json(path) -> AdjacencySeries:
@@ -197,7 +197,7 @@ def read_adjacency_json(path) -> AdjacencySeries:
     ts, mats = zip(*sorted(snaps, key=lambda s: s[0]))
     if list(ts) != list(range(ts[0], ts[-1] + 1)):
         raise ValueError("network time indices must be contiguous")
-    return AdjacencySeries(np.stack(mats), t0=ts[0])
+    return AdjacencySeries(np.stack(mats))
 
 
 def read_adjacency(path) -> AdjacencySeries:
@@ -207,24 +207,24 @@ def read_adjacency(path) -> AdjacencySeries:
 
 # --- series ----------------------------------------------------------------
 
-def write_series_csv(path, x: np.ndarray, t0: int = 0) -> None:
+def write_series_csv(path, x: np.ndarray) -> None:
     x = np.atleast_2d(np.asarray(x, dtype=float))
     d, n = x.shape
     with atomic_open(path) as fh:
         w = csv.writer(fh)
         w.writerow(["t"] + [f"x{i + 1}" for i in range(d)])
         for t in range(n):
-            w.writerow([t0 + t] + [fmt(v) for v in x[:, t]])
+            w.writerow([t] + [fmt(v) for v in x[:, t]])
 
 
-def read_series_csv(path) -> Tuple[np.ndarray, int]:
+def read_series_csv(path) -> np.ndarray:
     header, ts, cells = _read_table(path, "series", "row t={}")
     if header[0] != "t":
         raise ValueError("series CSV must start with a 't' column")
     for k, t in enumerate(ts):
         if not (t.removeprefix("-").isdecimal() and int(t) == int(ts[0]) + k):
             raise ValueError(f"series file: row t={t}: t labels must be consecutive integers")
-    return cells.T, int(ts[0])
+    return cells.T
 
 
 # --- model specifications ---------------------------------------------------

@@ -45,29 +45,28 @@ def _check_weights(arr: np.ndarray, what: str) -> None:
 
 
 class AdjacencySeries:
-    """Time-indexed sequence of square edge-weight matrices.
+    """Sequence of square edge-weight matrices, indexed by time.
 
-    ``mats[k]`` is the network snapshot at integer time ``t0 + k``.  The
-    sequence is contiguous in time and every entry lies in ``[-1, 1]``.
+    ``mats[t]`` is the network snapshot at time ``t``: a snapshot's time is
+    its position, the same index as the series column it modulates.  Every
+    entry lies in ``[-1, 1]``.
     """
 
-    __slots__ = ("mats", "t0")
+    __slots__ = ("mats",)
 
-    def __init__(self, mats, t0: int = 0):
+    def __init__(self, mats):
         arr = np.asarray(mats, dtype=float)
         if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
             raise ValueError(f"expected a (n, d, d) stack of square matrices, got shape {arr.shape}")
         _check_weights(arr, "edge weights")
         self.mats = arr
-        self.t0 = int(t0)
 
     @classmethod
-    def _checked(cls, mats: np.ndarray, t0: int) -> "AdjacencySeries":
-        """A series over snapshots already known to be valid (views and
-        concatenations of checked series), built without re-scanning them."""
+    def _checked(cls, mats: np.ndarray) -> "AdjacencySeries":
+        """A series over snapshots already known to be valid (views of a
+        checked series, binary simulator output), built without re-scanning them."""
         out = cls.__new__(cls)
         out.mats = mats
-        out.t0 = int(t0)
         return out
 
     @property
@@ -84,21 +83,15 @@ class AdjacencySeries:
         return bool(np.isin(self.mats, (0.0, 1.0)).all())
 
     def drop_first(self, k: int) -> "AdjacencySeries":
-        """Series with the first ``k`` snapshots removed (time index keeps meaning)."""
+        """Series with the first ``k`` snapshots removed."""
         if not 0 <= k <= len(self):
             raise ValueError(f"cannot drop {k} of {len(self)} snapshots")
-        return AdjacencySeries._checked(self.mats[k:], self.t0 + k)
+        return AdjacencySeries._checked(self.mats[k:])
 
     def take_first(self, k: int) -> "AdjacencySeries":
         if not 0 <= k <= len(self):
             raise ValueError(f"cannot take {k} of {len(self)} snapshots")
-        return AdjacencySeries._checked(self.mats[:k], self.t0)
-
-    def extend(self, other: "AdjacencySeries") -> "AdjacencySeries":
-        """Concatenate a series that continues directly after this one."""
-        if other.d != self.d:
-            raise ValueError("vertex count mismatch")
-        return AdjacencySeries._checked(np.concatenate([self.mats, other.mats], axis=0), self.t0)
+        return AdjacencySeries._checked(self.mats[:k])
 
 
 class MarkovEdgeNetwork:
@@ -190,7 +183,7 @@ class MarkovEdgeNetwork:
             state = self.step(state, draws[t])
             if t >= burn_in:
                 out[t - burn_in] = state
-        return AdjacencySeries._checked(out, 0)  # binary by construction
+        return AdjacencySeries._checked(out)  # binary by construction
 
 
 class FlipNetwork:
@@ -231,7 +224,7 @@ class FlipNetwork:
 
     def simulate(self, n: int, seed=None, burn_in: int = 0) -> AdjacencySeries:
         states = self.simulate_states(n, seed=seed, burn_in=burn_in)
-        return AdjacencySeries._checked(self.state_to_matrix(states), 0)  # binary by construction
+        return AdjacencySeries._checked(self.state_to_matrix(states))  # binary by construction
 
     def simulate_states(self, n: int, seed=None, burn_in: int = 0) -> np.ndarray:
         """State path (0/1 per step); lighter than full matrices for long runs.

@@ -131,6 +131,13 @@ class TestCouplingArguments:
         with pytest.raises(ValueError, match="max_lag must be at least 0, got -1"):
             estimate_delta_x(self.spec, FlipNetwork(), self.innov, q=2, max_lag=-1, reps=10)
 
+    def test_burn_in_must_not_be_negative(self):
+        with pytest.raises(ValueError, match="burn_in must be at least 0, got -5"):
+            estimate_delta_network(FlipNetwork(), q=2, max_lag=2, reps=10, burn_in=-5)
+        with pytest.raises(ValueError, match="burn_in must be at least 0, got -5"):
+            estimate_delta_x(self.spec, FlipNetwork(), self.innov, q=2, max_lag=2, reps=10,
+                             burn_in=-5)
+
     def test_network_must_match_the_process(self):
         net = MarkovEdgeNetwork(np.full((2, 2), 0.9), np.full((2, 2), 0.2))
         with pytest.raises(ValueError, match="the network has 2 vertices but the process has 3"):

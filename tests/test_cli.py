@@ -59,6 +59,35 @@ def test_simulate_fit_forecast_acf_pipeline(tmp_path, model_files, capsys):
     assert acf_lines[0] == "h,i,j,gamma,se"
 
 
+def _time_labels(path):
+    """The distinct t labels of a CSV file, in file order."""
+    with open(path) as fh:
+        return list(dict.fromkeys(int(line.split(",")[0]) for line in fh.readlines()[1:]))
+
+
+def test_simulate_labels_series_and_network_on_one_time_axis(tmp_path, model_files):
+    model_path, net_path = model_files
+    out = str(tmp_path / "run")
+    rc = main(["simulate", "--model", model_path, "--network", net_path,
+               "--n", "5", "--burn-in", "7", "--seed", "3", "--out", out])
+    assert rc == 0
+    series = _time_labels(os.path.join(out, "series.csv"))
+    assert series == _time_labels(os.path.join(out, "network.csv")) == list(range(5))
+
+    # a network file labelled from 7 is read by order and written back from 0
+    mats = (np.random.default_rng(2).random((5, 2, 2)) < 0.5).astype(float)
+    given = tmp_path / "given.csv"
+    given.write_text("t,i,j,w\n" + "".join(f"{t + 7},{i + 1},{j + 1},{mats[t, i, j]}\n"
+                                            for t in range(5) for i in range(2) for j in range(2)))
+    out = str(tmp_path / "given_run")
+    rc = main(["simulate", "--model", model_path, "--ads", str(given),
+               "--n", "5", "--seed", "3", "--out", out])
+    assert rc == 0
+    network = os.path.join(out, "network.csv")
+    assert _time_labels(network) == list(range(5))
+    assert np.array_equal(nio.read_adjacency_csv(network).mats, mats)
+
+
 def test_simulate_and_fit_lnar_model(tmp_path, model_files):
     _, net_path = model_files
     spec = LnarSpec(1, np.full((1, 2), 0.3), np.full((1, 2), 0.4),

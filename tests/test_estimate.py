@@ -806,7 +806,7 @@ class TestOrderSelectionInputs:
     @pytest.mark.parametrize("cols", [9, 4, 3])
     def test_var_mask_must_cover_p_max_lags(self, cols):
         x, _, _ = bic_case(3, 2, seed=27)
-        with pytest.raises(ValueError, match=r"\(d, d\*p_max\) = \(3, 6\), got \(3, %d\)" % cols):
+        with pytest.raises(ValueError, match=r"mask must have shape \(3, 6\), got \(3, %d\)" % cols):
             select_order_bic(x, p_max=2, family="var", mask=np.ones((3, cols)))
 
     @pytest.mark.parametrize("bad", [np.nan, 0.5, -3.0])

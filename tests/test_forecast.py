@@ -13,7 +13,7 @@ from netar import (
     forecast_network,
     integrate,
 )
-from netar.estimate import ComponentFit, IndexSet, ModelFit
+from netar.estimate import ComponentFit, IndexSet, ModelFit, fit_lnar, fit_nar, fit_var
 
 from test_model import kernel_snapshots
 from test_netdyn import kernel_variants, neighborhood_oracle, zero_diag_oracle
@@ -232,11 +232,23 @@ class TestForecastH:
         n = 30
         x = rng.normal(size=(2, n))
         clean_hist = AdjacencySeries((rng.random((n - 1, 2, 2)) < 0.5).astype(float))
-        poisoned = clean_hist.extend(AdjacencySeries(np.ones((4, 2, 2))))
+        poisoned = AdjacencySeries(np.concatenate([clean_hist.mats, np.ones((4, 2, 2))]))
         for policy in (HoldLast(), PerEdgeMarkov()):
             a = forecast_h(fit, x, clean_hist, policy, 4)
             b = forecast_h(fit, x, poisoned, policy, 4)
             assert np.array_equal(a.points, b.points)
+
+    @pytest.mark.parametrize("family", ["nar", "lnar", "var"])
+    def test_order_zero_fit_forecasts_its_intercepts(self, family):
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(3, 60)) + np.array([[1.0], [-2.0], [0.5]])
+        ads = AdjacencySeries((rng.random((59, 3, 3)) < 0.4).astype(float))
+        if family == "var":
+            fit = fit_var(x, 0)
+        else:
+            fit = (fit_nar if family == "nar" else fit_lnar)(x, ads, [], 0)
+        fc = forecast_h(fit, x, ads, HoldLast(), 3)
+        assert np.array_equal(fc.points, np.repeat(fit.mu_hat()[:, None], 3, axis=1))
 
 
 class TestForecastVertexCount:

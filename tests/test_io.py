@@ -28,11 +28,10 @@ class TestAdjacencyRoundtrip:
         mats[0, 0, 1] = 0.5
         mats[2, 2, 0] = -0.25
         # snapshot 1 and 3 are entirely zero and must survive the roundtrip
-        ads = AdjacencySeries(mats, t0=7)
+        ads = AdjacencySeries(mats)
         path = tmp_path / "net.csv"
         nio.write_adjacency_csv(path, ads)
         back = nio.read_adjacency_csv(path)
-        assert back.t0 == 7
         assert np.array_equal(back.mats, mats)
 
     def test_csv_recovers_dimension_from_anchor_row(self, tmp_path):
@@ -45,11 +44,10 @@ class TestAdjacencyRoundtrip:
 
     def test_json_roundtrip(self, tmp_path):
         rng = np.random.default_rng(0)
-        ads = AdjacencySeries(rng.uniform(-1, 1, (5, 2, 2)), t0=-3)
+        ads = AdjacencySeries(rng.uniform(-1, 1, (5, 2, 2)))
         path = tmp_path / "net.json"
         nio.write_adjacency_json(path, ads)
         back = nio.read_adjacency_json(path)
-        assert back.t0 == -3
         assert np.allclose(back.mats, ads.mats)
 
     @pytest.mark.parametrize("doc, where", [
@@ -79,10 +77,16 @@ class TestSeriesRoundtrip:
         rng = np.random.default_rng(1)
         x = rng.normal(size=(3, 17)) * 1e6
         path = tmp_path / "series.csv"
-        nio.write_series_csv(path, x, t0=5)
-        back, t0 = nio.read_series_csv(path)
-        assert t0 == 5
+        nio.write_series_csv(path, x)
+        back = nio.read_series_csv(path)
         assert np.array_equal(back, x)
+
+    def test_readers_keep_only_the_order_of_labels_from_any_start(self, tmp_path):
+        series, net = tmp_path / "series.csv", tmp_path / "net.json"
+        series.write_text("t,x1\n5,1.0\n6,2.0\n")
+        assert np.array_equal(nio.read_series_csv(series), [[1.0, 2.0]])
+        net.write_text(json.dumps([{"t": -2, "rows": [[0.5]]}, {"t": -3, "rows": [[0.25]]}]))
+        assert np.array_equal(nio.read_adjacency_json(net).mats, [[[0.25]], [[0.5]]])
 
     def test_non_finite_cell_names_row_and_column(self, tmp_path):
         path = tmp_path / "series.csv"

@@ -167,18 +167,13 @@ class TestAdjacencySeries:
         with pytest.raises(ValueError):
             AdjacencySeries(np.zeros((2, 3, 4)))
 
-    def test_slicing_keeps_time_origin(self):
-        ads = AdjacencySeries(np.zeros((5, 2, 2)), t0=3)
-        tail = ads.drop_first(2)
-        assert tail.t0 == 5 and len(tail) == 3
-
-    def test_views_and_extension_skip_the_weight_scan(self):
+    def test_views_skip_the_weight_scan(self):
         # the scan allocates an |arr| copy of the whole stack; views of a checked
         # series are valid already, so they must not allocate one
         import tracemalloc
 
         rng = np.random.default_rng(3)
-        ads = AdjacencySeries(rng.uniform(-1, 1, (200, 40, 40)), t0=7)
+        ads = AdjacencySeries(rng.uniform(-1, 1, (200, 40, 40)))
         stack_bytes = ads.mats.nbytes
         tracemalloc.start()
         head, tail = ads.take_first(150), ads.drop_first(50)
@@ -186,13 +181,7 @@ class TestAdjacencySeries:
         tracemalloc.stop()
         assert peak < stack_bytes / 20
         assert np.shares_memory(head.mats, ads.mats) and np.shares_memory(tail.mats, ads.mats)
-        assert (head.t0, len(head), tail.t0, len(tail)) == (7, 150, 57, 150)
-        tracemalloc.start()
-        joined = head.extend(ads.drop_first(150))
-        _, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-        assert peak < 1.2 * stack_bytes  # the concatenation itself, and no scan on top
-        assert np.array_equal(joined.mats, ads.mats) and joined.t0 == 7
+        assert (len(head), len(tail)) == (150, 150)
 
 
 class TestMarkovEdges:
@@ -208,7 +197,7 @@ class TestMarkovEdges:
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         assert peak < 2.5 * ads.mats.nbytes
-        assert np.isin(ads.mats, (0.0, 1.0)).all() and ads.t0 == 0
+        assert np.isin(ads.mats, (0.0, 1.0)).all()
 
     def test_degenerate_probabilities_absorb(self):
         # stay=1, enter=0 with the edge on: persists forever
@@ -322,7 +311,6 @@ class TestFlipNetwork:
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         assert peak < 1.6 * ads.mats.nbytes
-        assert ads.t0 == 0
 
     def test_exactly_one_edge_present(self):
         ads = FlipNetwork(0.95).simulate(500, seed=5)
