@@ -61,17 +61,14 @@ def _load_network_model(path):
 def cmd_simulate(args) -> int:
     spec, innov = nio.read_model_spec(args.model)
     sim = simulate_lnar if isinstance(spec, LnarSpec) else simulate_nar
+    rng = np.random.default_rng(args.seed)
     if args.network:
-        model = _load_network_model(args.network)
-        rng = np.random.default_rng(args.seed)
-        ads = model.simulate(args.burn_in + args.n, seed=rng)
-        x = sim(spec, ads, innov, n=args.n, burn_in=args.burn_in, seed=rng)
-        ads_out = ads.drop_first(args.burn_in)
+        ads = _load_network_model(args.network).simulate(args.burn_in + args.n, seed=rng)
     else:
-        ads_out = nio.read_adjacency(args.ads)
-        x = sim(spec, ads_out, innov, n=args.n, burn_in=0, seed=args.seed)
+        ads = nio.read_adjacency(args.ads)
+    x = sim(spec, ads, innov, n=args.n, burn_in=args.burn_in, seed=rng)
     nio.write_series_csv(_out_path(args, "series.csv"), x)
-    nio.write_adjacency_csv(_out_path(args, "network.csv"), ads_out)
+    nio.write_adjacency_csv(_out_path(args, "network.csv"), ads.drop_first(args.burn_in))
     print(f"wrote series.csv ({x.shape[0]}x{x.shape[1]}) and network.csv to {args.out}")
     return 0
 
@@ -219,8 +216,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", parents=[common], help="simulate a model path")
     p.add_argument("--model", required=True, help="model spec JSON")
-    p.add_argument("--network", help="network model JSON (generates the snapshots)")
-    p.add_argument("--ads", help="existing network series CSV/JSON instead of generating")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--network", help="network model JSON (generates the snapshots)")
+    source.add_argument("--ads", help="existing network series CSV/JSON instead of generating")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--burn-in", type=int, default=500, dest="burn_in")
     p.set_defaults(func=cmd_simulate)

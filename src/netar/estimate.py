@@ -25,7 +25,7 @@ solves each candidate's leading block for its residual sum of squares alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from math import log
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
@@ -110,50 +110,35 @@ class ModelFit:
     d: int
     g: Optional[tuple]
     components: List[ComponentFit]
-    errors: dict = field(default_factory=dict)
 
     def mu_hat(self) -> np.ndarray:
-        """Intercept vector; components that failed to fit show up as nan."""
-        mu = np.full(self.d, np.nan)
-        for c in self.components:
-            mu[c.r] = c.mu
-        return mu
+        """Intercept vector."""
+        return np.array([c.mu for c in self.components])
 
     def coefficient_matrices(self) -> List[np.ndarray]:
         """Lag coefficient matrices with structural zeros filled in.
 
         The per-component family's come from :meth:`LnarSpec.coefficient_matrix`.
-        Rows of failed components are nan.
         """
         if self.family == "lnar":
             spec = self._lnar_spec()
-            mats = [spec.coefficient_matrix(j) for j in range(self.p)]
-        else:
-            mats = [np.zeros((self.d, self.d)) for _ in range(self.p)]
-            for c in self.components:
-                for pos, flat in enumerate(c.index_set.members):
-                    i, j = flat % self.d, flat // self.d
-                    mats[j][c.r, i] = c.w[pos]
-        for r in self.errors:
-            for m in mats:
-                m[r] = np.nan
+            return [spec.coefficient_matrix(j) for j in range(self.p)]
+        mats = [np.zeros((self.d, self.d)) for _ in range(self.p)]
+        for c in self.components:
+            for pos, flat in enumerate(c.index_set.members):
+                i, j = flat % self.d, flat // self.d
+                mats[j][c.r, i] = c.w[pos]
         return mats
 
     def _lnar_spec(self) -> LnarSpec:
-        """The fitted model; a failed component's coefficients read 0, its intercept stays nan."""
-        return LnarSpec(self.p, *np.nan_to_num(self.alpha_beta(), nan=0.0), self.g)
+        return LnarSpec(self.p, *self.alpha_beta(), self.g)
 
     def alpha_beta(self):
-        """(p, d) own-lag and network coefficients; failed components are nan."""
+        """(p, d) own-lag and network coefficients."""
         if self.family != "lnar":
             raise ValueError("alpha/beta decomposition only exists for the per-component family")
-        alpha = np.full((self.p, self.d), np.nan)
-        beta = np.full((self.p, self.d), np.nan)
-        for c in self.components:
-            for j in range(self.p):
-                alpha[j, c.r] = c.w[2 * j]
-                beta[j, c.r] = c.w[2 * j + 1]
-        return alpha, beta
+        w = np.array([c.w for c in self.components])
+        return w[:, 0::2].T, w[:, 1::2].T
 
 
 def _finite_series(x) -> np.ndarray:
@@ -480,38 +465,28 @@ def fit_component_ls(y: np.ndarray, Y: np.ndarray, r: int,
     return _fit_component(_own_equations(r, members, np.zeros(k, dtype=int), Y, y), 1, m)
 
 
-def _fit(family: str, x, ads, g_list, p: int, mask: Optional[np.ndarray],
-         allow_partial: bool) -> ModelFit:
-    """The one fit loop: every component solves its full block."""
+def _fit(family: str, x, ads, g_list, p: int, mask: Optional[np.ndarray]) -> ModelFit:
+    """The one fit loop: every component solves its full block, or the fit raises."""
     x = _finite_series(x)
     d, n = x.shape
-    comps: List[ComponentFit] = []
-    errors = {}
-    for eq in _equations(family, x, ads, g_list, p, mask):
-        try:
-            comps.append(_fit_component(eq, p, n - p))
-        except EstimationError as exc:
-            if not allow_partial:
-                raise
-            errors[eq.r] = str(exc)
+    comps = [_fit_component(eq, p, n - p) for eq in _equations(family, x, ads, g_list, p, mask)]
     return ModelFit(family=family, p=p, d=d, g=None if g_list is None else tuple(g_list),
-                    components=comps, errors=errors)
+                    components=comps)
 
 
-def fit_nar(x: np.ndarray, ads: AdjacencySeries, g_list: Sequence[NeighborhoodFn], p: int,
-            allow_partial: bool = False) -> ModelFit:
+def fit_nar(x: np.ndarray, ads: AdjacencySeries, g_list: Sequence[NeighborhoodFn],
+            p: int) -> ModelFit:
     """Component-wise fit of the full model over the observed index sets."""
-    return _fit("nar", x, ads, g_list, p, None, allow_partial)
+    return _fit("nar", x, ads, g_list, p, None)
 
 
-def fit_lnar(x: np.ndarray, ads: AdjacencySeries, g_list: Sequence[NeighborhoodFn], p: int,
-             allow_partial: bool = False) -> ModelFit:
+def fit_lnar(x: np.ndarray, ads: AdjacencySeries, g_list: Sequence[NeighborhoodFn],
+             p: int) -> ModelFit:
     """Component-wise fit of the per-component model: own and pooled lags."""
-    return _fit("lnar", x, ads, g_list, p, None, allow_partial)
+    return _fit("lnar", x, ads, g_list, p, None)
 
 
-def fit_var(x: np.ndarray, p: int, mask: Optional[np.ndarray] = None,
-            allow_partial: bool = False) -> ModelFit:
+def fit_var(x: np.ndarray, p: int, mask: Optional[np.ndarray] = None) -> ModelFit:
     """Per-equation VAR least squares, optionally sparsity-masked.
 
     ``mask`` is a binary (d, d*p) matrix; a zero entry pins the matching
@@ -520,7 +495,7 @@ def fit_var(x: np.ndarray, p: int, mask: Optional[np.ndarray] = None,
     equation whose forecast is the sample mean.  Every equation restricts
     one shared set of normal equations (see :func:`_var_equations`).
     """
-    return _fit("var", x, None, None, p, mask, allow_partial)
+    return _fit("var", x, None, None, p, mask)
 
 
 @dataclass

@@ -111,10 +111,6 @@ class ForecastSet:
     networks_used: Optional[AdjacencySeries]
     errors: Optional[np.ndarray] = None
 
-    @property
-    def horizons(self) -> np.ndarray:
-        return np.arange(1, self.points.shape[1] + 1)
-
 
 def forecast_h(fit: ModelFit, x_hist: np.ndarray, ads_hist: Optional[AdjacencySeries],
                policy: Optional[NetworkForecastPolicy], h: int,

@@ -27,6 +27,7 @@ import json
 import os
 import tempfile
 from contextlib import contextmanager
+from itertools import zip_longest
 from typing import Union
 
 import numpy as np
@@ -360,18 +361,38 @@ def fit_to_json(fit: ModelFit) -> dict:
             }
             for c in fit.components
         ],
-        "errors": {str(k): v for k, v in fit.errors.items()},
     })
 
 
 def fit_from_json(doc: dict) -> ModelFit:
+    """The fit a file holds, which must be whole.
+
+    Components r = 1..d appear once each and in order, each ``w`` is as long
+    as its ``index_set``, every index is an integer in 1..d*p, and an lnar
+    index set is 1..2p.  A file that breaks a rule raises a ValueError
+    naming the component.
+    """
+    family, p, d = doc["family"], int(doc["p"]), int(doc["d"])
+    width = 2 * p if family == "lnar" else d * p
+    rows = doc["components"]
+    for want, got in zip_longest(range(1, d + 1), [c["r"] for c in rows]):
+        if got != want:
+            raise ValueError(f"fit file: component {want or got} is missing, repeated or out of "
+                             f"place; a fit holds components 1..{d} once each, in order")
     comps = []
-    for c in doc["components"]:
+    for r, c in enumerate(rows):
         k = len(c["index_set"])
+        if len(c["w"]) != k:
+            raise ValueError(f"fit file: component {r + 1} has {len(c['w'])} coefficients w "
+                             f"for {k} indices in its index_set")
+        bad = [m for m in c["index_set"] if m not in range(1, width + 1)]
+        if bad:
+            raise ValueError(f"fit file: component {r + 1} has index {bad[0]}, not in 1..{width}")
+        if family == "lnar" and c["index_set"] != list(range(1, width + 1)):
+            raise ValueError(f"fit file: component {r + 1}'s lnar index_set is not 1..{width}")
         comps.append(ComponentFit(
-            r=int(c["r"]) - 1,
-            index_set=IndexSet(r=int(c["r"]) - 1,
-                               members=tuple(int(m) - 1 for m in c["index_set"])),
+            r=r,
+            index_set=IndexSet(r=r, members=tuple(int(m) - 1 for m in c["index_set"])),
             w=np.asarray(c["w"], dtype=float),
             mu=float(c["mu"]),
             resid_var=float(c["resid_var"]),
@@ -384,10 +405,9 @@ def fit_from_json(doc: dict) -> ModelFit:
         ))
     g = doc.get("g")
     return ModelFit(
-        family=doc["family"], p=int(doc["p"]), d=int(doc["d"]),
+        family=family, p=p, d=d,
         g=None if g is None else tuple(NeighborhoodFn.from_json(e) for e in g),
         components=comps,
-        errors={int(k): v for k, v in doc.get("errors", {}).items()},
     )
 
 

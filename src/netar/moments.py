@@ -35,11 +35,6 @@ class AcfEstimate:
     def d(self) -> int:
         return self.gamma[0].shape[0]
 
-    def at(self, h: int) -> np.ndarray:
-        if h >= 0:
-            return self.gamma[h]
-        return self.gamma[-h].T
-
 
 def sample_acf(x: np.ndarray, max_lag: int) -> AcfEstimate:
     """Matrix-valued sample autocovariance of a (d, n) series.

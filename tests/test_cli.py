@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import netar.io as nio
-from netar import InnovationSpec, LnarSpec, NarSpec, NeighborhoodFn
+from netar import AdjacencySeries, InnovationSpec, LnarSpec, NarSpec, NeighborhoodFn, simulate_nar
 from netar.cli import main
 from netar.harness import config_to_json, example1_config
 
@@ -81,11 +81,38 @@ def test_simulate_labels_series_and_network_on_one_time_axis(tmp_path, model_fil
                                             for t in range(5) for i in range(2) for j in range(2)))
     out = str(tmp_path / "given_run")
     rc = main(["simulate", "--model", model_path, "--ads", str(given),
-               "--n", "5", "--seed", "3", "--out", out])
+               "--n", "5", "--burn-in", "0", "--seed", "3", "--out", out])
     assert rc == 0
     network = os.path.join(out, "network.csv")
     assert _time_labels(network) == list(range(5))
     assert np.array_equal(nio.read_adjacency_csv(network).mats, mats)
+
+
+def test_simulate_burns_in_on_a_given_network(tmp_path, model_files):
+    model_path, _ = model_files
+    mats = (np.random.default_rng(4).random((7, 2, 2)) < 0.5).astype(float)
+    given = tmp_path / "given.csv"
+    nio.write_adjacency_csv(given, AdjacencySeries(mats))
+    out = str(tmp_path / "run")
+    rc = main(["simulate", "--model", model_path, "--ads", str(given),
+               "--n", "5", "--burn-in", "2", "--seed", "3", "--out", out])
+    assert rc == 0
+    spec, innov = nio.read_model_spec(model_path)
+    want = simulate_nar(spec, AdjacencySeries(mats), innov, n=5, burn_in=2, seed=3)
+    assert np.array_equal(nio.read_series_csv(os.path.join(out, "series.csv")), want)
+    assert np.array_equal(nio.read_adjacency_csv(os.path.join(out, "network.csv")).mats,
+                          mats[2:])
+
+
+@pytest.mark.parametrize("source", [[], ["--network", "net.json", "--ads", "net.csv"]],
+                         ids=["neither", "both"])
+def test_simulate_takes_exactly_one_network_source(tmp_path, model_files, source, capsys):
+    model_path, _ = model_files
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--model", model_path, *source, "--n", "5",
+              "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "usage: netar simulate" in capsys.readouterr().err
 
 
 def test_simulate_and_fit_lnar_model(tmp_path, model_files):

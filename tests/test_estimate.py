@@ -386,9 +386,9 @@ class TestFitNar:
 
 
 class TestPartialFits:
-    def test_failed_component_marked_and_nan_filled(self):
+    def test_unidentifiable_component_fails_the_whole_fit(self):
         # component 1 sees five regressors on five observations (unidentifiable),
-        # the single-edge components still fit
+        # so the fit raises although the single-edge components would fit
         rng = np.random.default_rng(71)
         d, n = 5, 6
         mats = np.zeros((n, d, d))
@@ -398,33 +398,8 @@ class TestPartialFits:
         ads = AdjacencySeries(mats)
         x = rng.normal(size=(d, n))
         g = [NeighborhoodFn.transpose()]
-        with pytest.raises(EstimationError):
+        with pytest.raises(EstimationError, match="component 0"):
             fit_nar(x, ads, g, 1)
-        fit = fit_nar(x, ads, g, 1, allow_partial=True)
-        assert 0 in fit.errors
-        mu = fit.mu_hat()
-        assert np.isnan(mu[0]) and np.isfinite(mu[1:]).all()
-        coef = fit.coefficient_matrices()[0]
-        assert np.isnan(coef[0]).all()
-        assert np.isfinite(coef[1:]).all()
-
-    @pytest.mark.parametrize("family", ["nar", "lnar"])
-    def test_failed_row_is_nan_in_both_families(self, family):
-        # the same fit with component 1 recorded as failed: its row, and only
-        # its row, turns nan in every lag matrix
-        rng = np.random.default_rng(72)
-        d, n, p = 4, 200, 2
-        ads = AdjacencySeries((rng.random((n, d, d)) < 0.4).astype(float))
-        x = rng.normal(size=(d, n))
-        g = [NeighborhoodFn.transpose()] * p
-        full = (fit_nar if family == "nar" else fit_lnar)(x, ads, g, p)
-        failed = estimate.ModelFit(family=family, p=p, d=d, g=full.g,
-                                   components=[c for c in full.components if c.r != 1],
-                                   errors={1: "singular"})
-        for want, got in zip(full.coefficient_matrices(), failed.coefficient_matrices()):
-            assert np.isnan(got[1]).all()
-            keep = np.arange(d) != 1
-            assert np.array_equal(got[keep], want[keep])
 
 
 class TestNonFiniteInput:

@@ -13,12 +13,15 @@ from netar import (
     MarkovEdgeNetwork,
     NarSpec,
     NeighborhoodFn,
+    fit_lnar,
+    fit_nar,
     fit_var,
     sample_acf,
 )
+from netar.cli import main
 from netar.depmeas import estimate_delta_network
 from netar.estimate import ModelFit, fit_component_ls
-from netar.forecast import ForecastSet
+from netar.forecast import ForecastSet, HoldLast, forecast_h
 from netar.harness import ingest_panel
 
 
@@ -340,6 +343,82 @@ class TestFitJson:
         fit = ModelFit(family="var", p=2, d=1, g=None, components=[comp])
         text = self.assert_strict_roundtrip(fit)
         assert '"resid_var": "nan"' in text
+
+
+class TestWholeFitFile:
+    """A fit file holds every component, whole; a broken one fails by component."""
+
+    @pytest.fixture()
+    def fit_files(self, tmp_path):
+        rng = np.random.default_rng(8)
+        d, n = 3, 80
+        x = rng.normal(size=(d, n))
+        ads = AdjacencySeries((rng.random((n, d, d)) < 0.5).astype(float))
+        fit = fit_nar(x, ads, [NeighborhoodFn.transpose()] * 2, 2)
+        nio.write_series_csv(tmp_path / "series.csv", x)
+        nio.write_adjacency_csv(tmp_path / "network.csv", ads)
+        nio.write_fit_json(tmp_path / "fit.json", fit)
+        return fit, x, ads, json.loads((tmp_path / "fit.json").read_text())
+
+    @staticmethod
+    def _drop_component_2(doc):
+        del doc["components"][1]
+
+    @staticmethod
+    def _shorten_w_of_component_2(doc):
+        doc["components"][1]["w"].pop()
+
+    @staticmethod
+    def _index_beyond_dp_in_component_3(doc):
+        doc["components"][2]["index_set"][-1] = doc["d"] * doc["p"] + 1
+
+    @staticmethod
+    def _fractional_index_in_component_3(doc):
+        doc["components"][2]["index_set"][0] = 1.5
+
+    @pytest.mark.parametrize("breaks, component", [
+        (_drop_component_2, 2), (_shorten_w_of_component_2, 2),
+        (_index_beyond_dp_in_component_3, 3), (_fractional_index_in_component_3, 3)],
+        ids=["missing", "short_w", "index_beyond_dp", "fractional_index"])
+    def test_broken_file_names_the_component(self, tmp_path, fit_files, breaks, component):
+        doc = fit_files[3]
+        assert "errors" not in doc
+        breaks(doc)
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=rf"fit file: component {component} "):
+            nio.read_fit_json(path)
+
+    def test_lnar_component_holds_every_own_and_pooled_lag(self, fit_files):
+        _, x, ads, _ = fit_files
+        doc = nio.fit_to_json(fit_lnar(x, ads, [NeighborhoodFn.transpose()] * 2, 2))
+        comp = doc["components"][1]
+        for key in ("index_set", "w"):
+            comp[key] = comp[key][:3]
+        for key in ("gamma_y0", "asymp_cov"):
+            comp[key] = [row[:3] for row in comp[key][:3]]
+        with pytest.raises(ValueError, match=r"component 2's lnar index_set is not 1\.\.4"):
+            nio.fit_from_json(doc)
+
+    def test_forecast_refuses_a_fit_missing_a_component(self, tmp_path, fit_files):
+        doc = fit_files[3]
+        del doc["components"][1]
+        (tmp_path / "fit.json").write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match="fit file: component 2 "):
+            main(["forecast", "--fit", str(tmp_path / "fit.json"),
+                  "--series", str(tmp_path / "series.csv"),
+                  "--ads", str(tmp_path / "network.csv"), "--h", "3", "--out", str(out)])
+        assert not (out / "forecast.csv").exists()
+
+    def test_file_with_an_empty_errors_map_still_loads(self, tmp_path, fit_files):
+        # files written before fits became whole carry "errors": {}
+        fit, x, ads, doc = fit_files
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({**doc, "errors": {}}))
+        back = nio.read_fit_json(path)
+        want = forecast_h(fit, x, ads, HoldLast(), 3).points
+        assert np.array_equal(forecast_h(back, x, ads, HoldLast(), 3).points, want)
 
 
 class TestAnalysisOutputs:
