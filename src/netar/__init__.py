@@ -6,7 +6,6 @@ from .netdyn import (
     MarkovEdgeNetwork,
     NeighborhoodFn,
     apply_neighborhood_fn,
-    build_multiattribute_network,
     generate_density_matched_markov,
     k_stage_neighborhood,
 )
@@ -29,7 +28,6 @@ from .estimate import (
     EstimationError,
     IndexSet,
     ModelFit,
-    eval_theorem2_bound,
     fit_component_ls,
     fit_lnar,
     fit_nar,
@@ -42,7 +40,6 @@ from .forecast import (
     Known,
     PerEdgeMarkov,
     difference,
-    evaluate_mse,
     forecast_h,
     forecast_network,
     integrate,

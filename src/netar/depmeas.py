@@ -11,9 +11,10 @@ innovations.
 ``estimate_delta_network`` couples the network alone;
 ``estimate_delta_x`` couples a network-modulated series, redrawing
 either the joint innovation (series noise and network uniforms) or only
-the network part.  When a snapshot arrives, each copy builds its
-coefficients ``A_j * G_j`` for every lag at once (each distinct G
-evaluated once) and keeps them for the p steps that read them.
+the network part.  Both step the pair as one batch after a shared past,
+``estimate_delta_x`` through ``model._run_recursion``; each step's
+coefficients ``A_j * G_j`` for every lag are built once (each distinct G
+evaluated once) and kept for the p steps that read them.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Union
 
 import numpy as np
 
-from .model import InnovationSpec, LnarSpec, NarSpec, _nar_coefficients, _nar_step
+from .model import InnovationSpec, LnarSpec, NarSpec, _nar_coefficients, _run_recursion
 from .netdyn import FlipNetwork, MarkovEdgeNetwork
 
 __all__ = ["CouplingRun", "estimate_delta_network", "estimate_delta_x"]
@@ -117,17 +118,15 @@ def estimate_delta_network(model: Union[MarkovEdgeNetwork, FlipNetwork], q: floa
     _check_coupling(q, max_lag, reps, burn_in)
     rng = np.random.default_rng(seed)
     state = _initial_states(model, rng, reps)
-    for _ in range(burn_in):
-        state = model.step(state, rng.random(state.shape))
-    sa = model.step(state, rng.random(state.shape))
-    sb = model.step(state, rng.random(state.shape))
+    shape = state.shape
     powers = np.empty((reps, max_lag + 1))
-    for j in range(max_lag + 1):
-        if j > 0:
-            u = rng.random(state.shape)
-            sa = model.step(sa, u)
-            sb = model.step(sb, u)
-        powers[:, j] = np.abs(sa - sb).reshape(reps, -1).max(axis=1) ** q
+    for t in range(-burn_in, max_lag + 1):
+        u = rng.random(shape)
+        if t == 0:  # the pair splits: one batch of two copies from here on
+            u = np.stack([u, rng.random(shape)])
+        state = model.step(state, u)
+        if t >= 0:
+            powers[:, t] = np.abs(state[0] - state[1]).reshape(reps, -1).max(axis=1) ** q
     return _finalize(q, powers, reps)
 
 
@@ -156,44 +155,23 @@ def estimate_delta_x(spec: Union[NarSpec, LnarSpec], model: Union[MarkovEdgeNetw
     # scalar flip state otherwise
     net = _initial_states(model, rng, reps)
     shape = net.shape
-
-    # shared prehistory: evolve one chain from empty snapshots and zero
-    # series lags; both copies start identical at time -1
-    empty = _nar_coefficients(nar.A, nar.G, np.zeros((reps, d, d)))
-    state_a = {"x": [np.zeros((reps, d))] * p, "c": [empty[k:] for k in range(p)], "net": net}
-    del empty  # the ring alone holds these stacks, and drops them as it moves on
-    for _ in range(burn_in):
-        u = rng.random(shape)
-        _advance(nar, model, state_a, u, innov.sample(rng, reps))
-    # _advance rebinds the entries and never writes into them
-    state_b = dict(state_a)
-
+    # ``rows`` holds X_{t-p}..X_t and ``window`` the coefficient lists of
+    # Ad_{t-p}..Ad_{t-1}, oldest first; before the start both are empty
+    rows = np.zeros((p + 1, 1, reps, d))
+    window = [_nar_coefficients(nar.A, nar.G, np.zeros((1, reps, d, d)))] * p
     powers = np.empty((reps, max_lag + 1))
-    for j in range(max_lag + 1):
-        u_shared = rng.random(shape)
-        eps_shared = innov.sample(rng, reps)
-        if j == 0:
-            u_b = rng.random(shape)
-            eps_b = eps_shared if mode == "network_only" else innov.sample(rng, reps)
-        else:
-            u_b, eps_b = u_shared, eps_shared
-        xa = _advance(nar, model, state_a, u_shared, eps_shared)
-        xb = _advance(nar, model, state_b, u_b, eps_b)
-        powers[:, j] = np.abs(xa - xb).max(axis=1) ** q
+    for t in range(-burn_in, max_lag + 1):
+        u = rng.random(shape)
+        eps = innov.sample(rng, reps)
+        if t == 0:
+            u = np.stack([u, rng.random(shape)])
+            eps = np.stack([eps, eps if mode == "network_only" else innov.sample(rng, reps)])
+            rows = np.repeat(rows, 2, axis=1)
+        net = model.step(net, u)
+        _run_recursion(rows, eps[None], list(zip(*window)), start=p)
+        mat = model.state_to_matrix(net) if isinstance(model, FlipNetwork) else net
+        window = window[1:] + [_nar_coefficients(nar.A, nar.G, mat)]
+        if t >= 0:
+            powers[:, t] = np.abs(rows[p, 0] - rows[p, 1]).max(axis=1) ** q
+        rows[:-1] = rows[1:]
     return _finalize(q, powers, reps)
-
-
-def _advance(nar: NarSpec, model, state: dict, u, eps) -> np.ndarray:
-    """Step the network, then the series, of a batch of replicate paths.
-
-    ``state["x"][j-1]`` holds X_{t-j} (reps, d) and ``state["c"][j-1]``
-    the coefficients ``A_i * G_i(Ad_{t-j})`` (reps, d, d) of the lags
-    i = j..p that have yet to read Ad_{t-j}, built when it arrived.
-    """
-    state["net"] = model.step(state["net"], u)
-    mat = model.state_to_matrix(state["net"]) if isinstance(model, FlipNetwork) else state["net"]
-    x_new = _nar_step(eps, [c[0] for c in state["c"]], state["x"])
-    # each entry drops the stack its lag has just read
-    state["c"] = [_nar_coefficients(nar.A, nar.G, mat)] + [c[1:] for c in state["c"][:-1]]
-    state["x"] = [x_new] + state["x"][:-1]
-    return x_new

@@ -45,8 +45,6 @@ __all__ = [
     "fit_lnar",
     "fit_var",
     "select_order_bic",
-    "eval_theorem2_bound",
-    "Theorem2Bound",
 ]
 
 RIDGE_SCALE = 1e-8
@@ -562,47 +560,3 @@ def select_order_bic(x: np.ndarray, ads: Optional[AdjacencySeries] = None,
     if best_p is None:
         raise EstimationError("no candidate order is identifiable on this sample")
     return OrderSelection(p=best_p, table=table)
-
-
-@dataclass
-class Theorem2Bound:
-    w_bound: float
-    mu_bound: float
-    prob_lower: float
-    feasible: bool
-
-
-def eval_theorem2_bound(y: float, q: float, p: int, constants: dict, n: int) -> Theorem2Bound:
-    """Plug-in evaluation of the nonasymptotic coefficient error bounds.
-
-    ``constants`` supplies the model constants (keys ``c_lambda``,
-    ``c_a``, ``c_delta_y``, ``rho_gamma_inv``, ``mu_y_norm``,
-    ``eps_norm``, ``mu_r``) and the tail constants ``c_q``/``c_q_prime``,
-    which the theory leaves unspecified.  Returns an infeasible marker
-    when the denominator is not positive.  The probability lower bound is
-    floored at zero (a negative value is vacuous).
-    """
-    c_lam = constants["c_lambda"]
-    c_a = constants["c_a"]
-    c_dy = constants["c_delta_y"]
-    rho_inv = constants["rho_gamma_inv"]
-    mu_y = constants["mu_y_norm"]
-    eps_norm = constants["eps_norm"]
-    mu_r = constants["mu_r"]
-    c_q = constants.get("c_q", 1.0)
-    c_qp = constants.get("c_q_prime", 1.0)
-    if not 0.0 < c_lam < 1.0:
-        raise ValueError("c_lambda must lie in (0, 1)")
-    if y == 0.0:
-        return Theorem2Bound(w_bound=0.0, mu_bound=0.0, prob_lower=0.0, feasible=True)
-    denom = rho_inv - y * 2.0 * p * c_dy * (2.0 * c_a / (1.0 - c_lam) + 2.0 * mu_y + y * c_dy)
-    if denom <= 0.0:
-        return Theorem2Bound(w_bound=float("inf"), mu_bound=float("inf"),
-                             prob_lower=0.0, feasible=False)
-    w_bound = y * np.sqrt(2.0 * p) * c_dy * (eps_norm + c_dy * y + mu_r + mu_y) / denom
-    mu_bound = (mu_y + y * c_dy) * w_bound + y * c_dy
-    m = n - p
-    cq_val = 1.0 - c_q * m ** (1.0 - q) * y ** (-q) - (c_qp + 2.0) * np.exp(-c_q * m * y * y)
-    prob_lower = float(max(cq_val, 0.0) ** 4)
-    return Theorem2Bound(w_bound=float(w_bound), mu_bound=float(mu_bound),
-                         prob_lower=prob_lower, feasible=True)

@@ -28,8 +28,6 @@ __all__ = [
     "forecast_h",
     "difference",
     "integrate",
-    "evaluate_mse",
-    "MseReport",
 ]
 
 
@@ -154,8 +152,9 @@ def forecast_h(fit: ModelFit, x_hist: np.ndarray, ads_hist: Optional[AdjacencySe
         _check_network_cover(nets, d, h, "forecast_h (policy snapshots)")
         mats = np.concatenate([hist_use.mats[n - p:], nets.mats], axis=0)
         coefs = _nar_coefficients(coef, g, mats)
-    x = np.concatenate([x_hist[:, n - p:], np.zeros((d, h))], axis=1)
-    points = _run_recursion(x, np.broadcast_to(fit.mu_hat(), (h, d)), coefs, start=p)[:, p:]
+    rows = np.concatenate([x_hist[:, n - p:].T, np.zeros((h, d))])
+    rows = _run_recursion(rows, np.broadcast_to(fit.mu_hat(), (h, d)), coefs, start=p)
+    points = np.ascontiguousarray(rows[p:].T)
     errors = None
     if truth is not None:
         truth = np.atleast_2d(np.asarray(truth, dtype=float))
@@ -185,32 +184,3 @@ def integrate(y_n: np.ndarray, forecasts: Union[ForecastSet, np.ndarray]) -> np.
     if y_n.shape[0] != points.shape[0]:
         raise ValueError("level vector and forecasts disagree on dimension")
     return y_n[:, None] + np.cumsum(points, axis=1)
-
-
-@dataclass
-class MseReport:
-    per_horizon: np.ndarray
-    per_component: np.ndarray
-
-
-def evaluate_mse(truth: np.ndarray, forecasts: np.ndarray) -> MseReport:
-    """Mean squared error averaged over components and replicates.
-
-    Inputs have shape (B, d, h) (a single replicate (d, h) is promoted).
-    ``per_horizon[s]`` is the replicate-and-component average of the
-    squared horizon-(s+1) errors; ``per_component`` keeps the (d, h)
-    breakdown.
-    """
-    truth = np.asarray(truth, dtype=float)
-    forecasts = np.asarray(forecasts, dtype=float)
-    if truth.shape != forecasts.shape:
-        raise ValueError(f"shape mismatch: truth {truth.shape} vs forecasts {forecasts.shape}")
-    if truth.ndim == 2:
-        truth = truth[None]
-        forecasts = forecasts[None]
-    if truth.ndim != 3:
-        raise ValueError("expected (B, d, h) error stacks")
-    sq = (truth - forecasts) ** 2
-    per_component = sq.mean(axis=0)
-    per_horizon = per_component.mean(axis=0)
-    return MseReport(per_horizon=per_horizon, per_component=per_component)

@@ -367,12 +367,17 @@ def fit_to_json(fit: ModelFit) -> dict:
 def fit_from_json(doc: dict) -> ModelFit:
     """The fit a file holds, which must be whole.
 
-    Components r = 1..d appear once each and in order, each ``w`` is as long
-    as its ``index_set``, every index is an integer in 1..d*p, and an lnar
-    index set is 1..2p.  A file that breaks a rule raises a ValueError
-    naming the component.
+    The family is nar, lnar or var.  Components r = 1..d appear once each
+    and in order, each ``w`` is as long as its ``index_set``, every index is
+    an integer in 1..d*p, and an lnar index set is 1..2p.  ``w`` and ``mu``
+    are finite, and ``gamma_y0`` and ``asymp_cov`` are k x k for k indices
+    (``resid_var`` and ``asymp_cov`` may be NaN, when no residual degree of
+    freedom is left).  A file that breaks a rule raises a ValueError naming
+    the field and the component.
     """
     family, p, d = doc["family"], int(doc["p"]), int(doc["d"])
+    if family not in ("nar", "lnar", "var"):
+        raise ValueError(f"fit file: family {family!r} is not one of nar, lnar, var")
     width = 2 * p if family == "lnar" else d * p
     rows = doc["components"]
     for want, got in zip_longest(range(1, d + 1), [c["r"] for c in rows]):
@@ -390,14 +395,24 @@ def fit_from_json(doc: dict) -> ModelFit:
             raise ValueError(f"fit file: component {r + 1} has index {bad[0]}, not in 1..{width}")
         if family == "lnar" and c["index_set"] != list(range(1, width + 1)):
             raise ValueError(f"fit file: component {r + 1}'s lnar index_set is not 1..{width}")
+        w, mu = np.asarray(c["w"], dtype=float), float(c["mu"])
+        for key, value in (("w", w), ("mu", mu)):
+            if not np.isfinite(value).all():
+                raise ValueError(f"fit file: component {r + 1} has a non-finite {key}")
+        square = {}
+        for key in ("gamma_y0", "asymp_cov"):
+            try:
+                square[key] = np.asarray(c[key], dtype=float).reshape(k, k)
+            except ValueError:
+                raise ValueError(f"fit file: component {r + 1} has a {key} that is not "
+                                 f"{k} x {k}") from None
         comps.append(ComponentFit(
             r=r,
             index_set=IndexSet(r=r, members=tuple(int(m) - 1 for m in c["index_set"])),
-            w=np.asarray(c["w"], dtype=float),
-            mu=float(c["mu"]),
+            w=w,
+            mu=mu,
             resid_var=float(c["resid_var"]),
-            gamma_y0=np.asarray(c["gamma_y0"], dtype=float).reshape(k, k),
-            asymp_cov=np.asarray(c["asymp_cov"], dtype=float).reshape(k, k),
+            **square,
             rss=float(c["rss"]),
             n_obs=int(c["n_obs"]),
             ridge_jitter=float(c.get("ridge_jitter", 0.0)),

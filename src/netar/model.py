@@ -11,9 +11,9 @@ per lag.  Both reduce to an order-1 recursion on the stacked state via
 the companion form, which is also used for the stationarity diagnostics
 and the moving-average coefficient matrices.
 
-One recursion: every path, forecast and coupled pair is stepped by the
-private ``_nar_step``, ``drive + sum_j C_j x_{t-j}``; ``_nar_coefficients``
-alone builds ``C_j = A_j * G_j(Ad_{t-j})``, evaluating each distinct G once.
+One recursion: every path, forecast and coupled pair is stepped by the one
+time loop ``_run_recursion``, each step ``_nar_step``, ``drive + sum_j C_j x_{t-j}``;
+``_nar_coefficients`` alone builds ``C_j = A_j * G_j(Ad_{t-j})``, evaluating each distinct G once.
 The per-component model runs on its embedding, built only by
 :meth:`LnarSpec.to_nar`: lag-j coefficient ``A_j * (I + zero-diag G_j)``.
 
@@ -335,24 +335,24 @@ def _nar_coefficients(A: Sequence[np.ndarray], G: Sequence[NeighborhoodFn],
             for j, (a, g) in enumerate(zip(A, G))]
 
 
-def _run_recursion(x: np.ndarray, drive: np.ndarray, coefs: Sequence[np.ndarray],
+def _run_recursion(rows: np.ndarray, drive: np.ndarray, coefs: Sequence[Sequence[np.ndarray]],
                    start: int = 0, check_finite: bool = False) -> np.ndarray:
-    """Fill ``x[:, start:]`` in place by the order-p recursion and return ``x``.
+    """Fill ``rows[start:]`` in place by the order-p recursion and return ``rows``.
 
-    ``x[:, t] = drive[t - start] + sum_j coefs[j-1][t-j] . x[:, t-j]``:
-    lag j's stack is indexed by the time of its snapshot, which shares the
-    axis of ``x``, and lags before column 0 are zero.
+    The one time loop of the model.  Time-major and batched: ``rows[t]`` is
+    ``(..., d)`` and ``rows[t] = drive[t - start] + sum_j coefs[j-1][t-j] .
+    rows[t-j]``, broadcast over the leading axes.  Lag j's coefficients are
+    indexed by the time of their snapshot, which shares the axis of
+    ``rows``, and lags before row 0 are zero.
     """
     p = len(coefs)
-    rows = x.T.copy()  # time-major, so each step reads and writes contiguous rows
     for t in range(start, len(rows)):
         js = range(1, min(p, t) + 1)
         rows[t] = _nar_step(drive[t - start], [coefs[j - 1][t - j] for j in js],
                             [rows[t - j] for j in js])
         if check_finite and not np.isfinite(rows[t]).all():
             raise FloatingPointError(f"simulation became non-finite at step {t}")
-    x[:, start:] = rows[start:].T
-    return x
+    return rows
 
 
 def _path_length(n: int, burn_in: int) -> int:
@@ -372,8 +372,8 @@ def _simulate(nar: NarSpec, ads: AdjacencySeries, innov: InnovationSpec, n: int,
     # lag j reads the snapshots s < total - j, all inside the first total - 1
     coefs = _nar_coefficients(nar.A, nar.G, ads.mats[: max(total - 1, 0)])
     eps = innov.sample(np.random.default_rng(seed), total)
-    x = _run_recursion(np.zeros((nar.d, total)), eps, coefs, check_finite=check_finite)
-    return x[:, burn_in:]
+    rows = _run_recursion(np.zeros((total, nar.d)), eps, coefs, check_finite=check_finite)
+    return np.ascontiguousarray(rows[burn_in:].T)
 
 
 def simulate_nar(spec: NarSpec, ads: AdjacencySeries, innov: InnovationSpec,

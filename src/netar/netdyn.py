@@ -26,7 +26,6 @@ __all__ = [
     "NeighborhoodFn",
     "apply_neighborhood_fn",
     "k_stage_neighborhood",
-    "build_multiattribute_network",
     "generate_density_matched_markov",
 ]
 
@@ -283,16 +282,6 @@ def k_stage_neighborhood(ad, k: int) -> np.ndarray:
         raise ValueError("k must be a positive integer")
     at = _require_binary(ad, "k_stage_neighborhood").swapaxes(-1, -2)
     return _walks_within(at, k) - _walks_within(at, k - 1)
-
-
-def build_multiattribute_network(ad, b, c) -> np.ndarray:
-    """Block enlargement [[Ad, B], [C, Ad]] for a second vertex attribute."""
-    ad, b, c = (np.asarray(m, dtype=float) for m in (ad, b, c))
-    if not (ad.shape == b.shape == c.shape) or ad.ndim != 2 or ad.shape[0] != ad.shape[1]:
-        raise ValueError("all three blocks must be square matrices of equal dimension")
-    for name, m in (("Ad", ad), ("B", b), ("C", c)):
-        _check_weights(m, f"block {name} entries")
-    return np.block([[ad, b], [c, ad]])
 
 
 _VARIANTS = {

@@ -13,7 +13,6 @@ from netar import (
     NarSpec,
     NeighborhoodFn,
     apply_neighborhood_fn,
-    eval_theorem2_bound,
     fit_component_ls,
     fit_lnar,
     fit_nar,
@@ -806,43 +805,6 @@ class TestOrderSelectionInputs:
             fit(x, None, [g, g], 2)
         with pytest.raises(ValueError, match="needs the neighborhood function g"):
             fit(x, ads, [g, None], 2)
-
-
-class TestTheorem2Bound:
-    CONSTANTS = {
-        "c_lambda": 0.9,
-        "c_a": 1.0,
-        "c_delta_y": 2.0,
-        "rho_gamma_inv": 0.5,
-        "mu_y_norm": 1.0,
-        "eps_norm": 2.0,
-        "mu_r": 0.5,
-        "c_q": 1.0,
-        "c_q_prime": 1.0,
-    }
-
-    def test_vanishes_at_zero(self):
-        res = eval_theorem2_bound(0.0, 4, 1, self.CONSTANTS, 1000)
-        assert res.w_bound == 0.0 and res.mu_bound == 0.0 and res.feasible
-
-    def test_probability_increases_with_n(self):
-        y = 0.005  # inside the feasible region for these constants
-        res1 = eval_theorem2_bound(y, 4, 1, self.CONSTANTS, 1_000_000)
-        res2 = eval_theorem2_bound(y, 4, 1, self.CONSTANTS, 2_000_000)
-        assert res1.feasible and res2.feasible
-        assert res2.prob_lower > res1.prob_lower > 0
-
-    def test_bound_monotone_in_y_on_feasible_range(self):
-        ys = np.linspace(1e-6, 0.005, 40)
-        vals = [eval_theorem2_bound(float(y), 4, 1, self.CONSTANTS, 5000) for y in ys]
-        assert all(v.feasible for v in vals)
-        w = [v.w_bound for v in vals]
-        assert all(b > a for a, b in zip(w, w[1:]))
-
-    def test_infeasible_denominator_flagged(self):
-        res = eval_theorem2_bound(10.0, 4, 1, self.CONSTANTS, 1000)
-        assert not res.feasible
-        assert res.w_bound == float("inf")
 
 
 class TestLnarFit:

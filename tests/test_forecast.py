@@ -8,7 +8,6 @@ from netar import (
     NeighborhoodFn,
     PerEdgeMarkov,
     difference,
-    evaluate_mse,
     forecast_h,
     forecast_network,
     integrate,
@@ -338,29 +337,3 @@ class TestDifferenceIntegrate:
     def test_too_short_series(self):
         with pytest.raises(ValueError):
             difference(np.zeros((2, 1)))
-
-
-class TestEvaluateMse:
-    def test_perfect_forecast_is_zero(self):
-        x = np.random.default_rng(10).normal(size=(5, 3, 4))
-        rep = evaluate_mse(x, x)
-        assert (rep.per_horizon == 0).all()
-
-    def test_single_replicate_formula(self):
-        truth = np.array([[[2.0]]])
-        fc = np.array([[[0.0]]])
-        rep = evaluate_mse(truth, fc)
-        assert rep.per_horizon[0] == 4.0
-
-    def test_invariant_under_replicate_reordering(self):
-        rng = np.random.default_rng(11)
-        truth = rng.normal(size=(10, 3, 2))
-        fc = rng.normal(size=(10, 3, 2))
-        rep1 = evaluate_mse(truth, fc)
-        perm = rng.permutation(10)
-        rep2 = evaluate_mse(truth[perm], fc[perm])
-        assert np.array_equal(rep1.per_horizon, rep2.per_horizon)
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            evaluate_mse(np.zeros((2, 2, 2)), np.zeros((2, 2, 3)))

@@ -434,15 +434,3 @@ class TestRollingForecast:
         run_rolling_forecast(panel, h=8, out_dir=str(out2))
         for name in os.listdir(out1):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
-
-
-def test_mse_fixture_recomputation(tmp_path):
-    # stored per-replicate errors reproduce the stored table to 1e-12
-    from netar import evaluate_mse
-    fixture = os.path.join(os.path.dirname(__file__), "fixtures", "mse_fixture.json")
-    with open(fixture) as fh:
-        doc = json.load(fh)
-    errors = np.asarray(doc["errors"])  # (B, d, h)
-    rep = evaluate_mse(errors, np.zeros_like(errors))
-    assert np.abs(rep.per_horizon - np.asarray(doc["per_horizon"])).max() < 1e-12
-    assert np.abs(rep.per_component - np.asarray(doc["per_component"])).max() < 1e-12

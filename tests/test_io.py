@@ -389,6 +389,29 @@ class TestWholeFitFile:
         with pytest.raises(ValueError, match=rf"fit file: component {component} "):
             nio.read_fit_json(path)
 
+    def test_unknown_family_is_named(self, fit_files):
+        doc = fit_files[3]
+        doc["family"] = "foo"
+        with pytest.raises(ValueError, match="fit file: family 'foo' is not one of nar, lnar"):
+            nio.fit_from_json(doc)
+
+    @pytest.mark.parametrize("key", ["gamma_y0", "asymp_cov"])
+    def test_matrix_a_row_short_is_named(self, fit_files, key):
+        doc = fit_files[3]
+        doc["components"][1][key].pop()
+        with pytest.raises(ValueError, match=rf"component 2 has a {key} that is not 6 x 6"):
+            nio.fit_from_json(doc)
+
+    @pytest.mark.parametrize("key", ["mu", "w"])
+    def test_non_finite_coefficients_are_named(self, fit_files, key):
+        comp = fit_files[3]["components"][2]
+        if key == "mu":
+            comp["mu"] = "nan"
+        else:
+            comp["w"][0] = "inf"
+        with pytest.raises(ValueError, match=rf"fit file: component 3 has a non-finite {key}$"):
+            nio.fit_from_json(fit_files[3])
+
     def test_lnar_component_holds_every_own_and_pooled_lag(self, fit_files):
         _, x, ads, _ = fit_files
         doc = nio.fit_to_json(fit_lnar(x, ads, [NeighborhoodFn.transpose()] * 2, 2))

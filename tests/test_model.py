@@ -20,7 +20,7 @@ from netar import (
     simulate_nar,
 )
 from netar import model
-from netar.model import _nar_coefficients, snapshot_spectral_radii
+from netar.model import _nar_coefficients, _run_recursion, snapshot_spectral_radii
 
 from test_netdyn import example1_network_matrices, kernel_variants, zero_diag_oracle
 
@@ -408,6 +408,61 @@ class TestOneRecursion:
                     eps = innov.sample(np.random.default_rng(seed), burn_in + n)
                     want = lnar_componentwise_recursion(spec, ads, eps)[:, burn_in:]
                     assert np.abs(x - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+def batched_case(rng, d, p, g, needs_binary, steps, start, batch):
+    """Time-major rows ``(start + steps,) + batch + (d,)`` with random
+    pre-start rows, a drive, and each lag's coefficients over the snapshots."""
+    total = start + steps
+    mats = (rng.random((total,) + batch + (d, d)) < 0.4).astype(float)
+    if not needs_binary:
+        mats *= rng.uniform(-1, 1, mats.shape)
+    A = [rng.uniform(-1, 1, (d, d)) / (d * p) for _ in range(p)]
+    rows = np.zeros((total,) + batch + (d,))
+    rows[:start] = rng.normal(size=rows[:start].shape)
+    return rows, rng.normal(size=(steps,) + batch + (d,)), _nar_coefficients(A, [g] * p, mats)
+
+
+class TestBatchedRecursion:
+    """``_run_recursion`` over a ``(T, B, d)`` batch against B calls on ``(T, d)``,
+    bit for bit: the coupling estimator steps its pair as one batch."""
+
+    @staticmethod
+    def g_shapes(d, rng):
+        return [(NeighborhoodFn.transpose(), False), (NeighborhoodFn.sign_poly(2), True),
+                (NeighborhoodFn.k_stage(2), True),
+                (NeighborhoodFn.row_normalized_transpose(), False),
+                (NeighborhoodFn.mask(rng.uniform(-1, 1, (d, d))), False),
+                (NeighborhoodFn.identity_plus(NeighborhoodFn.transpose()), False)]
+
+    @pytest.mark.parametrize("start, steps", [(0, 1), (0, 9), ("p", 1), ("p", 9)],
+                             ids=["one-step", "from-zero", "one-step-after-p", "after-p"])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("d", [1, 4, 33])
+    def test_batch_matches_per_path_calls(self, d, p, start, steps):
+        rng = np.random.default_rng(10 * d + p)
+        start = p if start == "p" else start
+        for g, needs_binary in self.g_shapes(d, rng):
+            rows, drive, coefs = batched_case(rng, d, p, g, needs_binary, steps, start, (3,))
+            want = [_run_recursion(rows[:, b].copy(), drive[:, b], [c[:, b] for c in coefs],
+                                   start=start) for b in range(3)]
+            got = _run_recursion(rows, drive, coefs, start=start)
+            assert np.array_equal(got, np.stack(want, axis=1)), g.kind
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("d", [1, 4, 33])
+    def test_batch_of_one_broadcasts_against_two(self, d, p):
+        # as in the coupling estimator: the shared past's rows are repeated
+        # to two copies, and its coefficients keep a copy axis of 1
+        rng = np.random.default_rng(100 + 10 * d + p)
+        for g, needs_binary in self.g_shapes(d, rng):
+            rows, drive, coefs = batched_case(rng, d, p, g, needs_binary, 6, p, (2, 5))
+            mixed = [[c[t, :1] if t < p else c[t] for t in range(len(c))] for c in coefs]
+            want = [_run_recursion(rows[:, 0].copy(), drive[:, b],
+                                   [np.concatenate([c[:p, 0], c[p:, b]]) for c in coefs],
+                                   start=p) for b in range(2)]
+            got = _run_recursion(np.repeat(rows[:, :1], 2, axis=1), drive, mixed, start=p)
+            assert np.array_equal(got, np.stack(want, axis=1)), g.kind
 
 
 def gnlp_oracle(coeff_fns, ads, eps):

@@ -7,7 +7,6 @@ from netar import (
     MarkovEdgeNetwork,
     NeighborhoodFn,
     apply_neighborhood_fn,
-    build_multiattribute_network,
     generate_density_matched_markov,
     k_stage_neighborhood,
 )
@@ -449,40 +448,6 @@ class TestNeighborhoodFns:
         ]
         for fn in fns:
             assert NeighborhoodFn.from_json(fn.to_json()) == fn
-
-
-class TestMultiAttribute:
-    def test_identity_off_diagonal_blocks(self):
-        ad = np.eye(2) * 0.5
-        out = build_multiattribute_network(ad, np.eye(2), np.eye(2))
-        assert np.array_equal(out[:2, 2:], np.eye(2))
-        assert np.array_equal(out[2:, :2], np.eye(2))
-        assert np.array_equal(out[:2, :2], ad)
-        assert np.array_equal(out[2:, 2:], ad)
-
-    def test_all_blocks_equal_ad(self):
-        ad = np.full((3, 3), 0.25)
-        out = build_multiattribute_network(ad, ad, ad)
-        for bi in (slice(0, 3), slice(3, 6)):
-            for bj in (slice(0, 3), slice(3, 6)):
-                assert np.array_equal(out[bi, bj], ad)
-
-    def test_zero_blocks(self):
-        z = np.zeros((2, 2))
-        assert (build_multiattribute_network(z, z, z) == 0).all()
-
-    @pytest.mark.parametrize("block", [0, 1, 2])
-    def test_nan_block_names_the_entry(self, block):
-        blocks = [np.eye(2), np.zeros((2, 2)), np.zeros((2, 2))]
-        blocks[block][1, 0] = np.nan
-        name = ("Ad", "B", "C")[block]
-        with pytest.raises(ValueError, match=r"block %s entries must be finite and lie in "
-                                             r"\[-1, 1\]; found nan at entry \(2, 1\)" % name):
-            build_multiattribute_network(*blocks)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            build_multiattribute_network(np.zeros((2, 2)), np.zeros((3, 3)), np.zeros((2, 2)))
 
 
 class TestDensityMatchedGenerator:
