@@ -10,7 +10,6 @@ from .netdyn import (
     k_stage_neighborhood,
 )
 from .model import (
-    CompanionForm,
     InnovationSpec,
     LnarSpec,
     NarSpec,
@@ -26,7 +25,6 @@ from .moments import AcfEstimate, closed_form_flip_acf, mc_autocov, sample_acf
 from .estimate import (
     ComponentFit,
     EstimationError,
-    IndexSet,
     ModelFit,
     fit_component_ls,
     fit_lnar,

@@ -102,7 +102,7 @@ def cmd_fit(args) -> int:
     for c in fit.components:
         print(f"{c.r + 1:>4} {'intercept':>10} {c.mu:>12.5f} {'':>10}")
         ses = c.std_errors
-        for pos, flat in enumerate(c.index_set.members):
+        for pos, flat in enumerate(c.members):
             if fit.family == "lnar":
                 j, kind = pos // 2 + 1, ("alpha" if pos % 2 == 0 else "beta")
                 term = f"{kind}[{j}]"

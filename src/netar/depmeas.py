@@ -156,9 +156,9 @@ def estimate_delta_x(spec: Union[NarSpec, LnarSpec], model: Union[MarkovEdgeNetw
     net = _initial_states(model, rng, reps)
     shape = net.shape
     # ``rows`` holds X_{t-p}..X_t and ``window`` the coefficient lists of
-    # Ad_{t-p}..Ad_{t-1}, oldest first; before the start both are empty
+    # Ad_{t-p}..Ad_{t-1}, oldest first; before the start both are zero
     rows = np.zeros((p + 1, 1, reps, d))
-    window = [_nar_coefficients(nar.A, nar.G, np.zeros((1, reps, d, d)))] * p
+    window = [[np.zeros((d, d))] * p] * p
     powers = np.empty((reps, max_lag + 1))
     for t in range(-burn_in, max_lag + 1):
         u = rng.random(shape)
@@ -169,8 +169,9 @@ def estimate_delta_x(spec: Union[NarSpec, LnarSpec], model: Union[MarkovEdgeNetw
             rows = np.repeat(rows, 2, axis=1)
         net = model.step(net, u)
         _run_recursion(rows, eps[None], list(zip(*window)), start=p)
-        mat = model.state_to_matrix(net) if isinstance(model, FlipNetwork) else net
-        window = window[1:] + [_nar_coefficients(nar.A, nar.G, mat)]
+        if t < max_lag:  # the last step's snapshot is read by no step
+            mat = model.state_to_matrix(net) if isinstance(model, FlipNetwork) else net
+            window = window[1:] + [_nar_coefficients(nar.A, nar.G, mat)]
         if t >= 0:
             powers[:, t] = np.abs(rows[p, 0] - rows[p, 1]).max(axis=1) ** q
         rows[:-1] = rows[1:]

@@ -27,16 +27,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import zip_longest
 from math import log
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .model import LnarSpec, _check_network_cover
+from .model import LnarSpec, _check_network_cover, _check_order
 from .netdyn import AdjacencySeries, NeighborhoodFn, apply_neighborhood_fn
 
 __all__ = [
-    "IndexSet",
     "ComponentFit",
     "ModelFit",
     "EstimationError",
@@ -47,6 +47,7 @@ __all__ = [
     "select_order_bic",
 ]
 
+FAMILIES = ("nar", "lnar", "var")
 RIDGE_SCALE = 1e-8
 _COND_LIMIT = 1e12
 
@@ -59,30 +60,25 @@ class EstimationError(RuntimeError):
         self.diagnostics = diagnostics or {}
 
 
-@dataclass(frozen=True)
-class IndexSet:
-    """Active flattened regressor indices for one component.
-
-    Members use the 0-based flattening ``i + j*d`` for source component i
-    at lag j+1; the serialized form is 1-based.
-    """
-
-    r: int
-    members: tuple
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def one_based(self) -> List[int]:
-        return [m + 1 for m in self.members]
+def _floats(name: str, key: str, value, shape: tuple) -> np.ndarray:
+    """``value`` as a float array of ``shape``, or a ValueError naming the field."""
+    try:
+        return np.asarray(value, dtype=float).reshape(shape)
+    except (TypeError, ValueError):
+        what = {0: "a number", 1: "a list of numbers"}.get(len(shape), " x ".join(map(str, shape)))
+        raise ValueError(f"{name} has a {key} that is not {what}") from None
 
 
 @dataclass
 class ComponentFit:
-    """One component's fit.  ``gram_cond`` is the solved block's condition number,
-    or, where a certificate skipped it, the certifying Gram's: finite, and a bound on it."""
+    """One component's fit: ``w`` holds the coefficients of its active regressors
+    ``members``, 0-based flat indices ``i + j*d`` of source i at lag j+1 (for lnar,
+    the own/pooled lag positions 0..2p-1).  ``gram_cond`` is the solved block's
+    condition number, or, where a certificate skipped it, the certifying Gram's.
+    The constructor checks the component's own rules, naming it 1-based as files do;
+    ``resid_var`` and ``asymp_cov`` may be NaN, with no residual degree of freedom."""
     r: int
-    index_set: IndexSet
+    members: tuple
     w: np.ndarray
     mu: float
     resid_var: float
@@ -92,6 +88,22 @@ class ComponentFit:
     n_obs: int
     ridge_jitter: float = 0.0
     gram_cond: float = 1.0
+
+    def __post_init__(self):
+        name = f"component {self.r + 1}"
+        _check_order(f"{name}'s n_obs", self.n_obs, 1)
+        self.members = tuple(self.members)
+        k = len(self.members)
+        self.w = _floats(name, "w", self.w, (-1,))
+        if self.w.size != k:
+            raise ValueError(f"{name} has {self.w.size} coefficients w for {k} indices in its index_set")
+        for key in ("gamma_y0", "asymp_cov"):
+            setattr(self, key, _floats(name, key, getattr(self, key), (k, k)))
+        for key in ("mu", "resid_var", "rss", "ridge_jitter", "gram_cond"):
+            setattr(self, key, float(_floats(name, key, getattr(self, key), ())))
+        for key in ("w", "mu"):
+            if not np.isfinite(getattr(self, key)).all():
+                raise ValueError(f"{name} has a non-finite {key}")
 
     @property
     def std_errors(self) -> np.ndarray:
@@ -103,11 +115,39 @@ class ComponentFit:
 
 @dataclass
 class ModelFit:
+    """A whole fit, as the constructor checks: family nar, lnar or var; integers p, d >= 0;
+    p neighborhood functions in g, or None for var; components r = 0..d-1 once each, in
+    order, their indices in 0..dp-1, and for lnar exactly 0..2p-1."""
     family: str
     p: int
     d: int
     g: Optional[tuple]
     components: List[ComponentFit]
+
+    def __post_init__(self):
+        if self.family not in FAMILIES:
+            raise ValueError(f"family {self.family!r} is not one of {', '.join(FAMILIES)}")
+        _check_order("p", self.p, 0)
+        _check_order("d", self.d, 0)
+        if self.family == "var" and self.g is not None:
+            raise ValueError(f"g must be None for a var fit, got {self.g!r}")
+        if self.family != "var" and (self.g is None or len(self.g) != self.p):
+            raise ValueError(f"g must hold p={self.p} neighborhood functions for a {self.family} "
+                             f"fit, got {'None' if self.g is None else len(self.g)}")
+        for want, got in zip_longest(range(self.d), [c.r for c in self.components]):
+            if got != want or not isinstance(got, (int, np.integer)):
+                raise ValueError(f"component {(got if want is None else want) + 1} is missing, "
+                                 "repeated or out of place; a fit holds components "
+                                 f"1..{self.d} once each, in order")
+        width = 2 * self.p if self.family == "lnar" else self.d * self.p
+        for c in self.components:
+            bad = [m for m in c.members
+                   if not isinstance(m, (int, np.integer)) or m not in range(width)]
+            if bad:
+                raise ValueError(f"component {c.r + 1} has index {bad[0] + 1}, not an integer "
+                                 f"in 1..{width}")
+            if self.family == "lnar" and c.members != tuple(range(width)):
+                raise ValueError(f"component {c.r + 1}'s lnar index_set is not 1..{width}")
 
     def mu_hat(self) -> np.ndarray:
         """Intercept vector."""
@@ -123,7 +163,7 @@ class ModelFit:
             return [spec.coefficient_matrix(j) for j in range(self.p)]
         mats = [np.zeros((self.d, self.d)) for _ in range(self.p)]
         for c in self.components:
-            for pos, flat in enumerate(c.index_set.members):
+            for pos, flat in enumerate(c.members):
                 i, j = flat % self.d, flat // self.d
                 mats[j][c.r, i] = c.w[pos]
         return mats
@@ -148,14 +188,8 @@ def _finite_series(x) -> np.ndarray:
     return x
 
 
-def _check_order(name: str, p, least: int) -> None:
-    """A lag order is an integer of at least ``least``."""
-    if not isinstance(p, (int, np.integer)) or p < least:
-        raise ValueError(f"{name} must be an integer of at least {least}, got {p!r}")
-
-
 def _nar_design(x: np.ndarray, ads: AdjacencySeries, g_list, p: int):
-    """Index set and design of each component of the full model, for targets t = p..n-1.
+    """Active indices and design of each component of the full model, for targets t = p..n-1.
 
     Row t - p of component r's design holds ``(e_r' G_j(Ad_{t-j}) e_i) x_{t-j;i}`` at
     the flat indices ``i + (j-1)d`` with positive modulation mass.  Each distinct G
@@ -171,7 +205,7 @@ def _nar_design(x: np.ndarray, ads: AdjacencySeries, g_list, p: int):
         for col, flat in enumerate(members):
             i, j = flat % d, flat // d + 1
             Y[:, col] = stacks[j - 1][:, r, i] * x[i, p - j: n - j]
-        yield IndexSet(r=r, members=tuple(members)), Y
+        yield tuple(members), Y
 
 
 def _lnar_design(x, ads, g_list, p):
@@ -387,7 +421,7 @@ def _equations(family: str, x: np.ndarray, ads: Optional[AdjacencySeries], g_lis
     the order-selection loop consume it alike.
     """
     d, n = x.shape
-    if family not in ("nar", "lnar", "var"):
+    if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     _check_order("p", p, 0)
     if g_list is not None and len(g_list) != p:
@@ -407,8 +441,8 @@ def _equations(family: str, x: np.ndarray, ads: Optional[AdjacencySeries], g_lis
         lags = np.arange(2 * p) // 2
         return (_own_equations(r, tuple(range(2 * p)), lags, design[r], targets[r])
                 for r in range(d))
-    return (_own_equations(idx.r, idx.members, np.array(idx.members, dtype=int) // d, Y,
-                           x[idx.r, p:]) for idx, Y in _nar_design(x, ads, g_list, p))
+    return (_own_equations(r, members, np.array(members, dtype=int) // d, Y, x[r, p:])
+            for r, (members, Y) in enumerate(_nar_design(x, ads, g_list, p)))
 
 
 def _fit_component(eq: _Equations, p: int, m: int) -> ComponentFit:
@@ -432,14 +466,14 @@ def _fit_component(eq: _Equations, p: int, m: int) -> ComponentFit:
             {"k": k, "n_obs": m, "ridge_jitter": sol.jitter},
         ) from exc
     return ComponentFit(
-        r=eq.r, index_set=IndexSet(r=eq.r, members=eq.members), w=sol.w, mu=sol.mu,
+        r=eq.r, members=eq.members, w=sol.w, mu=sol.mu,
         resid_var=resid_var, gamma_y0=gamma_y0, asymp_cov=resid_var * gamma_inv, rss=rss,
         n_obs=m, ridge_jitter=sol.jitter, gram_cond=sol.cond,
     )
 
 
 def fit_component_ls(y: np.ndarray, Y: np.ndarray, r: int,
-                     idx: Optional[IndexSet] = None) -> ComponentFit:
+                     members: Optional[Sequence[int]] = None) -> ComponentFit:
     """Exact least squares with intercept via centered normal equations.
 
     Solves Gram * w = cross with Gram = sum (Y - Ybar)(Y - Ybar)' and
@@ -456,7 +490,7 @@ def fit_component_ls(y: np.ndarray, Y: np.ndarray, r: int,
         raise ValueError("regressor/target length mismatch")
     if Y.ndim != 2:
         Y = np.empty((m, 0))
-    members = tuple(range(k)) if idx is None else idx.members
+    members = tuple(range(k)) if members is None else tuple(members)
     if len(members) != k:
         raise ValueError(f"index set has {len(members)} members but Y has {k} columns")
     # one block: the columns carry no lag order

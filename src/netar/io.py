@@ -27,12 +27,11 @@ import json
 import os
 import tempfile
 from contextlib import contextmanager
-from itertools import zip_longest
 from typing import Union
 
 import numpy as np
 
-from .estimate import ComponentFit, IndexSet, ModelFit
+from .estimate import ComponentFit, ModelFit
 from .model import InnovationSpec, LnarSpec, NarSpec
 from .netdyn import (
     AdjacencySeries,
@@ -280,9 +279,9 @@ def model_spec_from_json(doc: dict):
     innov = InnovationSpec(np.asarray(doc["innov"]["mu"], dtype=float),
                            _sigma_from_json(doc["innov"]["sigma"]))
     if doc["type"] == "nar":
-        spec = NarSpec(int(doc["p"]), [np.asarray(a, dtype=float) for a in doc["A"]], g)
+        spec = NarSpec(doc["p"], [np.asarray(a, dtype=float) for a in doc["A"]], g)
     elif doc["type"] == "lnar":
-        spec = LnarSpec(int(doc["p"]), np.asarray(doc["alpha"], dtype=float),
+        spec = LnarSpec(doc["p"], np.asarray(doc["alpha"], dtype=float),
                         np.asarray(doc["beta"], dtype=float), g)
     else:
         raise ValueError(f"unknown model type {doc['type']!r}")
@@ -348,7 +347,7 @@ def fit_to_json(fit: ModelFit) -> dict:
         "components": [
             {
                 "r": c.r + 1,
-                "index_set": c.index_set.one_based(),
+                "index_set": [m + 1 for m in c.members],
                 "w": c.w.tolist(),
                 "mu": c.mu,
                 "resid_var": c.resid_var,
@@ -364,66 +363,41 @@ def fit_to_json(fit: ModelFit) -> dict:
     })
 
 
-def fit_from_json(doc: dict) -> ModelFit:
-    """The fit a file holds, which must be whole.
+def _object(doc, where: str) -> dict:
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} is not an object")
+    return doc
 
-    The family is nar, lnar or var.  Components r = 1..d appear once each
-    and in order, each ``w`` is as long as its ``index_set``, every index is
-    an integer in 1..d*p, and an lnar index set is 1..2p.  ``w`` and ``mu``
-    are finite, and ``gamma_y0`` and ``asymp_cov`` are k x k for k indices
-    (``resid_var`` and ``asymp_cov`` may be NaN, when no residual degree of
-    freedom is left).  A file that breaks a rule raises a ValueError naming
-    the field and the component.
+
+def fit_from_json(doc) -> ModelFit:
+    """The fit a file holds, built in one walk by the constructors of
+    :class:`ComponentFit` and :class:`ModelFit`, which check that it is whole.
+
+    The file numbers components and indices from 1.  Whatever breaks raises a
+    ValueError that starts with ``fit file:`` and names the component and the field.
     """
-    family, p, d = doc["family"], int(doc["p"]), int(doc["d"])
-    if family not in ("nar", "lnar", "var"):
-        raise ValueError(f"fit file: family {family!r} is not one of nar, lnar, var")
-    width = 2 * p if family == "lnar" else d * p
-    rows = doc["components"]
-    for want, got in zip_longest(range(1, d + 1), [c["r"] for c in rows]):
-        if got != want:
-            raise ValueError(f"fit file: component {want or got} is missing, repeated or out of "
-                             f"place; a fit holds components 1..{d} once each, in order")
-    comps = []
-    for r, c in enumerate(rows):
-        k = len(c["index_set"])
-        if len(c["w"]) != k:
-            raise ValueError(f"fit file: component {r + 1} has {len(c['w'])} coefficients w "
-                             f"for {k} indices in its index_set")
-        bad = [m for m in c["index_set"] if m not in range(1, width + 1)]
-        if bad:
-            raise ValueError(f"fit file: component {r + 1} has index {bad[0]}, not in 1..{width}")
-        if family == "lnar" and c["index_set"] != list(range(1, width + 1)):
-            raise ValueError(f"fit file: component {r + 1}'s lnar index_set is not 1..{width}")
-        w, mu = np.asarray(c["w"], dtype=float), float(c["mu"])
-        for key, value in (("w", w), ("mu", mu)):
-            if not np.isfinite(value).all():
-                raise ValueError(f"fit file: component {r + 1} has a non-finite {key}")
-        square = {}
-        for key in ("gamma_y0", "asymp_cov"):
-            try:
-                square[key] = np.asarray(c[key], dtype=float).reshape(k, k)
-            except ValueError:
-                raise ValueError(f"fit file: component {r + 1} has a {key} that is not "
-                                 f"{k} x {k}") from None
-        comps.append(ComponentFit(
-            r=r,
-            index_set=IndexSet(r=r, members=tuple(int(m) - 1 for m in c["index_set"])),
-            w=w,
-            mu=mu,
-            resid_var=float(c["resid_var"]),
-            **square,
-            rss=float(c["rss"]),
-            n_obs=int(c["n_obs"]),
-            ridge_jitter=float(c.get("ridge_jitter", 0.0)),
-            gram_cond=float(c.get("gram_cond", 1.0)),
-        ))
-    g = doc.get("g")
-    return ModelFit(
-        family=family, p=p, d=d,
-        g=None if g is None else tuple(NeighborhoodFn.from_json(e) for e in g),
-        components=comps,
-    )
+    where = "the document"
+    try:
+        doc = _object(doc, where)
+        family, p, d, g, rows = (doc[k] for k in ("family", "p", "d", "g", "components"))
+        comps = []
+        for pos, c in enumerate(rows):
+            where = f"component {pos + 1}"
+            c = _object(c, where)
+            comps.append(ComponentFit(
+                r=c["r"] - 1, members=[m - 1 for m in c["index_set"]], w=c["w"], mu=c["mu"],
+                resid_var=c["resid_var"], gamma_y0=c["gamma_y0"], asymp_cov=c["asymp_cov"],
+                rss=c["rss"], n_obs=c["n_obs"], ridge_jitter=c.get("ridge_jitter", 0.0),
+                gram_cond=c.get("gram_cond", 1.0)))
+        where = "g"
+        g = None if g is None else tuple(NeighborhoodFn.from_json(e) for e in g)
+        return ModelFit(family=family, p=p, d=d, g=g, components=comps)
+    except KeyError as exc:
+        raise ValueError(f"fit file: {where} has no {exc}") from None
+    except TypeError as exc:  # a part of the wrong JSON type
+        raise ValueError(f"fit file: {where}: {exc}") from None
+    except ValueError as exc:  # a constructor's message names the component and the field
+        raise ValueError(f"fit file: {exc}") from None
 
 
 def write_fit_json(path, fit: ModelFit) -> None:

@@ -36,7 +36,6 @@ __all__ = [
     "NarSpec",
     "LnarSpec",
     "InnovationSpec",
-    "CompanionForm",
     "build_companion",
     "check_stationarity_nar",
     "check_stationarity_lnar",
@@ -48,6 +47,12 @@ __all__ = [
 ]
 
 STATIONARITY_TOL = 1e-8
+
+
+def _check_order(name: str, p, least: int) -> None:
+    """The one lag-order rule: an integer, not a bool, of at least ``least``."""
+    if isinstance(p, bool) or not isinstance(p, (int, np.integer)) or p < least:
+        raise ValueError(f"{name} must be an integer of at least {least}, got {p!r}")
 
 
 def _require_finite(name: str, a: np.ndarray, at: str = "") -> None:
@@ -67,10 +72,9 @@ class NarSpec:
     G: tuple
 
     def __init__(self, p: int, A: Sequence, G: Sequence[NeighborhoodFn]):
+        _check_order("p", p, 1)
         A = tuple(np.asarray(a, dtype=float) for a in A)
         G = tuple(G)
-        if p < 1:
-            raise ValueError("p must be at least 1")
         if len(A) != p or len(G) != p:
             raise ValueError(f"need exactly p={p} coefficient matrices and neighborhood functions")
         d = A[0].shape[0]
@@ -107,6 +111,7 @@ class LnarSpec:
     G: tuple
 
     def __init__(self, p: int, alpha, beta, G: Sequence[NeighborhoodFn]):
+        _check_order("p", p, 0)
         alpha = np.atleast_2d(np.asarray(alpha, dtype=float))
         beta = np.atleast_2d(np.asarray(beta, dtype=float))
         if alpha.shape != beta.shape or alpha.shape[0] != p:
@@ -204,21 +209,6 @@ class InnovationSpec:
         return self.mu + z @ self._chol.T
 
 
-@dataclass
-class CompanionForm:
-    """Stacked order-1 representation of an order-p specification.
-
-    ``tilde_a`` holds the coefficient blocks in the first block row and
-    identities on the sub-diagonal; its elementwise product with the
-    stacked modulation matrix drives the ``(dp)``-dimensional recursion
-    (:func:`_companion` of the :func:`_nar_coefficients` stacks).
-    """
-
-    tilde_a: np.ndarray
-    d: int
-    p: int
-
-
 def _companion(blocks: Sequence[np.ndarray]) -> np.ndarray:
     """Companion layout of lag blocks, each ``(..., d, d)``: the blocks in the
     first block row, identities on the sub-diagonal."""
@@ -231,9 +221,11 @@ def _companion(blocks: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
-def build_companion(spec: Union[NarSpec, LnarSpec]) -> CompanionForm:
-    nar = spec.to_nar()
-    return CompanionForm(tilde_a=_companion(nar.A), d=nar.d, p=nar.p)
+def build_companion(spec: Union[NarSpec, LnarSpec]) -> np.ndarray:
+    """The ``(dp, dp)`` companion matrix of the spec's embedding: its elementwise
+    product with the stacked modulation matrix drives the ``(dp)``-dimensional
+    recursion (:func:`_companion` of the :func:`_nar_coefficients` stacks)."""
+    return _companion(spec.to_nar().A)
 
 
 def spectral_radius(m: np.ndarray) -> np.ndarray:
@@ -266,7 +258,7 @@ def check_stationarity_nar(spec: NarSpec) -> NarStationarity:
     causal solution regardless of the network.  The boundary counts as
     failure (strict inequality, by ``STATIONARITY_TOL``).
     """
-    rho = float(spectral_radius(np.abs(build_companion(spec).tilde_a)))
+    rho = float(spectral_radius(np.abs(build_companion(spec))))
     return NarStationarity(holds=bool(rho < 1.0 - STATIONARITY_TOL), rho=rho)
 
 
@@ -478,8 +470,7 @@ def ma_infinity_coeffs(spec: Union[NarSpec, LnarSpec], ads: AdjacencySeries, t: 
     if J < 0:
         raise ValueError("J must be nonnegative")
     nar = spec.to_nar()
-    form = build_companion(nar)
-    d, p = form.d, form.p
+    d, p = nar.d, nar.p
     if t - J - p + 1 < 0:
         raise ValueError("network series does not reach back far enough for the requested truncation")
     if t > len(ads):
@@ -490,7 +481,7 @@ def ma_infinity_coeffs(spec: Union[NarSpec, LnarSpec], ads: AdjacencySeries, t: 
     steps = _companion([c[s: s + J] for s, c in enumerate(lag_coefs)])
     coeffs = [np.eye(d)]
     prod = np.eye(d * p)
-    abs_tilde = np.abs(form.tilde_a)
+    abs_tilde = np.abs(build_companion(nar))
     abs_pow = np.eye(d * p)
     sel = np.zeros((d * p, d))
     sel[:d, :] = np.eye(d)

@@ -141,7 +141,7 @@ def test_criterion3_consistency_rate():
             fit = fit_nar(x, ads.drop_first(400), list(spec.G), 1)
             sq = 0.0
             for c in fit.components:
-                for pos, flat in enumerate(c.index_set.members):
+                for pos, flat in enumerate(c.members):
                     sq += (c.w[pos] - alpha[c.r, flat % 4]) ** 2
             errs.append(np.sqrt(sq))
         medians.append(np.median(errs))

@@ -24,7 +24,9 @@ from netar import (
     simulate_lnar,
     simulate_nar,
 )
+import netar.io as nio
 from netar.cli import main
+from netar.harness import config_to_json, example1_config, validate_config
 
 G = NeighborhoodFn.transpose()
 
@@ -50,6 +52,33 @@ class TestLagOrder:
         for kwargs in (dict(family="var"), dict(ads=ads, g=G, family="nar")):
             with pytest.raises(ValueError, match=r"p_max must be an integer of at least 1, got 2.5"):
                 select_order_bic(x, p_max=2.5, **kwargs)
+
+    def test_bool_order_is_not_an_order(self):
+        x, ads = series()
+        with pytest.raises(ValueError, match=r"p must be an integer of at least 0, got True"):
+            fit_var(x, True)
+        with pytest.raises(ValueError, match=r"p_max must be an integer of at least 1, got True"):
+            select_order_bic(x, p_max=True, family="var")
+
+    @pytest.mark.parametrize("p", [1.9, "1", True])
+    def test_specs_name_a_bad_order(self, p):
+        with pytest.raises(ValueError, match=r"p must be an integer of at least 1, got %r" % p):
+            NarSpec(p, [np.eye(3) * 0.3], [G])
+        with pytest.raises(ValueError, match=r"p must be an integer of at least 0, got %r" % p):
+            LnarSpec(p, np.full((1, 3), 0.2), np.full((1, 3), 0.1), [G])
+
+    @pytest.mark.parametrize("p", [1.9, "1", True])
+    @pytest.mark.parametrize("family", ["nar", "lnar"])
+    def test_model_spec_and_config_name_a_bad_order(self, family, p):
+        spec = NarSpec(1, [np.eye(3) * 0.3], [G]) if family == "nar" else \
+            LnarSpec(1, np.full((1, 3), 0.2), np.full((1, 3), 0.1), [G])
+        doc = nio.model_spec_to_json(spec, InnovationSpec.standard(3))
+        doc["p"] = p
+        with pytest.raises(ValueError, match=r"p must be an integer of at least \d, got %r" % p):
+            nio.model_spec_from_json(doc)
+        config = config_to_json(example1_config())
+        config["process"] = doc
+        assert [m for m in validate_config(config) if m.startswith("process: p must be")]
 
     def test_intercept_only_fits_still_work(self):
         x, ads = series()
@@ -112,7 +141,7 @@ class TestSpecCoefficients:
             LnarSpec(2, np.full((2, 2), 0.2), beta, [G, G])
 
     def test_order_zero_spec_is_named(self):
-        with pytest.raises(ValueError, match="p must be at least 1"):
+        with pytest.raises(ValueError, match="p must be an integer of at least 1, got 0"):
             NarSpec(0, [], [])
 
 

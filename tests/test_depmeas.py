@@ -210,8 +210,8 @@ class TestModulationRing:
         monkeypatch.setattr(netdyn, "_evaluate", counting)
         estimate_delta_x(spec, model, InnovationSpec.standard(d), q=2, max_lag=max_lag,
                          reps=reps, seed=0, burn_in=burn_in)
-        # the empty start snapshots, the shared prehistory, then the coupled
-        # lags, whose two copies share one evaluation per step
+        # the shared prehistory, then the coupled lags, whose two copies share
+        # one evaluation per step; the last step's snapshot is read by no step
         distinct = len(set(g_list))
-        assert len(evaluated) == distinct * (1 + burn_in + max_lag + 1)
-        assert sum(evaluated) == distinct * (1 + burn_in + 2 * (max_lag + 1)) * reps
+        assert len(evaluated) == distinct * (burn_in + max_lag)
+        assert sum(evaluated) == distinct * (burn_in + 2 * max_lag) * reps

@@ -22,7 +22,8 @@ from netar import (
     simulate_nar,
 )
 from netar import estimate
-from netar.estimate import IndexSet, OrderSelection, _lnar_design, _nar_design
+from netar.estimate import ComponentFit, ModelFit, OrderSelection, _lnar_design, _nar_design
+from netar.io import fit_to_json
 
 from test_netdyn import example1_network_matrices, zero_diag_oracle
 from test_model import example1_alpha
@@ -86,7 +87,7 @@ def bic_oracle(x, ads=None, g=None, p_max=3, family="nar", mask=None):
         val = 0.0
         degenerate = False
         for c in fit.components:
-            k_r = len(c.index_set) + 1
+            k_r = len(c.members) + 1
             if m - k_r < 5:
                 degenerate = True
                 break
@@ -216,7 +217,67 @@ class TestComponentSolver:
         rng = np.random.default_rng(11)
         with pytest.raises(ValueError, match="2 members but Y has 3 columns"):
             fit_component_ls(rng.normal(size=50), rng.normal(size=(50, 3)), r=0,
-                             idx=IndexSet(0, (1, 2)))
+                             members=(1, 2))
+
+
+G = NeighborhoodFn.transpose()
+
+
+def component(r=0, k=2, **changes):
+    fields = dict(r=r, members=tuple(range(k)), w=np.full(k, 0.1), mu=0.5, resid_var=1.0,
+                  gamma_y0=np.eye(k), asymp_cov=np.eye(k), rss=3.0, n_obs=40)
+    return ComponentFit(**{**fields, **changes})
+
+
+class TestFitRules:
+    """ComponentFit and ModelFit check themselves, naming the component and the field."""
+
+    @pytest.mark.parametrize("changes, message", [
+        (dict(w=np.zeros(3)), "component 2 has 3 coefficients w for 2 indices in its index_set$"),
+        (dict(w=[0.1, np.nan]), "component 2 has a non-finite w$"),
+        (dict(mu=np.inf), "component 2 has a non-finite mu$"),
+        (dict(mu="abc"), "component 2 has a mu that is not a number$"),
+        (dict(gamma_y0=np.eye(3)), "component 2 has a gamma_y0 that is not 2 x 2$"),
+        (dict(asymp_cov=np.ones(3)), "component 2 has a asymp_cov that is not 2 x 2$"),
+        (dict(n_obs="abc"), "component 2's n_obs must be an integer of at least 1, got 'abc'$"),
+        (dict(n_obs=40.0), "component 2's n_obs must be an integer of at least 1, got 40.0$"),
+    ])
+    def test_component_rules(self, changes, message):
+        with pytest.raises(ValueError, match=message):
+            component(r=1, **changes)
+
+    def test_component_takes_lists_and_nan_variances(self):
+        c = component(k=2, w=[0.1, 0.2], gamma_y0=[[1.0, 0.0], [0.0, 1.0]],
+                      resid_var=float("nan"), asymp_cov=np.full((2, 2), np.nan))
+        assert c.w.shape == (2,) and c.gamma_y0.shape == (2, 2) and np.isnan(c.resid_var)
+
+    @pytest.mark.parametrize("changes, message", [
+        (dict(family="foo"), "family 'foo' is not one of nar, lnar, var$"),
+        (dict(p="1"), "p must be an integer of at least 0, got '1'$"),
+        (dict(p=-1), "p must be an integer of at least 0, got -1$"),
+        (dict(p=True), "p must be an integer of at least 0, got True$"),
+        (dict(d="3"), "d must be an integer of at least 0, got '3'$"),
+        (dict(g=(G,) * 2), "g must hold p=1 neighborhood functions for a nar fit, got 2$"),
+        (dict(g=None), "g must hold p=1 neighborhood functions for a nar fit, got None$"),
+        (dict(family="var"), r"g must be None for a var fit"),
+        (dict(components=[component(0), component(2), component(1)]),
+         "component 2 is missing, repeated or out of place"),
+        (dict(components=[component(0), component(1)]), "component 3 is missing"),
+        (dict(components=[component(r) for r in range(4)]), "component 4 is missing"),
+        (dict(components=[component(0), component(1), component(2, members=(1, 3))]),
+         "component 3 has index 4, not an integer in 1..3$"),
+    ])
+    def test_model_rules(self, changes, message):
+        fields = dict(family="nar", p=1, d=3, g=(G,), components=[component(r) for r in range(3)])
+        with pytest.raises(ValueError, match=message):
+            ModelFit(**{**fields, **changes})
+
+    def test_lnar_components_hold_every_own_and_pooled_lag(self):
+        comps = [component(r, k=4) for r in range(3)]
+        ModelFit(family="lnar", p=2, d=3, g=(G, G), components=comps)
+        comps[1] = component(1, k=3)
+        with pytest.raises(ValueError, match=r"component 2's lnar index_set is not 1\.\.4$"):
+            ModelFit(family="lnar", p=2, d=3, g=(G, G), components=comps)
 
 
 def nar_index_sets(x, ads, g_list, p):
@@ -233,7 +294,7 @@ class TestIndexSets:
         ads = AdjacencySeries(np.ones((20, 3, 3)))
         for r in range(3):
             idx = nar_index_sets(np.zeros((3, 20)), ads, [NeighborhoodFn.transpose()], 1)[r]
-            assert idx.members == tuple(range(3))
+            assert idx == tuple(range(3))
 
     def test_matches_brute_force_scan(self):
         rng = np.random.default_rng(5)
@@ -252,11 +313,14 @@ class TestIndexSets:
                     mass = sum(abs(g[j - 1].apply(ads[t - j])[r, i]) for t in range(p, n))
                     if mass > 0:
                         brute.append(i + (j - 1) * d)
-            assert sets[r].members == tuple(sorted(brute))
+            assert sets[r] == tuple(sorted(brute))
 
     def test_one_based_flattening(self):
-        idx = IndexSet(r=0, members=(0, 2, 5))
-        assert idx.one_based() == [1, 3, 6]
+        comp = ComponentFit(r=0, members=(0, 2, 5), w=np.zeros(3), mu=0.0, resid_var=1.0,
+                            gamma_y0=np.eye(3), asymp_cov=np.eye(3), rss=0.0, n_obs=10)
+        fit = ModelFit(family="var", p=2, d=3, g=None, components=[
+            comp, *(ComponentFit(r, (), [], 0.0, 1.0, [], [], 0.0, 10) for r in (1, 2))])
+        assert fit_to_json(fit)["components"][0]["index_set"] == [1, 3, 6]
 
 
 class TestRegressors:
@@ -267,7 +331,7 @@ class TestRegressors:
         ads = AdjacencySeries(np.ones((n, d, d)))
         g = [NeighborhoodFn.transpose()]
         idx, Y = list(_nar_design(x, ads, g, 1))[1]
-        assert idx == IndexSet(r=1, members=(0, 1, 2))
+        assert idx == (0, 1, 2)
         assert np.allclose(Y, x[:, :-1].T)
 
     def test_hand_computed_three_node_case(self):
@@ -279,7 +343,7 @@ class TestRegressors:
         g = [NeighborhoodFn.transpose()]
         idx, Y = list(_nar_design(x, ads, g, 1))[1]
         # vertex 2 carries no mass into component 1
-        assert idx == IndexSet(r=1, members=(0, 2))
+        assert idx == (0, 2)
         # row for t=2 uses G(Ad_1) = Ad_1^T, row 1: (0.5, 0, -0.3)
         expected = [0.5 * x[0, 1], -0.3 * x[2, 1]]
         assert np.allclose(Y[1], expected)
@@ -313,7 +377,7 @@ class TestRegressors:
             stacks = [apply_neighborhood_fn(g, sub.mats[p - j: n - s - j])
                       for j, g in enumerate(g_list, start=1)]
             for r, (idx, Y) in enumerate(_nar_design(xs, sub, g_list, p)):
-                for col, flat in enumerate(idx.members):
+                for col, flat in enumerate(idx):
                     i, j = flat % d, flat // d + 1
                     expected = stacks[j - 1][:, r, i] * xs[i, p - j: n - s - j]
                     assert np.array_equal(Y[:, col], expected), (j, s)
@@ -380,7 +444,7 @@ class TestFitNar:
         fit = fit_nar(x, ads.drop_first(100), [NeighborhoodFn.identity()], 1)
         coef = fit.coefficient_matrices()[0]
         for r in range(4):
-            for flat in fit.components[r].index_set.members:
+            for flat in fit.components[r].members:
                 assert coef[r, flat % 4] == pytest.approx(alpha[r, flat % 4], abs=1e-6)
 
 
@@ -529,7 +593,7 @@ class TestBicLeadingBlocks:
             m = x.shape[1] - p_max
             val = 0.0
             for c in fit.components:
-                val += m * log(max(c.rss / m, 1e-300)) + (len(c.index_set) + 1) * log(m)
+                val += m * log(max(c.rss / m, 1e-300)) + (len(c.members) + 1) * log(m)
             assert select_order_bic(x, p_max=p_max, **kwargs).table[p_max] == val, seed
 
     def test_collinear_series_falls_back_to_per_block_guard(self, monkeypatch):
@@ -622,7 +686,7 @@ class TestBicLeadingBlocks:
         for r, c in enumerate(fit.components):
             mem = np.flatnonzero(mask[r])
             ref = fit_component_ls(x[r, p:], lagged[:, mem], r)
-            assert c.index_set.members == tuple(mem)
+            assert c.members == tuple(mem)
             assert c.ridge_jitter == pytest.approx(ref.ridge_jitter, rel=1e-12)
             jittered += c.ridge_jitter > 0
             scale = max(1.0, np.abs(ref.w).max(initial=0.0))
@@ -653,7 +717,7 @@ def assert_var_fits_close(got, ref, rtol=1e-10):
     ``rtol`` of the reference's largest entry."""
     assert [c.r for c in got.components] == [c.r for c in ref.components]
     for c, e in zip(got.components, ref.components):
-        assert c.index_set.members == e.index_set.members
+        assert c.members == e.members
         assert c.ridge_jitter == e.ridge_jitter
         for name in ("w", "mu", "rss", "resid_var", "asymp_cov"):
             a, b = np.asarray(getattr(c, name)), np.asarray(getattr(e, name))

@@ -12,7 +12,7 @@ from netar import (
     forecast_network,
     integrate,
 )
-from netar.estimate import ComponentFit, IndexSet, ModelFit, fit_lnar, fit_nar, fit_var
+from netar.estimate import ComponentFit, ModelFit, fit_lnar, fit_nar, fit_var
 
 from test_model import kernel_snapshots
 from test_netdyn import kernel_variants, neighborhood_oracle, zero_diag_oracle
@@ -32,7 +32,7 @@ def manual_fit(family, A_mats, mu, g=None):
                     members.append(i + j * d)
                     w.append(a[r, i])
         comps.append(ComponentFit(
-            r=r, index_set=IndexSet(r=r, members=tuple(members)),
+            r=r, members=tuple(members),
             w=np.array(w), mu=float(mu[r]), resid_var=1.0,
             gamma_y0=np.eye(len(w)), asymp_cov=np.eye(len(w)),
             rss=0.0, n_obs=100,
@@ -45,7 +45,7 @@ def manual_lnar_fit(alpha, beta, mu, g):
     """Per-component fit with known (alpha, beta); weights interleave per lag."""
     p, d = alpha.shape
     comps = [ComponentFit(
-        r=r, index_set=IndexSet(r=r, members=()),
+        r=r, members=tuple(range(2 * p)),
         w=np.column_stack([alpha[:, r], beta[:, r]]).ravel(), mu=float(mu[r]),
         resid_var=1.0, gamma_y0=np.eye(2 * p), asymp_cov=np.eye(2 * p), rss=0.0, n_obs=100,
     ) for r in range(d)]

@@ -293,7 +293,7 @@ class TestFitJson:
         for a, b in zip(fit.coefficient_matrices(), back.coefficient_matrices()):
             assert np.array_equal(a, b)
         assert np.array_equal(fit.mu_hat(), back.mu_hat())
-        assert back.components[0].index_set.members == fit.components[0].index_set.members
+        assert back.components[0].members == fit.components[0].members
 
     def test_certified_var_fit_roundtrips_as_strict_json(self):
         # a certified fit reports its certifying Gram's condition number,
@@ -305,7 +305,7 @@ class TestFitJson:
         back = nio.fit_from_json(json.loads(json.dumps(nio.fit_to_json(fit), allow_nan=False)))
         for c, b in zip(fit.components, back.components):
             assert np.isfinite(c.gram_cond) and b.gram_cond == c.gram_cond
-            assert b.index_set == c.index_set and b.mu == c.mu and b.rss == c.rss
+            assert b.members == c.members and b.mu == c.mu and b.rss == c.rss
             for name in ("w", "gamma_y0", "asymp_cov"):
                 assert np.array_equal(getattr(b, name), getattr(c, name)), name
 
@@ -376,10 +376,15 @@ class TestWholeFitFile:
     def _fractional_index_in_component_3(doc):
         doc["components"][2]["index_set"][0] = 1.5
 
+    @staticmethod
+    def _float_index_in_component_3(doc):
+        doc["components"][2]["index_set"][0] = 1.0
+
     @pytest.mark.parametrize("breaks, component", [
         (_drop_component_2, 2), (_shorten_w_of_component_2, 2),
-        (_index_beyond_dp_in_component_3, 3), (_fractional_index_in_component_3, 3)],
-        ids=["missing", "short_w", "index_beyond_dp", "fractional_index"])
+        (_index_beyond_dp_in_component_3, 3), (_fractional_index_in_component_3, 3),
+        (_float_index_in_component_3, 3)],
+        ids=["missing", "short_w", "index_beyond_dp", "fractional_index", "float_index"])
     def test_broken_file_names_the_component(self, tmp_path, fit_files, breaks, component):
         doc = fit_files[3]
         assert "errors" not in doc
@@ -433,6 +438,74 @@ class TestWholeFitFile:
                   "--series", str(tmp_path / "series.csv"),
                   "--ads", str(tmp_path / "network.csv"), "--h", "3", "--out", str(out)])
         assert not (out / "forecast.csv").exists()
+
+    @staticmethod
+    def _damage(doc, case):
+        comp = doc["components"][1]
+        if case == "long_g":
+            doc["g"] = doc["g"] * 2
+        elif case in ("string_d", "string_p"):
+            doc[case[-1]] = str(doc[case[-1]])
+        elif case == "negative_p":
+            doc["p"] = -1
+        elif case == "null_g":
+            doc["g"] = None
+        elif case in ("no_mu", "no_rss"):
+            del comp[case[3:]]
+        elif case == "text_n_obs":
+            comp["n_obs"] = "abc"
+        elif case == "float_r":
+            comp["r"] = 2.0
+        elif case == "component_not_an_object":
+            doc["components"][1] = 5
+        elif case == "doc_not_an_object":
+            return [doc]
+        elif case == "no_components":
+            del doc["components"]
+        return doc
+
+    DAMAGED = {
+        "long_g": r"fit file: g must hold p=2 neighborhood functions for a nar fit, got 4$",
+        "string_d": r"fit file: d must be an integer of at least 0, got '3'$",
+        "string_p": r"fit file: p must be an integer of at least 0, got '2'$",
+        "negative_p": r"fit file: p must be an integer of at least 0, got -1$",
+        "null_g": r"fit file: g must hold p=2 neighborhood functions for a nar fit, got None$",
+        "no_mu": r"fit file: component 2 has no 'mu'$",
+        "no_rss": r"fit file: component 2 has no 'rss'$",
+        "text_n_obs": r"fit file: component 2's n_obs must be an integer of at least 1, got 'abc'$",
+        "float_r": r"fit file: component 2 is missing, repeated or out of place",
+        "component_not_an_object": r"fit file: component 2 is not an object$",
+        "doc_not_an_object": r"fit file: the document is not an object$",
+        "no_components": r"fit file: the document has no 'components'$",
+    }
+
+    @pytest.mark.parametrize("case", sorted(DAMAGED))
+    def test_damaged_field_is_named(self, tmp_path, fit_files, case):
+        doc = self._damage(fit_files[3], case)
+        with pytest.raises(ValueError, match=self.DAMAGED[case]):
+            nio.fit_from_json(doc)
+        (tmp_path / "fit.json").write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match=self.DAMAGED[case]):
+            main(["forecast", "--fit", str(tmp_path / "fit.json"),
+                  "--series", str(tmp_path / "series.csv"),
+                  "--ads", str(tmp_path / "network.csv"), "--h", "3", "--out", str(out)])
+        assert not (out / "forecast.csv").exists()
+
+    def test_var_fit_has_no_g(self, fit_files):
+        _, x, _, _ = fit_files
+        doc = nio.fit_to_json(fit_var(x, 1))
+        doc["g"] = [{"kind": "transpose"}]
+        with pytest.raises(ValueError, match="fit file: g must be None for a var fit"):
+            nio.fit_from_json(doc)
+
+    def test_every_written_family_reads_back_equal(self, fit_files):
+        _, x, ads, _ = fit_files
+        g = [NeighborhoodFn.row_normalized_transpose()] * 2
+        for fit in (fit_nar(x, ads, g, 2), fit_lnar(x, ads, g, 2), fit_var(x, 2),
+                    fit_nar(x, ads, [], 0), fit_lnar(x, ads, [], 0), fit_var(x, 0)):
+            doc = nio.fit_to_json(fit)
+            assert nio.fit_to_json(nio.fit_from_json(json.loads(json.dumps(doc)))) == doc
 
     def test_file_with_an_empty_errors_map_still_loads(self, tmp_path, fit_files):
         # files written before fits became whole carry "errors": {}

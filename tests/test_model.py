@@ -95,12 +95,12 @@ def lnar_componentwise_recursion(spec, ads, eps):
     return x
 
 
-def assemble_oracle(form, g_list, ad_lags):
+def assemble_oracle(spec, g_list, ad_lags):
     """Modulation matrix for snapshots ``(Ad_{t-1}, ..., Ad_{t-p})``, one G
     call per snapshot: the former ``CompanionForm.assemble``."""
-    if len(ad_lags) != form.p:
-        raise ValueError(f"need {form.p} lagged snapshots, got {len(ad_lags)}")
-    d, p = form.d, form.p
+    if len(ad_lags) != spec.p:
+        raise ValueError(f"need {spec.p} lagged snapshots, got {len(ad_lags)}")
+    d, p = spec.d, spec.p
     out = np.zeros((d * p, d * p))
     for j, (g, ad) in enumerate(zip(g_list, ad_lags)):
         out[:d, j * d:(j + 1) * d] = g.apply(ad)
@@ -111,7 +111,7 @@ def assemble_oracle(form, g_list, ad_lags):
 
 def companion_recursion(spec, ads, eps):
     form = build_companion(spec)
-    d, p = form.d, form.p
+    d, p = spec.d, spec.p
     total = eps.shape[0]
     sel = np.zeros((d * p, d))
     sel[:d] = np.eye(d)
@@ -120,7 +120,7 @@ def companion_recursion(spec, ads, eps):
     for t in range(total):
         if t >= p:
             lags = [ads[t - s] for s in range(1, p + 1)]
-            state = (form.tilde_a * assemble_oracle(form, spec.G, lags)) @ state + sel @ eps[t]
+            state = (form * assemble_oracle(spec, spec.G, lags)) @ state + sel @ eps[t]
         else:
             # warm-up: fall back to the direct recursion until p lags exist
             acc = eps[t].copy()
@@ -138,12 +138,12 @@ class TestCompanion:
     def test_p1_is_plain_coefficient(self):
         a = np.array([[0.3, 0.1], [0.0, 0.2]])
         form = build_companion(NarSpec(1, [a], [NeighborhoodFn.transpose()]))
-        assert np.array_equal(form.tilde_a, a)
+        assert np.array_equal(form, a)
 
     def test_scalar_companion_layout(self):
         form = build_companion(NarSpec(2, [np.array([[0.5]]), np.array([[0.2]])],
                                        [NeighborhoodFn.identity()] * 2))
-        assert np.allclose(form.tilde_a, [[0.5, 0.2], [1.0, 0.0]])
+        assert np.allclose(form, [[0.5, 0.2], [1.0, 0.0]])
 
     def test_companion_equals_direct_recursion_on_random_instances(self):
         rng = np.random.default_rng(101)
@@ -168,7 +168,7 @@ class TestCompanion:
         form = build_companion(spec)
         d = 3
         for j in range(2):
-            block = form.tilde_a[(j + 1) * d:(j + 2) * d, j * d:(j + 1) * d]
+            block = form[(j + 1) * d:(j + 2) * d, j * d:(j + 1) * d]
             assert np.array_equal(block, np.eye(d))
 
 
@@ -256,7 +256,7 @@ class TestLnarStationarity:
         form = build_companion(nar)
         for _ in range(20):
             ad = (rng.random((d, d)) < 0.4).astype(float)
-            stacked = np.abs(form.tilde_a * assemble_oracle(form, nar.G, [ad] * p))
+            stacked = np.abs(form * assemble_oracle(nar, nar.G, [ad] * p))
             rho = np.abs(np.linalg.eigvals(stacked)).max()
             assert rho <= res.rho_bound + 1e-9
 
@@ -649,12 +649,12 @@ def ma_infinity_oracle(spec, ads, t, J):
     """The former ``ma_infinity_coeffs`` loop: one assembled companion per lag."""
     form = build_companion(spec)
     g_list = spec.to_nar().G if isinstance(spec, LnarSpec) else spec.G
-    d, p = form.d, form.p
+    d, p = spec.d, spec.p
     coeffs = [np.eye(d)]
     prod = np.eye(d * p)
     for j in range(1, J + 1):
         snap = [ads[t - j + 1 - s] for s in range(1, p + 1)]
-        prod = prod @ (form.tilde_a * assemble_oracle(form, g_list, snap))
+        prod = prod @ (form * assemble_oracle(spec, g_list, snap))
         coeffs.append(prod[:d, :d])
     return coeffs
 
@@ -677,7 +677,7 @@ class TestBatchedCompanions:
             form = build_companion(spec)
             g_list = spec.to_nar().G if isinstance(spec, LnarSpec) else spec.G
             radii = [np.abs(np.linalg.eigvals(
-                form.tilde_a * assemble_oracle(form, g_list, [ad] * p))).max() for ad in ads]
+                form * assemble_oracle(spec, g_list, [ad] * p))).max() for ad in ads]
             assert np.array_equal(snapshot_spectral_radii(spec, ads), radii)
             for t, J in ((29, 0), (29, 5), (p + 9, 10), (30, 30 - p + 1)):
                 got = ma_infinity_coeffs(spec, ads, t=t, J=J)

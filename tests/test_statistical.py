@@ -39,7 +39,7 @@ class TestExample1Recovery:
             estimable = np.zeros((4, 4), dtype=bool)
             ok = True
             for c in fit.components:
-                for pos, flat in enumerate(c.index_set.members):
+                for pos, flat in enumerate(c.members):
                     estimable[c.r, flat % 4] = True
                     truth = alpha[c.r, flat % 4]
                     if truth != 0.0 and abs(c.w[pos] - truth) >= 0.1:
@@ -61,7 +61,7 @@ class TestExample1Recovery:
             fit = fit_nar(x, ads.drop_first(400), list(spec.G), 1)
             err = 0.0
             for c in fit.components:
-                for pos, flat in enumerate(c.index_set.members):
+                for pos, flat in enumerate(c.members):
                     truth = alpha[c.r, flat % 4]
                     if truth != 0.0:
                         err = max(err, abs(c.w[pos] - truth))
@@ -85,7 +85,7 @@ def test_plugin_asymptotic_variance_matches_replication():
         fit = fit_nar(x, ads.drop_first(400), list(spec.G), 1)
         for c in fit.components:
             diag = np.diag(c.asymp_cov)
-            for pos, flat in enumerate(c.index_set.members):
+            for pos, flat in enumerate(c.members):
                 key = (c.r, flat)
                 truth = alpha[c.r, flat % 4]
                 per_entry.setdefault(key, []).append(np.sqrt(n) * (c.w[pos] - truth))
