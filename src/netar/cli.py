@@ -18,7 +18,7 @@ import numpy as np
 
 from . import io as nio
 from .depmeas import estimate_delta_network, estimate_delta_x
-from .estimate import fit_lnar, fit_nar, fit_var, select_order_bic
+from .estimate import FAMILIES, fit_lnar, fit_nar, fit_var, select_order_bic
 from .forecast import HoldLast, Known, PerEdgeMarkov, forecast_h
 from .harness import config_from_json, ingest_panel, run_experiment, run_rolling_forecast, CONFIG_SCHEMA
 from .model import LnarSpec, simulate_lnar, simulate_nar
@@ -226,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", parents=[common], help="least-squares fit")
     p.add_argument("--series", required=True)
     p.add_argument("--ads")
-    p.add_argument("--family", choices=("nar", "lnar", "var"), required=True)
+    p.add_argument("--family", choices=FAMILIES, required=True)
     p.add_argument("--g", help="neighborhood descriptor (e.g. transpose, rownorm, sign_poly:2)")
     p.add_argument("--p", type=int, help="fixed lag order (default: BIC up to --pmax)")
     p.add_argument("--pmax", type=int, default=3)

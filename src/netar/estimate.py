@@ -17,10 +17,12 @@ normal equations, with columns ordered by lag so that a lower order is a
 leading block.  All VAR equations restrict one shared regression of the
 lagged series: when its Gram is certified, each order is solved for every
 equation from one inverse, and ``gram_cond`` reports that Gram's condition
-number, which bounds every block's.  Two loops consume it: the fit loop
-solves each full block and adds the plug-in asymptotic covariance, and BIC
-order selection, which fits every candidate order on one common window,
-solves each candidate's leading block for its residual sum of squares alone.
+number, which bounds every block's; otherwise each equation is fitted on
+its own lagged columns, as :func:`fit_component_ls` fits them.  Two loops
+consume it: the fit loop solves each full block and adds the plug-in
+asymptotic covariance, and BIC order selection, which fits every candidate
+order on one common window, solves each candidate's leading block for its
+residual sum of squares alone.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import zip_longest
-from math import log
+from math import inf, log
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -50,6 +52,11 @@ __all__ = [
 FAMILIES = ("nar", "lnar", "var")
 RIDGE_SCALE = 1e-8
 _COND_LIMIT = 1e12
+
+
+def _check_family(family) -> None:
+    if family not in FAMILIES:
+        raise ValueError(f"family {family!r} is not one of {', '.join(FAMILIES)}")
 
 
 class EstimationError(RuntimeError):
@@ -125,8 +132,7 @@ class ModelFit:
     components: List[ComponentFit]
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"family {self.family!r} is not one of {', '.join(FAMILIES)}")
+        _check_family(self.family)
         _check_order("p", self.p, 0)
         _check_order("d", self.d, 0)
         if self.family == "var" and self.g is not None:
@@ -237,6 +243,12 @@ class _Solution(NamedTuple):
     moments: Callable[[], Tuple[np.ndarray, np.ndarray]]  # gamma_y0 and its inverse
 
 
+def _condition(gram: np.ndarray) -> float:
+    """The condition number of a Gram matrix, inf unless it is positive definite."""
+    eigs = np.linalg.eigvalsh((gram + gram.T) / 2.0)
+    return float(eigs[-1] / eigs[0]) if eigs[0] > 0.0 else inf
+
+
 def _certified(gram: np.ndarray) -> Optional[float]:
     """The condition number of this Gram if no principal block can trigger the ridge, else None.
 
@@ -249,61 +261,10 @@ def _certified(gram: np.ndarray) -> Optional[float]:
     if gram.shape[0] == 0:
         return None
     try:
-        eigs = np.linalg.eigvalsh((gram + gram.T) / 2.0)
+        cond = _condition(gram)
     except np.linalg.LinAlgError:
         return None
-    cond = float(eigs[-1] / eigs[0]) if eigs[0] > 0.0 else float("inf")
     return cond if cond <= _COND_LIMIT / 2.0 else None
-
-
-def _solve_centered(gram: np.ndarray, cross: np.ndarray, r: int, m: int,
-                    cond: Optional[float] = None):
-    """Solve the centered normal equations ``gram w = cross`` of component r.
-
-    A numerically singular Gram matrix (smallest eigenvalue not positive,
-    or condition number above ``_COND_LIMIT``) gets a flagged ridge jitter
-    of ``RIDGE_SCALE * trace / dim``; if the solve still fails the component
-    errors out with diagnostics.  A ``cond`` from :func:`_certified` on a Gram
-    holding this one as a principal block skips the check.  Returns w, the
-    matrix solved (jitter included), the jitter and the condition number.
-    """
-    k = gram.shape[0]
-    if k == 0:
-        return np.empty(0), gram, 0.0, 1.0
-    jitter = 0.0
-    if cond is None:
-        try:
-            eigs = np.linalg.eigvalsh((gram + gram.T) / 2.0)
-        except np.linalg.LinAlgError as exc:
-            raise EstimationError(
-                f"component {r}: eigenvalues of the Gram matrix did not converge",
-                {"k": k, "n_obs": m, "finite": bool(np.isfinite(gram).all())},
-            ) from exc
-        ratio = eigs[-1] / max(eigs[0], 1e-300)
-        cond = float(ratio) if eigs[-1] > 0 else float("inf")
-        if eigs[0] <= 0.0 or ratio > _COND_LIMIT:
-            jitter = RIDGE_SCALE * float(np.trace(gram)) / k
-            if jitter <= 0.0:
-                jitter = RIDGE_SCALE
-            gram = gram + jitter * np.eye(k)
-    try:
-        w = np.linalg.solve(gram, cross)
-    except np.linalg.LinAlgError:
-        jitter += RIDGE_SCALE * max(float(np.trace(gram)) / k, 1.0)
-        gram = gram + jitter * np.eye(k)
-        try:
-            w = np.linalg.solve(gram, cross)
-        except np.linalg.LinAlgError as exc:
-            raise EstimationError(
-                f"component {r}: Gram matrix singular even after ridge jitter",
-                {"trace": float(np.trace(gram)), "k": k, "n_obs": m},
-            ) from exc
-    if not np.isfinite(w).all():
-        raise EstimationError(
-            f"component {r}: non-finite least-squares solution",
-            {"k": k, "n_obs": m},
-        )
-    return w, gram, jitter, cond
 
 
 class _Equations(NamedTuple):
@@ -321,28 +282,58 @@ class _Equations(NamedTuple):
     solve: Callable[[int, int], _Solution]
 
 
-def _block_equations(r: int, members: tuple, lags: np.ndarray, gram: np.ndarray,
-                     cross: np.ndarray, m: int, cond: Optional[float], fitted) -> _Equations:
-    """Leading blocks of ``gram``; ``fitted(w)`` gives the intercept and residuals."""
-
-    def solve(p, k):
-        w, solved, jitter, c = _solve_centered(gram[:k, :k], cross[:k], r, m, cond)
-        return _Solution(w, *fitted(w), jitter, c, lambda: (solved / m, np.linalg.inv(solved / m)))
-
-    return _Equations(r, members, lags, solve)
-
-
 def _own_equations(r: int, members: tuple, lags: np.ndarray, Y: np.ndarray,
                    y: np.ndarray) -> _Equations:
-    """Equations of a component with its own design ``Y`` and target ``y``,
-    certified by their own Gram."""
-    ybar = float(y.mean())
-    Ybar = Y.mean(axis=0)
-    Yc = Y - Ybar
-    yc = y - ybar
-    gram = Yc.T @ Yc
-    return _block_equations(r, members, lags, gram, Yc.T @ yc, y.size, _certified(gram),
-                            lambda w: (ybar - float(w @ Ybar[:w.size]), yc - Yc[:, :w.size] @ w))
+    """Equations of a component with its own design ``Y`` and target ``y``; every
+    guarded per-equation solve is built here.
+
+    A leading block of the centered Gram that is numerically singular
+    (condition number above ``_COND_LIMIT``, or inf when it is not positive
+    definite) gets a flagged ridge jitter of ``RIDGE_SCALE * trace / k``; if
+    the solve still fails the component errors out with diagnostics.  A
+    certificate of the whole Gram skips the check for every block.
+    """
+    ybar, Ybar = float(y.mean()), Y.mean(axis=0)
+    Yc, yc = Y - Ybar, y - ybar
+    gram, cross, m = Yc.T @ Yc, Yc.T @ yc, y.size
+    certified = _certified(gram)
+
+    def solve(p, k):
+        block, jitter, cond = gram[:k, :k], 0.0, (1.0 if k == 0 else certified)
+        if cond is None:
+            try:
+                cond = _condition(block)
+            except np.linalg.LinAlgError as exc:
+                raise EstimationError(
+                    f"component {r}: eigenvalues of the Gram matrix did not converge",
+                    {"k": k, "n_obs": m, "finite": bool(np.isfinite(block).all())},
+                ) from exc
+            if cond > _COND_LIMIT:
+                jitter = RIDGE_SCALE * float(np.trace(block)) / k
+                if jitter <= 0.0:
+                    jitter = RIDGE_SCALE
+                block = block + jitter * np.eye(k)
+        try:
+            w = np.linalg.solve(block, cross[:k])
+        except np.linalg.LinAlgError:
+            jitter += RIDGE_SCALE * max(float(np.trace(block)) / k, 1.0)
+            block = block + jitter * np.eye(k)
+            try:
+                w = np.linalg.solve(block, cross[:k])
+            except np.linalg.LinAlgError as exc:
+                raise EstimationError(
+                    f"component {r}: Gram matrix singular even after ridge jitter",
+                    {"trace": float(np.trace(block)), "k": k, "n_obs": m},
+                ) from exc
+        if not np.isfinite(w).all():
+            raise EstimationError(
+                f"component {r}: non-finite least-squares solution",
+                {"k": k, "n_obs": m},
+            )
+        return _Solution(w, ybar - float(w @ Ybar[:k]), yc - Yc[:, :k] @ w, jitter, cond,
+                         lambda: (block / m, np.linalg.inv(block / m)))
+
+    return _Equations(r, members, lags, solve)
 
 
 def _var_equations(x: np.ndarray, p: int, mask: Optional[np.ndarray]):
@@ -353,8 +344,9 @@ def _var_equations(x: np.ndarray, p: int, mask: Optional[np.ndarray]):
     ``W = G^-1 lc'tc`` solves every equation unmasked, the mask's removed
     columns S give the restricted-least-squares correction ``W_r - G^-1[:, S]
     (G^-1[S, S])^-1 W_r[S]``, one product gives all residuals and the block-
-    inverse identity the covariance.  Otherwise each equation solves its
-    block ``gram[mem, mem]`` with the ridge guard.
+    inverse identity the covariance.  Otherwise each equation is fitted on
+    its own lagged columns by :func:`_own_equations`, as
+    :func:`fit_component_ls` fits them.
     """
     d, n = x.shape
     mask = None if mask is None else np.asarray(mask)
@@ -388,13 +380,7 @@ def _var_equations(x: np.ndarray, p: int, mask: Optional[np.ndarray]):
     for r in range(d):
         mem = np.flatnonzero(~cut[r])
         if cond is None:
-            def fitted(w, r=r, mem=mem):
-                coef = np.zeros(d * p)
-                coef[mem[: w.size]] = w
-                return float(tbar[r]) - float(w @ lbar[mem[: w.size]]), tc[:, r] - lc @ coef
-
-            yield _block_equations(r, tuple(mem.tolist()), mem // d, gram[np.ix_(mem, mem)],
-                                   cross[mem, r], m, None, fitted)
+            yield _own_equations(r, tuple(mem.tolist()), mem // d, lagged[:, mem], x[r, p:])
             continue
 
         def solve(q, k, r=r, mem=mem):
@@ -421,8 +407,7 @@ def _equations(family: str, x: np.ndarray, ads: Optional[AdjacencySeries], g_lis
     the order-selection loop consume it alike.
     """
     d, n = x.shape
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
+    _check_family(family)
     _check_order("p", p, 0)
     if g_list is not None and len(g_list) != p:
         raise ValueError("need one neighborhood function per lag")
@@ -551,46 +536,36 @@ def select_order_bic(x: np.ndarray, ads: Optional[AdjacencySeries] = None,
     The order-p regressors of a component are the leading columns of its
     order-p_max regressors (for VAR, the leading columns of its mask), so
     the p_max normal equations are built once and each candidate solves
-    their leading block.  Candidates compute no covariance; the ridge
-    guard is skipped when the certifying Gram certifies every block (see
-    :func:`_certified`).  A candidate whose fit (near-)interpolates, which
-    the criterion would reward blindly, or fails is dropped.
+    their leading block, adding its component's term to the candidate's
+    BIC as the components come.  Candidates compute no covariance; the
+    ridge guard is skipped when the certifying Gram certifies every block
+    (see :func:`_certified`).  A candidate whose fit (near-)interpolates,
+    which the criterion would reward blindly, or fails is dropped: its BIC
+    is inf.
     """
     x = _finite_series(x)
-    d, n = x.shape
     _check_order("p_max", p_max, 1)
-    m = n - p_max
-    orders = np.arange(1, p_max + 1)
-    k = np.zeros((p_max, d), dtype=int)
-    rss = [np.empty(d) for _ in orders]  # None drops the order
+    m = x.shape[1] - p_max
+    table = dict.fromkeys(range(1, p_max + 1), 0.0)
     for eq in _equations(family, x, ads, [g] * p_max, p_max, mask):
-        if all(v is None for v in rss):
+        if all(v == inf for v in table.values()):
             break
-        k[:, eq.r] = np.searchsorted(eq.lags, orders)
-        for i, kp in enumerate(k[:, eq.r]):
-            if rss[i] is None:
+        for p, kp in zip(table, np.searchsorted(eq.lags, list(table)).tolist()):
+            if table[p] == inf:
                 continue
             if m - (kp + 1) < 5:
-                rss[i] = None
+                table[p] = inf
                 continue
             try:
-                resid = eq.solve(i + 1, kp).resid
+                resid = eq.solve(p, kp).resid
             except EstimationError:
-                rss[i] = None
+                table[p] = inf
                 continue
-            rss[i][eq.r] = resid @ resid
-    table = {}
-    best_p, best_val = None, None
-    for p in range(1, p_max + 1):
-        if rss[p - 1] is None:
-            table[p] = float("inf")
-            continue
-        val = 0.0
-        for r in range(d):
-            val += m * log(max(float(rss[p - 1][r]) / m, 1e-300)) + int(k[p - 1, r] + 1) * log(m)
-        table[p] = val
-        if best_val is None or val < best_val - 1e-12:
-            best_p, best_val = p, val
+            table[p] += m * log(max(float(resid @ resid) / m, 1e-300)) + (kp + 1) * log(m)
+    best_p = None
+    for p, val in table.items():
+        if val != inf and (best_p is None or val < table[best_p] - 1e-12):
+            best_p = p
     if best_p is None:
         raise EstimationError("no candidate order is identifiable on this sample")
     return OrderSelection(p=best_p, table=table)

@@ -26,7 +26,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import io as nio
-from .estimate import EstimationError, fit_lnar, fit_nar, fit_var, select_order_bic
+from .estimate import (FAMILIES, EstimationError, _check_family, fit_lnar, fit_nar, fit_var,
+                       select_order_bic)
 from .forecast import HoldLast, Known, PerEdgeMarkov, difference, forecast_h, integrate
 from .model import InnovationSpec, LnarSpec, NarSpec, simulate_lnar, simulate_nar
 from .netdyn import (
@@ -76,8 +77,7 @@ class MethodSpec:
     freeze_markov: bool = True
 
     def __post_init__(self):
-        if self.family not in ("nar", "lnar", "var"):
-            raise ValueError(f"unknown family {self.family!r}")
+        _check_family(self.family)
         if self.family == "var":
             object.__setattr__(self, "policy", "none")
         elif self.policy not in ("known", "holdlast", "markov"):
@@ -158,7 +158,7 @@ CONFIG_SCHEMA = {
         "out_dir": {"type": "string"},
         "methods": {"type": "array", "items": {
             "properties": {
-                "family": {"enum": ["nar", "lnar", "var"]},
+                "family": {"enum": list(FAMILIES)},
                 "policy": {"enum": ["known", "holdlast", "markov", "none"]},
                 "g": {"description": "neighborhood descriptor"},
                 "sparsity": {"enum": ["none", "network"]},

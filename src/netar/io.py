@@ -390,8 +390,15 @@ def fit_from_json(doc) -> ModelFit:
                 rss=c["rss"], n_obs=c["n_obs"], ridge_jitter=c.get("ridge_jitter", 0.0),
                 gram_cond=c.get("gram_cond", 1.0)))
         where = "g"
-        g = None if g is None else tuple(NeighborhoodFn.from_json(e) for e in g)
-        return ModelFit(family=family, p=p, d=d, g=g, components=comps)
+        fns = None if g is None else list(g)
+        for j, e in enumerate(fns or ()):
+            where = f"g[{j}]"
+            try:
+                fns[j] = NeighborhoodFn.from_json(e)
+            except ValueError as exc:  # a descriptor's message names no field
+                raise ValueError(f"{where}: {exc}") from None
+        return ModelFit(family=family, p=p, d=d, g=None if fns is None else tuple(fns),
+                        components=comps)
     except KeyError as exc:
         raise ValueError(f"fit file: {where} has no {exc}") from None
     except TypeError as exc:  # a part of the wrong JSON type

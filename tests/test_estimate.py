@@ -706,8 +706,8 @@ class TestBicLeadingBlocks:
 
 
 def per_block(fn, *args, **kwargs):
-    """``fn`` with every certificate withheld, so each VAR equation solves
-    its own principal block ``gram[mem, mem]`` with the ridge guard."""
+    """``fn`` with every certificate withheld, so each VAR equation is fitted
+    on its own lagged columns with the ridge guard on every block."""
     with mock.patch.object(estimate, "_certified", lambda gram: None):
         return fn(*args, **kwargs)
 
@@ -781,8 +781,8 @@ class TestSharedVarPath:
 
     def test_collinear_series_keeps_the_per_block_jitter(self):
         # the shared Gram is singular, the certificate fails and every equation
-        # solves its own block: the fit is the per-block fit, bit for bit, and
-        # its jitter is the one the per-equation solver gives that block
+        # is fitted on its own lagged columns: the fit is the per-block fit and
+        # each equation is fit_component_ls on its columns, bit for bit
         rng = np.random.default_rng(30)
         d, n, p = 3, 90, 2
         x = rng.normal(size=(d, n)).cumsum(axis=1)
@@ -795,9 +795,11 @@ class TestSharedVarPath:
         assert_var_fits_close(fit, ref, rtol=0.0)
         for c in fit.components:
             mem = np.flatnonzero(mask[c.r])
-            solo = fit_component_ls(x[c.r, p:], lagged[:, mem], c.r)
-            assert c.ridge_jitter > 0.0
-            assert c.ridge_jitter == pytest.approx(solo.ridge_jitter, rel=1e-12)
+            solo = fit_component_ls(x[c.r, p:], lagged[:, mem], c.r, members=tuple(mem))
+            assert c.ridge_jitter > 0.0 and solo.members == c.members
+            for name in ("w", "mu", "rss", "resid_var", "ridge_jitter", "gram_cond",
+                         "gamma_y0", "asymp_cov"):
+                assert np.array_equal(getattr(solo, name), getattr(c, name)), (c.r, name)
         assert_matches_bic_oracle(x, p_max=p, family="var", mask=mask)
         sel = select_order_bic(x, p_max=p, family="var", mask=mask)
         assert sel.table == per_block(select_order_bic, x, p_max=p, family="var",
@@ -858,7 +860,7 @@ class TestOrderSelectionInputs:
             fit_var(x, 2, mask=mask)
 
     def test_unknown_family(self):
-        with pytest.raises(ValueError, match="unknown family"):
+        with pytest.raises(ValueError, match="family 'arma' is not one of nar, lnar, var$"):
             select_order_bic(np.zeros((2, 30)), family="arma")
 
     @pytest.mark.parametrize("fit", [fit_nar, fit_lnar])

@@ -335,6 +335,17 @@ class TestFitJson:
         nio.write_fit_json(path, fit)
         assert nio.read_fit_json(path).components[1].gram_cond == np.inf
 
+    def test_singular_block_with_a_positive_eigenvalue_reports_inf(self):
+        # mask row 1 keeps the constant component 0 and component 1, so that
+        # equation's Gram block is singular but not zero; like any block that
+        # is not positive definite, it reports an infinite condition number
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(3, 60))
+        x[0] = 2.0
+        fit = fit_var(x, 1, mask=np.array([[1, 1, 1], [1, 1, 0], [1, 1, 1]]))
+        assert fit.components[1].ridge_jitter > 0.0 and fit.components[1].gram_cond == np.inf
+        assert '"gram_cond": "inf"' in self.assert_strict_roundtrip(fit)
+
     def test_nan_residual_variance_is_written_as_a_string(self):
         # m = k + 1 observations leave no degree of freedom for the variance
         rng = np.random.default_rng(6)
@@ -462,6 +473,12 @@ class TestWholeFitFile:
             return [doc]
         elif case == "no_components":
             del doc["components"]
+        elif case == "unknown_g_kind":
+            doc["g"][0] = {"kind": "foo"}
+        elif case == "g_without_order":
+            doc["g"][1] = {"kind": "sign_poly"}
+        elif case == "g_without_kind":
+            doc["g"][0] = {}
         return doc
 
     DAMAGED = {
@@ -477,6 +494,9 @@ class TestWholeFitFile:
         "component_not_an_object": r"fit file: component 2 is not an object$",
         "doc_not_an_object": r"fit file: the document is not an object$",
         "no_components": r"fit file: the document has no 'components'$",
+        "unknown_g_kind": r"fit file: g\[0\]: unknown neighborhood variant 'foo'$",
+        "g_without_order": r"fit file: g\[1\]: sign_poly requires a positive order k$",
+        "g_without_kind": r"fit file: g\[0\] has no 'kind'$",
     }
 
     @pytest.mark.parametrize("case", sorted(DAMAGED))
