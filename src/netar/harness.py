@@ -313,8 +313,11 @@ def _resolve_policy(method: MethodSpec, ads_post: AdjacencySeries, n: int, h: in
 def _run_one_replicate(cfg: ExperimentConfig, n_index: int, n: int, rep: int):
     """Simulate one path and run every method on it.
 
-    Returns a dict mapping method label -> (d, h) forecast-error matrix,
-    or None for a method whose fit failed on this path.
+    A fit depends only on the method's family, g and sparsity, never on its
+    network policy, so the replicate fits each distinct model once and
+    forecasts every policy from that fit.  Returns a dict mapping method
+    label -> (d, h) forecast-error matrix, or None for a method whose fit
+    failed on this path.
     """
     rng = _replicate_seed(cfg.seed, n_index, rep)
     h = cfg.horizons
@@ -322,14 +325,20 @@ def _run_one_replicate(cfg: ExperimentConfig, n_index: int, n: int, rep: int):
     x_est, truth = x_all[:, :n], x_all[:, n:]
     ads_est = ads_post.take_first(n - 1)
     errors: Dict[str, Optional[np.ndarray]] = {}
+    fits: Dict[tuple, object] = {}
     for method in cfg.methods:
-        try:
-            fit = _fit_with_bic(method, x_est, ads_est, cfg.p_max)
-            policy = _resolve_policy(method, ads_post, n, h)
-            fc = forecast_h(fit, x_est, ads_est, policy, h, truth=truth)
-            errors[method.label] = fc.errors
-        except EstimationError:
+        key = (method.family, method.g, method.sparsity)  # by value: JSON gives equal, distinct g's
+        if key not in fits:
+            try:
+                fits[key] = _fit_with_bic(method, x_est, ads_est, cfg.p_max)
+            except EstimationError:
+                fits[key] = None  # every method sharing the fit fails with it
+        fit = fits[key]
+        if fit is None:
             errors[method.label] = None
+        else:
+            policy = _resolve_policy(method, ads_post, n, h)
+            errors[method.label] = forecast_h(fit, x_est, ads_est, policy, h, truth=truth).errors
     return errors
 
 

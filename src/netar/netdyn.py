@@ -158,7 +158,9 @@ class MarkovEdgeNetwork:
         Edge ``(i, j)`` is present next step iff ``uniforms[i, j] < p`` with
         ``p = stay_prob[i, j]`` when present now, else ``enter_prob[i, j]``.
         Uniforms are consumed one per edge in row-major order, so a seeded
-        run is bit-reproducible.
+        run is bit-reproducible.  :meth:`simulate` applies the same rule to
+        the whole stack of draws at once; an oracle test holds it to
+        iterating this method over the same uniforms.
         """
         state = np.asarray(state, dtype=float)
         if state.shape[-2:] != self.stay_prob.shape:
@@ -171,18 +173,26 @@ class MarkovEdgeNetwork:
     def simulate(self, n: int, seed=None, burn_in: int = 0) -> AdjacencySeries:
         """Simulate ``n`` snapshots after discarding ``burn_in`` transitions.
 
-        ``seed`` is anything :func:`numpy.random.default_rng` takes; a
-        Generator is drawn from in place.
+        Both outcomes of every step come from the draws at once: an absent
+        edge is present next iff ``if_absent``, and a present edge's outcome
+        differs from that iff ``flip``.  A step is then ``(state & flip) ^
+        if_absent`` on booleans, the rule of :meth:`step`.  ``seed`` is
+        anything :func:`numpy.random.default_rng` takes; a Generator is
+        drawn from in place.
         """
         rng = np.random.default_rng(seed)
-        state = self.initial_state(rng)
+        walk = np.empty((burn_in + n + 1, self.d, self.d), dtype=bool)
+        walk[0] = self.initial_state(rng) == 1.0
         draws = rng.random((burn_in + n, self.d, self.d))
-        out = np.empty((n, self.d, self.d))
+        if_absent = draws < self.enter_prob
+        flip = (draws < self.stay_prob) ^ if_absent
+        del draws
         for t in range(burn_in + n):
-            state = self.step(state, draws[t])
-            if t >= burn_in:
-                out[t - burn_in] = state
-        return AdjacencySeries._checked(out)  # binary by construction
+            nxt = walk[t + 1]
+            np.logical_and(walk[t], flip[t], out=nxt)
+            np.logical_xor(nxt, if_absent[t], out=nxt)
+        # binary by construction, so the weight scan is skipped
+        return AdjacencySeries._checked(walk[burn_in + 1:].astype(float))
 
 
 class FlipNetwork:

@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+import netar.harness as harness
 import netar.io as nio
 from netar import InnovationSpec, NarSpec, NeighborhoodFn
 from netar.cli import main
@@ -24,7 +25,8 @@ from netar.harness import (
     run_rolling_forecast,
     validate_config,
 )
-from netar.forecast import difference, integrate
+from netar.estimate import EstimationError
+from netar.forecast import difference, forecast_h, integrate
 
 from panel_helpers import synthetic_panel_arrays, write_panel_files
 
@@ -139,6 +141,65 @@ class TestRunExperiment:
         assert np.isfinite(hold).all()
         # estimated-network forecasts cannot beat the known-network ones on average
         assert markov.mean() >= known.mean() * 0.85
+
+
+def per_method_refits(cfg, n_index, n, rep):
+    """A replicate's errors with every method fitted on its own, one fit per label."""
+    rng = harness._replicate_seed(cfg.seed, n_index, rep)
+    x_all, ads_post = harness._simulate_replicate(cfg, n, rng)
+    x_est, truth = x_all[:, :n], x_all[:, n:]
+    ads_est = ads_post.take_first(n - 1)
+    errors = {}
+    for m in cfg.methods:
+        fit = harness._fit_with_bic(m, x_est, ads_est, cfg.p_max)
+        policy = harness._resolve_policy(m, ads_post, n, cfg.horizons)
+        errors[m.label] = forecast_h(fit, x_est, ads_est, policy, cfg.horizons, truth=truth).errors
+    return errors
+
+
+def counted_fits(monkeypatch, fail_family=None):
+    """Wrap the harness's fit, counting calls and failing one family's fits."""
+    calls = []
+    fit = harness._fit_with_bic
+
+    def wrapped(method, *args):
+        calls.append(method.family)
+        if method.family == fail_family:
+            raise EstimationError(f"{fail_family} fit refused")
+        return fit(method, *args)
+
+    monkeypatch.setattr(harness, "_fit_with_bic", wrapped)
+    return calls
+
+
+def three_policy_example1():
+    return example1_config(sample_sizes=(200,), replications=2, seed=9191,
+                           policies=("known", "holdlast", "markov"))
+
+
+class TestFitSharing:
+    # a policy changes only how the future snapshots are forecast, so a
+    # replicate fits each distinct (family, g, sparsity) once
+    @pytest.mark.parametrize("roundtrip", [False, True])
+    def test_one_fit_per_model_with_the_per_method_errors(self, roundtrip, monkeypatch):
+        cfg = three_policy_example1()
+        if roundtrip:  # equal g's that are not the same object
+            cfg = config_from_json(config_to_json(cfg))
+            assert cfg.methods[0].g is not cfg.methods[1].g
+        expected = per_method_refits(cfg, 0, 200, 1)
+        calls = counted_fits(monkeypatch)
+        errors = harness._run_one_replicate(cfg, 0, 200, 1)
+        assert sorted(calls) == ["lnar", "nar", "var"]
+        assert list(errors) == list(expected) and len(errors) == 7
+        for lbl, err in expected.items():
+            assert np.array_equal(errors[lbl], err), lbl
+
+    def test_a_failed_shared_fit_fails_every_method_sharing_it(self, monkeypatch):
+        calls = counted_fits(monkeypatch, fail_family="lnar")
+        errors = harness._run_one_replicate(three_policy_example1(), 0, 200, 0)
+        assert len(calls) == 3
+        for lbl, err in errors.items():
+            assert (err is None) == lbl.startswith("lnar("), lbl
 
 
 # each edit of the example-1 document breaks one part; the problem must name that part

@@ -185,8 +185,9 @@ class TestAdjacencySeries:
 
 class TestMarkovEdges:
     def test_simulate_skips_the_weight_scan(self):
-        # the draws and the output are the only stack-sized allocations; the
-        # output is binary by construction, so no |arr| copy is scanned on top
+        # the float draws are freed once the two boolean outcomes are taken
+        # from them, before the float output exists; the output is binary by
+        # construction, so no |arr| copy is scanned on top
         import tracemalloc
 
         stay, enter = np.full((40, 40), 0.9), np.full((40, 40), 0.1)
@@ -195,8 +196,36 @@ class TestMarkovEdges:
         ads = model.simulate(200, seed=4)
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
-        assert peak < 2.5 * ads.mats.nbytes
+        assert peak < 2.0 * ads.mats.nbytes
         assert np.isin(ads.mats, (0.0, 1.0)).all()
+
+    @pytest.mark.parametrize("d", [1, 4, 33])
+    @pytest.mark.parametrize("burn_in", [0, 6])
+    @pytest.mark.parametrize("initial", ["stationary", "explicit"])
+    @pytest.mark.parametrize("pinned", [None, "absorbing", "forced"])
+    def test_simulate_matches_iterated_step(self, d, burn_in, initial, pinned):
+        # simulate steps the whole stack at once; iterating step over the same
+        # uniforms, after the same initial draw, is the oracle
+        rng = np.random.default_rng(d + burn_in)
+        stay, enter = rng.random((d, d)), rng.random((d, d))
+        if pinned:  # every other edge absorbs (stay 1, enter 0) or is forced (stay 0, enter 1)
+            stay.flat[::2], enter.flat[::2] = (1.0, 0.0) if pinned == "absorbing" else (0.0, 1.0)
+        start = "stationary" if initial == "stationary" else (rng.random((d, d)) < 0.5) * 1.0
+        model = MarkovEdgeNetwork(stay, enter, initial=start)
+        n, seed = 30, 100 + d
+        ads = model.simulate(n, seed=seed, burn_in=burn_in)
+        oracle_rng = np.random.default_rng(seed)
+        state = model.initial_state(oracle_rng)
+        path = []
+        for u in oracle_rng.random((burn_in + n, d, d)):
+            state = model.step(state, u)
+            path.append(state)
+        assert np.array_equal(ads.mats, np.stack(path[burn_in:]))
+        pinned_path = ads.mats.reshape(n, -1)[:, ::2]
+        if pinned == "absorbing":
+            assert (pinned_path == pinned_path[0]).all()
+        elif pinned == "forced":  # a forced edge changes at every step
+            assert (pinned_path[1:] == 1.0 - pinned_path[:-1]).all()
 
     def test_degenerate_probabilities_absorb(self):
         # stay=1, enter=0 with the edge on: persists forever
