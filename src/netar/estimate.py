@@ -194,15 +194,24 @@ def _finite_series(x) -> np.ndarray:
     return x
 
 
-def _nar_design(x: np.ndarray, ads: AdjacencySeries, g_list, p: int):
+def _g_stacks(ads: AdjacencySeries, g_list, n: int, evaluated: Optional[dict]) -> dict:
+    """Each distinct G of ``g_list`` on the snapshots 0..n-2, with its diagonal, by value:
+    ``evaluated`` shares them between the fits of one sample, and gets any it lacks."""
+    evaluated = {} if evaluated is None else evaluated
+    evaluated.update({g: apply_neighborhood_fn(g, ads.mats[: n - 1])
+                      for g in dict.fromkeys(g_list) if g not in evaluated})
+    return evaluated
+
+
+def _nar_design(x: np.ndarray, ads: AdjacencySeries, g_list, p: int, evaluated=None):
     """Active indices and design of each component of the full model, for targets t = p..n-1.
 
     Row t - p of component r's design holds ``(e_r' G_j(Ad_{t-j}) e_i) x_{t-j;i}`` at
-    the flat indices ``i + (j-1)d`` with positive modulation mass.  Each distinct G
-    is evaluated once, on the snapshots 0..n-2 that the lags read, and sliced per lag.
+    the flat indices ``i + (j-1)d`` with positive modulation mass.  Each lag slices
+    its G's evaluation from :func:`_g_stacks`, which it only reads.
     """
     d, n = x.shape
-    evaluated = {g: apply_neighborhood_fn(g, ads.mats[: n - 1]) for g in dict.fromkeys(g_list)}
+    evaluated = _g_stacks(ads, g_list, n, evaluated)
     stacks = [evaluated[g][p - j: n - j] for j, g in enumerate(g_list, start=1)]
     mass = [np.abs(s).sum(axis=0) for s in stacks]
     for r in range(d):
@@ -214,23 +223,27 @@ def _nar_design(x: np.ndarray, ads: AdjacencySeries, g_list, p: int):
         yield tuple(members), Y
 
 
-def _lnar_design(x, ads, g_list, p):
+def _lnar_design(x, ads, g_list, p, evaluated=None):
     """Shared per-component design matrices and targets t = p..n-1.
 
     Columns 2(j-1) and 2(j-1)+1 of component r are its own lag x_{t-j;r}
     and its pooled network lag, entry r of zero-diagonal G_j(Ad_{t-j}) x_{t-j}.
-    The pooled series is computed once per distinct G, over the snapshots
-    0..n-2 that the lags read, and each lag slices it.
+    The pooled series is computed once per distinct G and kept in ``evaluated``
+    under ``(g, "pooled")``; each lag slices it.  The G evaluation it is made
+    from leaves ``evaluated``, since its diagonal is zeroed in place.
     """
     d, n = x.shape
     lagged = x[:, : n - 1].T[..., None]
-    pooled = {g: np.matmul(apply_neighborhood_fn(g, ads.mats[: n - 1], zero_diag=True),
-                           lagged)[..., 0].T
-              for g in dict.fromkeys(g_list)}
+    evaluated, idx = ({} if evaluated is None else evaluated), np.arange(d)
+    for g in dict.fromkeys(g_list):
+        if (g, "pooled") not in evaluated:
+            stack = _g_stacks(ads, [g], n, evaluated).pop(g)
+            stack[:, idx, idx] = 0.0
+            evaluated[g, "pooled"] = np.matmul(stack, lagged)[..., 0].T
     Y = np.empty((d, n - p, 2 * p))
     for j, g in enumerate(g_list, start=1):
         Y[:, :, 2 * (j - 1)] = x[:, p - j: n - j]
-        Y[:, :, 2 * (j - 1) + 1] = pooled[g][:, p - j: n - j]
+        Y[:, :, 2 * (j - 1) + 1] = evaluated[g, "pooled"][:, p - j: n - j]
     return Y, x[:, p:]
 
 
@@ -399,7 +412,7 @@ def _var_equations(x: np.ndarray, p: int, mask: Optional[np.ndarray]):
 
 
 def _equations(family: str, x: np.ndarray, ads: Optional[AdjacencySeries], g_list,
-               p: int, mask: Optional[np.ndarray]):
+               p: int, mask: Optional[np.ndarray], evaluated: Optional[dict] = None):
     """The normal equations of every component, for the targets t = p..n-1.
 
     This is the one place that knows how each family builds its
@@ -422,12 +435,12 @@ def _equations(family: str, x: np.ndarray, ads: Optional[AdjacencySeries], g_lis
     if family == "var":
         return _var_equations(x, p, mask)
     if family == "lnar":
-        design, targets = _lnar_design(x, ads, g_list, p)
+        design, targets = _lnar_design(x, ads, g_list, p, evaluated)
         lags = np.arange(2 * p) // 2
         return (_own_equations(r, tuple(range(2 * p)), lags, design[r], targets[r])
                 for r in range(d))
     return (_own_equations(r, members, np.array(members, dtype=int) // d, Y, x[r, p:])
-            for r, (members, Y) in enumerate(_nar_design(x, ads, g_list, p)))
+            for r, (members, Y) in enumerate(_nar_design(x, ads, g_list, p, evaluated)))
 
 
 def _fit_component(eq: _Equations, p: int, m: int) -> ComponentFit:
@@ -482,25 +495,26 @@ def fit_component_ls(y: np.ndarray, Y: np.ndarray, r: int,
     return _fit_component(_own_equations(r, members, np.zeros(k, dtype=int), Y, y), 1, m)
 
 
-def _fit(family: str, x, ads, g_list, p: int, mask: Optional[np.ndarray]) -> ModelFit:
+def _fit(family: str, x, ads, g_list, p: int, mask, evaluated=None) -> ModelFit:
     """The one fit loop: every component solves its full block, or the fit raises."""
     x = _finite_series(x)
     d, n = x.shape
-    comps = [_fit_component(eq, p, n - p) for eq in _equations(family, x, ads, g_list, p, mask)]
+    comps = [_fit_component(eq, p, n - p)
+             for eq in _equations(family, x, ads, g_list, p, mask, evaluated)]
     return ModelFit(family=family, p=p, d=d, g=None if g_list is None else tuple(g_list),
                     components=comps)
 
 
 def fit_nar(x: np.ndarray, ads: AdjacencySeries, g_list: Sequence[NeighborhoodFn],
-            p: int) -> ModelFit:
+            p: int, *, _evaluated: Optional[dict] = None) -> ModelFit:
     """Component-wise fit of the full model over the observed index sets."""
-    return _fit("nar", x, ads, g_list, p, None)
+    return _fit("nar", x, ads, g_list, p, None, _evaluated)
 
 
 def fit_lnar(x: np.ndarray, ads: AdjacencySeries, g_list: Sequence[NeighborhoodFn],
-             p: int) -> ModelFit:
+             p: int, *, _evaluated: Optional[dict] = None) -> ModelFit:
     """Component-wise fit of the per-component model: own and pooled lags."""
-    return _fit("lnar", x, ads, g_list, p, None)
+    return _fit("lnar", x, ads, g_list, p, None, _evaluated)
 
 
 def fit_var(x: np.ndarray, p: int, mask: Optional[np.ndarray] = None) -> ModelFit:
@@ -523,7 +537,8 @@ class OrderSelection:
 
 def select_order_bic(x: np.ndarray, ads: Optional[AdjacencySeries] = None,
                      g: Optional[NeighborhoodFn] = None, p_max: int = 3,
-                     family: str = "nar", mask: Optional[np.ndarray] = None) -> OrderSelection:
+                     family: str = "nar", mask: Optional[np.ndarray] = None, *,
+                     _evaluated: Optional[dict] = None) -> OrderSelection:
     """Order selection on a common estimation window.
 
     Every candidate order is fitted on the targets t = p_max..n-1 so the
@@ -541,13 +556,13 @@ def select_order_bic(x: np.ndarray, ads: Optional[AdjacencySeries] = None,
     ridge guard is skipped when the certifying Gram certifies every block
     (see :func:`_certified`).  A candidate whose fit (near-)interpolates,
     which the criterion would reward blindly, or fails is dropped: its BIC
-    is inf.
+    is inf.  ``_evaluated``, here and in the fits, is :func:`_g_stacks`' dict.
     """
     x = _finite_series(x)
     _check_order("p_max", p_max, 1)
     m = x.shape[1] - p_max
     table = dict.fromkeys(range(1, p_max + 1), 0.0)
-    for eq in _equations(family, x, ads, [g] * p_max, p_max, mask):
+    for eq in _equations(family, x, ads, [g] * p_max, p_max, mask, _evaluated):
         if all(v == inf for v in table.values()):
             break
         for p, kp in zip(table, np.searchsorted(eq.lags, list(table)).tolist()):

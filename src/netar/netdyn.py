@@ -159,7 +159,7 @@ class MarkovEdgeNetwork:
         ``p = stay_prob[i, j]`` when present now, else ``enter_prob[i, j]``.
         Uniforms are consumed one per edge in row-major order, so a seeded
         run is bit-reproducible.  :meth:`simulate` applies the same rule to
-        the whole stack of draws at once; an oracle test holds it to
+        a chunk of draws at once; an oracle test holds it to
         iterating this method over the same uniforms.
         """
         state = np.asarray(state, dtype=float)
@@ -172,27 +172,32 @@ class MarkovEdgeNetwork:
 
     def simulate(self, n: int, seed=None, burn_in: int = 0) -> AdjacencySeries:
         """Simulate ``n`` snapshots after discarding ``burn_in`` transitions.
-
-        Both outcomes of every step come from the draws at once: an absent
-        edge is present next iff ``if_absent``, and a present edge's outcome
-        differs from that iff ``flip``.  A step is then ``(state & flip) ^
-        if_absent`` on booleans, the rule of :meth:`step`.  ``seed`` is
-        anything :func:`numpy.random.default_rng` takes; a Generator is
-        drawn from in place.
-        """
-        rng = np.random.default_rng(seed)
-        walk = np.empty((burn_in + n + 1, self.d, self.d), dtype=bool)
-        walk[0] = self.initial_state(rng) == 1.0
-        draws = rng.random((burn_in + n, self.d, self.d))
-        if_absent = draws < self.enter_prob
-        flip = (draws < self.stay_prob) ^ if_absent
-        del draws
-        for t in range(burn_in + n):
-            nxt = walk[t + 1]
-            np.logical_and(walk[t], flip[t], out=nxt)
-            np.logical_xor(nxt, if_absent[t], out=nxt)
+        ``seed`` is anything :func:`numpy.random.default_rng` takes; a
+        Generator is drawn from in place."""
+        walk = self._walk(np.random.default_rng(seed), burn_in + n)
         # binary by construction, so the weight scan is skipped
         return AdjacencySeries._checked(walk[burn_in + 1:].astype(float))
+
+    def _walk(self, rng: np.random.Generator, steps: int) -> np.ndarray:
+        """The boolean path of the initial state and ``steps`` transitions.  Both
+        outcomes of a step come from its draws at once: an absent edge is present
+        next iff ``if_absent``, and a present edge's outcome differs from that iff
+        ``flip``, so a step is ``(state & flip) ^ if_absent``, the rule of :meth:`step`.
+        The draws come in chunks of about 1 MiB, into buffers freed on return; one
+        stream continues through the chunks, so the path is that of one draw."""
+        d = self.d
+        walk = np.empty((steps + 1, d, d), dtype=bool)
+        walk[0] = self.initial_state(rng) == 1.0
+        draws = np.empty((max(1, min(steps, 2**20 // (8 * d * d))), d, d))
+        if_absent, flip = np.empty(draws.shape, dtype=bool), np.empty(draws.shape, dtype=bool)
+        for s in range(0, steps, len(draws)):
+            u = rng.random(out=draws[: steps - s])
+            a = np.less(u, self.enter_prob, out=if_absent[:len(u)])
+            f = np.logical_xor(np.less(u, self.stay_prob, out=flip[:len(u)]), a, out=flip[:len(u)])
+            for now, nxt, f_t, a_t in zip(walk[s:], walk[s + 1:], f, a):
+                np.logical_and(now, f_t, out=nxt)
+                np.logical_xor(nxt, a_t, out=nxt)
+        return walk
 
 
 class FlipNetwork:
@@ -455,9 +460,12 @@ def _evaluate(fn: NeighborhoodFn, ad: np.ndarray) -> np.ndarray:
     if fn.kind == "k_stage":
         return k_stage_neighborhood(ad, fn.k)
     if fn.kind == "row_normalized_transpose":
+        # one unmasked divide into C order, then every zero-sum row (signed ones too) to 0
         at = ad.swapaxes(-1, -2)
         sums = at.sum(axis=-1, keepdims=True)
-        return np.divide(at, sums, out=np.zeros(at.shape), where=sums != 0)
+        out = np.divide(at, np.where(sums != 0, sums, 1.0), out=np.empty(at.shape))
+        out[(sums == 0)[..., 0]] = 0.0
+        return out
     if fn.kind == "mask":
         w = fn.mask_matrix
         if w.shape != ad.shape[-2:]:

@@ -136,6 +136,23 @@ def test_simulate_and_fit_lnar_model(tmp_path, model_files):
     assert np.abs(b_hat - 0.4).max() < 0.3
 
 
+def test_fit_selection_and_refit_read_one_g_evaluation(tmp_path, model_files, monkeypatch):
+    import netar.estimate as estimate
+
+    model_path, net_path = model_files
+    out = str(tmp_path / "run")
+    assert main(["simulate", "--model", model_path, "--network", net_path,
+                 "--n", "200", "--seed", "4", "--out", out]) == 0
+    calls = []
+    real = estimate.apply_neighborhood_fn
+    monkeypatch.setattr(estimate, "apply_neighborhood_fn",
+                        lambda fn, ad, **kw: calls.append(len(ad)) or real(fn, ad, **kw))
+    assert main(["fit", "--series", os.path.join(out, "series.csv"),
+                 "--ads", os.path.join(out, "network.csv"), "--family", "lnar",
+                 "--g", "rownorm", "--out", out]) == 0
+    assert calls == [199]
+
+
 def test_forecast_known_policy_and_truth(tmp_path, model_files):
     model_path, net_path = model_files
     out = str(tmp_path / "run")

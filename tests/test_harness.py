@@ -9,7 +9,7 @@ import pytest
 
 import netar.harness as harness
 import netar.io as nio
-from netar import InnovationSpec, NarSpec, NeighborhoodFn
+from netar import AdjacencySeries, InnovationSpec, NarSpec, NeighborhoodFn
 from netar.cli import main
 from netar.harness import (
     CONFIG_SCHEMA,
@@ -25,8 +25,10 @@ from netar.harness import (
     run_rolling_forecast,
     validate_config,
 )
-from netar.estimate import EstimationError
+import netar.estimate as estimate
+from netar.estimate import EstimationError, fit_lnar, fit_nar, fit_var, select_order_bic
 from netar.forecast import difference, forecast_h, integrate
+from netar.netdyn import apply_neighborhood_fn
 
 from panel_helpers import synthetic_panel_arrays, write_panel_files
 
@@ -200,6 +202,85 @@ class TestFitSharing:
         assert len(calls) == 3
         for lbl, err in errors.items():
             assert (err is None) == lbl.startswith("lnar("), lbl
+
+
+def unshared_errors(cfg, n_index, n, rep):
+    """A replicate's errors from plain BIC selections and fits, each evaluating G itself;
+    the masked VAR keeps the coefficients whose G entry is non-zero somewhere in the sample."""
+    rng = harness._replicate_seed(cfg.seed, n_index, rep)
+    x_all, ads_post = harness._simulate_replicate(cfg, n, rng)
+    x_est, truth = x_all[:, :n], x_all[:, n:]
+    ads_est = ads_post.take_first(n - 1)
+    errors = {}
+    for m in cfg.methods:
+        if m.family == "var":
+            mask = None
+            if m.sparsity == "network":
+                base = apply_neighborhood_fn(m.g, ads_est.mats[: n - 1]).any(axis=0)
+                mask = np.concatenate([base.astype(float)] * cfg.p_max, axis=1)
+            p = select_order_bic(x_est, p_max=cfg.p_max, family="var", mask=mask).p
+            fit = fit_var(x_est, p, mask=None if mask is None else mask[:, : x_est.shape[0] * p])
+        else:
+            p = select_order_bic(x_est, ads_est, m.g, p_max=cfg.p_max, family=m.family).p
+            fit = (fit_nar if m.family == "nar" else fit_lnar)(x_est, ads_est, [m.g] * p, p)
+        policy = harness._resolve_policy(m, ads_post, n, cfg.horizons)
+        errors[m.label] = forecast_h(fit, x_est, ads_est, policy, cfg.horizons, truth=truth).errors
+    return errors
+
+
+def fit_side_g_calls(monkeypatch):
+    """The leading size of every G evaluation made by the fits (estimate and harness)."""
+    sizes = []
+    real = apply_neighborhood_fn
+
+    def counted(fn, ad, *args, **kwargs):
+        sizes.append(len(ad))
+        return real(fn, ad, *args, **kwargs)
+
+    for module in (estimate, harness):
+        monkeypatch.setattr(module, "apply_neighborhood_fn", counted, raising=False)
+    return sizes
+
+
+def example2_d10():
+    return example2_config(d=10, policies=("known", "holdlast"))
+
+
+def reversed_example1():
+    # lnar before nar on the same g: the shared G's diagonal must reach nar intact
+    cfg = three_policy_example1()
+    return dataclasses.replace(cfg, methods=cfg.methods[::-1])
+
+
+class TestGSharing:
+    # a replicate's fits read one evaluation of each distinct method G
+    @pytest.mark.parametrize("make", [example2_d10, three_policy_example1, reversed_example1])
+    def test_shared_evaluation_gives_the_unshared_errors(self, make):
+        cfg = make()
+        n = cfg.sample_sizes[0]
+        expected = unshared_errors(cfg, 0, n, 1)
+        errors = harness._run_one_replicate(cfg, 0, n, 1)
+        assert list(errors) == list(expected)
+        for lbl, err in expected.items():
+            assert np.array_equal(errors[lbl], err), lbl
+
+    def test_an_lnar_fit_leaves_no_zeroed_evaluation_behind(self):
+        # lnar zeroes the diagonal of the evaluation it reads, so a later nar
+        # fit on the same shared dict must still see G's diagonal
+        rng = np.random.default_rng(8)
+        x, ads = rng.normal(size=(4, 120)), AdjacencySeries((rng.random((119, 4, 4)) < 0.5) * 1.0)
+        g, shared = NeighborhoodFn.transpose(), {}
+        fit_lnar(x, ads, [g], 1, _evaluated=shared)
+        after = fit_nar(x, ads, [g], 1, _evaluated=shared).coefficient_matrices()
+        assert np.array_equal(after, fit_nar(x, ads, [g], 1).coefficient_matrices())
+
+    def test_the_fits_evaluate_g_once_over_the_estimation_snapshots(self, monkeypatch):
+        # lnar BIC, lnar refit and the VAR mask once evaluated it three times
+        cfg = example2_d10()
+        n = cfg.sample_sizes[0]
+        sizes = fit_side_g_calls(monkeypatch)
+        harness._run_one_replicate(cfg, 0, n, 0)
+        assert sizes == [n - 1]
 
 
 # each edit of the example-1 document breaks one part; the problem must name that part

@@ -139,6 +139,32 @@ class TestNeighborhoodKernel:
         assert out.flags.c_contiguous
         assert np.array_equal(out, np.stack([zero_diag_oracle(fn, a) for a in ad]))
 
+    @pytest.mark.parametrize("layout", ["2d", "stack", "fortran"])
+    def test_row_normalizer_is_the_literal_rule(self, layout):
+        # divide where the row sum is not 0, else 0, signbits included, on signed
+        # weights with -0.0 entries and non-zero rows that sum to 0; at d < 8
+        # every summation order is the sequential one, so the sums are exact peers
+        rng = np.random.default_rng(11)
+        d = 6
+        ad = rng.uniform(-1, 1, (9, d, d)) * (rng.random((9, d, d)) < 0.6)  # -0.0 where negative
+        ad[:, :, 0] = [0.25, 0.5, 0.0, -0.75, -0.0, 0.0]  # G's row 0 sums to 0
+        ad[:, :, 1] = -0.0
+        ad[::2, :, 2] = [0.5, -0.5, 0.0, 0.0, 0.0, 0.0]
+        ad = {"2d": ad[3], "stack": ad, "fortran": np.asfortranarray(ad)}[layout]
+        before = ad.tobytes()
+        out = apply_neighborhood_fn(NeighborhoodFn.row_normalized_transpose(), ad)
+        expected = np.zeros((9, d, d))
+        for k, snap in enumerate(ad.reshape(-1, d, d)):
+            for i in range(d):
+                total = sum(snap[:, i])
+                for j in range(d):
+                    expected[k, i, j] = snap[j, i] / total if total != 0 else 0.0
+        expected = expected[: ad.size // (d * d)].reshape(ad.shape)
+        assert np.array_equal(out, expected)
+        assert np.array_equal(np.signbit(out), np.signbit(expected))
+        assert np.signbit(expected).any() and (expected[..., 0, :] == 0).all()
+        assert ad.tobytes() == before and not np.shares_memory(out, ad)
+
     def test_rejects_non_square_and_mask_mismatch(self):
         with pytest.raises(ValueError, match="square"):
             apply_neighborhood_fn(NeighborhoodFn.transpose(), np.zeros((2, 3, 4)))
@@ -185,9 +211,9 @@ class TestAdjacencySeries:
 
 class TestMarkovEdges:
     def test_simulate_skips_the_weight_scan(self):
-        # the float draws are freed once the two boolean outcomes are taken
-        # from them, before the float output exists; the output is binary by
-        # construction, so no |arr| copy is scanned on top
+        # the float draws come in chunks of about 1 MiB and are freed before
+        # the float output exists; the output is binary by construction, so
+        # no |arr| copy is scanned on top
         import tracemalloc
 
         stay, enter = np.full((40, 40), 0.9), np.full((40, 40), 0.1)
@@ -196,16 +222,18 @@ class TestMarkovEdges:
         ads = model.simulate(200, seed=4)
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
-        assert peak < 2.0 * ads.mats.nbytes
+        assert peak < 1.5 * ads.mats.nbytes
         assert np.isin(ads.mats, (0.0, 1.0)).all()
 
-    @pytest.mark.parametrize("d", [1, 4, 33])
+    @pytest.mark.parametrize("d", [1, 4, 33, 100])
     @pytest.mark.parametrize("burn_in", [0, 6])
     @pytest.mark.parametrize("initial", ["stationary", "explicit"])
     @pytest.mark.parametrize("pinned", [None, "absorbing", "forced"])
     def test_simulate_matches_iterated_step(self, d, burn_in, initial, pinned):
-        # simulate steps the whole stack at once; iterating step over the same
-        # uniforms, after the same initial draw, is the oracle
+        # simulate draws in chunks (13 snapshots at d=100, so 30 or 36 steps
+        # span several chunks and a remainder) and steps each chunk at once;
+        # iterating step over one draw of every uniform, after the same
+        # initial draw, is the oracle
         rng = np.random.default_rng(d + burn_in)
         stay, enter = rng.random((d, d)), rng.random((d, d))
         if pinned:  # every other edge absorbs (stay 1, enter 0) or is forced (stay 0, enter 1)
