@@ -79,17 +79,16 @@ def _run_fit(args):
     if args.family in ("nar", "lnar") and ads is None:
         raise SystemExit("nar/lnar fitting needs --ads")
     g = _parse_g(args.g) if args.g else None
-    evaluated = {}  # BIC selection and the refit read one G evaluation
     if args.p is not None:
         p = args.p
     else:
-        sel = select_order_bic(x, ads, g, args.pmax, args.family, _evaluated=evaluated)
+        sel = select_order_bic(x, ads, g, args.pmax, args.family)
         p = sel.p
         print(f"BIC selected p={p} " + " ".join(f"p{q}={v:.2f}" for q, v in sel.table.items()))
     if args.family == "nar":
-        fit = fit_nar(x, ads, [g] * p, p, _evaluated=evaluated)
+        fit = fit_nar(x, ads, [g] * p, p)
     elif args.family == "lnar":
-        fit = fit_lnar(x, ads, [g] * p, p, _evaluated=evaluated)
+        fit = fit_lnar(x, ads, [g] * p, p)
     else:
         fit = fit_var(x, p)
     return fit

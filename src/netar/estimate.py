@@ -22,7 +22,9 @@ its own lagged columns, as :func:`fit_component_ls` fits them.  Two loops
 consume it: the fit loop solves each full block and adds the plug-in
 asymptotic covariance, and BIC order selection, which fits every candidate
 order on one common window, solves each candidate's leading block for its
-residual sum of squares alone.
+residual sum of squares alone.  Network regressors read the one evaluation
+of each distinct G that the :class:`AdjacencySeries` keeps, so every fit on
+a series, BIC selection included, shares it.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .model import LnarSpec, _check_network_cover, _check_order
-from .netdyn import AdjacencySeries, NeighborhoodFn, apply_neighborhood_fn
+from .netdyn import AdjacencySeries, NeighborhoodFn
 
 __all__ = [
     "ComponentFit",
@@ -194,25 +196,15 @@ def _finite_series(x) -> np.ndarray:
     return x
 
 
-def _g_stacks(ads: AdjacencySeries, g_list, n: int, evaluated: Optional[dict]) -> dict:
-    """Each distinct G of ``g_list`` on the snapshots 0..n-2, with its diagonal, by value:
-    ``evaluated`` shares them between the fits of one sample, and gets any it lacks."""
-    evaluated = {} if evaluated is None else evaluated
-    evaluated.update({g: apply_neighborhood_fn(g, ads.mats[: n - 1])
-                      for g in dict.fromkeys(g_list) if g not in evaluated})
-    return evaluated
-
-
-def _nar_design(x: np.ndarray, ads: AdjacencySeries, g_list, p: int, evaluated=None):
+def _nar_design(x: np.ndarray, ads: AdjacencySeries, g_list, p: int):
     """Active indices and design of each component of the full model, for targets t = p..n-1.
 
     Row t - p of component r's design holds ``(e_r' G_j(Ad_{t-j}) e_i) x_{t-j;i}`` at
     the flat indices ``i + (j-1)d`` with positive modulation mass.  Each lag slices
-    its G's evaluation from :func:`_g_stacks`, which it only reads.
+    its G's evaluation on the snapshots 0..n-2, which the series keeps and it only reads.
     """
     d, n = x.shape
-    evaluated = _g_stacks(ads, g_list, n, evaluated)
-    stacks = [evaluated[g][p - j: n - j] for j, g in enumerate(g_list, start=1)]
+    stacks = [ads._modulation(g, n - 1)[p - j: n - j] for j, g in enumerate(g_list, start=1)]
     mass = [np.abs(s).sum(axis=0) for s in stacks]
     for r in range(d):
         members = [i + j * d for j in range(p) for i in range(d) if mass[j][r, i] > 0.0]
@@ -223,27 +215,29 @@ def _nar_design(x: np.ndarray, ads: AdjacencySeries, g_list, p: int, evaluated=N
         yield tuple(members), Y
 
 
-def _lnar_design(x, ads, g_list, p, evaluated=None):
+def _lnar_design(x, ads, g_list, p):
     """Shared per-component design matrices and targets t = p..n-1.
 
     Columns 2(j-1) and 2(j-1)+1 of component r are its own lag x_{t-j;r}
     and its pooled network lag, entry r of zero-diagonal G_j(Ad_{t-j}) x_{t-j}.
-    The pooled series is computed once per distinct G and kept in ``evaluated``
-    under ``(g, "pooled")``; each lag slices it.  The G evaluation it is made
-    from leaves ``evaluated``, since its diagonal is zeroed in place.
+    The pooled series is computed once per distinct G, from the evaluation
+    the series keeps: its diagonal is zeroed for the one product and
+    restored after it; each lag slices the pooled series.
     """
     d, n = x.shape
-    lagged = x[:, : n - 1].T[..., None]
-    evaluated, idx = ({} if evaluated is None else evaluated), np.arange(d)
+    lagged, idx, pooled = x[:, : n - 1].T[..., None], np.arange(d), {}
     for g in dict.fromkeys(g_list):
-        if (g, "pooled") not in evaluated:
-            stack = _g_stacks(ads, [g], n, evaluated).pop(g)
-            stack[:, idx, idx] = 0.0
-            evaluated[g, "pooled"] = np.matmul(stack, lagged)[..., 0].T
+        stack = ads._modulation(g, n - 1)
+        diag = stack[:, idx, idx]
+        stack[:, idx, idx] = 0.0
+        try:
+            pooled[g] = np.matmul(stack, lagged)[..., 0].T
+        finally:
+            stack[:, idx, idx] = diag
     Y = np.empty((d, n - p, 2 * p))
     for j, g in enumerate(g_list, start=1):
         Y[:, :, 2 * (j - 1)] = x[:, p - j: n - j]
-        Y[:, :, 2 * (j - 1) + 1] = evaluated[g, "pooled"][:, p - j: n - j]
+        Y[:, :, 2 * (j - 1) + 1] = pooled[g][:, p - j: n - j]
     return Y, x[:, p:]
 
 
@@ -412,7 +406,7 @@ def _var_equations(x: np.ndarray, p: int, mask: Optional[np.ndarray]):
 
 
 def _equations(family: str, x: np.ndarray, ads: Optional[AdjacencySeries], g_list,
-               p: int, mask: Optional[np.ndarray], evaluated: Optional[dict] = None):
+               p: int, mask: Optional[np.ndarray]):
     """The normal equations of every component, for the targets t = p..n-1.
 
     This is the one place that knows how each family builds its
@@ -435,12 +429,12 @@ def _equations(family: str, x: np.ndarray, ads: Optional[AdjacencySeries], g_lis
     if family == "var":
         return _var_equations(x, p, mask)
     if family == "lnar":
-        design, targets = _lnar_design(x, ads, g_list, p, evaluated)
+        design, targets = _lnar_design(x, ads, g_list, p)
         lags = np.arange(2 * p) // 2
         return (_own_equations(r, tuple(range(2 * p)), lags, design[r], targets[r])
                 for r in range(d))
     return (_own_equations(r, members, np.array(members, dtype=int) // d, Y, x[r, p:])
-            for r, (members, Y) in enumerate(_nar_design(x, ads, g_list, p, evaluated)))
+            for r, (members, Y) in enumerate(_nar_design(x, ads, g_list, p)))
 
 
 def _fit_component(eq: _Equations, p: int, m: int) -> ComponentFit:
@@ -495,26 +489,26 @@ def fit_component_ls(y: np.ndarray, Y: np.ndarray, r: int,
     return _fit_component(_own_equations(r, members, np.zeros(k, dtype=int), Y, y), 1, m)
 
 
-def _fit(family: str, x, ads, g_list, p: int, mask, evaluated=None) -> ModelFit:
+def _fit(family: str, x, ads, g_list, p: int, mask) -> ModelFit:
     """The one fit loop: every component solves its full block, or the fit raises."""
     x = _finite_series(x)
     d, n = x.shape
     comps = [_fit_component(eq, p, n - p)
-             for eq in _equations(family, x, ads, g_list, p, mask, evaluated)]
+             for eq in _equations(family, x, ads, g_list, p, mask)]
     return ModelFit(family=family, p=p, d=d, g=None if g_list is None else tuple(g_list),
                     components=comps)
 
 
 def fit_nar(x: np.ndarray, ads: AdjacencySeries, g_list: Sequence[NeighborhoodFn],
-            p: int, *, _evaluated: Optional[dict] = None) -> ModelFit:
+            p: int) -> ModelFit:
     """Component-wise fit of the full model over the observed index sets."""
-    return _fit("nar", x, ads, g_list, p, None, _evaluated)
+    return _fit("nar", x, ads, g_list, p, None)
 
 
 def fit_lnar(x: np.ndarray, ads: AdjacencySeries, g_list: Sequence[NeighborhoodFn],
-             p: int, *, _evaluated: Optional[dict] = None) -> ModelFit:
+             p: int) -> ModelFit:
     """Component-wise fit of the per-component model: own and pooled lags."""
-    return _fit("lnar", x, ads, g_list, p, None, _evaluated)
+    return _fit("lnar", x, ads, g_list, p, None)
 
 
 def fit_var(x: np.ndarray, p: int, mask: Optional[np.ndarray] = None) -> ModelFit:
@@ -537,8 +531,7 @@ class OrderSelection:
 
 def select_order_bic(x: np.ndarray, ads: Optional[AdjacencySeries] = None,
                      g: Optional[NeighborhoodFn] = None, p_max: int = 3,
-                     family: str = "nar", mask: Optional[np.ndarray] = None, *,
-                     _evaluated: Optional[dict] = None) -> OrderSelection:
+                     family: str = "nar", mask: Optional[np.ndarray] = None) -> OrderSelection:
     """Order selection on a common estimation window.
 
     Every candidate order is fitted on the targets t = p_max..n-1 so the
@@ -555,14 +548,13 @@ def select_order_bic(x: np.ndarray, ads: Optional[AdjacencySeries] = None,
     BIC as the components come.  Candidates compute no covariance; the
     ridge guard is skipped when the certifying Gram certifies every block
     (see :func:`_certified`).  A candidate whose fit (near-)interpolates,
-    which the criterion would reward blindly, or fails is dropped: its BIC
-    is inf.  ``_evaluated``, here and in the fits, is :func:`_g_stacks`' dict.
+    which the criterion would reward blindly, or fails is dropped: its BIC is inf.
     """
     x = _finite_series(x)
     _check_order("p_max", p_max, 1)
     m = x.shape[1] - p_max
     table = dict.fromkeys(range(1, p_max + 1), 0.0)
-    for eq in _equations(family, x, ads, [g] * p_max, p_max, mask, _evaluated):
+    for eq in _equations(family, x, ads, [g] * p_max, p_max, mask):
         if all(v == inf for v in table.values()):
             break
         for p, kp in zip(table, np.searchsorted(eq.lags, list(table)).tolist()):

@@ -26,8 +26,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import io as nio
-from .estimate import (FAMILIES, EstimationError, _check_family, _g_stacks, fit_lnar, fit_nar,
-                       fit_var, select_order_bic)
+from .estimate import (FAMILIES, EstimationError, _check_family, fit_lnar, fit_nar, fit_var,
+                       select_order_bic)
 from .forecast import HoldLast, Known, PerEdgeMarkov, difference, forecast_h, integrate
 from .model import InnovationSpec, LnarSpec, NarSpec, simulate_lnar, simulate_nar
 from .netdyn import (
@@ -285,22 +285,20 @@ def _simulate_replicate(cfg: ExperimentConfig, n: int, rng: np.random.Generator)
     return x, ads.drop_first(cfg.burn_in)
 
 
-def _fit_with_bic(method: MethodSpec, x_est, ads_est, p_max: int, evaluated=None):
-    """BIC order selection, then the refit at the selected order, both reading the method's
-    G from ``evaluated`` (see ``estimate._g_stacks``), which also gives the network-masked
-    VAR's mask; an lnar fit replaces that evaluation by its pooled series."""
-    evaluated = {} if evaluated is None else evaluated
+def _fit_with_bic(method: MethodSpec, x_est, ads_est, p_max: int):
+    """BIC order selection, then the refit at the selected order.  Both read the method's G
+    from the one evaluation ``ads_est`` keeps, as does the network-masked VAR's mask."""
     if method.family == "var":
         mask = None
         if method.sparsity == "network":
             n, g = x_est.shape[1], method.g
-            base = ads_est.mats[: n - 1] if g is None else _g_stacks(ads_est, [g], n, evaluated)[g]
+            base = ads_est.mats[: n - 1] if g is None else ads_est._modulation(g, n - 1)
             mask = np.concatenate([base.any(axis=0).astype(float)] * p_max, axis=1)
         p = select_order_bic(x_est, p_max=p_max, family="var", mask=mask).p
         return fit_var(x_est, p, mask=None if mask is None else mask[:, : x_est.shape[0] * p])
-    p = select_order_bic(x_est, ads_est, method.g, p_max, method.family, _evaluated=evaluated).p
+    p = select_order_bic(x_est, ads_est, method.g, p_max, method.family).p
     fit = fit_nar if method.family == "nar" else fit_lnar
-    return fit(x_est, ads_est, [method.g] * p, p, _evaluated=evaluated)
+    return fit(x_est, ads_est, [method.g] * p, p)
 
 
 def _resolve_policy(method: MethodSpec, ads_post: AdjacencySeries, n: int, h: int):
@@ -318,10 +316,9 @@ def _run_one_replicate(cfg: ExperimentConfig, n_index: int, n: int, rep: int):
 
     A fit depends only on the method's family, g and sparsity, never on its
     network policy, so the replicate fits each distinct model once and
-    forecasts every policy from that fit.  The fits share one evaluation of
-    each distinct method G, keyed by value (JSON gives equal, distinct g's),
-    freed before the forecasts: G-free fits come first, and lnar, which
-    consumes it, last.  Returns a dict mapping method label -> (d, h)
+    forecasts every policy from that fit.  The fits read the one evaluation
+    of each distinct method G that ``ads_est`` keeps, compared by value (JSON
+    gives equal, distinct g's).  Returns a dict mapping method label -> (d, h)
     forecast-error matrix, or None for a method whose fit failed on this path.
     """
     rng = _replicate_seed(cfg.seed, n_index, rep)
@@ -329,16 +326,14 @@ def _run_one_replicate(cfg: ExperimentConfig, n_index: int, n: int, rep: int):
     x_all, ads_post = _simulate_replicate(cfg, n, rng)
     x_est, truth = x_all[:, :n], x_all[:, n:]
     ads_est = ads_post.take_first(n - 1)
-    evaluated: dict = {}
     fits: Dict[tuple, object] = {}
-    for method in sorted(cfg.methods, key=lambda m: (m.family == "lnar", m.g is not None)):
+    for method in cfg.methods:
         key = (method.family, method.g, method.sparsity)
         if key not in fits:
             try:
-                fits[key] = _fit_with_bic(method, x_est, ads_est, cfg.p_max, evaluated)
+                fits[key] = _fit_with_bic(method, x_est, ads_est, cfg.p_max)
             except EstimationError:
                 fits[key] = None  # every method sharing the fit fails with it
-    del evaluated
     errors: Dict[str, Optional[np.ndarray]] = {}
     for method in cfg.methods:
         fit = fits[(method.family, method.g, method.sparsity)]

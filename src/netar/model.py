@@ -26,7 +26,7 @@ index ``t`` sits between observations ``t`` and ``t + 1``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Sequence, Union
+from typing import Callable, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -248,6 +248,7 @@ class LnarStationarity:
     c_lambda: float
     certified: bool
     rho_bound: float
+    failure: str = ""  # why the check fails, for an error message; empty when it holds
 
 
 def check_stationarity_nar(spec: NarSpec) -> NarStationarity:
@@ -262,22 +263,30 @@ def check_stationarity_nar(spec: NarSpec) -> NarStationarity:
     return NarStationarity(holds=bool(rho < 1.0 - STATIONARITY_TOL), rho=rho)
 
 
-def check_stationarity_lnar(spec: LnarSpec) -> LnarStationarity:
-    """Row-sum stationarity check for the per-component model.
-
-    Requires every neighborhood function to carry an infinity-norm
-    certificate; the reported ``rho_bound = c_lambda**(1/p)`` bounds the
-    spectral radius of the absolute stacked coefficient matrix for every
-    admissible snapshot.
+def check_stationarity_lnar(spec: LnarSpec,
+                            ads: Optional[AdjacencySeries] = None) -> LnarStationarity:
+    """The per-component model's stationarity rule: ``c_lambda < 1``, and
+    ``||zero-diag G_j(Ad)||_inf <= 1`` for every G, certified a priori
+    (:meth:`NeighborhoodFn.infty_norm_certified`) or, given the snapshots
+    ``ads`` a path runs on, on them (lag j reads the first ``len(ads) - j``).
+    Then ``rho_bound = c_lambda**(1/p)`` bounds the spectral radius of the
+    absolute stacked coefficient matrix; ``failure`` says why the rule fails.
     """
-    certified = all(g.infty_norm_certified() for g in spec.G)
-    c = spec.c_lambda
-    return LnarStationarity(
-        holds=bool(certified and c < 1.0),
-        c_lambda=c,
-        certified=certified,
-        rho_bound=float(c ** (1.0 / spec.p)),
-    )
+    c, why = spec.c_lambda, ""
+    # the first lag that uses a G reads the widest window, covering the later ones
+    for j, g in enumerate(spec.G, start=1):
+        if why or g.infty_norm_certified() or g in spec.G[: j - 1]:
+            continue
+        why = f": G_{j} ({g.kind}) has no infinity-norm certificate"
+        if ads is not None:
+            zero_diag = apply_neighborhood_fn(g, ads.mats[: max(len(ads) - j, 0)])
+            zero_diag[..., np.arange(ads.d), np.arange(ads.d)] = 0.0
+            norm = float(np.abs(zero_diag).sum(axis=-1).max(initial=0.0))
+            reach = f" and reaches {norm:.6g} on the supplied network"
+            why = why + reach if norm > 1.0 + _WEIGHT_TOL else ""
+    failure = why if c < 1.0 else f" (c_lambda={c:.6f})"
+    return LnarStationarity(holds=not failure, c_lambda=c, certified=not why,
+                            rho_bound=float(c ** (1.0 / spec.p)), failure=failure)
 
 
 def snapshot_spectral_radii(spec: Union[NarSpec, LnarSpec], ads: AdjacencySeries) -> np.ndarray:
@@ -398,28 +407,16 @@ def simulate_lnar(spec: LnarSpec, ads: AdjacencySeries, innov: InnovationSpec,
     """Simulate the per-component model; same contract as :func:`simulate_nar`.
 
     The recursion runs on the full-model embedding :meth:`LnarSpec.to_nar`.
-    A G without an a-priori infinity-norm certificate is certified on the
-    supplied snapshots instead: if ``max_t ||zero-diag G_j(Ad_t)||_inf <= 1``
-    for every such lag, ``c_lambda < 1`` still suffices.
+    The stationarity check is :func:`check_stationarity_lnar` on the
+    ``burn_in + n`` snapshots the path runs on, so a G without an a-priori
+    infinity-norm certificate is certified on them instead.
     """
     if not allow_explosive:
-        if not spec.c_lambda < 1.0:
-            raise ValueError(
-                f"spec fails the stationarity check (c_lambda={spec.c_lambda:.6f}); "
-                "pass allow_explosive=True to override"
-            )
-        # the first lag that uses a G reads the widest window, covering the later ones
-        for j, g in enumerate(spec.G, start=1):
-            if g.infty_norm_certified() or g in spec.G[: j - 1]:
-                continue
-            c = apply_neighborhood_fn(g, ads.mats[: max(burn_in + n - j, 0)], zero_diag=True)
-            norm = float(np.abs(c).sum(axis=-1).max(initial=0.0))
-            if norm > 1.0 + _WEIGHT_TOL:
-                raise ValueError(
-                    f"spec fails the stationarity check: G_{j} ({g.kind}) has no "
-                    f"infinity-norm certificate and reaches {norm:.6g} on the "
-                    "supplied network; pass allow_explosive=True to override"
-                )
+        path = AdjacencySeries._checked(ads.mats[: max(burn_in + n, 0)])
+        st = check_stationarity_lnar(spec, path)
+        if not st.holds:
+            raise ValueError(f"spec fails the stationarity check{st.failure}; "
+                             "pass allow_explosive=True to override")
     return _simulate(spec.to_nar(), ads, innov, n, burn_in, seed, allow_explosive,
                      "simulate_lnar")
 

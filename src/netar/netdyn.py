@@ -48,10 +48,12 @@ class AdjacencySeries:
 
     ``mats[t]`` is the network snapshot at time ``t``: a snapshot's time is
     its position, the same index as the series column it modulates.  Every
-    entry lies in ``[-1, 1]``.
+    entry lies in ``[-1, 1]``.  A series keeps one evaluation of each
+    distinct G it is fitted with (:meth:`_modulation`), so its snapshots
+    are not to be written once a fit has read them.
     """
 
-    __slots__ = ("mats",)
+    __slots__ = ("mats", "_modulations")
 
     def __init__(self, mats):
         arr = np.asarray(mats, dtype=float)
@@ -59,14 +61,23 @@ class AdjacencySeries:
             raise ValueError(f"expected a (n, d, d) stack of square matrices, got shape {arr.shape}")
         _check_weights(arr, "edge weights")
         self.mats = arr
+        self._modulations = {}
 
     @classmethod
     def _checked(cls, mats: np.ndarray) -> "AdjacencySeries":
         """A series over snapshots already known to be valid (views of a
         checked series, binary simulator output), built without re-scanning them."""
         out = cls.__new__(cls)
-        out.mats = mats
+        out.mats, out._modulations = mats, {}
         return out
+
+    def _modulation(self, g: "NeighborhoodFn", k: int) -> np.ndarray:
+        """G on the first ``k`` snapshots, with its diagonal, evaluated once and kept:
+        every fit on this series with an equal G (compared by value) reads this one
+        array, so a reader that writes into it must restore it."""
+        if (g, k) not in self._modulations:
+            self._modulations[g, k] = apply_neighborhood_fn(g, self.mats[:k])
+        return self._modulations[g, k]
 
     @property
     def d(self) -> int:
@@ -428,14 +439,12 @@ class NeighborhoodFn:
         return NeighborhoodFn(kind, k=doc.get("k"), inner=inner)
 
 
-def apply_neighborhood_fn(fn: NeighborhoodFn, ad, zero_diag: bool = False) -> np.ndarray:
+def apply_neighborhood_fn(fn: NeighborhoodFn, ad) -> np.ndarray:
     """Evaluate a neighborhood descriptor on a snapshot or a ``(..., d, d)`` stack.
 
     This is the one implementation of the modulation rule: every model,
     fit, forecast and coupling run goes through it.  The result is always
-    a fresh C-contiguous array, so callers may modify it in place.  With
-    ``zero_diag=True`` the diagonal of every output is zeroed (the
-    per-component model's rule).
+    a fresh C-contiguous array, so callers may modify it in place.
     """
     ad = np.asarray(ad, dtype=float)
     if ad.ndim < 2 or ad.shape[-1] != ad.shape[-2]:
@@ -443,9 +452,6 @@ def apply_neighborhood_fn(fn: NeighborhoodFn, ad, zero_diag: bool = False) -> np
     out = _evaluate(fn, ad)
     if not out.flags.c_contiguous or np.may_share_memory(out, ad):
         out = np.array(out, order="C")
-    if zero_diag:
-        idx = np.arange(ad.shape[-1])
-        out[..., idx, idx] = 0.0
     return out
 
 

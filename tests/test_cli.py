@@ -137,16 +137,16 @@ def test_simulate_and_fit_lnar_model(tmp_path, model_files):
 
 
 def test_fit_selection_and_refit_read_one_g_evaluation(tmp_path, model_files, monkeypatch):
-    import netar.estimate as estimate
+    import netar.netdyn as netdyn
 
     model_path, net_path = model_files
     out = str(tmp_path / "run")
     assert main(["simulate", "--model", model_path, "--network", net_path,
                  "--n", "200", "--seed", "4", "--out", out]) == 0
     calls = []
-    real = estimate.apply_neighborhood_fn
-    monkeypatch.setattr(estimate, "apply_neighborhood_fn",
-                        lambda fn, ad, **kw: calls.append(len(ad)) or real(fn, ad, **kw))
+    real = netdyn.apply_neighborhood_fn
+    monkeypatch.setattr(netdyn, "apply_neighborhood_fn",
+                        lambda fn, ad: calls.append(len(ad)) or real(fn, ad))
     assert main(["fit", "--series", os.path.join(out, "series.csv"),
                  "--ads", os.path.join(out, "network.csv"), "--family", "lnar",
                  "--g", "rownorm", "--out", out]) == 0

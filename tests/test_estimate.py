@@ -21,7 +21,7 @@ from netar import (
     simulate_lnar,
     simulate_nar,
 )
-from netar import estimate
+from netar import estimate, netdyn
 from netar.estimate import ComponentFit, ModelFit, OrderSelection, _lnar_design, _nar_design
 from netar.io import fit_to_json
 
@@ -657,19 +657,23 @@ class TestBicLeadingBlocks:
         x, ads, _ = bic_case(d, p_max, seed=23, n=300)
         eig = CallCount(monkeypatch, np.linalg, "eigvalsh")
         inv = CallCount(monkeypatch, np.linalg, "inv")
-        kernel = CallCount(monkeypatch, estimate, "apply_neighborhood_fn")
+        kernel = CallCount(monkeypatch, netdyn, "apply_neighborhood_fn")
         select_order_bic(x, ads, NeighborhoodFn.transpose(), p_max=p_max, family=family)
         assert (eig.calls, inv.calls, kernel.calls) == (d, 0, 1)
 
     def test_fits_make_one_kernel_call_per_distinct_g(self, monkeypatch):
+        # the series keeps each evaluation, so a second fit on it makes none
         d, n = 4, 50
         x, ads, _ = bic_case(d, 3, seed=24, n=n)
         tr, rnt = NeighborhoodFn.transpose(), NeighborhoodFn.row_normalized_transpose()
         for fit in (fit_lnar, fit_nar):
             for g_list, distinct in (([tr] * 3, 1), ([tr, rnt, tr], 2), ([rnt], 1)):
-                kernel = CallCount(monkeypatch, estimate, "apply_neighborhood_fn")
-                fit(x, ads, g_list, len(g_list))
+                fresh = AdjacencySeries(ads.mats)
+                kernel = CallCount(monkeypatch, netdyn, "apply_neighborhood_fn")
+                fit(x, fresh, g_list, len(g_list))
                 assert kernel.calls == distinct, (fit.__name__, len(g_list))
+                fit(x, fresh, g_list, len(g_list))
+                assert kernel.calls == distinct, (fit.__name__, len(g_list), "again")
                 monkeypatch.undo()
 
     def test_fit_var_on_one_gram_matches_per_equation_solver(self):

@@ -25,7 +25,7 @@ from netar.harness import (
     run_rolling_forecast,
     validate_config,
 )
-import netar.estimate as estimate
+import netar.netdyn as netdyn
 from netar.estimate import EstimationError, fit_lnar, fit_nar, fit_var, select_order_bic
 from netar.forecast import difference, forecast_h, integrate
 from netar.netdyn import apply_neighborhood_fn
@@ -205,8 +205,9 @@ class TestFitSharing:
 
 
 def unshared_errors(cfg, n_index, n, rep):
-    """A replicate's errors from plain BIC selections and fits, each evaluating G itself;
-    the masked VAR keeps the coefficients whose G entry is non-zero somewhere in the sample."""
+    """A replicate's errors from plain BIC selections and fits, each evaluating G itself
+    on a series of its own; the masked VAR keeps the coefficients whose G entry is non-zero
+    somewhere in the sample."""
     rng = harness._replicate_seed(cfg.seed, n_index, rep)
     x_all, ads_post = harness._simulate_replicate(cfg, n, rng)
     x_est, truth = x_all[:, :n], x_all[:, n:]
@@ -221,24 +222,26 @@ def unshared_errors(cfg, n_index, n, rep):
             p = select_order_bic(x_est, p_max=cfg.p_max, family="var", mask=mask).p
             fit = fit_var(x_est, p, mask=None if mask is None else mask[:, : x_est.shape[0] * p])
         else:
-            p = select_order_bic(x_est, ads_est, m.g, p_max=cfg.p_max, family=m.family).p
-            fit = (fit_nar if m.family == "nar" else fit_lnar)(x_est, ads_est, [m.g] * p, p)
+            p = select_order_bic(x_est, AdjacencySeries(ads_est.mats), m.g, p_max=cfg.p_max,
+                                 family=m.family).p
+            fit = (fit_nar if m.family == "nar" else fit_lnar)(
+                x_est, AdjacencySeries(ads_est.mats), [m.g] * p, p)
         policy = harness._resolve_policy(m, ads_post, n, cfg.horizons)
         errors[m.label] = forecast_h(fit, x_est, ads_est, policy, cfg.horizons, truth=truth).errors
     return errors
 
 
 def fit_side_g_calls(monkeypatch):
-    """The leading size of every G evaluation made by the fits (estimate and harness)."""
+    """The leading size of every G evaluation a series keeps for the fits; simulation
+    and forecasts call the kernel through their own module's name, so they are not counted."""
     sizes = []
     real = apply_neighborhood_fn
 
-    def counted(fn, ad, *args, **kwargs):
+    def counted(fn, ad):
         sizes.append(len(ad))
-        return real(fn, ad, *args, **kwargs)
+        return real(fn, ad)
 
-    for module in (estimate, harness):
-        monkeypatch.setattr(module, "apply_neighborhood_fn", counted, raising=False)
+    monkeypatch.setattr(netdyn, "apply_neighborhood_fn", counted)
     return sizes
 
 
@@ -266,13 +269,16 @@ class TestGSharing:
 
     def test_an_lnar_fit_leaves_no_zeroed_evaluation_behind(self):
         # lnar zeroes the diagonal of the evaluation it reads, so a later nar
-        # fit on the same shared dict must still see G's diagonal
+        # fit on the same series must still see G's diagonal
         rng = np.random.default_rng(8)
         x, ads = rng.normal(size=(4, 120)), AdjacencySeries((rng.random((119, 4, 4)) < 0.5) * 1.0)
-        g, shared = NeighborhoodFn.transpose(), {}
-        fit_lnar(x, ads, [g], 1, _evaluated=shared)
-        after = fit_nar(x, ads, [g], 1, _evaluated=shared).coefficient_matrices()
-        assert np.array_equal(after, fit_nar(x, ads, [g], 1).coefficient_matrices())
+        g, n = NeighborhoodFn.transpose(), x.shape[1]
+        fit_lnar(x, ads, [g], 1)
+        kept = ads._modulation(g, n - 1)
+        assert np.array_equal(kept, apply_neighborhood_fn(g, ads.mats[: n - 1]))
+        after = fit_nar(x, ads, [g], 1).coefficient_matrices()
+        fresh = AdjacencySeries(ads.mats)
+        assert np.array_equal(after, fit_nar(x, fresh, [g], 1).coefficient_matrices())
 
     def test_the_fits_evaluate_g_once_over_the_estimation_snapshots(self, monkeypatch):
         # lnar BIC, lnar refit and the VAR mask once evaluated it three times
@@ -281,6 +287,14 @@ class TestGSharing:
         sizes = fit_side_g_calls(monkeypatch)
         harness._run_one_replicate(cfg, 0, n, 0)
         assert sizes == [n - 1]
+
+    def test_the_panel_pipeline_evaluates_g_once(self, panel, monkeypatch):
+        # var, lnar and nar fit on one series, so lnar and nar share its evaluation
+        h = 8
+        n_est = panel.n_quarters - 1 - h
+        sizes = fit_side_g_calls(monkeypatch)
+        run_rolling_forecast(panel, methods=("var", "lnar", "nar"), h=h)
+        assert sizes == [n_est - 1]
 
 
 # each edit of the example-1 document breaks one part; the problem must name that part

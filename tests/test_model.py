@@ -242,6 +242,24 @@ class TestLnarStationarity:
         spec = LnarSpec(1, np.zeros((1, 2)), np.zeros((1, 2)), [NeighborhoodFn.transpose()])
         res = check_stationarity_lnar(spec)
         assert not res.certified and not res.holds
+        assert res.failure == ": G_1 (transpose) has no infinity-norm certificate"
+
+    def test_uncertified_variant_certified_on_the_network(self):
+        # zero-diagonal rows of the transpose of a complete 3-vertex network sum to 2;
+        # lag j reads the first 10 - j snapshots
+        spec = LnarSpec(2, np.full((2, 3), 0.2), np.full((2, 3), 0.2),
+                        [NeighborhoodFn.row_normalized_transpose(), NeighborhoodFn.transpose()])
+        mats = np.zeros((10, 3, 3))
+        mats[:, 0, 1] = 1.0
+        res = check_stationarity_lnar(spec, AdjacencySeries(mats))
+        assert res.holds and res.certified and res.failure == ""
+        mats[8] = 1.0  # read by lag 1 only, and lag 1's G is certified a priori
+        assert check_stationarity_lnar(spec, AdjacencySeries(mats)).holds
+        mats[7] = 1.0  # the last snapshot lag 2 reads
+        res = check_stationarity_lnar(spec, AdjacencySeries(mats))
+        assert not res.holds and not res.certified
+        assert res.failure == (": G_2 (transpose) has no infinity-norm certificate "
+                               "and reaches 2 on the supplied network")
 
     def test_lemma4_radius_bound_on_snapshots(self):
         # rho of the absolute stacked matrix stays below c_lambda^(1/p)
@@ -314,6 +332,7 @@ class TestSimulation:
         spec = LnarSpec(1, np.full((1, d), 0.3), np.full((1, d), 0.6),
                         [NeighborhoodFn.transpose()])
         assert not check_stationarity_lnar(spec).holds
+        assert check_stationarity_lnar(spec, ads).holds
         x = simulate_lnar(spec, ads, InnovationSpec.standard(d), n=40, burn_in=40, seed=3)
         assert np.isfinite(x).all()
 
