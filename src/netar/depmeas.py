@@ -160,14 +160,22 @@ def estimate_delta_x(spec: Union[NarSpec, LnarSpec], model: Union[MarkovEdgeNetw
     rows = np.zeros((p + 1, 1, reps, d))
     window = [[np.zeros((d, d))] * p] * p
     powers = np.empty((reps, max_lag + 1))
+    # every step draws into ``draws[0]``, time 0 also into ``draws[1]``, and a
+    # Markov network steps in place in ``nets``: one copy before time 0, two after
+    draws = np.empty((2,) + shape)
+    nets = np.empty((2,) + shape) if isinstance(model, MarkovEdgeNetwork) else None
     for t in range(-burn_in, max_lag + 1):
-        u = rng.random(shape)
+        u = rng.random(out=draws[0])
         eps = innov.sample(rng, reps)
         if t == 0:
-            u = np.stack([u, rng.random(shape)])
+            u = draws
+            rng.random(out=draws[1])
             eps = np.stack([eps, eps if mode == "network_only" else innov.sample(rng, reps)])
             rows = np.repeat(rows, 2, axis=1)
-        net = model.step(net, u)
+        if nets is None:
+            net = model.step(net, u)
+        else:
+            net = model.step(net, u, out=nets if t >= 0 else nets[0])
         _run_recursion(rows, eps[None], list(zip(*window)), start=p)
         if t < max_lag:  # the last step's snapshot is read by no step
             mat = model.state_to_matrix(net) if isinstance(model, FlipNetwork) else net

@@ -62,6 +62,17 @@ class PerEdgeMarkov:
 NetworkForecastPolicy = Union[Known, HoldLast, PerEdgeMarkov]
 
 
+def _transition_counts(mats: np.ndarray):
+    """Per-edge counts ``n11, n10, n01, n00`` of the transitions of a binary stack,
+    ``n10`` counting present-then-absent: one product and three sums, in integers."""
+    on = mats.astype(bool, copy=False)
+    prev, curr = on[:-1], on[1:]
+    n11 = (prev & curr).sum(axis=0)
+    n10 = prev.sum(axis=0) - n11
+    n01 = curr.sum(axis=0) - n11
+    return n11, n10, n01, len(prev) - n11 - n10 - n01
+
+
 def forecast_network(history: AdjacencySeries, policy: NetworkForecastPolicy,
                      h: int) -> AdjacencySeries:
     """Resolve a policy into the h snapshots the forecaster will use."""
@@ -79,18 +90,13 @@ def forecast_network(history: AdjacencySeries, policy: NetworkForecastPolicy,
         last = history[len(history) - 1]
         return AdjacencySeries(np.repeat(last[None, :, :], h, axis=0))
     if isinstance(policy, PerEdgeMarkov):
-        mats = history.mats
         if not history.is_binary():
             raise ValueError("per-edge Markov forecasting requires a binary history")
         a = policy.laplace_alpha
-        prev, curr = mats[:-1], mats[1:]
-        n11 = (prev * curr).sum(axis=0)
-        n10 = (prev * (1 - curr)).sum(axis=0)
-        n01 = ((1 - prev) * curr).sum(axis=0)
-        n00 = ((1 - prev) * (1 - curr)).sum(axis=0)
+        n11, n10, n01, n00 = _transition_counts(history.mats)
         stay = (n11 + a) / (n11 + n10 + 2 * a)
         enter = (n01 + a) / (n01 + n00 + 2 * a)
-        prob = mats[-1].astype(float)
+        prob = history.mats[-1].astype(float)
         out = np.empty((h, history.d, history.d))
         for s in range(h):
             prob = prob * stay + (1.0 - prob) * enter

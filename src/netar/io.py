@@ -170,7 +170,8 @@ def read_adjacency_csv(path) -> AdjacencySeries:
 
 
 def write_adjacency_json(path, ads: AdjacencySeries) -> None:
-    _write_json(path, [{"t": t, "rows": m.tolist()} for t, m in enumerate(ads.mats)], indent=None)
+    _write_json(path, [{"t": t, "rows": np.asarray(m, dtype=float).tolist()}
+                       for t, m in enumerate(ads.mats)], indent=None)
 
 
 def read_adjacency_json(path) -> AdjacencySeries:

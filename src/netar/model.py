@@ -14,6 +14,8 @@ and the moving-average coefficient matrices.
 One recursion: every path, forecast and coupled pair is stepped by the one
 time loop ``_run_recursion``, each step ``_nar_step``, ``drive + sum_j C_j x_{t-j}``;
 ``_nar_coefficients`` alone builds ``C_j = A_j * G_j(Ad_{t-j})``, evaluating each distinct G once.
+A simulated path builds its coefficients one chunk of snapshots at a time
+(``netdyn._snapshots_per_chunk``), so no whole-path coefficient stack exists.
 The per-component model runs on its embedding, built only by
 :meth:`LnarSpec.to_nar`: lag-j coefficient ``A_j * (I + zero-diag G_j)``.
 
@@ -30,7 +32,8 @@ from typing import Callable, List, Optional, Sequence, Union
 
 import numpy as np
 
-from .netdyn import _WEIGHT_TOL, AdjacencySeries, NeighborhoodFn, apply_neighborhood_fn
+from .netdyn import (_WEIGHT_TOL, AdjacencySeries, NeighborhoodFn, _snapshots_per_chunk,
+                     apply_neighborhood_fn)
 
 __all__ = [
     "NarSpec",
@@ -268,9 +271,10 @@ def check_stationarity_lnar(spec: LnarSpec,
     """The per-component model's stationarity rule: ``c_lambda < 1``, and
     ``||zero-diag G_j(Ad)||_inf <= 1`` for every G, certified a priori
     (:meth:`NeighborhoodFn.infty_norm_certified`) or, given the snapshots
-    ``ads`` a path runs on, on them (lag j reads the first ``len(ads) - j``).
-    Then ``rho_bound = c_lambda**(1/p)`` bounds the spectral radius of the
-    absolute stacked coefficient matrix; ``failure`` says why the rule fails.
+    ``ads`` a path runs on, on them (lag j reads the first ``len(ads) - j``,
+    one chunk of snapshots at a time).  Then ``rho_bound = c_lambda**(1/p)``
+    bounds the spectral radius of the absolute stacked coefficient matrix;
+    ``failure`` says why the rule fails.
     """
     c, why = spec.c_lambda, ""
     # the first lag that uses a G reads the widest window, covering the later ones
@@ -279,9 +283,11 @@ def check_stationarity_lnar(spec: LnarSpec,
             continue
         why = f": G_{j} ({g.kind}) has no infinity-norm certificate"
         if ads is not None:
-            zero_diag = apply_neighborhood_fn(g, ads.mats[: max(len(ads) - j, 0)])
-            zero_diag[..., np.arange(ads.d), np.arange(ads.d)] = 0.0
-            norm = float(np.abs(zero_diag).sum(axis=-1).max(initial=0.0))
+            mats, step, norm = ads.mats[: max(len(ads) - j, 0)], _snapshots_per_chunk(ads.d), 0.0
+            for s in range(0, len(mats), step):
+                zero_diag = apply_neighborhood_fn(g, mats[s: s + step])
+                zero_diag[..., np.arange(ads.d), np.arange(ads.d)] = 0.0
+                norm = max(norm, float(np.abs(zero_diag).sum(axis=-1).max()))
             reach = f" and reaches {norm:.6g} on the supplied network"
             why = why + reach if norm > 1.0 + _WEIGHT_TOL else ""
     failure = why if c < 1.0 else f" (c_lambda={c:.6f})"
@@ -337,7 +343,7 @@ def _nar_coefficients(A: Sequence[np.ndarray], G: Sequence[NeighborhoodFn],
 
 
 def _run_recursion(rows: np.ndarray, drive: np.ndarray, coefs: Sequence[Sequence[np.ndarray]],
-                   start: int = 0, check_finite: bool = False) -> np.ndarray:
+                   start: int = 0) -> np.ndarray:
     """Fill ``rows[start:]`` in place by the order-p recursion and return ``rows``.
 
     The one time loop of the model.  Time-major and batched: ``rows[t]`` is
@@ -351,8 +357,6 @@ def _run_recursion(rows: np.ndarray, drive: np.ndarray, coefs: Sequence[Sequence
         js = range(1, min(p, t) + 1)
         rows[t] = _nar_step(drive[t - start], [coefs[j - 1][t - j] for j in js],
                             [rows[t - j] for j in js])
-        if check_finite and not np.isfinite(rows[t]).all():
-            raise FloatingPointError(f"simulation became non-finite at step {t}")
     return rows
 
 
@@ -365,15 +369,35 @@ def _path_length(n: int, burn_in: int) -> int:
 
 def _simulate(nar: NarSpec, ads: AdjacencySeries, innov: InnovationSpec, n: int,
               burn_in: int, seed, check_finite: bool, what: str) -> np.ndarray:
-    """The simulation core behind both families."""
+    """The simulation core behind both families.
+
+    Lag j reads the snapshots s < total - j, all inside the first total - 1.
+    Their coefficients are built one chunk of ``_snapshots_per_chunk(d)`` at a
+    time, each snapshot once, and the chunk's rows run as a window of
+    ``_run_recursion``: a chunk ending at snapshot e - 1 completes row e, and its
+    rows also read the last p - 1 snapshots before it, whose coefficients carry
+    over.  With ``check_finite`` each window is checked as it completes.
+    """
     if innov.d != nar.d:
         raise ValueError("innovation dimension does not match spec")
     total = _path_length(n, burn_in)
     _check_network_cover(ads, nar.d, total, what)
-    # lag j reads the snapshots s < total - j, all inside the first total - 1
-    coefs = _nar_coefficients(nar.A, nar.G, ads.mats[: max(total - 1, 0)])
     eps = innov.sample(np.random.default_rng(seed), total)
-    rows = _run_recursion(np.zeros((total, nar.d)), eps, coefs, check_finite=check_finite)
+    rows = np.zeros((total, nar.d))
+    last, step = max(total - 1, 0), _snapshots_per_chunk(nar.d)
+    lags, done = [[] for _ in range(nar.p)], 0
+    for s in range(0, max(last, 1), step):  # a path of one row reads no snapshot but runs
+        e, keep = min(s + step, last), min(s, nar.p - 1)
+        lags = [c[len(c) - keep:] + list(new)
+                for c, new in zip(lags, _nar_coefficients(nar.A, nar.G, ads.mats[s:e]))]
+        # the window starts at the first carried snapshot's time, so lag j reads coefficient t - j
+        _run_recursion(rows[s - keep: e + 1], eps[done: e + 1], lags, start=done - s + keep)
+        if check_finite:
+            finite = np.isfinite(rows[done: e + 1]).all(axis=-1)
+            if not finite.all():
+                raise FloatingPointError(f"simulation became non-finite at step "
+                                         f"{done + finite.argmin()}")
+        done = e + 1
     return np.ascontiguousarray(rows[burn_in:].T)
 
 
@@ -431,7 +455,7 @@ def simulate_gnlp_truncated(coeff_fns: Sequence[CoefficientFn], ads: AdjacencySe
 
     ``coeff_fns[j-1]`` produces the lag-j coefficient matrix; it may be a
     :class:`NeighborhoodFn` (applied to the lag-j snapshot), a callable
-    receiving the snapshots ``(Ad_{t-1}, ..., Ad_{t-j})`` newest first, or
+    receiving the float snapshots ``(Ad_{t-1}, ..., Ad_{t-j})`` newest first, or
     None for a zero lag.  ``seed`` is read as by :func:`simulate_nar`.  The
     result is exact for finite-order moving averages:
 
@@ -448,8 +472,8 @@ def simulate_gnlp_truncated(coeff_fns: Sequence[CoefficientFn], ads: AdjacencySe
         if isinstance(fn, NeighborhoodFn):
             b = apply_neighborhood_fn(fn, ads.mats[: total - j])
         else:
-            b = np.stack([np.asarray(fn(*ads.mats[t - j: t][::-1]), dtype=float)
-                          for t in range(j, total)])
+            b = np.stack([np.asarray(fn(*np.asarray(ads.mats[t - j: t][::-1], dtype=float)),
+                                     dtype=float) for t in range(j, total)])
         x[j:] = _nar_step(x[j:], [b], [eps[: total - j]])
     return np.ascontiguousarray(x.T)[:, burn_in:]
 

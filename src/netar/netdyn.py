@@ -4,7 +4,14 @@ A dynamic network on a fixed vertex set is stored as an
 :class:`AdjacencySeries`: a contiguous run of ``d x d`` edge-weight
 matrices with entries in ``[-1, 1]``.  Entry ``(i, j)`` of a snapshot is
 the weight of the directed edge from vertex ``i`` to vertex ``j``; a
-missing edge has weight zero.
+missing edge has weight zero.  A simulated binary network is stored as
+``bool``, one byte an entry; weighted stacks are floats.
+
+A walk over a whole path goes in chunks of :func:`_snapshots_per_chunk`
+snapshots, about 1 MiB of float snapshots: the network draws, a bool
+stack's conversion to floats for G, the simulator's coefficients and the
+per-component model's path certificate.  G is per snapshot and 0/1 is
+exact as a float, so no result depends on the chunk.
 
 Two binary edge processes are provided (independent per-edge Markov
 chains and a three-node two-edge "flip" toy chain), together with the
@@ -32,6 +39,18 @@ __all__ = [
 _WEIGHT_TOL = 1e-12
 
 
+def _snapshots_per_chunk(d: int) -> int:
+    """Snapshots in about 1 MiB of float ``(d, d)`` snapshots, at least one."""
+    return max(1, 2**20 // (8 * d * d))
+
+
+def _as_stack(mats) -> np.ndarray:
+    """A bool array as it is, with no copy; anything else as floats."""
+    if isinstance(mats, np.ndarray) and mats.dtype == bool:
+        return mats
+    return np.asarray(mats, dtype=float)
+
+
 def _check_weights(arr: np.ndarray, what: str) -> None:
     """Raise naming the first entry that is not finite or lies outside
     [-1, 1]; NaN fails the comparison, so it is caught."""
@@ -48,18 +67,21 @@ class AdjacencySeries:
 
     ``mats[t]`` is the network snapshot at time ``t``: a snapshot's time is
     its position, the same index as the series column it modulates.  Every
-    entry lies in ``[-1, 1]``.  A series keeps one evaluation of each
-    distinct G it is fitted with (:meth:`_modulation`), so its snapshots
-    are not to be written once a fit has read them.
+    entry lies in ``[-1, 1]``.  A bool stack is kept as it is, binary by its
+    dtype, with no scan and no copy; any other input is stored as floats.
+    A series keeps one evaluation of each distinct G it is fitted with
+    (:meth:`_modulation`), so its snapshots are not to be written once a
+    fit has read them.
     """
 
     __slots__ = ("mats", "_modulations")
 
     def __init__(self, mats):
-        arr = np.asarray(mats, dtype=float)
+        arr = _as_stack(mats)
         if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
             raise ValueError(f"expected a (n, d, d) stack of square matrices, got shape {arr.shape}")
-        _check_weights(arr, "edge weights")
+        if arr.dtype != bool:
+            _check_weights(arr, "edge weights")
         self.mats = arr
         self._modulations = {}
 
@@ -90,7 +112,7 @@ class AdjacencySeries:
         return self.mats[k]
 
     def is_binary(self) -> bool:
-        return bool(np.isin(self.mats, (0.0, 1.0)).all())
+        return self.mats.dtype == bool or bool(np.isin(self.mats, (0.0, 1.0)).all())
 
     def drop_first(self, k: int) -> "AdjacencySeries":
         """Series with the first ``k`` snapshots removed."""
@@ -163,7 +185,7 @@ class MarkovEdgeNetwork:
             return (rng.random((self.d, self.d)) < self.stationary_probs()).astype(float)
         return self.initial.copy()
 
-    def step(self, state: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    def step(self, state: np.ndarray, uniforms: np.ndarray, *, out=None) -> np.ndarray:
         """One transition given per-edge uniforms; broadcasts over ``(..., d, d)``.
 
         Edge ``(i, j)`` is present next step iff ``uniforms[i, j] < p`` with
@@ -171,7 +193,8 @@ class MarkovEdgeNetwork:
         Uniforms are consumed one per edge in row-major order, so a seeded
         run is bit-reproducible.  :meth:`simulate` applies the same rule to
         a chunk of draws at once; an oracle test holds it to
-        iterating this method over the same uniforms.
+        iterating this method over the same uniforms.  The 0/1 float result
+        is written into ``out`` when given, which may be ``state`` itself.
         """
         state = np.asarray(state, dtype=float)
         if state.shape[-2:] != self.stay_prob.shape:
@@ -179,27 +202,29 @@ class MarkovEdgeNetwork:
                 f"state shape {state.shape} does not match model dimension {self.stay_prob.shape}"
             )
         p = np.where(state == 1.0, self.stay_prob, self.enter_prob)
-        return (uniforms < p).astype(float)
+        if out is None:
+            return (uniforms < p).astype(float)
+        return np.less(uniforms, p, out=out)
 
     def simulate(self, n: int, seed=None, burn_in: int = 0) -> AdjacencySeries:
-        """Simulate ``n`` snapshots after discarding ``burn_in`` transitions.
-        ``seed`` is anything :func:`numpy.random.default_rng` takes; a
-        Generator is drawn from in place."""
+        """Simulate ``n`` snapshots after discarding ``burn_in`` transitions; the
+        series holds the ``bool`` walk itself.  ``seed`` is anything
+        :func:`numpy.random.default_rng` takes; a Generator is drawn from in place."""
         walk = self._walk(np.random.default_rng(seed), burn_in + n)
-        # binary by construction, so the weight scan is skipped
-        return AdjacencySeries._checked(walk[burn_in + 1:].astype(float))
+        return AdjacencySeries._checked(walk[burn_in + 1:])
 
     def _walk(self, rng: np.random.Generator, steps: int) -> np.ndarray:
         """The boolean path of the initial state and ``steps`` transitions.  Both
         outcomes of a step come from its draws at once: an absent edge is present
         next iff ``if_absent``, and a present edge's outcome differs from that iff
         ``flip``, so a step is ``(state & flip) ^ if_absent``, the rule of :meth:`step`.
-        The draws come in chunks of about 1 MiB, into buffers freed on return; one
-        stream continues through the chunks, so the path is that of one draw."""
+        The draws come in chunks of :func:`_snapshots_per_chunk`, into buffers freed
+        on return; one stream continues through the chunks, so the path is that of
+        one draw."""
         d = self.d
         walk = np.empty((steps + 1, d, d), dtype=bool)
         walk[0] = self.initial_state(rng) == 1.0
-        draws = np.empty((max(1, min(steps, 2**20 // (8 * d * d))), d, d))
+        draws = np.empty((max(1, min(steps, _snapshots_per_chunk(d))), d, d))
         if_absent, flip = np.empty(draws.shape, dtype=bool), np.empty(draws.shape, dtype=bool)
         for s in range(0, steps, len(draws)):
             u = rng.random(out=draws[: steps - s])
@@ -444,11 +469,22 @@ def apply_neighborhood_fn(fn: NeighborhoodFn, ad) -> np.ndarray:
 
     This is the one implementation of the modulation rule: every model,
     fit, forecast and coupling run goes through it.  The result is always
-    a fresh C-contiguous array, so callers may modify it in place.
+    a fresh C-contiguous float array, so callers may modify it in place.
+    A bool stack is converted to floats one chunk of
+    :func:`_snapshots_per_chunk` at a time, each chunk's G written into the
+    preallocated result: 0/1 is exact and G is per snapshot, so the result
+    is that of the stack's float copy bit for bit.
     """
-    ad = np.asarray(ad, dtype=float)
+    ad = _as_stack(ad)
     if ad.ndim < 2 or ad.shape[-1] != ad.shape[-2]:
         raise ValueError("snapshot must be a square matrix or a stack of them")
+    if ad.dtype == bool:
+        out = np.empty(ad.shape)
+        snaps, into = ad.reshape((-1,) + ad.shape[-2:]), out.reshape((-1,) + ad.shape[-2:])
+        step = _snapshots_per_chunk(ad.shape[-1])
+        for s in range(0, max(len(snaps), 1), step):  # an empty stack is still checked
+            into[s: s + step] = _evaluate(fn, snaps[s: s + step].astype(float))
+        return out
     out = _evaluate(fn, ad)
     if not out.flags.c_contiguous or np.may_share_memory(out, ad):
         out = np.array(out, order="C")

@@ -104,6 +104,25 @@ def test_simulate_burns_in_on_a_given_network(tmp_path, model_files):
                           mats[2:])
 
 
+def test_simulate_writes_a_bool_network_as_its_float_copy(tmp_path, model_files):
+    # the simulated network is a bool stack; both files are those of its float copy
+    model_path, net_path = model_files
+    out = str(tmp_path / "run")
+    assert main(["simulate", "--model", model_path, "--network", net_path,
+                 "--n", "20", "--burn-in", "4", "--seed", "3", "--out", out]) == 0
+    spec, innov = nio.read_model_spec(model_path)
+    rng = np.random.default_rng(3)
+    with open(net_path) as fh:
+        on = nio.network_model_from_json(json.load(fh)).simulate(24, seed=rng)
+    assert on.mats.dtype == bool
+    copy = AdjacencySeries(on.mats.astype(float))
+    nio.write_series_csv(tmp_path / "series.csv",
+                         simulate_nar(spec, copy, innov, n=20, burn_in=4, seed=rng))
+    nio.write_adjacency_csv(tmp_path / "network.csv", copy.drop_first(4))
+    for name in ("series.csv", "network.csv"):
+        assert (tmp_path / name).read_bytes() == open(os.path.join(out, name), "rb").read()
+
+
 @pytest.mark.parametrize("source", [[], ["--network", "net.json", "--ads", "net.csv"]],
                          ids=["neither", "both"])
 def test_simulate_takes_exactly_one_network_source(tmp_path, model_files, source, capsys):

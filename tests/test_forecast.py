@@ -5,6 +5,7 @@ from netar import (
     AdjacencySeries,
     HoldLast,
     Known,
+    MarkovEdgeNetwork,
     NeighborhoodFn,
     PerEdgeMarkov,
     difference,
@@ -13,6 +14,7 @@ from netar import (
     integrate,
 )
 from netar.estimate import ComponentFit, ModelFit, fit_lnar, fit_nar, fit_var
+from netar.forecast import _transition_counts
 
 from test_model import kernel_snapshots
 from test_netdyn import kernel_variants, neighborhood_oracle, zero_diag_oracle
@@ -73,6 +75,65 @@ def forecast_horizon_oracle(fit, x_hist, ads_hist, policy, h):
             acc = acc + (coef[j - 1] * mod) @ x[:, t - j]
         x[:, t] = acc
     return x[:, n:]
+
+
+def four_product_counts(mats):
+    """Per-edge transition counts n11, n10, n01, n00 as four float products of a 0/1 history."""
+    prev, curr = mats[:-1], mats[1:]
+    return ((prev * curr).sum(axis=0), (prev * (1 - curr)).sum(axis=0),
+            ((1 - prev) * curr).sum(axis=0), ((1 - prev) * (1 - curr)).sum(axis=0))
+
+
+def markov_forecast_oracle(mats, alpha, h):
+    """The per-edge Markov point forecasts from the four-product counts of a float history."""
+    n11, n10, n01, n00 = four_product_counts(mats)
+    stay = (n11 + alpha) / (n11 + n10 + 2 * alpha)
+    enter = (n01 + alpha) / (n01 + n00 + 2 * alpha)
+    prob, out = mats[-1], []
+    for _ in range(h):
+        prob = prob * stay + (1.0 - prob) * enter
+        out.append((prob > 0.5).astype(float))
+    return np.stack(out)
+
+
+class TestBoolHistory:
+    """A simulated history is a bool stack; the network forecasts and the
+    forecasts that read them equal those of its float copy."""
+
+    @staticmethod
+    def history(n=60, d=4, seed=6):
+        stay = np.random.default_rng(seed).uniform(0.3, 0.95, (d, d))
+        return MarkovEdgeNetwork(stay, 1.0 - stay).simulate(n, seed=seed).mats
+
+    def test_transition_counts_match_four_products(self):
+        on = self.history()
+        assert on.dtype == bool
+        want = four_product_counts(on.astype(float))
+        for history in (on, on.astype(float)):
+            for got, count in zip(_transition_counts(history), want):
+                assert np.array_equal(got, count)
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.3])
+    def test_markov_forecasts_match_the_four_product_oracle(self, alpha):
+        on = self.history()
+        want = markov_forecast_oracle(on.astype(float), alpha, 6)
+        for history in (on, on.astype(float)):
+            got = forecast_network(AdjacencySeries(history), PerEdgeMarkov(alpha), 6)
+            assert np.array_equal(got.mats, want)
+
+    def test_forecasts_match_the_float_copy_for_every_policy(self):
+        rng = np.random.default_rng(7)
+        on = self.history(n=33)
+        d = on.shape[-1]
+        x = rng.normal(size=(d, 30))
+        g = NeighborhoodFn.row_normalized_transpose()
+        fit = manual_fit("nar", [rng.uniform(-0.2, 0.2, (d, d))] * 2, rng.normal(size=d), [g, g])
+        for policy in (Known(AdjacencySeries(on[29:])), HoldLast(), PerEdgeMarkov()):
+            got = forecast_h(fit, x, AdjacencySeries(on[:29]), policy, 4)
+            float_policy = Known(AdjacencySeries(on[29:] * 1.0)) if isinstance(policy, Known) \
+                else policy
+            want = forecast_h(fit, x, AdjacencySeries(on[:29] * 1.0), float_policy, 4)
+            assert np.array_equal(got.points, want.points), type(policy).__name__
 
 
 class TestForecastNetwork:

@@ -45,6 +45,15 @@ class TestAdjacencyRoundtrip:
         nio.write_adjacency_csv(path, ads)
         assert nio.read_adjacency_csv(path).d == 4
 
+    @pytest.mark.parametrize("write", [nio.write_adjacency_json, nio.write_adjacency_csv],
+                             ids=["json", "csv"])
+    def test_bool_series_writes_the_bytes_of_its_float_copy(self, tmp_path, write):
+        on = MarkovEdgeNetwork(np.full((3, 3), 0.7), np.full((3, 3), 0.3)).simulate(9, seed=2)
+        assert on.mats.dtype == bool
+        write(tmp_path / "bool", on)
+        write(tmp_path / "float", AdjacencySeries(on.mats.astype(float)))
+        assert (tmp_path / "bool").read_bytes() == (tmp_path / "float").read_bytes()
+
     def test_json_roundtrip(self, tmp_path):
         rng = np.random.default_rng(0)
         ads = AdjacencySeries(rng.uniform(-1, 1, (5, 2, 2)))

@@ -22,7 +22,7 @@ from netar import (
 from netar import model
 from netar.model import _nar_coefficients, _run_recursion, snapshot_spectral_radii
 
-from test_netdyn import example1_network_matrices, kernel_variants, zero_diag_oracle
+from test_netdyn import example1_network_matrices, kernel_variants, set_chunk, zero_diag_oracle
 
 
 def example1_alpha():
@@ -529,6 +529,18 @@ class TestGnlp:
                 assert x.shape == want.shape
                 assert np.abs(x - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
+    def test_callables_read_float_snapshots_of_a_bool_series(self):
+        # a bool matmul is a logical one, so a callable handed bool snapshots
+        # would compute another coefficient
+        rng = np.random.default_rng(8)
+        on = rng.random((14, 3, 3)) < 0.5
+        fns = [NeighborhoodFn.transpose(), lambda *lags: 0.1 * (lags[0] @ lags[-1])]
+        innov = InnovationSpec.standard(3)
+        got = simulate_gnlp_truncated(fns, AdjacencySeries(on), innov, n=12, seed=4, burn_in=2)
+        want = simulate_gnlp_truncated(fns, AdjacencySeries(on.astype(float)), innov, n=12,
+                                       seed=4, burn_in=2)
+        assert np.array_equal(got, want)
+
     def test_zero_coefficients(self):
         innov = InnovationSpec.standard(2)
         ads = AdjacencySeries(np.zeros((30, 2, 2)))
@@ -844,6 +856,103 @@ class TestKernelWork:
         spec, ads = self.case()
         ma_infinity_coeffs(spec, ads, t=500, J=10)
         assert calls == [10 + self.p - 1]
+
+
+class TestChunkedSimulation:
+    """The simulators build coefficients one chunk of snapshots at a time and carry
+    the last p - 1 over: paths, certificates and failures are those of one
+    whole-path stack at every chunk size, and each snapshot is evaluated once."""
+
+    d, burn_in, n = 5, 6, 30
+
+    def chunk_sizes(self):
+        return (1, 7, self.burn_in + self.n)
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_nar_path_is_the_same_at_every_chunk_size(self, monkeypatch, p):
+        rng = np.random.default_rng(40 + p)
+        on = rng.random((self.burn_in + self.n, self.d, self.d)) < 0.4
+        innov = InnovationSpec(rng.normal(size=self.d), np.eye(self.d))
+        pool = [fn for fn, _ in kernel_variants(self.d, rng)]
+        for G in [[fn] * p for fn in pool] + [pool[-p:]]:
+            A = [rng.uniform(-1, 1, (self.d, self.d)) / (self.d * p) for _ in range(p)]
+            spec = NarSpec(p, A, G)
+            paths = []
+            for chunk in self.chunk_sizes():
+                set_chunk(monkeypatch, chunk)
+                for ads in (AdjacencySeries(on), AdjacencySeries(on.astype(float))):
+                    paths.append(simulate_nar(spec, ads, innov, n=self.n, burn_in=self.burn_in,
+                                              seed=9))
+            assert all(np.array_equal(paths[0], x) for x in paths[1:]), [g.kind for g in G]
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_lnar_path_is_the_same_at_every_chunk_size(self, monkeypatch, p):
+        # permutation snapshots keep the uncertified G within norm 1, so the
+        # path certificate walks its chunks and holds
+        rng = np.random.default_rng(50 + p)
+        on = np.stack([np.eye(self.d, dtype=bool)[rng.permutation(self.d)]
+                       for _ in range(self.burn_in + self.n)])
+        innov = InnovationSpec(rng.normal(size=self.d), np.eye(self.d))
+        t, rn = NeighborhoodFn.transpose(), NeighborhoodFn.row_normalized_transpose()
+        for G in ([t] * p, [rn] * p, [t, NeighborhoodFn.k_stage(2), rn][:p]):
+            spec = LnarSpec(p, rng.uniform(-1, 1, (p, self.d)) / (2 * p),
+                            rng.uniform(-1, 1, (p, self.d)) / (2 * p), G)
+            paths = []
+            for chunk in self.chunk_sizes():
+                set_chunk(monkeypatch, chunk)
+                for ads in (AdjacencySeries(on), AdjacencySeries(on.astype(float))):
+                    paths.append(simulate_lnar(spec, ads, innov, n=self.n, burn_in=self.burn_in,
+                                               seed=9))
+            assert all(np.array_equal(paths[0], x) for x in paths[1:]), [g.kind for g in G]
+
+    def test_failed_certificate_reads_the_same_norm_at_every_chunk_size(self, monkeypatch):
+        rng = np.random.default_rng(60)
+        ads = AdjacencySeries(rng.random((self.burn_in + self.n, self.d, self.d)) < 0.5)
+        spec = LnarSpec(2, np.full((2, self.d), 0.1), np.full((2, self.d), 0.1),
+                        [NeighborhoodFn.sign_poly(2)] * 2)
+        failures = set()
+        for chunk in self.chunk_sizes():
+            set_chunk(monkeypatch, chunk)
+            failures.add(check_stationarity_lnar(spec, ads).failure)
+        (failure,) = failures
+        assert "reaches" in failure
+
+    @pytest.mark.parametrize("chunk", [1, 7, 999])
+    def test_each_snapshot_is_evaluated_once(self, monkeypatch, chunk):
+        calls = kernel_snapshots(monkeypatch)
+        set_chunk(monkeypatch, chunk)
+        spec, ads = TestKernelWork().case()
+        simulate_nar(spec, ads, InnovationSpec.standard(spec.d), n=500, burn_in=500, seed=1)
+        assert sum(calls) == 999 and max(calls) == chunk and len(calls) == -(-999 // chunk)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 40])
+    def test_explosive_path_reports_its_first_non_finite_step(self, monkeypatch, chunk):
+        set_chunk(monkeypatch, chunk)
+        d = 2
+        spec = NarSpec(1, [np.full((d, d), 1e120)], [NeighborhoodFn.identity()])
+        ads = AdjacencySeries(np.ones((40, d, d), dtype=bool))
+        innov = InnovationSpec.standard(d)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = direct_recursion(spec, ads, innov.sample(np.random.default_rng(3), 40))
+            step = int(np.argmin(np.isfinite(want).all(axis=0)))
+            assert step > 1
+            with pytest.raises(FloatingPointError, match=f"non-finite at step {step}$"):
+                simulate_nar(spec, ads, innov, n=40, burn_in=0, seed=3, allow_explosive=True)
+
+    def test_example2_simulation_peaks_below_one_float_path_stack(self):
+        # the parent of chunked coefficients held a float network and a float
+        # coefficient stack of the whole path at once, about two such stacks
+        import tracemalloc
+
+        from netar.harness import _simulate_replicate, example2_config
+
+        cfg = example2_config(d=100)
+        _simulate_replicate(cfg, 500, np.random.default_rng(1))  # lazy imports stay outside
+        tracemalloc.start()
+        _simulate_replicate(cfg, 500, np.random.default_rng(2))
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert peak < (cfg.burn_in + 500 + cfg.horizons) * 100 * 100 * 8
 
 
 class TestInnovationSpec:

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from netar import model, netdyn
 from netar import (
     AdjacencySeries,
     FlipNetwork,
@@ -106,6 +109,38 @@ def kernel_variants(d, rng):
         (NeighborhoodFn.identity_plus(NeighborhoodFn.transpose()), False),
         (NeighborhoodFn.identity_plus(NeighborhoodFn.k_stage(1)), True),
     ]
+
+
+def set_chunk(monkeypatch, size):
+    """Every chunked walk over a path, netdyn's and the simulator's, at ``size`` snapshots."""
+    for module in (netdyn, model):
+        monkeypatch.setattr(module, "_snapshots_per_chunk", lambda d: size)
+
+
+class TestBoolStacks:
+    """A bool stack is kept as it is, and G reads it one chunk at a time into a
+    float result equal to G of its float copy, at every chunk size."""
+
+    @pytest.mark.parametrize("chunk", [1, 7, "T"])
+    @pytest.mark.parametrize("shape", [(), (0,), (20,), (3, 5)],
+                             ids=["single", "empty", "stack", "4d-stack"])
+    @pytest.mark.parametrize("d", [1, 4, 33])
+    def test_g_on_bool_matches_its_float_copy(self, monkeypatch, d, shape, chunk):
+        rng = np.random.default_rng(10 * d + len(shape))
+        on = rng.random(shape + (d, d)) < 0.4
+        set_chunk(monkeypatch, max(math.prod(shape), 1) if chunk == "T" else chunk)
+        for fn, _ in kernel_variants(d, rng):
+            got = apply_neighborhood_fn(fn, on)
+            assert got.dtype == float and got.flags.c_contiguous
+            assert np.array_equal(got, apply_neighborhood_fn(fn, on.astype(float))), fn.kind
+
+    def test_series_keeps_a_bool_stack_without_a_scan_or_a_copy(self, monkeypatch):
+        on = np.random.default_rng(5).random((6, 3, 3)) < 0.5
+        ads = AdjacencySeries(on)
+        assert ads.mats is on
+        monkeypatch.setattr(np, "isin", None)  # is_binary reads the dtype
+        assert ads.is_binary()
+        assert AdjacencySeries(on.astype(int)).mats.dtype == float
 
 
 class TestNeighborhoodKernel:
@@ -220,9 +255,9 @@ class TestAdjacencySeries:
 
 class TestMarkovEdges:
     def test_simulate_skips_the_weight_scan(self):
-        # the float draws come in chunks of about 1 MiB and are freed before
-        # the float output exists; the output is binary by construction, so
-        # no |arr| copy is scanned on top
+        # the float draws come in chunks of about 1 MiB; the output is the bool
+        # walk itself, binary by its dtype, so no float copy and no |arr| scan
+        # exist on top.  The bound is 1.5 float stacks of the output, in bytes
         import tracemalloc
 
         stay, enter = np.full((40, 40), 0.9), np.full((40, 40), 0.1)
@@ -232,7 +267,8 @@ class TestMarkovEdges:
         ads = model.simulate(200, seed=4)
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
-        assert peak < 1.5 * ads.mats.nbytes
+        assert ads.mats.dtype == bool
+        assert peak < 1.5 * ads.mats.size * 8
         assert np.isin(ads.mats, (0.0, 1.0)).all()
 
     @pytest.mark.parametrize("d", [1, 4, 33, 100])
