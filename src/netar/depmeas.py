@@ -96,7 +96,8 @@ def _check_coupling(q: float, max_lag: int, reps: int, burn_in: int) -> None:
 
 
 def _initial_states(model, rng: np.random.Generator, reps: int) -> np.ndarray:
-    """Start states of ``reps`` chains: flip states, or Markov snapshots drawn from ``rng``."""
+    """Start states of ``reps`` chains: flip states, or ``bool`` Markov snapshots drawn
+    from ``rng``."""
     if isinstance(model, FlipNetwork):
         return np.full(reps, model.initial, dtype=np.int8)
     if isinstance(model, MarkovEdgeNetwork):
@@ -111,9 +112,9 @@ def estimate_delta_network(model: Union[MarkovEdgeNetwork, FlipNetwork], q: floa
 
     All replicates share the stepping code: a common prehistory of
     ``burn_in`` steps, one redrawn uniform set at time 0, shared uniforms
-    afterwards.  For binary networks the max-entry difference is 0 or 1,
-    so the averaged q-th power is exactly the probability that the copies
-    differ anywhere at that lag, independent of q.
+    afterwards.  The networks are binary, so the max-entry difference is 0
+    or 1 and the averaged q-th power is exactly the probability that the
+    copies differ anywhere at that lag, independent of q.
     """
     _check_coupling(q, max_lag, reps, burn_in)
     rng = np.random.default_rng(seed)
@@ -126,7 +127,7 @@ def estimate_delta_network(model: Union[MarkovEdgeNetwork, FlipNetwork], q: floa
             u = np.stack([u, rng.random(shape)])
         state = model.step(state, u)
         if t >= 0:
-            powers[:, t] = np.abs(state[0] - state[1]).reshape(reps, -1).max(axis=1) ** q
+            powers[:, t] = (state[0] != state[1]).reshape(reps, -1).any(axis=1)
     return _finalize(q, powers, reps)
 
 
@@ -151,7 +152,7 @@ def estimate_delta_x(spec: Union[NarSpec, LnarSpec], model: Union[MarkovEdgeNetw
     if model.d != d:
         raise ValueError(f"the network has {model.d} vertices but the process has {d} components")
     rng = np.random.default_rng(seed)
-    # network state is carried as matrices for the Markov model and as the
+    # network state is carried as bool matrices for the Markov model and as the
     # scalar flip state otherwise
     net = _initial_states(model, rng, reps)
     shape = net.shape
@@ -161,9 +162,10 @@ def estimate_delta_x(spec: Union[NarSpec, LnarSpec], model: Union[MarkovEdgeNetw
     window = [[np.zeros((d, d))] * p] * p
     powers = np.empty((reps, max_lag + 1))
     # every step draws into ``draws[0]``, time 0 also into ``draws[1]``, and a
-    # Markov network steps in place in ``nets``: one copy before time 0, two after
+    # Markov network steps in place in the bool ``nets``: one copy before time 0,
+    # two after
     draws = np.empty((2,) + shape)
-    nets = np.empty((2,) + shape) if isinstance(model, MarkovEdgeNetwork) else None
+    nets = np.empty((2,) + shape, dtype=bool) if isinstance(model, MarkovEdgeNetwork) else None
     for t in range(-burn_in, max_lag + 1):
         u = rng.random(out=draws[0])
         eps = innov.sample(rng, reps)

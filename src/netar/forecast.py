@@ -75,7 +75,9 @@ def _transition_counts(mats: np.ndarray):
 
 def forecast_network(history: AdjacencySeries, policy: NetworkForecastPolicy,
                      h: int) -> AdjacencySeries:
-    """Resolve a policy into the h snapshots the forecaster will use."""
+    """Resolve a policy into the h snapshots the forecaster will use: the known
+    futures or the repeated last snapshot in the history's dtype, and the per-edge
+    Markov point forecasts as ``bool``."""
     if h < 1:
         raise ValueError("need at least one horizon")
     if isinstance(policy, Known):
@@ -97,10 +99,10 @@ def forecast_network(history: AdjacencySeries, policy: NetworkForecastPolicy,
         stay = (n11 + a) / (n11 + n10 + 2 * a)
         enter = (n01 + a) / (n01 + n00 + 2 * a)
         prob = history.mats[-1].astype(float)
-        out = np.empty((h, history.d, history.d))
+        out = np.empty((h, history.d, history.d), dtype=bool)
         for s in range(h):
             prob = prob * stay + (1.0 - prob) * enter
-            out[s] = (prob > 0.5).astype(float)
+            np.greater(prob, 0.5, out=out[s])
         if policy.freeze_first:
             out[1:] = out[0]
         return AdjacencySeries(out)

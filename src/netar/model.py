@@ -42,7 +42,6 @@ __all__ = [
     "build_companion",
     "check_stationarity_nar",
     "check_stationarity_lnar",
-    "snapshot_spectral_radii",
     "simulate_nar",
     "simulate_lnar",
     "simulate_gnlp_truncated",
@@ -231,14 +230,6 @@ def build_companion(spec: Union[NarSpec, LnarSpec]) -> np.ndarray:
     return _companion(spec.to_nar().A)
 
 
-def spectral_radius(m: np.ndarray) -> np.ndarray:
-    """Spectral radius of a square matrix, or of each one in a ``(..., k, k)`` stack."""
-    try:
-        return np.abs(np.linalg.eigvals(m)).max(axis=-1)
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError("eigenvalue solver failed on the companion matrix") from exc
-
-
 @dataclass(frozen=True)
 class NarStationarity:
     holds: bool
@@ -262,7 +253,10 @@ def check_stationarity_nar(spec: NarSpec) -> NarStationarity:
     causal solution regardless of the network.  The boundary counts as
     failure (strict inequality, by ``STATIONARITY_TOL``).
     """
-    rho = float(spectral_radius(np.abs(build_companion(spec))))
+    try:
+        rho = float(np.abs(np.linalg.eigvals(np.abs(build_companion(spec)))).max())
+    except np.linalg.LinAlgError as exc:
+        raise RuntimeError("eigenvalue solver failed on the companion matrix") from exc
     return NarStationarity(holds=bool(rho < 1.0 - STATIONARITY_TOL), rho=rho)
 
 
@@ -293,13 +287,6 @@ def check_stationarity_lnar(spec: LnarSpec,
     failure = why if c < 1.0 else f" (c_lambda={c:.6f})"
     return LnarStationarity(holds=not failure, c_lambda=c, certified=not why,
                             rho_bound=float(c ** (1.0 / spec.p)), failure=failure)
-
-
-def snapshot_spectral_radii(spec: Union[NarSpec, LnarSpec], ads: AdjacencySeries) -> np.ndarray:
-    """rho(tilde_A * tilde_G(snapshot)) per snapshot, the sampled form of the
-    alternative stationarity condition on the stacked process."""
-    nar = spec.to_nar()
-    return spectral_radius(_companion(_nar_coefficients(nar.A, nar.G, ads.mats)))
 
 
 def _check_network_cover(ads: AdjacencySeries, d: int, total: int, what: str) -> None:

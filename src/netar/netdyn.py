@@ -4,12 +4,13 @@ A dynamic network on a fixed vertex set is stored as an
 :class:`AdjacencySeries`: a contiguous run of ``d x d`` edge-weight
 matrices with entries in ``[-1, 1]``.  Entry ``(i, j)`` of a snapshot is
 the weight of the directed edge from vertex ``i`` to vertex ``j``; a
-missing edge has weight zero.  A simulated binary network is stored as
-``bool``, one byte an entry; weighted stacks are floats.
+missing edge has weight zero.  A binary network is ``bool``, one byte an
+entry, from every generator (states, walks, flip matrices, per-edge
+forecasts) to G; weighted stacks are floats.
 
 A walk over a whole path goes in chunks of :func:`_snapshots_per_chunk`
-snapshots, about 1 MiB of float snapshots: the network draws, a bool
-stack's conversion to floats for G, the simulator's coefficients and the
+snapshots, about 1 MiB of float snapshots: the network draws, G's
+conversion of its input to floats, the simulator's coefficients and the
 per-component model's path certificate.  G is per snapshot and 0/1 is
 exact as a float, so no result depends on the chunk.
 
@@ -44,13 +45,6 @@ def _snapshots_per_chunk(d: int) -> int:
     return max(1, 2**20 // (8 * d * d))
 
 
-def _as_stack(mats) -> np.ndarray:
-    """A bool array as it is, with no copy; anything else as floats."""
-    if isinstance(mats, np.ndarray) and mats.dtype == bool:
-        return mats
-    return np.asarray(mats, dtype=float)
-
-
 def _check_weights(arr: np.ndarray, what: str) -> None:
     """Raise naming the first entry that is not finite or lies outside
     [-1, 1]; NaN fails the comparison, so it is caught."""
@@ -77,10 +71,11 @@ class AdjacencySeries:
     __slots__ = ("mats", "_modulations")
 
     def __init__(self, mats):
-        arr = _as_stack(mats)
+        is_bool = isinstance(mats, np.ndarray) and mats.dtype == bool
+        arr = mats if is_bool else np.asarray(mats, dtype=float)
         if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
             raise ValueError(f"expected a (n, d, d) stack of square matrices, got shape {arr.shape}")
-        if arr.dtype != bool:
+        if not is_bool:
             _check_weights(arr, "edge weights")
         self.mats = arr
         self._modulations = {}
@@ -181,30 +176,43 @@ class MarkovEdgeNetwork:
         return pi
 
     def initial_state(self, rng: np.random.Generator) -> np.ndarray:
+        """A fresh ``bool`` start snapshot: the given one, or one draw per edge
+        from its stationary law."""
         if isinstance(self.initial, str):
-            return (rng.random((self.d, self.d)) < self.stationary_probs()).astype(float)
-        return self.initial.copy()
+            return rng.random((self.d, self.d)) < self.stationary_probs()
+        return self.initial == 1.0
+
+    def _decisions(self, u: np.ndarray, if_absent=None, flip=None):
+        """The transition rule, both outcomes of a step at once from its uniforms: an
+        absent edge is present next iff ``if_absent = u < enter``, and a present edge's
+        outcome differs from that iff ``flip = (u < stay) ^ if_absent``.  The next
+        state is then ``(state & flip) ^ if_absent``.  Written into the given bool
+        buffers when given."""
+        if_absent = np.less(u, self.enter_prob, out=if_absent)
+        flip = np.logical_xor(np.less(u, self.stay_prob, out=flip), if_absent, out=flip)
+        return if_absent, flip
 
     def step(self, state: np.ndarray, uniforms: np.ndarray, *, out=None) -> np.ndarray:
         """One transition given per-edge uniforms; broadcasts over ``(..., d, d)``.
 
         Edge ``(i, j)`` is present next step iff ``uniforms[i, j] < p`` with
-        ``p = stay_prob[i, j]`` when present now, else ``enter_prob[i, j]``.
-        Uniforms are consumed one per edge in row-major order, so a seeded
-        run is bit-reproducible.  :meth:`simulate` applies the same rule to
-        a chunk of draws at once; an oracle test holds it to
-        iterating this method over the same uniforms.  The 0/1 float result
-        is written into ``out`` when given, which may be ``state`` itself.
+        ``p = stay_prob[i, j]`` when present now, else ``enter_prob[i, j]``,
+        computed by :meth:`_decisions`, the rule :meth:`simulate` applies to a
+        chunk of draws at once.  Uniforms are consumed one per edge in row-major
+        order, so a seeded run is bit-reproducible.  A state that is not ``bool``
+        is read as ``state == 1.0``.  The ``bool`` result is written into ``out``
+        when given, which may be ``state`` itself.
         """
-        state = np.asarray(state, dtype=float)
+        state = np.asarray(state)
         if state.shape[-2:] != self.stay_prob.shape:
             raise ValueError(
                 f"state shape {state.shape} does not match model dimension {self.stay_prob.shape}"
             )
-        p = np.where(state == 1.0, self.stay_prob, self.enter_prob)
-        if out is None:
-            return (uniforms < p).astype(float)
-        return np.less(uniforms, p, out=out)
+        if state.dtype != bool:
+            state = state == 1.0
+        if_absent, flip = self._decisions(uniforms)
+        out = np.logical_and(state, flip, out=out)
+        return np.logical_xor(out, if_absent, out=out)
 
     def simulate(self, n: int, seed=None, burn_in: int = 0) -> AdjacencySeries:
         """Simulate ``n`` snapshots after discarding ``burn_in`` transitions; the
@@ -214,22 +222,19 @@ class MarkovEdgeNetwork:
         return AdjacencySeries._checked(walk[burn_in + 1:])
 
     def _walk(self, rng: np.random.Generator, steps: int) -> np.ndarray:
-        """The boolean path of the initial state and ``steps`` transitions.  Both
-        outcomes of a step come from its draws at once: an absent edge is present
-        next iff ``if_absent``, and a present edge's outcome differs from that iff
-        ``flip``, so a step is ``(state & flip) ^ if_absent``, the rule of :meth:`step`.
-        The draws come in chunks of :func:`_snapshots_per_chunk`, into buffers freed
-        on return; one stream continues through the chunks, so the path is that of
-        one draw."""
+        """The boolean path of the initial state and ``steps`` transitions, each
+        ``(state & flip) ^ if_absent`` with the decisions of :meth:`_decisions`
+        taken for a whole chunk of :func:`_snapshots_per_chunk` draws at once, into
+        buffers freed on return; one stream continues through the chunks, so the
+        path is that of one draw."""
         d = self.d
         walk = np.empty((steps + 1, d, d), dtype=bool)
-        walk[0] = self.initial_state(rng) == 1.0
+        walk[0] = self.initial_state(rng)
         draws = np.empty((max(1, min(steps, _snapshots_per_chunk(d))), d, d))
         if_absent, flip = np.empty(draws.shape, dtype=bool), np.empty(draws.shape, dtype=bool)
         for s in range(0, steps, len(draws)):
             u = rng.random(out=draws[: steps - s])
-            a = np.less(u, self.enter_prob, out=if_absent[:len(u)])
-            f = np.logical_xor(np.less(u, self.stay_prob, out=flip[:len(u)]), a, out=flip[:len(u)])
+            a, f = self._decisions(u, if_absent[:len(u)], flip[:len(u)])
             for now, nxt, f_t, a_t in zip(walk[s:], walk[s + 1:], f, a):
                 np.logical_and(now, f_t, out=nxt)
                 np.logical_xor(nxt, a_t, out=nxt)
@@ -265,9 +270,9 @@ class FlipNetwork:
         return np.where(to13, self.EDGE13, self.EDGE23).astype(np.int8)
 
     def state_to_matrix(self, states) -> np.ndarray:
-        """Adjacency matrices ``(..., 3, 3)`` for a state or an array of states."""
+        """``bool`` adjacency matrices ``(..., 3, 3)`` for a state or an array of states."""
         states = np.asarray(states)
-        mats = np.zeros(states.shape + (3, 3))
+        mats = np.zeros(states.shape + (3, 3), dtype=bool)
         mats[..., 0, 2] = states == self.EDGE13
         mats[..., 1, 2] = states != self.EDGE13
         return mats
@@ -470,29 +475,26 @@ def apply_neighborhood_fn(fn: NeighborhoodFn, ad) -> np.ndarray:
     This is the one implementation of the modulation rule: every model,
     fit, forecast and coupling run goes through it.  The result is always
     a fresh C-contiguous float array, so callers may modify it in place.
-    A bool stack is converted to floats one chunk of
-    :func:`_snapshots_per_chunk` at a time, each chunk's G written into the
-    preallocated result: 0/1 is exact and G is per snapshot, so the result
-    is that of the stack's float copy bit for bit.
+    Every input, ``bool`` or float, is evaluated one chunk of
+    :func:`_snapshots_per_chunk` snapshots at a time: each chunk is converted
+    to a private float copy and its G written into the preallocated result.
+    0/1 is exact and G is per snapshot, so the result is that of evaluating
+    the snapshots one by one, bit for bit.
     """
-    ad = _as_stack(ad)
+    ad = np.asarray(ad)
     if ad.ndim < 2 or ad.shape[-1] != ad.shape[-2]:
         raise ValueError("snapshot must be a square matrix or a stack of them")
-    if ad.dtype == bool:
-        out = np.empty(ad.shape)
-        snaps, into = ad.reshape((-1,) + ad.shape[-2:]), out.reshape((-1,) + ad.shape[-2:])
-        step = _snapshots_per_chunk(ad.shape[-1])
-        for s in range(0, max(len(snaps), 1), step):  # an empty stack is still checked
-            into[s: s + step] = _evaluate(fn, snaps[s: s + step].astype(float))
-        return out
-    out = _evaluate(fn, ad)
-    if not out.flags.c_contiguous or np.may_share_memory(out, ad):
-        out = np.array(out, order="C")
+    out = np.empty(ad.shape)
+    snaps, into = ad.reshape((-1,) + ad.shape[-2:]), out.reshape((-1,) + ad.shape[-2:])
+    step = _snapshots_per_chunk(ad.shape[-1])
+    for s in range(0, max(len(snaps), 1), step):  # an empty stack is still checked
+        into[s: s + step] = _evaluate(fn, snaps[s: s + step].astype(float))
     return out
 
 
 def _evaluate(fn: NeighborhoodFn, ad: np.ndarray) -> np.ndarray:
-    """Variant bodies over the trailing two axes; may return a view of ``ad``."""
+    """Variant bodies over the trailing two axes of a private float chunk, which
+    they may return a view of and write into."""
     if fn.kind == "transpose":
         return ad.swapaxes(-1, -2)
     if fn.kind == "transpose_of":
@@ -514,10 +516,8 @@ def _evaluate(fn: NeighborhoodFn, ad: np.ndarray) -> np.ndarray:
             raise ValueError("mask weight dimension does not match snapshot")
         return w * ad
     if fn.kind == "identity_plus":
-        # I + zero-diagonal inner(Ad), in place unless inner returned a view of Ad
+        # I + zero-diagonal inner(Ad), in place
         out = _evaluate(fn.inner, ad)
-        if np.may_share_memory(out, ad):
-            out = out.copy()
         idx = np.arange(ad.shape[-1])
         out[..., idx, idx] = 1.0
         return out

@@ -20,7 +20,7 @@ from netar import (
     simulate_nar,
 )
 from netar import model
-from netar.model import _nar_coefficients, _run_recursion, snapshot_spectral_radii
+from netar.model import _nar_coefficients, _run_recursion
 
 from test_netdyn import example1_network_matrices, kernel_variants, set_chunk, zero_diag_oracle
 
@@ -697,7 +697,6 @@ class TestBatchedCompanions:
     @pytest.mark.parametrize("p", [1, 2, 3])
     @pytest.mark.parametrize("d", [1, 3, 5])
     def test_match_per_snapshot_assembly(self, d, p):
-        from netar.model import snapshot_spectral_radii
         rng = np.random.default_rng(10 * d + p)
         nar = random_stationary_nar(rng, d, p)
         lnar = LnarSpec(p, rng.uniform(0, 0.3, (p, d)), rng.uniform(0, 0.15, (p, d)),
@@ -705,11 +704,6 @@ class TestBatchedCompanions:
                          NeighborhoodFn.k_stage(2)][:p])
         ads = random_binary_ads(rng, d, 30)
         for spec in (nar, lnar):
-            form = build_companion(spec)
-            g_list = spec.to_nar().G if isinstance(spec, LnarSpec) else spec.G
-            radii = [np.abs(np.linalg.eigvals(
-                form * assemble_oracle(spec, g_list, [ad] * p))).max() for ad in ads]
-            assert np.array_equal(snapshot_spectral_radii(spec, ads), radii)
             for t, J in ((29, 0), (29, 5), (p + 9, 10), (30, 30 - p + 1)):
                 got = ma_infinity_coeffs(spec, ads, t=t, J=J)
                 want = ma_infinity_oracle(spec, ads, t, J)
@@ -724,18 +718,6 @@ class TestBatchedCompanions:
             ma_infinity_coeffs(spec, ads, t=10, J=10)
         with pytest.raises(ValueError, match="ends before t=21"):
             ma_infinity_coeffs(spec, ads, t=21, J=3)
-
-
-def test_snapshot_spectral_radii_diagnostic():
-    # the per-snapshot check on the stacked coefficient-modulation product:
-    # for a static complete network and G = transpose the radius is rho(A)
-    from netar.model import snapshot_spectral_radii
-    a = np.array([[0.5, 0.2], [0.0, 0.3]])
-    spec = NarSpec(1, [a], [NeighborhoodFn.transpose()])
-    ads = AdjacencySeries(np.ones((4, 2, 2)))
-    radii = snapshot_spectral_radii(spec, ads)
-    assert radii.shape == (4,)
-    assert np.allclose(radii, np.abs(np.linalg.eigvals(a)).max())
 
 
 def nar_coefficients_oracle(A, G, mats):
@@ -846,11 +828,6 @@ class TestKernelWork:
         simulate_lnar(spec, ads, InnovationSpec.standard(self.d), n=500, burn_in=500, seed=1)
         # the certificate of transpose on lag 1's window, then the embedding's coefficients
         assert calls == [999, 999]
-
-    def test_snapshot_spectral_radii(self, calls):
-        spec, ads = self.case()
-        snapshot_spectral_radii(spec, ads)
-        assert calls == [1000]
 
     def test_ma_infinity_coeffs(self, calls):
         spec, ads = self.case()

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -107,8 +108,16 @@ def kernel_variants(d, rng):
         (NeighborhoodFn.row_normalized_transpose(), False),
         (NeighborhoodFn.mask(rng.uniform(-1, 1, (d, d))), False),
         (NeighborhoodFn.identity_plus(NeighborhoodFn.transpose()), False),
+        (NeighborhoodFn.transpose_of(NeighborhoodFn.identity_plus(NeighborhoodFn.transpose())),
+         False),
         (NeighborhoodFn.identity_plus(NeighborhoodFn.k_stage(1)), True),
     ]
+
+
+def per_snapshot(oracle, fn, ad):
+    """``oracle`` on each snapshot of a ``(..., d, d)`` stack, empty stacks included."""
+    d = ad.shape[-1]
+    return np.array([oracle(fn, a) for a in ad.reshape(-1, d, d)], dtype=float).reshape(ad.shape)
 
 
 def set_chunk(monkeypatch, size):
@@ -117,9 +126,15 @@ def set_chunk(monkeypatch, size):
         monkeypatch.setattr(module, "_snapshots_per_chunk", lambda d: size)
 
 
+def chunk_of(monkeypatch, chunk, shape):
+    """G's chunk at 1, 7 or every snapshot of a stack of leading ``shape`` ("T")."""
+    set_chunk(monkeypatch, max(math.prod(shape), 1) if chunk == "T" else chunk)
+
+
 class TestBoolStacks:
     """A bool stack is kept as it is, and G reads it one chunk at a time into a
-    float result equal to G of its float copy, at every chunk size."""
+    float result equal to the per-snapshot oracle on its float copy, at every
+    chunk size, leaving the stack as it was."""
 
     @pytest.mark.parametrize("chunk", [1, 7, "T"])
     @pytest.mark.parametrize("shape", [(), (0,), (20,), (3, 5)],
@@ -128,11 +143,13 @@ class TestBoolStacks:
     def test_g_on_bool_matches_its_float_copy(self, monkeypatch, d, shape, chunk):
         rng = np.random.default_rng(10 * d + len(shape))
         on = rng.random(shape + (d, d)) < 0.4
-        set_chunk(monkeypatch, max(math.prod(shape), 1) if chunk == "T" else chunk)
+        before = on.copy()
+        chunk_of(monkeypatch, chunk, shape)
         for fn, _ in kernel_variants(d, rng):
             got = apply_neighborhood_fn(fn, on)
             assert got.dtype == float and got.flags.c_contiguous
-            assert np.array_equal(got, apply_neighborhood_fn(fn, on.astype(float))), fn.kind
+            assert np.array_equal(got, per_snapshot(neighborhood_oracle, fn, on)), fn.kind
+            assert np.array_equal(on, before), f"{fn.kind} wrote into its input"
 
     def test_series_keeps_a_bool_stack_without_a_scan_or_a_copy(self, monkeypatch):
         on = np.random.default_rng(5).random((6, 3, 3)) < 0.5
@@ -144,31 +161,36 @@ class TestBoolStacks:
 
 
 class TestNeighborhoodKernel:
-    """The batched kernel against the per-snapshot oracle, bit for bit."""
+    """The batched kernel against the per-snapshot oracle, bit for bit, on float
+    stacks (weighted and signed where G allows it) of every layout, evaluated one
+    chunk at a time at every chunk size."""
 
-    @pytest.mark.parametrize("shape", [(), (1,), (7,), (2, 3)],
-                             ids=["single", "one-stack", "stack", "4d-stack"])
+    @pytest.mark.parametrize("shape", [(), (0,), (1,), (7,), (2, 3)],
+                             ids=["single", "empty", "one-stack", "stack", "4d-stack"])
     @pytest.mark.parametrize("d", [1, 2, 5, 33])
-    def test_matches_per_snapshot_oracle(self, shape, d):
+    def test_matches_per_snapshot_oracle(self, monkeypatch, shape, d):
         rng = np.random.default_rng(1000 * d + len(shape))
         binary = (rng.random(shape + (d, d)) < 0.4).astype(float)
         signed = rng.uniform(-1, 1, shape + (d, d)) * binary
-        for fn, needs_binary in kernel_variants(d, rng):
+        cases = itertools.product([1, 7, "T"], ["C", "transposed"], kernel_variants(d, rng))
+        for chunk, layout, (fn, needs_binary) in cases:
+            chunk_of(monkeypatch, chunk, shape)
             ad = binary if needs_binary else signed
+            if layout == "transposed":  # each snapshot stored column-major, a non-contiguous view
+                ad = ad.swapaxes(-1, -2).copy().swapaxes(-1, -2)
             before = ad.copy()
-            flat = ad.reshape(-1, d, d)
             out = apply_neighborhood_fn(fn, ad)
             for got, oracle in ((out, neighborhood_oracle), (zeroed(out), zero_diag_oracle)):
-                expected = np.stack([oracle(fn, a) for a in flat]).reshape(ad.shape)
+                expected = per_snapshot(oracle, fn, ad)
                 assert got.shape == ad.shape
-                assert np.array_equal(got, expected), (fn.kind, oracle.__name__)
+                assert np.array_equal(got, expected), (fn.kind, oracle.__name__, chunk, layout)
             assert out.flags.c_contiguous
             assert not np.shares_memory(out, ad)
             assert np.array_equal(ad, before), "kernel wrote into its input"
 
     def test_identity_zero_diag_leaves_caller_network_alone(self):
-        # transpose_of(transpose) is a view of its input before the copy, so
-        # zeroing the diagonal of the result must not reach the input
+        # transpose_of(transpose) is a view of the chunk it reads, so zeroing
+        # the diagonal of the result must not reach the input
         ad = np.ones((4, 3, 3))
         out = apply_neighborhood_fn(NeighborhoodFn.identity(), ad)
         out[..., np.arange(3), np.arange(3)] = 0.0
@@ -278,8 +300,8 @@ class TestMarkovEdges:
     def test_simulate_matches_iterated_step(self, d, burn_in, initial, pinned):
         # simulate draws in chunks (13 snapshots at d=100, so 30 or 36 steps
         # span several chunks and a remainder) and steps each chunk at once;
-        # iterating step over one draw of every uniform, after the same
-        # initial draw, is the oracle
+        # iterating the literal transition over one draw of every uniform,
+        # after the same initial draw, is the oracle
         rng = np.random.default_rng(d + burn_in)
         stay, enter = rng.random((d, d)), rng.random((d, d))
         if pinned:  # every other edge absorbs (stay 1, enter 0) or is forced (stay 0, enter 1)
@@ -290,9 +312,10 @@ class TestMarkovEdges:
         ads = model.simulate(n, seed=seed, burn_in=burn_in)
         oracle_rng = np.random.default_rng(seed)
         state = model.initial_state(oracle_rng)
+        assert state.dtype == bool
         path = []
         for u in oracle_rng.random((burn_in + n, d, d)):
-            state = model.step(state, u)
+            state = markov_step_oracle(stay, enter, state, u)
             path.append(state)
         assert np.array_equal(ads.mats, np.stack(path[burn_in:]))
         pinned_path = ads.mats.reshape(n, -1)[:, ::2]
@@ -300,6 +323,32 @@ class TestMarkovEdges:
             assert (pinned_path == pinned_path[0]).all()
         elif pinned == "forced":  # a forced edge changes at every step
             assert (pinned_path[1:] == 1.0 - pinned_path[:-1]).all()
+
+    @pytest.mark.parametrize("dtype", [bool, float])
+    @pytest.mark.parametrize("pinned", [None, "absorbing", "forced"])
+    @pytest.mark.parametrize("shape", [(), (5,), (2, 3)], ids=["single", "stack", "4d-stack"])
+    def test_step_matches_the_oracle(self, shape, pinned, dtype):
+        # bool and 0/1 float states, one state against a pair of uniform stacks
+        # (the coupled copies at time 0), and out= aliasing the state
+        d = 5
+        rng = np.random.default_rng(len(shape))
+        stay, enter = rng.random((d, d)), rng.random((d, d))
+        if pinned:
+            stay.flat[::2], enter.flat[::2] = (1.0, 0.0) if pinned == "absorbing" else (0.0, 1.0)
+        model = MarkovEdgeNetwork(stay, enter)
+        state = (rng.random(shape + (d, d)) < 0.5).astype(dtype)
+        u, pair = rng.random(shape + (d, d)), rng.random((2,) + shape + (d, d))
+        for uniforms in (u, pair):
+            got = model.step(state, uniforms)
+            assert got.dtype == bool and got.shape == uniforms.shape
+            assert np.array_equal(got, markov_step_oracle(stay, enter, state, uniforms))
+        inplace = state.copy()
+        assert model.step(inplace, u, out=inplace) is inplace
+        assert np.array_equal(inplace, markov_step_oracle(stay, enter, state, u))
+        nets = np.zeros((2,) + state.shape, dtype=bool)
+        nets[0] = state
+        assert model.step(nets[0], pair, out=nets) is nets
+        assert np.array_equal(nets, markov_step_oracle(stay, enter, state, pair))
 
     def test_degenerate_probabilities_absorb(self):
         # stay=1, enter=0 with the edge on: persists forever
@@ -353,6 +402,12 @@ class TestMarkovEdges:
             m.step(np.zeros((3, 3)), np.zeros((3, 3)))
 
 
+def markov_step_oracle(stay, enter, state, u):
+    """The literal Markov transition: an edge is present next iff ``u`` falls below
+    its stay probability when present now, else below its enter probability."""
+    return u < np.where(state == 1, stay, enter)
+
+
 def flip_step_oracle(persist, state, u):
     """The scalar flip transition: from edge (1,3) stay iff u > 1 - persist,
     from edge (2,3) move to (1,3) iff u > persist."""
@@ -404,20 +459,22 @@ class TestFlipNetwork:
                               np.array([[0, 0, 0], [0, 0, 1.0], [0, 0, 0]]))
 
     def test_simulate_skips_the_weight_scan(self):
-        # the output is binary by construction; scanning it again would
-        # allocate an |arr| copy the size of the stack
+        # the output is a bool stack, binary by construction; scanning it again
+        # would allocate an |arr| copy the size of the stack.  The bound is 1.6
+        # float stacks of the output, in bytes
         import tracemalloc
 
         tracemalloc.start()
         ads = FlipNetwork(0.9).simulate(100_000, seed=1)
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
-        assert peak < 1.6 * ads.mats.nbytes
+        assert ads.mats.dtype == bool
+        assert peak < 1.6 * ads.mats.size * 8
 
     def test_exactly_one_edge_present(self):
         ads = FlipNetwork(0.95).simulate(500, seed=5)
         assert (ads.mats.sum(axis=(1, 2)) == 1.0).all()
-        assert (ads.mats[:, 0, 2] + ads.mats[:, 1, 2] == 1.0).all()
+        assert (ads.mats[:, 0, 2] != ads.mats[:, 1, 2]).all()
 
     def test_indicator_autocovariance_decays_geometrically(self):
         # Cov(ind_{t+h}, ind_t) = 0.9^h / 4 for the 0.95-persistent flip chain

@@ -1,11 +1,14 @@
-"""Only model.py steps the recursion, and the fits evaluate G only through the series.
+"""Only model.py steps the recursion, the fits evaluate G only through the series,
+and G has one evaluation path.
 
 ``model._run_recursion`` is the one time loop of the AR recursion and
 ``model._nar_step`` its one step; a second module that steps the recursion
 itself would be a second driver, free to drift from the first bit by bit.
 Likewise every fit reads G from the one evaluation an ``AdjacencySeries``
 keeps (``_modulation``); a fit-side module that called the kernel itself
-would be a second sharing path.
+would be a second sharing path.  And the variant bodies, ``netdyn._evaluate``,
+run only on the private float chunks ``apply_neighborhood_fn`` hands them;
+a second caller would be a second G path with its own copy and aliasing rules.
 """
 
 import ast
@@ -18,12 +21,18 @@ import netar
 PACKAGE = Path(netar.__file__).parent
 OTHERS = sorted(p for p in PACKAGE.glob("*.py") if p.name != "model.py")
 FIT_SIDE = [PACKAGE / name for name in ("estimate.py", "harness.py", "cli.py")]
+NETDYN = PACKAGE / "netdyn.py"
 
 
 def uses(path, name):
     """The lines of ``path`` that name ``name``, as a variable, attribute or import."""
+    return named_in(ast.parse(path.read_text()), name)
+
+
+def named_in(tree, name):
+    """The lines under an AST node that name ``name``, as a variable, attribute or import."""
     found = []
-    for node in ast.walk(ast.parse(path.read_text())):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             names = [node.id]
         elif isinstance(node, ast.Attribute):
@@ -46,3 +55,20 @@ def test_only_model_steps_the_recursion(path):
 def test_fits_evaluate_g_only_through_the_series(path):
     found = uses(path, "apply_neighborhood_fn")
     assert found == [], f"{path.name} evaluates G itself at {found}"
+
+
+def test_g_is_evaluated_only_by_apply_neighborhood_fn():
+    # the top-level functions, methods and module-level statements of netdyn
+    # that name the variant bodies: the kernel, and their own recursion
+    scopes = {getattr(node, "name", "module level")
+              for top in ast.parse(NETDYN.read_text()).body
+              for node in (top.body if isinstance(top, ast.ClassDef) else [top])
+              if named_in(node, "_evaluate")}
+    assert scopes - {"_evaluate"} == {"apply_neighborhood_fn"}
+
+
+@pytest.mark.parametrize("path", sorted(set(PACKAGE.glob("*.py")) - {NETDYN}),
+                         ids=lambda p: p.name)
+def test_no_other_module_names_the_variant_bodies(path):
+    found = uses(path, "_evaluate")
+    assert found == [], f"{path.name} names netdyn._evaluate at {found}"
