@@ -18,7 +18,7 @@ import numpy as np
 
 from . import io as nio
 from .depmeas import estimate_delta_network, estimate_delta_x
-from .estimate import FAMILIES, fit_lnar, fit_nar, fit_var, select_order_bic
+from .estimate import FAMILIES, _fit_by_bic
 from .forecast import HoldLast, Known, PerEdgeMarkov, forecast_h
 from .harness import config_from_json, ingest_panel, run_experiment, run_rolling_forecast, CONFIG_SCHEMA
 from .model import LnarSpec, simulate_lnar, simulate_nar
@@ -73,29 +73,15 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _run_fit(args):
+def cmd_fit(args) -> int:
     x = nio.read_series_csv(args.series)
     ads = nio.read_adjacency(args.ads) if args.ads else None
     if args.family in ("nar", "lnar") and ads is None:
         raise SystemExit("nar/lnar fitting needs --ads")
     g = _parse_g(args.g) if args.g else None
-    if args.p is not None:
-        p = args.p
-    else:
-        sel = select_order_bic(x, ads, g, args.pmax, args.family)
-        p = sel.p
-        print(f"BIC selected p={p} " + " ".join(f"p{q}={v:.2f}" for q, v in sel.table.items()))
-    if args.family == "nar":
-        fit = fit_nar(x, ads, [g] * p, p)
-    elif args.family == "lnar":
-        fit = fit_lnar(x, ads, [g] * p, p)
-    else:
-        fit = fit_var(x, p)
-    return fit
-
-
-def cmd_fit(args) -> int:
-    fit = _run_fit(args)
+    fit, sel = _fit_by_bic(args.family, x, ads, g, args.pmax, p=args.p)
+    if sel is not None:
+        print(f"BIC selected p={sel.p} " + " ".join(f"p{q}={v:.2f}" for q, v in sel.table.items()))
     nio.write_fit_json(_out_path(args, "fit.json"), fit)
     print(f"family={fit.family} p={fit.p} d={fit.d}")
     print(f"{'comp':>4} {'term':>10} {'estimate':>12} {'std.err':>10}")

@@ -167,7 +167,7 @@ class ModelFit:
         The per-component family's come from :meth:`LnarSpec.coefficient_matrix`.
         """
         if self.family == "lnar":
-            spec = self._lnar_spec()
+            spec = LnarSpec(self.p, *self.alpha_beta(), self.g)
             return [spec.coefficient_matrix(j) for j in range(self.p)]
         mats = [np.zeros((self.d, self.d)) for _ in range(self.p)]
         for c in self.components:
@@ -175,9 +175,6 @@ class ModelFit:
                 i, j = flat % self.d, flat // self.d
                 mats[j][c.r, i] = c.w[pos]
         return mats
-
-    def _lnar_spec(self) -> LnarSpec:
-        return LnarSpec(self.p, *self.alpha_beta(), self.g)
 
     def alpha_beta(self):
         """(p, d) own-lag and network coefficients."""
@@ -576,3 +573,29 @@ def select_order_bic(x: np.ndarray, ads: Optional[AdjacencySeries] = None,
     if best_p is None:
         raise EstimationError("no candidate order is identifiable on this sample")
     return OrderSelection(p=best_p, table=table)
+
+
+def _fit_by_bic(family: str, x, ads: Optional[AdjacencySeries], g: Optional[NeighborhoodFn],
+                p_max: int, masked: bool = False,
+                p: Optional[int] = None) -> Tuple[ModelFit, Optional[OrderSelection]]:
+    """The one fit procedure of every front end: BIC order selection on the common
+    window unless ``p`` is given, then the refit at that order; returns the fit and
+    the selection (None for a given ``p``).  A ``masked`` VAR keeps a coefficient
+    where the series' kept G (the raw network without ``g``) is non-zero at some
+    estimation snapshot, the same support at every lag."""
+    _check_family(family)
+    support = None
+    if masked:
+        n = np.shape(x)[-1]
+        support = (ads.mats[: n - 1] if g is None else ads._modulation(g, n - 1)).any(axis=0)
+
+    def mask(q):
+        return None if support is None else np.tile(support, (1, q))
+
+    selection = None
+    if p is None:
+        selection = select_order_bic(x, ads, g, p_max, family, mask(p_max))
+        p = selection.p
+    if family == "var":
+        return fit_var(x, p, mask(p)), selection
+    return (fit_nar if family == "nar" else fit_lnar)(x, ads, [g] * p, p), selection

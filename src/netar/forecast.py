@@ -16,7 +16,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .estimate import ModelFit
-from .model import _check_network_cover, _nar_coefficients, _run_recursion
+from .model import LnarSpec, _check_network_cover, _nar_coefficients, _run_recursion
 from .netdyn import AdjacencySeries
 
 __all__ = [
@@ -139,7 +139,7 @@ def forecast_h(fit: ModelFit, x_hist: np.ndarray, ads_hist: Optional[AdjacencySe
     p = fit.p
     if fit.family == "lnar" and p > 0:
         # the per-component family runs on its embedding into the full model
-        nar = fit._lnar_spec().to_nar()
+        nar = LnarSpec(p, *fit.alpha_beta(), fit.g).to_nar()
         coef, g = nar.A, nar.G
     else:
         coef, g = fit.coefficient_matrices(), fit.g

@@ -26,8 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import io as nio
-from .estimate import (FAMILIES, EstimationError, _check_family, fit_lnar, fit_nar, fit_var,
-                       select_order_bic)
+from .estimate import FAMILIES, EstimationError, _check_family, _fit_by_bic
 from .forecast import HoldLast, Known, PerEdgeMarkov, difference, forecast_h, integrate
 from .model import InnovationSpec, LnarSpec, NarSpec, simulate_lnar, simulate_nar
 from .netdyn import (
@@ -285,22 +284,6 @@ def _simulate_replicate(cfg: ExperimentConfig, n: int, rng: np.random.Generator)
     return x, ads.drop_first(cfg.burn_in)
 
 
-def _fit_with_bic(method: MethodSpec, x_est, ads_est, p_max: int):
-    """BIC order selection, then the refit at the selected order.  Both read the method's G
-    from the one evaluation ``ads_est`` keeps, as does the network-masked VAR's mask."""
-    if method.family == "var":
-        mask = None
-        if method.sparsity == "network":
-            n, g = x_est.shape[1], method.g
-            base = ads_est.mats[: n - 1] if g is None else ads_est._modulation(g, n - 1)
-            mask = np.concatenate([base.any(axis=0).astype(float)] * p_max, axis=1)
-        p = select_order_bic(x_est, p_max=p_max, family="var", mask=mask).p
-        return fit_var(x_est, p, mask=None if mask is None else mask[:, : x_est.shape[0] * p])
-    p = select_order_bic(x_est, ads_est, method.g, p_max, method.family).p
-    fit = fit_nar if method.family == "nar" else fit_lnar
-    return fit(x_est, ads_est, [method.g] * p, p)
-
-
 def _resolve_policy(method: MethodSpec, ads_post: AdjacencySeries, n: int, h: int):
     if method.family == "var":
         return None
@@ -331,7 +314,8 @@ def _run_one_replicate(cfg: ExperimentConfig, n_index: int, n: int, rep: int):
         key = (method.family, method.g, method.sparsity)
         if key not in fits:
             try:
-                fits[key] = _fit_with_bic(method, x_est, ads_est, cfg.p_max)
+                fits[key] = _fit_by_bic(method.family, x_est, ads_est, method.g, cfg.p_max,
+                                        method.sparsity == "network")[0]
             except EstimationError:
                 fits[key] = None  # every method sharing the fit fails with it
     errors: Dict[str, Optional[np.ndarray]] = {}
@@ -675,8 +659,7 @@ def run_rolling_forecast(panel: PanelDataset, methods=("var", "lnar", "nar"), h:
     errors = {}
     orders = {}
     for name in methods:
-        method = MethodSpec(family=name, policy="holdlast", g=None if name == "var" else g)
-        fit = _fit_with_bic(method, x_est, ads_est, p_max)
+        fit = _fit_by_bic(name, x_est, ads_est, g, p_max)[0]
         fc = forecast_h(fit, x_est, ads_est, HoldLast(), h)
         levels_fc = integrate(origin_level, fc)
         forecasts[name] = levels_fc

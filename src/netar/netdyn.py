@@ -336,8 +336,7 @@ def k_stage_neighborhood(ad, k: int) -> np.ndarray:
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
-    at = _require_binary(ad, "k_stage_neighborhood").swapaxes(-1, -2)
-    return _walks_within(at, k) - _walks_within(at, k - 1)
+    return apply_neighborhood_fn(NeighborhoodFn.k_stage(k), ad)
 
 
 _VARIANTS = {
@@ -502,7 +501,8 @@ def _evaluate(fn: NeighborhoodFn, ad: np.ndarray) -> np.ndarray:
     if fn.kind == "sign_poly":
         return _walks_within(_require_binary(ad, "sign_poly"), fn.k)
     if fn.kind == "k_stage":
-        return k_stage_neighborhood(ad, fn.k)
+        at = _require_binary(ad, "k_stage_neighborhood").swapaxes(-1, -2)
+        return _walks_within(at, fn.k) - _walks_within(at, fn.k - 1)
     if fn.kind == "row_normalized_transpose":
         # one unmasked divide into C order, then every zero-sum row (signed ones too) to 0
         at = ad.swapaxes(-1, -2)

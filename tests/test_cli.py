@@ -6,7 +6,8 @@ import pytest
 
 import netar.io as nio
 from netar import AdjacencySeries, InnovationSpec, LnarSpec, NarSpec, NeighborhoodFn, simulate_nar
-from netar.cli import main
+from netar.cli import _parse_g, main
+from netar.estimate import _fit_by_bic
 from netar.harness import config_to_json, example1_config
 
 from panel_helpers import synthetic_panel_arrays, write_panel_files
@@ -170,6 +171,65 @@ def test_fit_selection_and_refit_read_one_g_evaluation(tmp_path, model_files, mo
                  "--ads", os.path.join(out, "network.csv"), "--family", "lnar",
                  "--g", "rownorm", "--out", out]) == 0
     assert calls == [199]
+
+
+@pytest.fixture()
+def simulated(tmp_path, model_files):
+    """A simulated series and its network, as files."""
+    model_path, net_path = model_files
+    out = str(tmp_path / "sim")
+    assert main(["simulate", "--model", model_path, "--network", net_path,
+                 "--n", "200", "--seed", "5", "--out", out]) == 0
+    return os.path.join(out, "series.csv"), os.path.join(out, "network.csv")
+
+
+FIT_G = {"nar": "transpose", "lnar": "rownorm", "var": None}
+
+
+def run_fit(tmp_path, simulated, family, *extra):
+    """``netar fit`` of one family on the simulated files: its output directory and stdout."""
+    series, network = simulated
+    out = str(tmp_path / family)
+    g = [] if FIT_G[family] is None else ["--g", FIT_G[family]]
+    assert main(["fit", "--series", series, "--ads", network, "--family", family, *g,
+                 *extra, "--out", out]) == 0
+    return out
+
+
+@pytest.mark.parametrize("family", ["nar", "lnar", "var"])
+def test_fit_prints_the_plug_in_standard_errors(tmp_path, simulated, family, capsys):
+    out = run_fit(tmp_path, simulated, family)
+    shown = capsys.readouterr().out.splitlines()
+    table = shown[shown.index(next(ln for ln in shown if ln.split()[:1] == ["comp"])) + 1: -1]
+    printed = [float(ln.split()[-1]) for ln in table if "intercept" not in ln]
+    with open(os.path.join(out, "fit.json")) as fh:
+        comps = json.load(fh)["components"]
+    expected = np.concatenate([
+        np.sqrt(np.clip(np.diag(np.asarray(c["asymp_cov"], dtype=float)), 0.0, None)
+                / c["n_obs"]) for c in comps])
+    assert len(printed) == expected.size > 0
+    np.testing.assert_allclose(printed, expected, rtol=0, atol=5.01e-6)
+
+
+@pytest.mark.parametrize("p", [None, 2], ids=["bic", "given"])
+@pytest.mark.parametrize("family", ["nar", "lnar", "var"])
+def test_fit_command_runs_the_one_fit_procedure(tmp_path, simulated, family, p, capsys):
+    out = run_fit(tmp_path, simulated, family, *([] if p is None else ["--p", str(p)]))
+    shown = capsys.readouterr().out
+    series, network = simulated
+    g = None if FIT_G[family] is None else _parse_g(FIT_G[family])
+    fit, sel = _fit_by_bic(family, nio.read_series_csv(series), nio.read_adjacency(network),
+                           g, 3, p=p)
+    nio.write_fit_json(tmp_path / "direct.json", fit)
+    assert (tmp_path / "direct.json").read_bytes() == open(os.path.join(out, "fit.json"),
+                                                         "rb").read()
+    bic = [ln for ln in shown.splitlines() if ln.startswith("BIC selected")]
+    if p is None:
+        assert sel.p == fit.p
+        assert bic == [f"BIC selected p={sel.p} "
+                       + " ".join(f"p{q}={v:.2f}" for q, v in sel.table.items())]
+    else:
+        assert sel is None and bic == [] and fit.p == p
 
 
 def test_forecast_known_policy_and_truth(tmp_path, model_files):

@@ -153,7 +153,8 @@ def per_method_refits(cfg, n_index, n, rep):
     ads_est = ads_post.take_first(n - 1)
     errors = {}
     for m in cfg.methods:
-        fit = harness._fit_with_bic(m, x_est, ads_est, cfg.p_max)
+        fit = harness._fit_by_bic(m.family, x_est, ads_est, m.g, cfg.p_max,
+                                  m.sparsity == "network")[0]
         policy = harness._resolve_policy(m, ads_post, n, cfg.horizons)
         errors[m.label] = forecast_h(fit, x_est, ads_est, policy, cfg.horizons, truth=truth).errors
     return errors
@@ -162,15 +163,15 @@ def per_method_refits(cfg, n_index, n, rep):
 def counted_fits(monkeypatch, fail_family=None):
     """Wrap the harness's fit, counting calls and failing one family's fits."""
     calls = []
-    fit = harness._fit_with_bic
+    fit = harness._fit_by_bic
 
-    def wrapped(method, *args):
-        calls.append(method.family)
-        if method.family == fail_family:
+    def wrapped(family, *args):
+        calls.append(family)
+        if family == fail_family:
             raise EstimationError(f"{fail_family} fit refused")
-        return fit(method, *args)
+        return fit(family, *args)
 
-    monkeypatch.setattr(harness, "_fit_with_bic", wrapped)
+    monkeypatch.setattr(harness, "_fit_by_bic", wrapped)
     return calls
 
 
@@ -206,8 +207,8 @@ class TestFitSharing:
 
 def unshared_errors(cfg, n_index, n, rep):
     """A replicate's errors from plain BIC selections and fits, each evaluating G itself
-    on a series of its own; the masked VAR keeps the coefficients whose G entry is non-zero
-    somewhere in the sample."""
+    on a series of its own; the masked VAR keeps the coefficients whose G entry (the raw
+    network's without g) is non-zero somewhere in the sample."""
     rng = harness._replicate_seed(cfg.seed, n_index, rep)
     x_all, ads_post = harness._simulate_replicate(cfg, n, rng)
     x_est, truth = x_all[:, :n], x_all[:, n:]
@@ -217,7 +218,9 @@ def unshared_errors(cfg, n_index, n, rep):
         if m.family == "var":
             mask = None
             if m.sparsity == "network":
-                base = apply_neighborhood_fn(m.g, ads_est.mats[: n - 1]).any(axis=0)
+                base = ads_est.mats[: n - 1] if m.g is None else apply_neighborhood_fn(
+                    m.g, ads_est.mats[: n - 1])
+                base = base.any(axis=0)
                 mask = np.concatenate([base.astype(float)] * cfg.p_max, axis=1)
             p = select_order_bic(x_est, p_max=cfg.p_max, family="var", mask=mask).p
             fit = fit_var(x_est, p, mask=None if mask is None else mask[:, : x_est.shape[0] * p])
@@ -249,6 +252,12 @@ def example2_d10():
     return example2_config(d=10, policies=("known", "holdlast"))
 
 
+def raw_masked_example1():
+    # a VAR masked by the raw network, which is sparse in example 1
+    cfg = three_policy_example1()
+    return dataclasses.replace(cfg, methods=[*cfg.methods, MethodSpec("var", sparsity="network")])
+
+
 def reversed_example1():
     # lnar before nar on the same g: the shared G's diagonal must reach nar intact
     cfg = three_policy_example1()
@@ -257,7 +266,8 @@ def reversed_example1():
 
 class TestGSharing:
     # a replicate's fits read one evaluation of each distinct method G
-    @pytest.mark.parametrize("make", [example2_d10, three_policy_example1, reversed_example1])
+    @pytest.mark.parametrize("make", [example2_d10, three_policy_example1, reversed_example1,
+                                      raw_masked_example1])
     def test_shared_evaluation_gives_the_unshared_errors(self, make):
         cfg = make()
         n = cfg.sample_sizes[0]

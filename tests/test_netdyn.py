@@ -120,6 +120,13 @@ def per_snapshot(oracle, fn, ad):
     return np.array([oracle(fn, a) for a in ad.reshape(-1, d, d)], dtype=float).reshape(ad.shape)
 
 
+def evaluations(fn, ad):
+    """G on ``ad`` by the kernel and, for a k_stage G, by its public function as well."""
+    yield apply_neighborhood_fn(fn, ad)
+    if fn.kind == "k_stage":
+        yield k_stage_neighborhood(ad, fn.k)
+
+
 def set_chunk(monkeypatch, size):
     """Every chunked walk over a path, netdyn's and the simulator's, at ``size`` snapshots."""
     for module in (netdyn, model):
@@ -132,9 +139,9 @@ def chunk_of(monkeypatch, chunk, shape):
 
 
 class TestBoolStacks:
-    """A bool stack is kept as it is, and G reads it one chunk at a time into a
-    float result equal to the per-snapshot oracle on its float copy, at every
-    chunk size, leaving the stack as it was."""
+    """A bool stack is kept as it is, and G (``k_stage_neighborhood`` too) reads it
+    one chunk at a time into a float result equal to the per-snapshot oracle on its
+    float copy, at every chunk size, leaving the stack as it was."""
 
     @pytest.mark.parametrize("chunk", [1, 7, "T"])
     @pytest.mark.parametrize("shape", [(), (0,), (20,), (3, 5)],
@@ -146,10 +153,10 @@ class TestBoolStacks:
         before = on.copy()
         chunk_of(monkeypatch, chunk, shape)
         for fn, _ in kernel_variants(d, rng):
-            got = apply_neighborhood_fn(fn, on)
-            assert got.dtype == float and got.flags.c_contiguous
-            assert np.array_equal(got, per_snapshot(neighborhood_oracle, fn, on)), fn.kind
-            assert np.array_equal(on, before), f"{fn.kind} wrote into its input"
+            for got in evaluations(fn, on):
+                assert got.dtype == float and got.flags.c_contiguous
+                assert np.array_equal(got, per_snapshot(neighborhood_oracle, fn, on)), fn.kind
+                assert np.array_equal(on, before), f"{fn.kind} wrote into its input"
 
     def test_series_keeps_a_bool_stack_without_a_scan_or_a_copy(self, monkeypatch):
         on = np.random.default_rng(5).random((6, 3, 3)) < 0.5
@@ -161,9 +168,9 @@ class TestBoolStacks:
 
 
 class TestNeighborhoodKernel:
-    """The batched kernel against the per-snapshot oracle, bit for bit, on float
-    stacks (weighted and signed where G allows it) of every layout, evaluated one
-    chunk at a time at every chunk size."""
+    """The batched kernel (and ``k_stage_neighborhood``) against the per-snapshot
+    oracle, bit for bit, on float stacks (weighted and signed where G allows it) of
+    every layout, evaluated one chunk at a time at every chunk size."""
 
     @pytest.mark.parametrize("shape", [(), (0,), (1,), (7,), (2, 3)],
                              ids=["single", "empty", "one-stack", "stack", "4d-stack"])
@@ -179,14 +186,14 @@ class TestNeighborhoodKernel:
             if layout == "transposed":  # each snapshot stored column-major, a non-contiguous view
                 ad = ad.swapaxes(-1, -2).copy().swapaxes(-1, -2)
             before = ad.copy()
-            out = apply_neighborhood_fn(fn, ad)
-            for got, oracle in ((out, neighborhood_oracle), (zeroed(out), zero_diag_oracle)):
-                expected = per_snapshot(oracle, fn, ad)
-                assert got.shape == ad.shape
-                assert np.array_equal(got, expected), (fn.kind, oracle.__name__, chunk, layout)
-            assert out.flags.c_contiguous
-            assert not np.shares_memory(out, ad)
-            assert np.array_equal(ad, before), "kernel wrote into its input"
+            for out in evaluations(fn, ad):
+                for got, oracle in ((out, neighborhood_oracle), (zeroed(out), zero_diag_oracle)):
+                    expected = per_snapshot(oracle, fn, ad)
+                    assert got.shape == ad.shape
+                    assert np.array_equal(got, expected), (fn.kind, oracle.__name__, chunk, layout)
+                assert out.flags.c_contiguous
+                assert not np.shares_memory(out, ad)
+                assert np.array_equal(ad, before), "kernel wrote into its input"
 
     def test_identity_zero_diag_leaves_caller_network_alone(self):
         # transpose_of(transpose) is a view of the chunk it reads, so zeroing

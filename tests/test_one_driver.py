@@ -1,5 +1,5 @@
 """Only model.py steps the recursion, the fits evaluate G only through the series,
-and G has one evaluation path.
+G has one evaluation path, and the front ends fit through one procedure.
 
 ``model._run_recursion`` is the one time loop of the AR recursion and
 ``model._nar_step`` its one step; a second module that steps the recursion
@@ -9,6 +9,9 @@ keeps (``_modulation``); a fit-side module that called the kernel itself
 would be a second sharing path.  And the variant bodies, ``netdyn._evaluate``,
 run only on the private float chunks ``apply_neighborhood_fn`` hands them;
 a second caller would be a second G path with its own copy and aliasing rules.
+The harness, the panel pipeline and ``netar fit`` select the order, build the
+network mask and refit only through ``estimate._fit_by_bic``; a front end that
+named the selection, a fit or the series' kept G itself would be a second recipe.
 """
 
 import ast
@@ -22,6 +25,8 @@ PACKAGE = Path(netar.__file__).parent
 OTHERS = sorted(p for p in PACKAGE.glob("*.py") if p.name != "model.py")
 FIT_SIDE = [PACKAGE / name for name in ("estimate.py", "harness.py", "cli.py")]
 NETDYN = PACKAGE / "netdyn.py"
+FRONT_ENDS = [PACKAGE / name for name in ("harness.py", "cli.py")]
+FIT_RECIPE = ("select_order_bic", "fit_nar", "fit_lnar", "fit_var", "_modulation")
 
 
 def uses(path, name):
@@ -72,3 +77,10 @@ def test_g_is_evaluated_only_by_apply_neighborhood_fn():
 def test_no_other_module_names_the_variant_bodies(path):
     found = uses(path, "_evaluate")
     assert found == [], f"{path.name} names netdyn._evaluate at {found}"
+
+
+@pytest.mark.parametrize("name", FIT_RECIPE)
+@pytest.mark.parametrize("path", FRONT_ENDS, ids=lambda p: p.name)
+def test_front_ends_fit_only_through_the_one_procedure(path, name):
+    found = uses(path, name)
+    assert found == [], f"{path.name} names {name} at {found}, not estimate._fit_by_bic"
