@@ -18,7 +18,7 @@ import numpy as np
 
 from . import io as nio
 from .depmeas import estimate_delta_network, estimate_delta_x
-from .estimate import FAMILIES, _fit_by_bic
+from .estimate import FAMILIES, EstimationError, _fit_by_bic
 from .forecast import HoldLast, Known, PerEdgeMarkov, forecast_h
 from .harness import config_from_json, ingest_panel, run_experiment, run_rolling_forecast, CONFIG_SCHEMA
 from .model import LnarSpec, simulate_lnar, simulate_nar
@@ -78,8 +78,13 @@ def cmd_fit(args) -> int:
     ads = nio.read_adjacency(args.ads) if args.ads else None
     if args.family in ("nar", "lnar") and ads is None:
         raise SystemExit("nar/lnar fitting needs --ads")
+    if args.family == "var" and args.g:
+        raise SystemExit("--g applies to nar and lnar fits: netar fit has no network-masked var")
     g = _parse_g(args.g) if args.g else None
-    fit, sel = _fit_by_bic(args.family, x, ads, g, args.pmax, p=args.p)
+    (outcome,) = _fit_by_bic([(args.family, g, False)], x, ads, args.pmax, p=args.p)
+    if isinstance(outcome, EstimationError):
+        raise outcome
+    fit, sel = outcome
     if sel is not None:
         print(f"BIC selected p={sel.p} " + " ".join(f"p{q}={v:.2f}" for q, v in sel.table.items()))
     nio.write_fit_json(_out_path(args, "fit.json"), fit)

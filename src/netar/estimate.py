@@ -22,9 +22,10 @@ its own lagged columns, as :func:`fit_component_ls` fits them.  Two loops
 consume it: the fit loop solves each full block and adds the plug-in
 asymptotic covariance, and BIC order selection, which fits every candidate
 order on one common window, solves each candidate's leading block for its
-residual sum of squares alone.  Network regressors read the one evaluation
-of each distinct G that the :class:`AdjacencySeries` keeps, so every fit on
-a series, BIC selection included, shares it.
+residual sum of squares alone.  Network regressors read what the
+:class:`AdjacencySeries` keeps of each distinct G from one chunked pass over
+its snapshots: NAR the evaluations, LNAR the pooled series and the masked VAR
+the support, so every fit on a series, BIC selection included, shares it.
 """
 
 from __future__ import annotations
@@ -201,7 +202,8 @@ def _nar_design(x: np.ndarray, ads: AdjacencySeries, g_list, p: int):
     its G's evaluation on the snapshots 0..n-2, which the series keeps and it only reads.
     """
     d, n = x.shape
-    stacks = [ads._modulation(g, n - 1)[p - j: n - j] for j, g in enumerate(g_list, start=1)]
+    stacks = [ads._g_parts(g, x, ["stack"])["stack"][p - j: n - j]
+              for j, g in enumerate(g_list, start=1)]
     mass = [np.abs(s).sum(axis=0) for s in stacks]
     for r in range(d):
         members = [i + j * d for j in range(p) for i in range(d) if mass[j][r, i] > 0.0]
@@ -217,24 +219,13 @@ def _lnar_design(x, ads, g_list, p):
 
     Columns 2(j-1) and 2(j-1)+1 of component r are its own lag x_{t-j;r}
     and its pooled network lag, entry r of zero-diagonal G_j(Ad_{t-j}) x_{t-j}.
-    The pooled series is computed once per distinct G, from the evaluation
-    the series keeps: its diagonal is zeroed for the one product and
-    restored after it; each lag slices the pooled series.
+    Each lag slices its G's pooled series, which the series keeps.
     """
     d, n = x.shape
-    lagged, idx, pooled = x[:, : n - 1].T[..., None], np.arange(d), {}
-    for g in dict.fromkeys(g_list):
-        stack = ads._modulation(g, n - 1)
-        diag = stack[:, idx, idx]
-        stack[:, idx, idx] = 0.0
-        try:
-            pooled[g] = np.matmul(stack, lagged)[..., 0].T
-        finally:
-            stack[:, idx, idx] = diag
     Y = np.empty((d, n - p, 2 * p))
     for j, g in enumerate(g_list, start=1):
         Y[:, :, 2 * (j - 1)] = x[:, p - j: n - j]
-        Y[:, :, 2 * (j - 1) + 1] = pooled[g][:, p - j: n - j]
+        Y[:, :, 2 * (j - 1) + 1] = ads._g_parts(g, x, ["pooled"])["pooled"][:, p - j: n - j]
     return Y, x[:, p:]
 
 
@@ -575,27 +566,37 @@ def select_order_bic(x: np.ndarray, ads: Optional[AdjacencySeries] = None,
     return OrderSelection(p=best_p, table=table)
 
 
-def _fit_by_bic(family: str, x, ads: Optional[AdjacencySeries], g: Optional[NeighborhoodFn],
-                p_max: int, masked: bool = False,
-                p: Optional[int] = None) -> Tuple[ModelFit, Optional[OrderSelection]]:
-    """The one fit procedure of every front end: BIC order selection on the common
-    window unless ``p`` is given, then the refit at that order; returns the fit and
-    the selection (None for a given ``p``).  A ``masked`` VAR keeps a coefficient
-    where the series' kept G (the raw network without ``g``) is non-zero at some
-    estimation snapshot, the same support at every lag."""
-    _check_family(family)
-    support = None
-    if masked:
-        n = np.shape(x)[-1]
-        support = (ads.mats[: n - 1] if g is None else ads._modulation(g, n - 1)).any(axis=0)
+def _fit_by_bic(models: Sequence[Tuple[str, Optional[NeighborhoodFn], bool]], x,
+                ads: Optional[AdjacencySeries], p_max: int, p: Optional[int] = None) -> list:
+    """The one fit procedure of every front end, for all of a sample's models
+    ``(family, g, masked)`` at once: BIC order selection on the common window unless
+    ``p`` is given, then the refit at that order.  Each model gets its fit and selection
+    (None for a given ``p``), or the EstimationError its fit raised.  One chunked pass
+    over each distinct G first takes every part the models read, so G is evaluated once
+    whatever their order.  A ``masked`` VAR keeps a coefficient where G (the raw network
+    without ``g``) is non-zero at some estimation snapshot, the same support at every lag."""
+    x = _finite_series(x)
+    d, n = x.shape
+    for g in dict.fromkeys(g for _, g, _ in models if g is not None and ads is not None):
+        families = [f for f, h, masked in models if h == g and (f != "var" or masked)]
+        if families:
+            _check_network_cover(ads, d, n - 1, f"{'/'.join(families)} fit")
+            ads._g_parts(g, x, [{"nar": "stack", "lnar": "pooled"}.get(f, "support")
+                                for f in families])
+    outcomes = []
+    for family, g, masked in models:
+        support = None if not masked else (ads.mats[: n - 1].any(axis=0) if g is None
+                                           else ads._g_parts(g, x, ["support"])["support"])
 
-    def mask(q):
-        return None if support is None else np.tile(support, (1, q))
-
-    selection = None
-    if p is None:
-        selection = select_order_bic(x, ads, g, p_max, family, mask(p_max))
-        p = selection.p
-    if family == "var":
-        return fit_var(x, p, mask(p)), selection
-    return (fit_nar if family == "nar" else fit_lnar)(x, ads, [g] * p, p), selection
+        def mask(q):
+            return None if support is None else np.tile(support, (1, q))
+        try:
+            selection = None if p is not None else select_order_bic(x, ads, g, p_max, family,
+                                                                    mask(p_max))
+            q = selection.p if selection else p
+            fit = fit_var(x, q, mask(q)) if family == "var" else (
+                fit_nar if family == "nar" else fit_lnar)(x, ads, [g] * q, q)
+            outcomes.append((fit, selection))
+        except EstimationError as exc:
+            outcomes.append(exc)
+    return outcomes

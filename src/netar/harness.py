@@ -298,29 +298,23 @@ def _run_one_replicate(cfg: ExperimentConfig, n_index: int, n: int, rep: int):
     """Simulate one path and run every method on it.
 
     A fit depends only on the method's family, g and sparsity, never on its
-    network policy, so the replicate fits each distinct model once and
-    forecasts every policy from that fit.  The fits read the one evaluation
-    of each distinct method G that ``ads_est`` keeps, compared by value (JSON
-    gives equal, distinct g's).  Returns a dict mapping method label -> (d, h)
-    forecast-error matrix, or None for a method whose fit failed on this path.
+    network policy, so the replicate fits each distinct model once, all in one
+    ``_fit_by_bic`` call that evaluates each distinct G once (compared by value:
+    JSON gives equal, distinct g's), and forecasts every policy from that fit.
+    Returns a dict mapping method label -> (d, h) forecast-error matrix, or
+    None for a method whose fit failed on this path.
     """
     rng = _replicate_seed(cfg.seed, n_index, rep)
     h = cfg.horizons
     x_all, ads_post = _simulate_replicate(cfg, n, rng)
     x_est, truth = x_all[:, :n], x_all[:, n:]
     ads_est = ads_post.take_first(n - 1)
-    fits: Dict[tuple, object] = {}
-    for method in cfg.methods:
-        key = (method.family, method.g, method.sparsity)
-        if key not in fits:
-            try:
-                fits[key] = _fit_by_bic(method.family, x_est, ads_est, method.g, cfg.p_max,
-                                        method.sparsity == "network")[0]
-            except EstimationError:
-                fits[key] = None  # every method sharing the fit fails with it
+    keys = list(dict.fromkeys((m.family, m.g, m.sparsity == "network") for m in cfg.methods))
+    fits = {key: None if isinstance(out, EstimationError) else out[0]  # for every method sharing it
+            for key, out in zip(keys, _fit_by_bic(keys, x_est, ads_est, cfg.p_max))}
     errors: Dict[str, Optional[np.ndarray]] = {}
     for method in cfg.methods:
-        fit = fits[(method.family, method.g, method.sparsity)]
+        fit = fits[(method.family, method.g, method.sparsity == "network")]
         errors[method.label] = None if fit is None else forecast_h(
             fit, x_est, ads_est, _resolve_policy(method, ads_post, n, h), h, truth=truth).errors
     return errors
@@ -647,23 +641,21 @@ def run_rolling_forecast(panel: PanelDataset, methods=("var", "lnar", "nar"), h:
             f"panel too short: {n_q - h} estimation quarters, need {_MIN_PANEL_QUARTERS}"
         )
     x = difference(panel.levels)
-    n_growth = x.shape[1]
-    n_est = n_growth - h
+    n_est = x.shape[1] - h
     x_est = x[:, :n_est]
     ads_est = panel.mats_growth.take_first(n_est - 1)
     origin_level = panel.levels[:, n_est]
     truth_levels = panel.levels[:, n_est + 1: n_est + 1 + h]
     g = NeighborhoodFn.transpose()
 
-    forecasts = {}
-    errors = {}
-    orders = {}
-    for name in methods:
-        fit = _fit_by_bic(name, x_est, ads_est, g, p_max)[0]
-        fc = forecast_h(fit, x_est, ads_est, HoldLast(), h)
-        levels_fc = integrate(origin_level, fc)
-        forecasts[name] = levels_fc
-        errors[name] = truth_levels - levels_fc
+    forecasts, errors, orders = {}, {}, {}
+    outcomes = _fit_by_bic([(name, g, False) for name in methods], x_est, ads_est, p_max)
+    for name, outcome in zip(methods, outcomes):
+        if isinstance(outcome, EstimationError):
+            raise outcome
+        fit = outcome[0]
+        forecasts[name] = integrate(origin_level, forecast_h(fit, x_est, ads_est, HoldLast(), h))
+        errors[name] = truth_levels - forecasts[name]
         orders[name] = fit.p
     result = PanelForecastResult(
         labels=panel.labels, methods=list(methods), horizons=h,

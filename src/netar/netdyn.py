@@ -10,9 +10,9 @@ forecasts) to G; weighted stacks are floats.
 
 A walk over a whole path goes in chunks of :func:`_snapshots_per_chunk`
 snapshots, about 1 MiB of float snapshots: the network draws, G's
-conversion of its input to floats, the simulator's coefficients and the
-per-component model's path certificate.  G is per snapshot and 0/1 is
-exact as a float, so no result depends on the chunk.
+conversion of its input to floats, the simulator's coefficients, the
+per-component model's path certificate and the fits' pass over G.  G is
+per snapshot and 0/1 is exact as a float, so no result depends on the chunk.
 
 Two binary edge processes are provided (independent per-edge Markov
 chains and a three-node two-edge "flip" toy chain), together with the
@@ -63,12 +63,12 @@ class AdjacencySeries:
     its position, the same index as the series column it modulates.  Every
     entry lies in ``[-1, 1]``.  A bool stack is kept as it is, binary by its
     dtype, with no scan and no copy; any other input is stored as floats.
-    A series keeps one evaluation of each distinct G it is fitted with
-    (:meth:`_modulation`), so its snapshots are not to be written once a
-    fit has read them.
+    A series keeps what its fits read of each distinct G, from one chunked
+    pass over the estimation snapshots (:meth:`_g_parts`), so its snapshots
+    are not to be written once a fit has read them.
     """
 
-    __slots__ = ("mats", "_modulations")
+    __slots__ = ("mats", "_parts")
 
     def __init__(self, mats):
         is_bool = isinstance(mats, np.ndarray) and mats.dtype == bool
@@ -78,23 +78,40 @@ class AdjacencySeries:
         if not is_bool:
             _check_weights(arr, "edge weights")
         self.mats = arr
-        self._modulations = {}
+        self._parts = {}
 
     @classmethod
     def _checked(cls, mats: np.ndarray) -> "AdjacencySeries":
         """A series over snapshots already known to be valid (views of a
         checked series, binary simulator output), built without re-scanning them."""
         out = cls.__new__(cls)
-        out.mats, out._modulations = mats, {}
+        out.mats, out._parts = mats, {}
         return out
 
-    def _modulation(self, g: "NeighborhoodFn", k: int) -> np.ndarray:
-        """G on the first ``k`` snapshots, with its diagonal, evaluated once and kept:
-        every fit on this series with an equal G (compared by value) reads this one
-        array, so a reader that writes into it must restore it."""
-        if (g, k) not in self._modulations:
-            self._modulations[g, k] = apply_neighborhood_fn(g, self.mats[:k])
-        return self._modulations[g, k]
+    def _g_parts(self, g: "NeighborhoodFn", x: np.ndarray, parts) -> dict:
+        """What fits on the ``(d, n)`` series ``x`` read of G on the snapshots 0..n-2:
+        its evaluations ``"stack"``, their ``bool`` ``"support"`` (non-zero at some
+        snapshot) and the ``(d, n-1)`` ``"pooled"`` series ``zero-diag G_t x_t``.  Missing
+        parts come from one pass, a chunk of :func:`_snapshots_per_chunk` at a time, and
+        are kept for every fit with an equal G (by value); the pooled one with its x."""
+        k, d, step = x.shape[1] - 1, self.d, _snapshots_per_chunk(self.d)
+        mats, xk, kept = self.mats[:k], x[:, :k], self._parts.setdefault((g, k), {})
+        if not np.array_equal(kept.get("x"), xk):
+            kept.pop("pooled", None)
+        shapes = {"stack": ((k, d, d), float), "support": ((d, d), bool), "pooled": ((d, k), float)}
+        new = {q: np.zeros(*shapes[q]) for q in parts if q not in kept}
+        for s in range(0, k if new else 0, step):
+            chunk = apply_neighborhood_fn(g, mats[s: s + step])
+            if "stack" in new:
+                new["stack"][s: s + step] = chunk
+            if "support" in new:
+                new["support"] |= (chunk != 0).any(axis=0)
+            if "pooled" in new:  # the chunk is private: its diagonal is zeroed in place
+                chunk[:, np.arange(d), np.arange(d)] = 0.0
+                new["pooled"][:, s: s + step] = (chunk @ xk[:, s: s + step].T[..., None])[..., 0].T
+        if new:
+            kept.update(new, x=xk.copy())
+        return kept
 
     @property
     def d(self) -> int:
@@ -303,13 +320,6 @@ class FlipNetwork:
         return (start ^ parity).astype(np.int8)[burn_in:]
 
 
-def _require_binary(ad: np.ndarray, what: str) -> np.ndarray:
-    ad = np.asarray(ad, dtype=float)
-    if not np.isin(ad, (0.0, 1.0)).all():
-        raise ValueError(f"{what} requires a binary adjacency matrix")
-    return ad
-
-
 def _walks_within(ad: np.ndarray, k: int) -> np.ndarray:
     """0/1 indicator of a walk of length 1..k from ``i`` to ``j`` in a binary
     snapshot or ``(..., d, d)`` stack; all zeros for ``k = 0``.
@@ -487,21 +497,25 @@ def apply_neighborhood_fn(fn: NeighborhoodFn, ad) -> np.ndarray:
     snaps, into = ad.reshape((-1,) + ad.shape[-2:]), out.reshape((-1,) + ad.shape[-2:])
     step = _snapshots_per_chunk(ad.shape[-1])
     for s in range(0, max(len(snaps), 1), step):  # an empty stack is still checked
-        into[s: s + step] = _evaluate(fn, snaps[s: s + step].astype(float))
+        into[s: s + step] = _evaluate(fn, snaps[s: s + step].astype(float), ad.dtype == bool)
     return out
 
 
-def _evaluate(fn: NeighborhoodFn, ad: np.ndarray) -> np.ndarray:
+def _evaluate(fn: NeighborhoodFn, ad: np.ndarray, binary: bool) -> np.ndarray:
     """Variant bodies over the trailing two axes of a private float chunk, which
-    they may return a view of and write into."""
+    they may return a view of and write into; ``binary`` says the chunk was
+    converted from a ``bool`` stack, so it needs no binary scan."""
+    if fn.kind in ("sign_poly", "k_stage") and not binary and not np.isin(ad, (0.0, 1.0)).all():
+        what = "sign_poly" if fn.kind == "sign_poly" else "k_stage_neighborhood"
+        raise ValueError(f"{what} requires a binary adjacency matrix")
     if fn.kind == "transpose":
         return ad.swapaxes(-1, -2)
     if fn.kind == "transpose_of":
-        return _evaluate(fn.inner, ad).swapaxes(-1, -2)
+        return _evaluate(fn.inner, ad, binary).swapaxes(-1, -2)
     if fn.kind == "sign_poly":
-        return _walks_within(_require_binary(ad, "sign_poly"), fn.k)
+        return _walks_within(ad, fn.k)
     if fn.kind == "k_stage":
-        at = _require_binary(ad, "k_stage_neighborhood").swapaxes(-1, -2)
+        at = ad.swapaxes(-1, -2)
         return _walks_within(at, fn.k) - _walks_within(at, fn.k - 1)
     if fn.kind == "row_normalized_transpose":
         # one unmasked divide into C order, then every zero-sum row (signed ones too) to 0
@@ -517,7 +531,7 @@ def _evaluate(fn: NeighborhoodFn, ad: np.ndarray) -> np.ndarray:
         return w * ad
     if fn.kind == "identity_plus":
         # I + zero-diagonal inner(Ad), in place
-        out = _evaluate(fn.inner, ad)
+        out = _evaluate(fn.inner, ad, binary)
         idx = np.arange(ad.shape[-1])
         out[..., idx, idx] = 1.0
         return out

@@ -218,8 +218,8 @@ def test_fit_command_runs_the_one_fit_procedure(tmp_path, simulated, family, p, 
     shown = capsys.readouterr().out
     series, network = simulated
     g = None if FIT_G[family] is None else _parse_g(FIT_G[family])
-    fit, sel = _fit_by_bic(family, nio.read_series_csv(series), nio.read_adjacency(network),
-                           g, 3, p=p)
+    (fit, sel), = _fit_by_bic([(family, g, False)], nio.read_series_csv(series),
+                              nio.read_adjacency(network), 3, p=p)
     nio.write_fit_json(tmp_path / "direct.json", fit)
     assert (tmp_path / "direct.json").read_bytes() == open(os.path.join(out, "fit.json"),
                                                          "rb").read()
@@ -230,6 +230,15 @@ def test_fit_command_runs_the_one_fit_procedure(tmp_path, simulated, family, p, 
                        + " ".join(f"p{q}={v:.2f}" for q, v in sel.table.items())]
     else:
         assert sel is None and bic == [] and fit.p == p
+
+
+def test_fit_rejects_g_for_var(tmp_path, simulated):
+    # netar fit has no network-masked var, so a g for it would be silently ignored
+    series, network = simulated
+    with pytest.raises(SystemExit, match="--g"):
+        main(["fit", "--series", series, "--ads", network, "--family", "var",
+              "--g", "sign_poly:2", "--p", "1", "--out", str(tmp_path / "var")])
+    assert not (tmp_path / "var" / "fit.json").exists()
 
 
 def test_forecast_known_policy_and_truth(tmp_path, model_files):

@@ -203,9 +203,9 @@ class TestModulationRing:
         evaluated = []
         evaluate = netdyn._evaluate
 
-        def counting(fn, ad):
+        def counting(fn, ad, binary):
             evaluated.append(int(np.prod(ad.shape[:-2])))
-            return evaluate(fn, ad)
+            return evaluate(fn, ad, binary)
 
         monkeypatch.setattr(netdyn, "_evaluate", counting)
         estimate_delta_x(spec, model, InnovationSpec.standard(d), q=2, max_lag=max_lag,

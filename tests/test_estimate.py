@@ -1,3 +1,4 @@
+import tracemalloc
 from math import log
 from unittest import mock
 
@@ -25,7 +26,7 @@ from netar import estimate, netdyn
 from netar.estimate import ComponentFit, ModelFit, OrderSelection, _lnar_design, _nar_design
 from netar.io import fit_to_json
 
-from test_netdyn import example1_network_matrices, zero_diag_oracle
+from test_netdyn import example1_network_matrices, kernel_variants, zero_diag_oracle
 from test_model import example1_alpha
 
 
@@ -907,3 +908,58 @@ def test_network_vertex_count_must_match_the_series(fit):
     with pytest.raises(ValueError, match="the network has 3 vertices but the process has "
                                          "4 components"):
         fit(x, ads, NeighborhoodFn.transpose())
+
+
+def outcome_values(outcome):
+    """A ``_fit_by_bic`` outcome as lists that compare bit for bit: each component's
+    estimates and ``gram_cond``, and the BIC table; or the error's message."""
+    if isinstance(outcome, EstimationError):
+        return str(outcome)
+    fit, sel = outcome
+    return [fit.p, [[c.members, c.w.tolist(), c.mu, c.rss, c.gram_cond, c.ridge_jitter]
+                    for c in fit.components], None if sel is None else sel.table]
+
+
+class TestChunkedFitPass:
+    """The fits read G from one chunked pass over the estimation snapshots; no chunk
+    size changes a fit, a BIC table or a ``gram_cond``, for any G shape."""
+
+    @pytest.mark.parametrize("chunk", [1, 7, "T"])
+    def test_chunk_size_changes_no_fit(self, monkeypatch, chunk):
+        rng = np.random.default_rng(71)
+        d, n = 5, 60
+        x = rng.normal(size=(d, n))
+        on = rng.random((n - 1, d, d)) < 0.4
+        weighted = rng.uniform(-1, 1, on.shape) * on
+        cases = [(fn, mats) for fn, binary in kernel_variants(d, rng)
+                 for mats in ([on] if binary else [on, weighted])]
+        expected = [[outcome_values(o) for o in estimate._fit_by_bic(
+            [("nar", fn, False), ("lnar", fn, False), ("var", fn, True)], x,
+            AdjacencySeries(mats), 2)] for fn, mats in cases]
+        monkeypatch.setattr(netdyn, "_snapshots_per_chunk",
+                            lambda d: n - 1 if chunk == "T" else chunk)
+        for (fn, mats), want in zip(cases, expected):
+            got = estimate._fit_by_bic(
+                [("nar", fn, False), ("lnar", fn, False), ("var", fn, True)], x,
+                AdjacencySeries(mats), 2)
+            assert [outcome_values(o) for o in got] == want, (fn.kind, mats.dtype)
+
+
+def test_lnar_and_masked_var_fits_keep_no_float_g_stack():
+    # LNAR reads the pooled series and the masked VAR the support of G, each
+    # reduced from private chunks, so neither holds a float (n-1, d, d) evaluation
+    rng = np.random.default_rng(606)
+    d, n = 60, 800
+    x = rng.normal(size=(d, n))
+    mats = rng.random((n - 1, d, d)) < 0.05
+    models = [("lnar", NeighborhoodFn.sign_poly(2), False),
+              ("var", NeighborhoodFn.sign_poly(2), True)]
+    estimate._fit_by_bic(models, x, AdjacencySeries(mats), 3)  # warm-up, on a series of its own
+    tracemalloc.start()
+    try:
+        outcomes = estimate._fit_by_bic(models, x, AdjacencySeries(mats), 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not any(isinstance(o, EstimationError) for o in outcomes)
+    assert peak < (n - 1) * d * d * 8 / 2, f"peak {peak / 2**20:.1f} MiB"

@@ -153,23 +153,22 @@ def per_method_refits(cfg, n_index, n, rep):
     ads_est = ads_post.take_first(n - 1)
     errors = {}
     for m in cfg.methods:
-        fit = harness._fit_by_bic(m.family, x_est, ads_est, m.g, cfg.p_max,
-                                  m.sparsity == "network")[0]
+        (fit, _), = harness._fit_by_bic([(m.family, m.g, m.sparsity == "network")], x_est,
+                                        ads_est, cfg.p_max)
         policy = harness._resolve_policy(m, ads_post, n, cfg.horizons)
         errors[m.label] = forecast_h(fit, x_est, ads_est, policy, cfg.horizons, truth=truth).errors
     return errors
 
 
 def counted_fits(monkeypatch, fail_family=None):
-    """Wrap the harness's fit, counting calls and failing one family's fits."""
+    """Wrap the harness's fit, counting the models it fits and failing one family's fits."""
     calls = []
     fit = harness._fit_by_bic
 
-    def wrapped(family, *args):
-        calls.append(family)
-        if family == fail_family:
-            raise EstimationError(f"{fail_family} fit refused")
-        return fit(family, *args)
+    def wrapped(models, *args):
+        calls.extend(family for family, _, _ in models)
+        return [EstimationError(f"{fail_family} fit refused") if model[0] == fail_family
+                else outcome for model, outcome in zip(models, fit(models, *args))]
 
     monkeypatch.setattr(harness, "_fit_by_bic", wrapped)
     return calls
@@ -234,9 +233,17 @@ def unshared_errors(cfg, n_index, n, rep):
     return errors
 
 
+def fit_values(fit):
+    """Everything a fit estimated, as lists that compare bit for bit."""
+    return [[c.members, c.w.tolist(), c.mu, c.rss, c.gram_cond, c.ridge_jitter]
+            for c in fit.components]
+
+
 def fit_side_g_calls(monkeypatch):
-    """The leading size of every G evaluation a series keeps for the fits; simulation
-    and forecasts call the kernel through their own module's name, so they are not counted."""
+    """The leading size of every chunk of G the fits' pass over a series evaluates;
+    simulation and forecasts call the kernel through their own module's name, so they
+    are not counted.  Example 2 at d=10 and the panel (d=24) fit on fewer snapshots
+    than one chunk holds, so each G is one call."""
     sizes = []
     real = apply_neighborhood_fn
 
@@ -265,7 +272,7 @@ def reversed_example1():
 
 
 class TestGSharing:
-    # a replicate's fits read one evaluation of each distinct method G
+    # a replicate's fits read one chunked pass over each distinct method G
     @pytest.mark.parametrize("make", [example2_d10, three_policy_example1, reversed_example1,
                                       raw_masked_example1])
     def test_shared_evaluation_gives_the_unshared_errors(self, make):
@@ -277,18 +284,22 @@ class TestGSharing:
         for lbl, err in expected.items():
             assert np.array_equal(errors[lbl], err), lbl
 
-    def test_an_lnar_fit_leaves_no_zeroed_evaluation_behind(self):
-        # lnar zeroes the diagonal of the evaluation it reads, so a later nar
-        # fit on the same series must still see G's diagonal
+    @pytest.mark.parametrize("order", [("lnar", "nar"), ("nar", "lnar")],
+                             ids=["lnar_then_nar", "nar_then_lnar"])
+    def test_nar_and_lnar_on_one_series_give_the_fresh_series_fits(self, order):
+        # lnar zeroes the diagonal of its private chunks of G, so a nar fit on the same
+        # series, before or after it or in the same pass, still sees G's diagonal
         rng = np.random.default_rng(8)
-        x, ads = rng.normal(size=(4, 120)), AdjacencySeries((rng.random((119, 4, 4)) < 0.5) * 1.0)
-        g, n = NeighborhoodFn.transpose(), x.shape[1]
-        fit_lnar(x, ads, [g], 1)
-        kept = ads._modulation(g, n - 1)
-        assert np.array_equal(kept, apply_neighborhood_fn(g, ads.mats[: n - 1]))
-        after = fit_nar(x, ads, [g], 1).coefficient_matrices()
-        fresh = AdjacencySeries(ads.mats)
-        assert np.array_equal(after, fit_nar(x, fresh, [g], 1).coefficient_matrices())
+        x, mats = rng.normal(size=(4, 120)), (rng.random((119, 4, 4)) < 0.5) * 1.0
+        g, shared, together = (NeighborhoodFn.transpose(), AdjacencySeries(mats),
+                               AdjacencySeries(mats))
+        assert any(mats[t, i, i] for t in range(119) for i in range(4))
+        fitters = {"nar": fit_nar, "lnar": fit_lnar}
+        both = harness._fit_by_bic([(f, g, False) for f in order], x, together, 2, p=1)
+        for family, (fit, _) in zip(order, both):
+            fresh = fitters[family](x, AdjacencySeries(mats), [g], 1)
+            assert fit_values(fitters[family](x, shared, [g], 1)) == fit_values(fresh)
+            assert fit_values(fit) == fit_values(fresh)
 
     def test_the_fits_evaluate_g_once_over_the_estimation_snapshots(self, monkeypatch):
         # lnar BIC, lnar refit and the VAR mask once evaluated it three times

@@ -158,6 +158,22 @@ class TestBoolStacks:
                 assert np.array_equal(got, per_snapshot(neighborhood_oracle, fn, on)), fn.kind
                 assert np.array_equal(on, before), f"{fn.kind} wrote into its input"
 
+    @pytest.mark.parametrize("fn", [NeighborhoodFn.sign_poly(2), NeighborhoodFn.k_stage(2),
+                                    NeighborhoodFn.identity_plus(NeighborhoodFn.k_stage(1))],
+                             ids=["sign_poly", "k_stage", "identity_plus_k_stage"])
+    def test_only_float_input_is_scanned_for_binary_entries(self, monkeypatch, fn):
+        # a chunk converted from a bool stack is binary by its dtype
+        on = np.random.default_rng(12).random((9, 5, 5)) < 0.4
+        expected = per_snapshot(neighborhood_oracle, fn, on)
+        scans, isin = [], np.isin
+        monkeypatch.setattr(np, "isin", lambda *a, **k: scans.append(a) or isin(*a, **k))
+        assert np.array_equal(apply_neighborhood_fn(fn, on), expected) and scans == []
+        assert np.array_equal(apply_neighborhood_fn(fn, on * 1.0), expected) and scans
+        bad = on * 1.0
+        bad[4, 1, 2] = 0.5
+        with pytest.raises(ValueError, match="requires a binary adjacency matrix"):
+            apply_neighborhood_fn(fn, bad)
+
     def test_series_keeps_a_bool_stack_without_a_scan_or_a_copy(self, monkeypatch):
         on = np.random.default_rng(5).random((6, 3, 3)) < 0.5
         ads = AdjacencySeries(on)

@@ -4,14 +4,14 @@ G has one evaluation path, and the front ends fit through one procedure.
 ``model._run_recursion`` is the one time loop of the AR recursion and
 ``model._nar_step`` its one step; a second module that steps the recursion
 itself would be a second driver, free to drift from the first bit by bit.
-Likewise every fit reads G from the one evaluation an ``AdjacencySeries``
-keeps (``_modulation``); a fit-side module that called the kernel itself
-would be a second sharing path.  And the variant bodies, ``netdyn._evaluate``,
+Likewise every fit reads G from what an ``AdjacencySeries`` keeps of its one
+chunked pass over the snapshots (``_g_parts``); a fit-side module that called
+the kernel itself would be a second sharing path.  And the variant bodies, ``netdyn._evaluate``,
 run only on the private float chunks ``apply_neighborhood_fn`` hands them;
 a second caller would be a second G path with its own copy and aliasing rules.
 The harness, the panel pipeline and ``netar fit`` select the order, build the
 network mask and refit only through ``estimate._fit_by_bic``; a front end that
-named the selection, a fit or the series' kept G itself would be a second recipe.
+named the selection, a fit or the series' parts of G itself would be a second recipe.
 """
 
 import ast
@@ -26,7 +26,7 @@ OTHERS = sorted(p for p in PACKAGE.glob("*.py") if p.name != "model.py")
 FIT_SIDE = [PACKAGE / name for name in ("estimate.py", "harness.py", "cli.py")]
 NETDYN = PACKAGE / "netdyn.py"
 FRONT_ENDS = [PACKAGE / name for name in ("harness.py", "cli.py")]
-FIT_RECIPE = ("select_order_bic", "fit_nar", "fit_lnar", "fit_var", "_modulation")
+FIT_RECIPE = ("select_order_bic", "fit_nar", "fit_lnar", "fit_var", "_g_parts")
 
 
 def uses(path, name):
