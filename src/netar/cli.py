@@ -74,12 +74,16 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    x = nio.read_series_csv(args.series)
-    ads = nio.read_adjacency(args.ads) if args.ads else None
-    if args.family in ("nar", "lnar") and ads is None:
-        raise SystemExit("nar/lnar fitting needs --ads")
+    for flag, value in (("--ads", args.ads), ("--g", args.g)):
+        if args.family != "var" and not value:
+            raise SystemExit(f"nar/lnar fitting needs {flag}")
     if args.family == "var" and args.g:
         raise SystemExit("--g applies to nar and lnar fits: netar fit has no network-masked var")
+    for flag, value, least in (("--pmax", args.pmax, 1), ("--p", args.p, 0)):
+        if value is not None and value < least:
+            raise SystemExit(f"{flag} must be at least {least}, got {value}")
+    x = nio.read_series_csv(args.series)
+    ads = nio.read_adjacency(args.ads) if args.ads else None
     g = _parse_g(args.g) if args.g else None
     (outcome,) = _fit_by_bic([(args.family, g, False)], x, ads, args.pmax, p=args.p)
     if isinstance(outcome, EstimationError):
@@ -161,16 +165,17 @@ def cmd_experiment(args) -> int:
         doc = json.load(fh)
     if args.seed is not None:
         doc["seed"] = args.seed
-    cfg = config_from_json(doc)
-    if args.out:
-        cfg.out_dir = args.out
-    report = run_experiment(cfg, threads=args.threads)
+    try:
+        cfg = config_from_json(doc)
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
+    report = run_experiment(cfg, threads=args.threads, out_dir=args.out)
     for n in report.sample_sizes:
         for lbl in report.method_labels:
             vals = " ".join(f"{v:.4g}" for v in report.mse[(n, lbl)])
             print(f"n={n} {lbl}: {vals}")
-    if cfg.out_dir:
-        print(f"reports written to {cfg.out_dir}")
+    if args.out:
+        print(f"reports written to {args.out}")
     return 0
 
 

@@ -577,6 +577,10 @@ def _fit_by_bic(models: Sequence[Tuple[str, Optional[NeighborhoodFn], bool]], x,
     without ``g``) is non-zero at some estimation snapshot, the same support at every lag."""
     x = _finite_series(x)
     d, n = x.shape
+    if any(masked for _, _, masked in models):
+        if ads is None:
+            raise ValueError("a network-masked var needs the network series ads")
+        _check_network_cover(ads, d, n - 1, "var fit")
     for g in dict.fromkeys(g for _, g, _ in models if g is not None and ads is not None):
         families = [f for f, h, masked in models if h == g and (f != "var" or masked)]
         if families:

@@ -8,6 +8,7 @@ over B replicates.  Replicate seeds derive from the root seed as
 ``SeedSequence(seed, spawn_key=(n_index, replicate))``, so reports are
 byte-identical independent of scheduling; per-replicate fit failures are
 dropped and counted, and a failure rate above 1 percent aborts the run.
+The output directory is an argument of the run, not part of its config.
 
 The panel pipeline ingests quarterly levels plus annual weight matrices,
 models the first differences with hold-last network forecasts, and
@@ -16,6 +17,7 @@ integrates the growth forecasts back to levels.
 
 from __future__ import annotations
 
+import contextlib
 import numbers
 import os
 import re
@@ -112,11 +114,9 @@ class ExperimentConfig:
     methods: Sequence[MethodSpec]
     burn_in: int = 500
     p_max: int = 3
-    out_dir: Optional[str] = None
 
     def __post_init__(self):
-        problems = _schema_problems({k: v for k, v in vars(self).items()
-                                     if v is not None or k != "out_dir"})
+        problems = _schema_problems(vars(self))
         if not problems:  # methods is then a nonempty list
             labels = [m.label for m in self.methods]
             problems = [f"methods[{i}]: label {lbl!r} repeats methods[{labels.index(lbl)}]"
@@ -153,7 +153,6 @@ CONFIG_SCHEMA = {
         "seed": {"type": "integer"},
         "burn_in": {"type": "integer", "minimum": 0},
         "p_max": {"type": "integer", "minimum": 1},
-        "out_dir": {"type": "string"},
         "methods": {"type": "array", "items": {
             "properties": {
                 "family": {"enum": list(FAMILIES)},
@@ -252,7 +251,7 @@ def config_from_json(doc: dict) -> ExperimentConfig:
 
 
 def config_to_json(cfg: ExperimentConfig) -> dict:
-    doc = {
+    return {
         "experiment": cfg.experiment,
         "network": nio.network_model_to_json(cfg.network),
         "process": nio.model_spec_to_json(cfg.process, cfg.innov),
@@ -266,9 +265,6 @@ def config_to_json(cfg: ExperimentConfig) -> dict:
                      "freeze_markov": m.freeze_markov,
                      **({} if m.g is None else {"g": m.g.to_json()})} for m in cfg.methods],
     }
-    if cfg.out_dir:
-        doc["out_dir"] = cfg.out_dir
-    return doc
 
 
 def _replicate_seed(root_seed: int, n_index: int, rep: int) -> np.random.Generator:
@@ -320,10 +316,6 @@ def _run_one_replicate(cfg: ExperimentConfig, n_index: int, n: int, rep: int):
     return errors
 
 
-def _replicate_worker(args):
-    return _run_one_replicate(*args)
-
-
 @dataclass
 class ExperimentReport:
     experiment: str
@@ -346,42 +338,42 @@ class ExperimentReport:
                 for lbl in self.method_labels}
 
 
-def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentReport:
-    h = cfg.horizons
+def run_experiment(cfg: ExperimentConfig, threads: int = 1,
+                   out_dir: Optional[str] = None) -> ExperimentReport:
+    """Run every sample size's B replicates and tabulate each method's MSE and its SE.
+
+    With ``threads > 1`` one pool of that many worker processes serves every sample
+    size; otherwise the replicates run in this process.  A replicate seeds itself from
+    (seed, n index, replicate), so the report is byte-identical for every ``threads``.
+    Each sample size's replicates finish before the next size starts, and a method that
+    fails on more than 1 percent of them aborts the run there.  With ``out_dir`` the
+    reports are written to that directory (see :func:`write_experiment_reports`).
+    """
+    h, b = cfg.horizons, cfg.replications
     labels = [m.label for m in cfg.methods]
     mse: Dict[Tuple[int, str], np.ndarray] = {}
     se: Dict[Tuple[int, str], np.ndarray] = {}
     failures: Dict[Tuple[int, str], int] = {}
-    for n_index, n in enumerate(cfg.sample_sizes):
-        args = [(cfg, n_index, n, rep) for rep in range(cfg.replications)]
-        if threads > 1:
-            with ProcessPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(_replicate_worker, args, chunksize=8))
-        else:
-            results = [_run_one_replicate(*a) for a in args]
-        for lbl in labels:
-            errs = [res[lbl] for res in results if res[lbl] is not None]
-            failures[(n, lbl)] = fails = len(results) - len(errs)
-            if fails > FAILURE_ABORT_RATE * cfg.replications:
-                raise RuntimeError(
-                    f"method {lbl} failed on {fails} of {cfg.replications} "
-                    f"replicates at n={n}; aborting (threshold {FAILURE_ABORT_RATE:.0%})"
-                )
-            stack = np.stack(errs)  # (B_ok, d, h)
-            sq = stack ** 2
-            rep_means = sq.mean(axis=1)  # per-replicate component average, (B_ok, h)
-            mse[(n, lbl)] = rep_means.mean(axis=0)
-            if rep_means.shape[0] > 1:
-                se[(n, lbl)] = rep_means.std(axis=0, ddof=1) / np.sqrt(rep_means.shape[0])
-            else:
-                se[(n, lbl)] = np.full(h, np.nan)
-    report = ExperimentReport(
-        experiment=cfg.experiment, horizons=h, sample_sizes=list(cfg.sample_sizes),
-        method_labels=labels, mse=mse, se=se, failures=failures,
-        replications=cfg.replications, seed=cfg.seed,
-    )
-    if cfg.out_dir:
-        write_experiment_reports(cfg, report)
+    with ProcessPoolExecutor(threads) if threads > 1 else contextlib.nullcontext() as pool:
+        run = map if pool is None else lambda *args: pool.map(*args, chunksize=8)
+        for n_index, n in enumerate(cfg.sample_sizes):
+            results = list(run(_run_one_replicate, [cfg] * b, [n_index] * b, [n] * b, range(b)))
+            for lbl in labels:
+                errs = [res[lbl] for res in results if res[lbl] is not None]
+                failures[(n, lbl)] = fails = b - len(errs)
+                if fails > FAILURE_ABORT_RATE * b:
+                    raise RuntimeError(f"method {lbl} failed on {fails} of {b} replicates at "
+                                       f"n={n}; aborting (threshold {FAILURE_ABORT_RATE:.0%})")
+                # per-replicate component average of the squared errors, (B_ok, h)
+                rep_means = (np.stack(errs) ** 2).mean(axis=1)
+                mse[(n, lbl)] = rep_means.mean(axis=0)
+                se[(n, lbl)] = (rep_means.std(axis=0, ddof=1) / np.sqrt(len(errs))
+                                if len(errs) > 1 else np.full(h, np.nan))
+    report = ExperimentReport(experiment=cfg.experiment, horizons=h,
+                              sample_sizes=list(cfg.sample_sizes), method_labels=labels,
+                              mse=mse, se=se, failures=failures, replications=b, seed=cfg.seed)
+    if out_dir:
+        write_experiment_reports(cfg, report, out_dir)
     return report
 
 
@@ -389,13 +381,14 @@ def _table_fmt(x: float) -> str:
     return format(float(x), ".6g")
 
 
-def write_experiment_reports(cfg: ExperimentConfig, report: ExperimentReport) -> None:
-    """Emit the wide MSE table, the relative table and a run summary."""
-    out = cfg.out_dir
-    os.makedirs(out, exist_ok=True)
+def write_experiment_reports(cfg: ExperimentConfig, report: ExperimentReport,
+                             out_dir: str) -> None:
+    """Write the wide MSE table, its SE table, the relative table and a run summary to
+    ``out_dir``; the summary echoes the config, so the files do not depend on ``out_dir``."""
+    os.makedirs(out_dir, exist_ok=True)
     cols = ",".join(f"h={s}" for s in range(1, report.horizons + 1))
     for stem, table in (("mse", report.mse), ("mse_se", report.se)):
-        with nio.atomic_open(os.path.join(out, f"{stem}_{report.experiment}.csv")) as fh:
+        with nio.atomic_open(os.path.join(out_dir, f"{stem}_{report.experiment}.csv")) as fh:
             fh.write(f"n,method,{cols}\n")
             for n in report.sample_sizes:
                 for lbl in report.method_labels:
@@ -403,23 +396,19 @@ def write_experiment_reports(cfg: ExperimentConfig, report: ExperimentReport) ->
                     fh.write(f"{n},{lbl},{row}\n")
     try:
         rel = report.relative_mse()
-        rel_path = os.path.join(out, f"relative_mse_{report.experiment}.csv")
-        with nio.atomic_open(rel_path) as fh:
+        with nio.atomic_open(os.path.join(out_dir, f"relative_mse_{report.experiment}.csv")) as fh:
             fh.write("method,rel_mse\n")
             for lbl in report.method_labels:
                 fh.write(f"{lbl},{format(rel[lbl], '.2f')}\n")
     except ValueError:
         pass
-    summary_path = os.path.join(out, f"report_{report.experiment}.json")
-    config_echo = config_to_json(cfg)
-    config_echo.pop("out_dir", None)  # location must not break byte-identity
-    nio._write_json(summary_path, {
+    nio._write_json(os.path.join(out_dir, f"report_{report.experiment}.json"), {
         "experiment": report.experiment,
         "seed": report.seed,
         "replications": report.replications,
         "sample_sizes": report.sample_sizes,
         "failures": {f"{n}/{lbl}": c for (n, lbl), c in report.failures.items()},
-        "config": config_echo,
+        "config": config_to_json(cfg),
     })
 
 
@@ -457,7 +446,7 @@ def example1_process():
 
 def example1_config(sample_sizes=(500,), replications: int = 200, seed: int = 20240,
                     horizons: int = 4, policies=("known",), include_var: bool = True,
-                    include_lnar: bool = True, out_dir=None) -> ExperimentConfig:
+                    include_lnar: bool = True) -> ExperimentConfig:
     spec, innov = example1_process()
     g = spec.G[0]
     methods = []
@@ -470,7 +459,7 @@ def example1_config(sample_sizes=(500,), replications: int = 200, seed: int = 20
     return ExperimentConfig(
         experiment="example1", network=example1_network(), process=spec, innov=innov,
         sample_sizes=sample_sizes, horizons=horizons, replications=replications,
-        seed=seed, methods=methods, burn_in=500, p_max=3, out_dir=out_dir,
+        seed=seed, methods=methods, burn_in=500, p_max=3,
     )
 
 
@@ -489,7 +478,7 @@ def example2_process(d: int):
 
 def example2_config(d: int = 10, sample_sizes=(500,), replications: int = 200,
                     seed: int = 20242, horizons: int = 4, policies=("known",),
-                    include_var: bool = True, out_dir=None) -> ExperimentConfig:
+                    include_var: bool = True) -> ExperimentConfig:
     """Density-matched substitute network (mean density 5/d, persistence 0.9)."""
     spec, innov = example2_process(d)
     g = spec.G[0]
@@ -500,7 +489,7 @@ def example2_config(d: int = 10, sample_sizes=(500,), replications: int = 200,
     return ExperimentConfig(
         experiment=f"example2_d{d}", network=network, process=spec, innov=innov,
         sample_sizes=sample_sizes, horizons=horizons, replications=replications,
-        seed=seed, methods=methods, burn_in=300, p_max=3, out_dir=out_dir,
+        seed=seed, methods=methods, burn_in=300, p_max=3,
     )
 
 

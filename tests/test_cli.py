@@ -285,13 +285,16 @@ def test_depmeas_command(tmp_path, model_files, capsys):
 def test_experiment_command(tmp_path, capsys):
     cfg = example1_config(sample_sizes=(80,), replications=2, horizons=2, seed=9)
     cfg_path = tmp_path / "exp.json"
-    cfg_path.write_text(json.dumps(config_to_json(cfg)))
+    # a document naming its own output directory still loads; --out decides
+    cfg_path.write_text(json.dumps({**config_to_json(cfg), "out_dir": str(tmp_path / "doc")}))
     out = str(tmp_path / "exp_out")
     rc = main(["experiment", "--config", str(cfg_path), "--out", out])
     assert rc == 0
     shown = capsys.readouterr().out
     assert "nar(known)" in shown
+    assert shown.endswith(f"reports written to {out}\n")
     assert os.path.exists(os.path.join(out, "mse_example1.csv"))
+    assert not (tmp_path / "doc").exists()
 
     rc = main(["experiment", "--print-schema"])
     assert rc == 0
@@ -312,3 +315,29 @@ def test_panel_command(tmp_path, capsys):
     shown = capsys.readouterr().out
     assert "method,total_squared,total_absolute,order" in shown
     assert os.path.exists(os.path.join(out, "panel_total_errors.csv"))
+
+
+@pytest.mark.parametrize("family, argv, message", [
+    ("nar", [], "nar/lnar fitting needs --g$"),
+    ("lnar", [], "nar/lnar fitting needs --g$"),
+    ("var", ["--pmax", "0"], "--pmax must be at least 1, got 0$"),
+    ("var", ["--p", "-1"], "--p must be at least 0, got -1$"),
+], ids=["nar-without-g", "lnar-without-g", "pmax", "p"])
+def test_fit_flag_errors_name_the_flag(tmp_path, simulated, family, argv, message):
+    series, network = simulated
+    with pytest.raises(SystemExit, match=message):
+        main(["fit", "--series", series, "--ads", network, "--family", family, *argv,
+              "--out", str(tmp_path / "fit")])
+    assert not (tmp_path / "fit" / "fit.json").exists()
+
+
+def test_experiment_with_an_invalid_config_exits_with_its_problems(tmp_path):
+    doc = config_to_json(example1_config(sample_sizes=(80,), replications=2, horizons=2))
+    doc.update(horizons=0, p_max="3")
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(doc))
+    out = tmp_path / "exp_out"
+    with pytest.raises(SystemExit, match=r"^invalid experiment config: horizons must be an "
+                                         r"integer >= 1; p_max must be an integer >= 1$"):
+        main(["experiment", "--config", str(cfg_path), "--out", str(out)])
+    assert not out.exists()

@@ -910,6 +910,23 @@ def test_network_vertex_count_must_match_the_series(fit):
         fit(x, ads, NeighborhoodFn.transpose())
 
 
+@pytest.mark.parametrize("g", [None, NeighborhoodFn.transpose()], ids=["raw", "g"])
+@pytest.mark.parametrize("mats, message", [
+    (np.ones((20, 4, 4)), "var fit: network series too short, need at least 79 snapshots, "
+                          "got 20$"),
+    (np.ones((79, 3, 3)), "var fit: the network has 3 vertices but the process has 4 "
+                          "components$"),
+    (None, "a network-masked var needs the network series ads$"),
+], ids=["short", "vertices", "none"])
+def test_masked_var_checks_its_network(g, mats, message):
+    # the mask comes from the network's first n - 1 snapshots, so a network that
+    # cannot supply them is refused, with or without a g to apply to it
+    x = np.random.default_rng(4).standard_normal((4, 80))
+    ads = None if mats is None else AdjacencySeries(mats)
+    with pytest.raises(ValueError, match=message):
+        estimate._fit_by_bic([("var", g, True)], x, ads, 2)
+
+
 def outcome_values(outcome):
     """A ``_fit_by_bic`` outcome as lists that compare bit for bit: each component's
     estimates and ``gram_cond``, and the BIC table; or the error's message."""

@@ -34,7 +34,7 @@ from panel_helpers import synthetic_panel_arrays, write_panel_files
 from test_estimate import outcome_values
 
 
-def tiny_config(out_dir=None, seed=5150, reps=3):
+def tiny_config(seed=5150, reps=3):
     d = 2
     spec = NarSpec(1, [np.zeros((d, d))], [NeighborhoodFn.transpose()])
     innov = InnovationSpec(np.array([1.0, -1.0]), np.eye(d))
@@ -43,7 +43,7 @@ def tiny_config(out_dir=None, seed=5150, reps=3):
     methods = [MethodSpec("nar", "known", NeighborhoodFn.transpose()),
                MethodSpec("var", "none")]
     return ExperimentConfig("tiny", net, spec, innov, (60,), 2, reps, seed,
-                            methods, burn_in=30, p_max=2, out_dir=out_dir)
+                            methods, burn_in=30, p_max=2)
 
 
 class TestRunExperiment:
@@ -62,8 +62,8 @@ class TestRunExperiment:
 
     def test_reports_are_byte_identical_across_runs(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
-        run_experiment(tiny_config(out_dir=str(out1)))
-        run_experiment(tiny_config(out_dir=str(out2)))
+        run_experiment(tiny_config(), out_dir=str(out1))
+        run_experiment(tiny_config(), out_dir=str(out2))
         for name in os.listdir(out1):
             b1 = (out1 / name).read_bytes()
             b2 = (out2 / name).read_bytes()
@@ -71,20 +71,20 @@ class TestRunExperiment:
 
     def test_parallel_equals_serial(self, tmp_path):
         out1, out2 = tmp_path / "s", tmp_path / "p"
-        run_experiment(tiny_config(out_dir=str(out1), reps=6))
-        run_experiment(tiny_config(out_dir=str(out2), reps=6), threads=2)
+        run_experiment(tiny_config(reps=6), out_dir=str(out1))
+        run_experiment(tiny_config(reps=6), threads=2, out_dir=str(out2))
         for name in os.listdir(out1):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     @pytest.mark.parametrize("name, config", [
-        ("example1", lambda out: example1_config(
-            replications=8, policies=("known", "holdlast", "markov"), out_dir=out)),
-        ("example2_d10", lambda out: example2_config(d=10, replications=8, out_dir=out)),
+        ("example1", lambda: example1_config(
+            replications=8, policies=("known", "holdlast", "markov"))),
+        ("example2_d10", lambda: example2_config(d=10, replications=8)),
     ])
     def test_tables_match_committed_bytes(self, name, config, tmp_path):
         # the fixtures are these runs' tables as first committed, so a change
         # that moves a printed digit fails here, not only a nondeterministic one
-        run_experiment(config(str(tmp_path)))
+        run_experiment(config(), out_dir=str(tmp_path))
         golden = os.path.join(os.path.dirname(__file__), "fixtures", "golden_mse")
         for table in (f"mse_{name}.csv", f"mse_se_{name}.csv"):
             with open(os.path.join(golden, table), "rb") as fh:
@@ -97,7 +97,7 @@ class TestRunExperiment:
 
     def test_written_relative_table_formats_var_as_one(self, tmp_path):
         out = tmp_path / "r"
-        run_experiment(tiny_config(out_dir=str(out)))
+        run_experiment(tiny_config(), out_dir=str(out))
         text = (out / "relative_mse_tiny.csv").read_text()
         assert "var,1.00" in text
 
@@ -105,8 +105,8 @@ class TestRunExperiment:
         cfg = tiny_config(reps=3)
         multi = ExperimentConfig(cfg.experiment, cfg.network, cfg.process, cfg.innov,
                                  (50, 80), 2, 3, cfg.seed, cfg.methods, burn_in=20,
-                                 p_max=2, out_dir=str(tmp_path / "m"))
-        rep = run_experiment(multi)
+                                 p_max=2)
+        rep = run_experiment(multi, out_dir=str(tmp_path / "m"))
         assert set(rep.mse) == {(n, lbl) for n in (50, 80)
                                 for lbl in rep.method_labels}
         lines = (tmp_path / "m" / "mse_tiny.csv").read_text().splitlines()
@@ -122,6 +122,43 @@ class TestRunExperiment:
                                    [MethodSpec("var", "none")], burn_in=10, p_max=3)
         with pytest.raises(RuntimeError, match="aborting"):
             run_experiment(starved)
+
+    def test_abort_comes_right_after_the_failing_sample_size(self, monkeypatch):
+        # every replicate of n=10 fails, so the run stops before n=60 starts
+        cfg = tiny_config(reps=4)
+        starved = ExperimentConfig(cfg.experiment, cfg.network, cfg.process,
+                                   cfg.innov, (10, 60), 1, 4, cfg.seed,
+                                   [MethodSpec("var", "none")], burn_in=10, p_max=3)
+        run_one, sizes = harness._run_one_replicate, []
+        monkeypatch.setattr(harness, "_run_one_replicate",
+                            lambda cfg, i, n, rep: sizes.append(n) or run_one(cfg, i, n, rep))
+        with pytest.raises(RuntimeError, match="at n=10; aborting"):
+            run_experiment(starved)
+        assert sizes == [10] * 4
+
+    def test_two_sample_sizes_give_the_same_reports_at_every_thread_count(self, tmp_path):
+        cfg = dataclasses.replace(tiny_config(reps=6), sample_sizes=(50, 80))
+        for threads in (1, 2):
+            run_experiment(cfg, threads=threads, out_dir=str(tmp_path / str(threads)))
+        names = sorted(os.listdir(tmp_path / "1"))
+        assert names == sorted(os.listdir(tmp_path / "2")) and len(names) == 4
+        for name in names:
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+    @pytest.mark.parametrize("threads, pools", [(1, 0), (2, 1)])
+    def test_one_pool_serves_every_sample_size(self, monkeypatch, threads, pools):
+        made = []
+
+        class CountingPool(harness.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                made.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+        cfg = dataclasses.replace(tiny_config(reps=6), sample_sizes=(50, 80))
+        rep = run_experiment(cfg, threads=threads)
+        assert len(made) == pools
+        assert {n for n, _ in rep.mse} == {50, 80}
 
     def test_masked_var_and_network_policies_in_example2(self):
         cfg = example2_config(d=8, sample_sizes=(150,), replications=3, seed=777,
@@ -444,6 +481,23 @@ class TestConfigJson:
 
     def test_schema_lists_required_keys(self):
         assert set(CONFIG_SCHEMA["required"]) <= set(CONFIG_SCHEMA["properties"])
+
+    @pytest.mark.parametrize("make", [example1_config, example2_config],
+                             ids=["example1", "example2"])
+    def test_serializer_writes_the_schema_keys(self, make):
+        # a key the schema lists but config_to_json never writes, or the reverse, is dead
+        cfg = make()
+        doc = config_to_json(cfg)
+        assert set(doc) == set(CONFIG_SCHEMA["properties"])
+        listed = set(CONFIG_SCHEMA["properties"]["methods"]["items"]["properties"])
+        for method, entry in zip(cfg.methods, doc["methods"], strict=True):
+            # a method without a neighborhood function writes no g
+            assert set(entry) == listed - ({"g"} if method.g is None else set())
+
+    def test_a_document_naming_an_output_directory_loads_as_before(self):
+        # the output directory is an argument of the run; the key is ignored
+        doc = config_to_json(example1_config(replications=5))
+        assert config_to_json(config_from_json({**doc, "out_dir": "from_config"})) == doc
 
 
 class TestExampleConfigs:
