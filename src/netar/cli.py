@@ -2,7 +2,9 @@
 
 Subcommands: simulate, fit, forecast, acf, depmeas, experiment, panel.
 Global flags --seed, --threads and --out apply to every subcommand; all
-outputs are CSV/JSON files with fixed column orders (see io module).
+outputs are CSV/JSON files with fixed column orders (see io module).  A file
+that cannot be read or written, or a JSON input that does not parse, ends
+the command with one line naming the file.
 """
 
 from __future__ import annotations
@@ -30,8 +32,7 @@ def _parse_g(text: str) -> NeighborhoodFn:
     """Compact descriptor syntax: transpose | identity | rownorm |
     sign_poly:K | k_stage:K | identity_plus:<inner> | a JSON file path."""
     if os.path.exists(text):
-        with open(text) as fh:
-            return NeighborhoodFn.from_json(json.load(fh))
+        return NeighborhoodFn.from_json(nio._read_json(text))
     name, _, arg = text.partition(":")
     if name == "transpose":
         return NeighborhoodFn.transpose()
@@ -54,8 +55,7 @@ def _out_path(args, name: str) -> str:
 
 
 def _load_network_model(path):
-    with open(path) as fh:
-        return nio.network_model_from_json(json.load(fh))
+    return nio.network_model_from_json(nio._read_json(path))
 
 
 def cmd_simulate(args) -> int:
@@ -161,8 +161,7 @@ def cmd_experiment(args) -> int:
         json.dump(CONFIG_SCHEMA, sys.stdout, indent=2)
         print()
         return 0
-    with open(args.config) as fh:
-        doc = json.load(fh)
+    doc = nio._read_json(args.config)
     if args.seed is not None:
         doc["seed"] = args.seed
     try:
@@ -279,7 +278,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "experiment" and not args.print_schema and not args.config:
         parser.error("experiment needs --config (or --print-schema)")
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, json.JSONDecodeError) as exc:
+        name = getattr(exc, "filename", None)  # a JSON error has one from io._read_json
+        if name is None:
+            raise
+        why = (exc.strerror if isinstance(exc, OSError) else
+               f"not valid JSON ({exc.msg} at line {exc.lineno}, column {exc.colno})")
+        raise SystemExit(f"{name}: {why}") from None
 
 
 if __name__ == "__main__":

@@ -8,6 +8,10 @@ over B replicates.  Replicate seeds derive from the root seed as
 ``SeedSequence(seed, spawn_key=(n_index, replicate))``, so reports are
 byte-identical independent of scheduling; per-replicate fit failures are
 dropped and counted, and a failure rate above 1 percent aborts the run.
+Replicates are simulated in chunks: one network walk and one path recursion
+step every replicate of a chunk, as many as a byte budget on their
+whole-path arrays allows (three at example 1, one at d >= 10); each is then
+fitted and forecast on its own.  No report depends on the chunk size.
 The output directory is an argument of the run, not part of its config.
 
 The panel pipeline ingests quarterly levels plus annual weight matrices,
@@ -57,6 +61,8 @@ __all__ = [
 ]
 
 FAILURE_ABORT_RATE = 0.01
+# whole-path bytes a chunk of replicates may hold together (see _replicates_per_chunk)
+_CHUNK_PATH_BYTES = 160 * 2**10
 _MIN_PANEL_QUARTERS = 40
 
 
@@ -272,14 +278,6 @@ def _replicate_seed(root_seed: int, n_index: int, rep: int) -> np.random.Generat
     return np.random.default_rng(ss)
 
 
-def _simulate_replicate(cfg: ExperimentConfig, n: int, rng: np.random.Generator):
-    total = cfg.burn_in + n + cfg.horizons
-    ads = cfg.network.simulate(total, seed=rng)
-    sim = simulate_lnar if isinstance(cfg.process, LnarSpec) else simulate_nar
-    x = sim(cfg.process, ads, cfg.innov, n=n + cfg.horizons, burn_in=cfg.burn_in, seed=rng)
-    return x, ads.drop_first(cfg.burn_in)
-
-
 def _resolve_policy(method: MethodSpec, ads_post: AdjacencySeries, n: int, h: int):
     if method.family == "var":
         return None
@@ -290,19 +288,51 @@ def _resolve_policy(method: MethodSpec, ads_post: AdjacencySeries, n: int, h: in
     return PerEdgeMarkov(laplace_alpha=1.0, freeze_first=method.freeze_markov)
 
 
-def _run_one_replicate(cfg: ExperimentConfig, n_index: int, n: int, rep: int):
-    """Simulate one path and run every method on it.
+def _replicates_per_chunk(cfg: ExperimentConfig, n: int, threads: int) -> int:
+    """Replicates of sample size ``n`` that one chunk simulates together.
 
-    A fit depends only on the method's family, g and sparsity, never on its
-    network policy, so the replicate fits each distinct model once, all in one
-    ``_fit_by_bic`` call that evaluates each distinct G once (compared by value:
-    JSON gives equal, distinct g's), and forecasts every policy from that fit.
-    Returns a dict mapping method label -> (d, h) forecast-error matrix, or
-    None for a method whose fit failed on this path.
+    A chunk holds every replicate's whole-path arrays until its last fit: the bool
+    walk of ``T = burn_in + n + h`` snapshots and the float path, ``T d (d + 8)``
+    bytes a replicate.  As many replicates as fit in ``_CHUNK_PATH_BYTES`` share a
+    chunk, at least one and at most ``ceil(B / threads)``, so every worker gets one.
     """
-    rng = _replicate_seed(cfg.seed, n_index, rep)
+    d, steps = cfg.process.d, cfg.burn_in + n + cfg.horizons
+    fit = _CHUNK_PATH_BYTES // (steps * d * (d + 8))
+    return max(1, min(fit, -(-cfg.replications // threads)))
+
+
+def _run_chunk(cfg: ExperimentConfig, n_index: int, n: int, reps: Sequence[int]):
+    """Simulate the replicates ``reps`` of sample size ``n`` together, then run every
+    method on each of them (:func:`_replicate_errors`); returns one result per
+    replicate, in ``reps`` order.
+
+    Every replicate draws from its own ``_replicate_seed(seed, n_index, rep)``: its
+    network's initial state and walk, then its path's innovations.  One network walk
+    and one path recursion step the whole chunk, and each path is the one its
+    Generator alone gives, so no result depends on the chunk.
+    """
     h = cfg.horizons
-    x_all, ads_post = _simulate_replicate(cfg, n, rng)
+    rngs = [_replicate_seed(cfg.seed, n_index, rep) for rep in reps]
+    networks = cfg.network.simulate(cfg.burn_in + n + h, seed=rngs)
+    sim = simulate_lnar if isinstance(cfg.process, LnarSpec) else simulate_nar
+    paths = sim(cfg.process, networks, cfg.innov, n=n + h, burn_in=cfg.burn_in, seed=rngs)
+    return [_replicate_errors(cfg, n, x_all, ads.drop_first(cfg.burn_in))
+            for x_all, ads in zip(paths, networks)]
+
+
+def _replicate_errors(cfg: ExperimentConfig, n: int, x_all: np.ndarray,
+                      ads_post: AdjacencySeries) -> Dict[str, Optional[np.ndarray]]:
+    """Run every method on one simulated path: fit on its first n observations and
+    forecast its last h.
+
+    A fit depends only on the method's family, g and sparsity, never on its network
+    policy, so the replicate fits each distinct model once, all in one ``_fit_by_bic``
+    call that evaluates each distinct G once (compared by value: JSON gives equal,
+    distinct g's), and forecasts every policy from that fit.  Returns a dict mapping
+    method label -> (d, h) forecast-error matrix, or None for a method whose fit
+    failed on this path.
+    """
+    h = cfg.horizons
     x_est, truth = x_all[:, :n], x_all[:, n:]
     ads_est = ads_post.take_first(n - 1)
     keys = list(dict.fromkeys((m.family, m.g, m.sparsity == "network") for m in cfg.methods))
@@ -342,12 +372,15 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1,
                    out_dir: Optional[str] = None) -> ExperimentReport:
     """Run every sample size's B replicates and tabulate each method's MSE and its SE.
 
+    Each sample size's replicates run in chunks of consecutive replicates
+    (:func:`_replicates_per_chunk`), each chunk simulated together by :func:`_run_chunk`.
     With ``threads > 1`` one pool of that many worker processes serves every sample
-    size; otherwise the replicates run in this process.  A replicate seeds itself from
-    (seed, n index, replicate), so the report is byte-identical for every ``threads``.
-    Each sample size's replicates finish before the next size starts, and a method that
-    fails on more than 1 percent of them aborts the run there.  With ``out_dir`` the
-    reports are written to that directory (see :func:`write_experiment_reports`).
+    size, a chunk a task; otherwise the chunks run in this process.  A replicate seeds
+    itself from (seed, n index, replicate), so the report is byte-identical for every
+    ``threads`` and every chunk size.  Each sample size's replicates finish before the
+    next size starts, and a method that fails on more than 1 percent of them aborts the
+    run there.  With ``out_dir`` the reports are written to that directory (see
+    :func:`write_experiment_reports`).
     """
     h, b = cfg.horizons, cfg.replications
     labels = [m.label for m in cfg.methods]
@@ -355,9 +388,13 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1,
     se: Dict[Tuple[int, str], np.ndarray] = {}
     failures: Dict[Tuple[int, str], int] = {}
     with ProcessPoolExecutor(threads) if threads > 1 else contextlib.nullcontext() as pool:
-        run = map if pool is None else lambda *args: pool.map(*args, chunksize=8)
+        run = map if pool is None else pool.map
         for n_index, n in enumerate(cfg.sample_sizes):
-            results = list(run(_run_one_replicate, [cfg] * b, [n_index] * b, [n] * b, range(b)))
+            size = _replicates_per_chunk(cfg, n, threads)
+            chunks = [range(s, min(s + size, b)) for s in range(0, b, size)]
+            k = len(chunks)
+            results = [res for chunk in run(_run_chunk, [cfg] * k, [n_index] * k, [n] * k,
+                                            chunks) for res in chunk]
             for lbl in labels:
                 errs = [res[lbl] for res in results if res[lbl] is not None]
                 failures[(n, lbl)] = fails = b - len(errs)

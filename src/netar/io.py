@@ -92,6 +92,17 @@ def _write_json(path, doc, indent=2) -> None:
         fh.write("\n")
 
 
+def _read_json(path):
+    """The JSON document in ``path``.  A decoding error names the file as an OSError
+    does, in its ``filename``, so the CLI reports both kinds alike."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            exc.filename = os.fspath(path)
+            raise
+
+
 def _read_table(path, what: str, row: str):
     """Header, first-column labels and float cells of a table, blank lines skipped.
 
@@ -175,8 +186,7 @@ def write_adjacency_json(path, ads: AdjacencySeries) -> None:
 
 
 def read_adjacency_json(path) -> AdjacencySeries:
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = _read_json(path)
     if not isinstance(doc, list):
         raise ValueError('network JSON must be a list of {"t", "rows"} snapshots')
     if not doc:
@@ -294,8 +304,7 @@ def write_model_spec(path, spec, innov) -> None:
 
 
 def read_model_spec(path):
-    with open(path) as fh:
-        return model_spec_from_json(json.load(fh))
+    return model_spec_from_json(_read_json(path))
 
 
 # --- network models ----------------------------------------------------------
@@ -413,8 +422,7 @@ def write_fit_json(path, fit: ModelFit) -> None:
 
 
 def read_fit_json(path) -> ModelFit:
-    with open(path) as fh:
-        return fit_from_json(json.load(fh))
+    return fit_from_json(_read_json(path))
 
 
 # --- analysis outputs --------------------------------------------------------

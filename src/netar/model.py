@@ -15,7 +15,11 @@ One recursion: every path, forecast and coupled pair is stepped by the one
 time loop ``_run_recursion``, each step ``_nar_step``, ``drive + sum_j C_j x_{t-j}``;
 ``_nar_coefficients`` alone builds ``C_j = A_j * G_j(Ad_{t-j})``, evaluating each distinct G once.
 A simulated path builds its coefficients one chunk of snapshots at a time
-(``netdyn._snapshots_per_chunk``), so no whole-path coefficient stack exists.
+(``netdyn._steps_per_chunk``), so no whole-path coefficient stack exists.
+Given a list of Generators as its seed and one network series each, a
+simulator runs the whole batch of paths through one time loop, ``(T, R, d)``
+rows, and returns ``(R, d, n)``; each path is bit for bit the one its
+Generator and series give alone.
 The per-component model runs on its embedding, built only by
 :meth:`LnarSpec.to_nar`: lag-j coefficient ``A_j * (I + zero-diag G_j)``.
 
@@ -32,8 +36,8 @@ from typing import Callable, List, Optional, Sequence, Union
 
 import numpy as np
 
-from .netdyn import (_WEIGHT_TOL, AdjacencySeries, NeighborhoodFn, _snapshots_per_chunk,
-                     apply_neighborhood_fn)
+from .netdyn import (_WEIGHT_TOL, AdjacencySeries, NeighborhoodFn, _generator_batch,
+                     _snapshots_per_chunk, _steps_per_chunk, apply_neighborhood_fn)
 
 __all__ = [
     "NarSpec",
@@ -354,12 +358,29 @@ def _path_length(n: int, burn_in: int) -> int:
     return burn_in + n
 
 
-def _simulate(nar: NarSpec, ads: AdjacencySeries, innov: InnovationSpec, n: int,
-              burn_in: int, seed, check_finite: bool, what: str) -> np.ndarray:
-    """The simulation core behind both families.
+def _path_batch(ads, seed, what: str):
+    """The network series of a simulation and its Generators: ``[ads]`` and None for
+    one path, or for a list of Generators as ``seed`` one series of ``ads`` per Generator."""
+    rngs = _generator_batch(seed)
+    if rngs is None:
+        if isinstance(ads, (list, tuple)):
+            raise ValueError(f"{what}: a list of network series needs a list of Generators "
+                             "as seed")
+        return [ads], None
+    if isinstance(ads, AdjacencySeries) or len(ads) != len(rngs):
+        raise ValueError(f"{what}: a list of {len(rngs)} Generators needs as many network series")
+    return list(ads), rngs
 
-    Lag j reads the snapshots s < total - j, all inside the first total - 1.
-    Their coefficients are built one chunk of ``_snapshots_per_chunk(d)`` at a
+
+def _simulate(nar: NarSpec, ads, innov: InnovationSpec, n: int, burn_in: int, seed,
+              check_finite: bool, what: str) -> np.ndarray:
+    """The simulation core behind both families, for one path or a batch of them.
+
+    Each path draws its whole innovations first, ``innov.sample`` from its own
+    Generator, into one ``(total, *batch, d)`` buffer that the recursion then fills
+    row by row in place (it reads drive row t just before it writes row t).  Lag j
+    reads the snapshots s < total - j, all inside the first total - 1.  Their
+    coefficients are built one chunk of ``_steps_per_chunk(d, batch)`` snapshots at a
     time, each snapshot once, and the chunk's rows run as a window of
     ``_run_recursion``: a chunk ending at snapshot e - 1 completes row e, and its
     rows also read the last p - 1 snapshots before it, whose coefficients carry
@@ -368,27 +389,37 @@ def _simulate(nar: NarSpec, ads: AdjacencySeries, innov: InnovationSpec, n: int,
     if innov.d != nar.d:
         raise ValueError("innovation dimension does not match spec")
     total = _path_length(n, burn_in)
-    _check_network_cover(ads, nar.d, total, what)
-    eps = innov.sample(np.random.default_rng(seed), total)
-    rows = np.zeros((total, nar.d))
-    last, step = max(total - 1, 0), _snapshots_per_chunk(nar.d)
+    series, rngs = _path_batch(ads, seed, what)
+    for path in series:
+        _check_network_cover(path, nar.d, total, what)
+    batched = rngs is not None
+    if batched:
+        rows = np.empty((total, len(rngs), nar.d))
+        for k, rng in enumerate(rngs):
+            rows[:, k] = innov.sample(rng, total)
+    else:
+        rows = innov.sample(np.random.default_rng(seed), total)
+    last, step = max(total - 1, 0), _steps_per_chunk(nar.d, len(series))
+    # a batch's snapshots time-major, (last, batch, d, d), like its rows
+    mats = (np.stack([path.mats[:last] for path in series], axis=1) if batched
+            else series[0].mats)
     lags, done = [[] for _ in range(nar.p)], 0
     for s in range(0, max(last, 1), step):  # a path of one row reads no snapshot but runs
         e, keep = min(s + step, last), min(s, nar.p - 1)
         lags = [c[len(c) - keep:] + list(new)
-                for c, new in zip(lags, _nar_coefficients(nar.A, nar.G, ads.mats[s:e]))]
+                for c, new in zip(lags, _nar_coefficients(nar.A, nar.G, mats[s:e]))]
         # the window starts at the first carried snapshot's time, so lag j reads coefficient t - j
-        _run_recursion(rows[s - keep: e + 1], eps[done: e + 1], lags, start=done - s + keep)
+        _run_recursion(rows[s - keep: e + 1], rows[done: e + 1], lags, start=done - s + keep)
         if check_finite:
-            finite = np.isfinite(rows[done: e + 1]).all(axis=-1)
+            finite = np.isfinite(rows[done: e + 1]).reshape(e + 1 - done, -1).all(axis=-1)
             if not finite.all():
                 raise FloatingPointError(f"simulation became non-finite at step "
                                          f"{done + finite.argmin()}")
         done = e + 1
-    return np.ascontiguousarray(rows[burn_in:].T)
+    return np.ascontiguousarray(np.moveaxis(rows[burn_in:], 0, -1))
 
 
-def simulate_nar(spec: NarSpec, ads: AdjacencySeries, innov: InnovationSpec,
+def simulate_nar(spec: NarSpec, ads, innov: InnovationSpec,
                  n: int, burn_in: int = 500, seed=None,
                  allow_explosive: bool = False) -> np.ndarray:
     """Simulate the full model by exact recursion; returns the last n columns.
@@ -398,9 +429,11 @@ def simulate_nar(spec: NarSpec, ads: AdjacencySeries, innov: InnovationSpec,
     (``burn_in + n`` snapshots aligned to the output axis).  ``seed`` is
     anything :func:`numpy.random.default_rng` takes; a Generator is drawn
     from in place, so a network simulated from it just before shares one
-    stream with the path.  Raises for non-stationary specifications unless
-    ``allow_explosive`` is set, in which case every step is checked for
-    finiteness.
+    stream with the path.  A list of R Generators with a list of R network
+    series ``ads`` simulates R paths in one time loop and returns them as
+    ``(R, d, n)``, each path the one its Generator and series alone give.
+    Raises for non-stationary specifications unless ``allow_explosive`` is
+    set, in which case every step is checked for finiteness.
     """
     if not allow_explosive:
         st = check_stationarity_nar(spec)
@@ -412,22 +445,23 @@ def simulate_nar(spec: NarSpec, ads: AdjacencySeries, innov: InnovationSpec,
     return _simulate(spec, ads, innov, n, burn_in, seed, allow_explosive, "simulate_nar")
 
 
-def simulate_lnar(spec: LnarSpec, ads: AdjacencySeries, innov: InnovationSpec,
+def simulate_lnar(spec: LnarSpec, ads, innov: InnovationSpec,
                   n: int, burn_in: int = 500, seed=None,
                   allow_explosive: bool = False) -> np.ndarray:
     """Simulate the per-component model; same contract as :func:`simulate_nar`.
 
     The recursion runs on the full-model embedding :meth:`LnarSpec.to_nar`.
     The stationarity check is :func:`check_stationarity_lnar` on the
-    ``burn_in + n`` snapshots the path runs on, so a G without an a-priori
+    ``burn_in + n`` snapshots each path runs on, so a G without an a-priori
     infinity-norm certificate is certified on them instead.
     """
     if not allow_explosive:
-        path = AdjacencySeries._checked(ads.mats[: max(burn_in + n, 0)])
-        st = check_stationarity_lnar(spec, path)
-        if not st.holds:
-            raise ValueError(f"spec fails the stationarity check{st.failure}; "
-                             "pass allow_explosive=True to override")
+        for path in _path_batch(ads, seed, "simulate_lnar")[0]:
+            st = check_stationarity_lnar(spec, AdjacencySeries._checked(
+                path.mats[: max(burn_in + n, 0)]))
+            if not st.holds:
+                raise ValueError(f"spec fails the stationarity check{st.failure}; "
+                                 "pass allow_explosive=True to override")
     return _simulate(spec.to_nar(), ads, innov, n, burn_in, seed, allow_explosive,
                      "simulate_lnar")
 

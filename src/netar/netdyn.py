@@ -13,6 +13,9 @@ snapshots, about 1 MiB of float snapshots: the network draws, G's
 conversion of its input to floats, the simulator's coefficients, the
 per-component model's path certificate and the fits' pass over G.  G is
 per snapshot and 0/1 is exact as a float, so no result depends on the chunk.
+A batch of replicates (a list of Generators as the seed) walks in smaller
+time chunks, :func:`_steps_per_chunk`, so its chunk temporaries stay near
+32 KiB while each replicate's whole path is held.
 
 Two binary edge processes are provided (independent per-edge Markov
 chains and a three-node two-edge "flip" toy chain), together with the
@@ -43,6 +46,23 @@ _WEIGHT_TOL = 1e-12
 def _snapshots_per_chunk(d: int) -> int:
     """Snapshots in about 1 MiB of float ``(d, d)`` snapshots, at least one."""
     return max(1, 2**20 // (8 * d * d))
+
+
+def _steps_per_chunk(d: int, batch: int) -> int:
+    """Time steps per chunk of a walk or a path over ``batch`` replicates at once:
+    :func:`_snapshots_per_chunk` for one replicate, else about 32 KiB of the batch's
+    float snapshots, at least one, so that a batch's chunk temporaries (uniforms,
+    coefficients and G's conversion) stay small next to its whole-path arrays."""
+    return _snapshots_per_chunk(d) if batch == 1 else max(1, 2**15 // (8 * batch * d * d))
+
+
+def _generator_batch(seed) -> Optional[list]:
+    """The generators of a nonempty list or tuple of ``numpy.random.Generator`` seeds,
+    one replicate each; None for any other seed, which is read by ``default_rng``."""
+    if (isinstance(seed, (list, tuple)) and seed
+            and all(isinstance(g, np.random.Generator) for g in seed)):
+        return list(seed)
+    return None
 
 
 def _check_weights(arr: np.ndarray, what: str) -> None:
@@ -231,31 +251,42 @@ class MarkovEdgeNetwork:
         out = np.logical_and(state, flip, out=out)
         return np.logical_xor(out, if_absent, out=out)
 
-    def simulate(self, n: int, seed=None, burn_in: int = 0) -> AdjacencySeries:
+    def simulate(self, n: int, seed=None, burn_in: int = 0):
         """Simulate ``n`` snapshots after discarding ``burn_in`` transitions; the
         series holds the ``bool`` walk itself.  ``seed`` is anything
-        :func:`numpy.random.default_rng` takes; a Generator is drawn from in place."""
-        walk = self._walk(np.random.default_rng(seed), burn_in + n)
-        return AdjacencySeries._checked(walk[burn_in + 1:])
+        :func:`numpy.random.default_rng` takes; a Generator is drawn from in place.
+        A list of Generators walks one network per Generator, all in one time loop,
+        and returns their series in its order, each the one its Generator alone gives."""
+        rngs = _generator_batch(seed)
+        walks = self._walk(rngs or [np.random.default_rng(seed)], burn_in + n)
+        series = [AdjacencySeries._checked(walk[burn_in + 1:]) for walk in walks]
+        return series if rngs else series[0]
 
-    def _walk(self, rng: np.random.Generator, steps: int) -> np.ndarray:
-        """The boolean path of the initial state and ``steps`` transitions, each
-        ``(state & flip) ^ if_absent`` with the decisions of :meth:`_decisions`
-        taken for a whole chunk of :func:`_snapshots_per_chunk` draws at once, into
-        buffers freed on return; one stream continues through the chunks, so the
-        path is that of one draw."""
-        d = self.d
-        walk = np.empty((steps + 1, d, d), dtype=bool)
-        walk[0] = self.initial_state(rng)
-        draws = np.empty((max(1, min(steps, _snapshots_per_chunk(d))), d, d))
-        if_absent, flip = np.empty(draws.shape, dtype=bool), np.empty(draws.shape, dtype=bool)
-        for s in range(0, steps, len(draws)):
-            u = rng.random(out=draws[: steps - s])
-            a, f = self._decisions(u, if_absent[:len(u)], flip[:len(u)])
+    def _walk(self, rngs, steps: int) -> np.ndarray:
+        """The boolean paths ``(len(rngs), steps + 1, d, d)``, each the initial state
+        drawn from its Generator and ``steps`` transitions, each ``(state & flip) ^
+        if_absent`` with the decisions of :meth:`_decisions` taken for a whole chunk of
+        :func:`_steps_per_chunk` draws at once, into buffers freed on return.  Every
+        Generator draws its own uniforms, in one stream through the chunks, so each
+        path is that of one draw.  One time loop steps them all, time-major, so each
+        step is one contiguous ``(batch, d, d)`` block; a batch's paths are then
+        copied out replicate-major."""
+        d, batch = self.d, len(rngs)
+        walk = np.empty((steps + 1, batch, d, d), dtype=bool)
+        for state, rng in zip(walk[0], rngs):
+            state[...] = self.initial_state(rng)
+        chunk = max(1, min(steps, _steps_per_chunk(d, batch)))
+        draws = np.empty((batch, chunk, d, d))  # one contiguous run of draws a Generator
+        if_absent, flip = np.empty((2, chunk, batch, d, d), dtype=bool)
+        for s in range(0, steps, chunk):
+            m = min(chunk, steps - s)
+            for u, rng in zip(draws, rngs):
+                rng.random(out=u[:m])
+            a, f = self._decisions(draws[:, :m].swapaxes(0, 1), if_absent[:m], flip[:m])
             for now, nxt, f_t, a_t in zip(walk[s:], walk[s + 1:], f, a):
                 np.logical_and(now, f_t, out=nxt)
                 np.logical_xor(nxt, a_t, out=nxt)
-        return walk
+        return np.ascontiguousarray(walk.swapaxes(0, 1))
 
 
 class FlipNetwork:
@@ -294,9 +325,13 @@ class FlipNetwork:
         mats[..., 1, 2] = states != self.EDGE13
         return mats
 
-    def simulate(self, n: int, seed=None, burn_in: int = 0) -> AdjacencySeries:
-        states = self.simulate_states(n, seed=seed, burn_in=burn_in)
-        return AdjacencySeries._checked(self.state_to_matrix(states))  # binary by construction
+    def simulate(self, n: int, seed=None, burn_in: int = 0):
+        """The series of :meth:`simulate_states`; a list of Generators gives one series
+        per Generator, as :meth:`MarkovEdgeNetwork.simulate` does."""
+        rngs = _generator_batch(seed)
+        series = [AdjacencySeries._checked(self.state_to_matrix(  # binary by construction
+            self.simulate_states(n, seed=rng, burn_in=burn_in))) for rng in rngs or [seed]]
+        return series if rngs else series[0]
 
     def simulate_states(self, n: int, seed=None, burn_in: int = 0) -> np.ndarray:
         """State path (0/1 per step); lighter than full matrices for long runs.

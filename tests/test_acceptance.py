@@ -41,6 +41,7 @@ from netar.harness import (
 )
 from netar.netdyn import FlipNetwork, generate_density_matched_markov
 
+from batch_helpers import batched_paths
 from panel_helpers import synthetic_panel_arrays, write_panel_files
 from test_model import (
     companion_recursion,
@@ -133,11 +134,9 @@ def test_criterion3_consistency_rate():
     medians = []
     for n in ns:
         errs = []
-        for i in range(reps):
-            rng = np.random.default_rng(np.random.SeedSequence(entropy=23,
-                                                               spawn_key=(n, i)))
-            ads = net.simulate(n + 400, seed=rng)
-            x = simulate_nar(spec, ads, innov, n=n, burn_in=400, seed=rng)
+        rngs = [np.random.default_rng(np.random.SeedSequence(entropy=23, spawn_key=(n, i)))
+                for i in range(reps)]
+        for ads, x in batched_paths(net, spec, innov, n, 400, rngs):
             fit = fit_nar(x, ads.drop_first(400), list(spec.G), 1)
             sq = 0.0
             for c in fit.components:

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -341,3 +342,28 @@ def test_experiment_with_an_invalid_config_exits_with_its_problems(tmp_path):
                                          r"integer >= 1; p_max must be an integer >= 1$"):
         main(["experiment", "--config", str(cfg_path), "--out", str(out)])
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["experiment", "--config", "{path}"],
+    ["fit", "--series", "{path}", "--family", "var"],
+    ["simulate", "--model", "{path}", "--ads", "{path}", "--n", "10"],
+], ids=["experiment-config", "fit-series", "simulate-model"])
+def test_a_missing_input_file_exits_with_one_line_naming_it(tmp_path, command):
+    path = str(tmp_path / "absent.json")
+    with pytest.raises(SystemExit, match=f"^{re.escape(path)}: No such file or directory$"):
+        main([arg.format(path=path) for arg in command] + ["--out", str(tmp_path / "out")])
+
+
+@pytest.mark.parametrize("command", [
+    ["experiment", "--config", "{path}"],
+    ["simulate", "--model", "{path}", "--ads", "{path}", "--n", "10"],
+    ["depmeas", "--network", "{path}"],
+], ids=["experiment-config", "simulate-model", "depmeas-network"])
+def test_a_truncated_json_input_exits_with_one_line_naming_it(tmp_path, command):
+    doc = json.dumps(config_to_json(example1_config(sample_sizes=(80,), replications=2)))
+    path = tmp_path / "truncated.json"
+    path.write_text(doc[: len(doc) // 2])
+    with pytest.raises(SystemExit, match=f"^{re.escape(str(path))}: not valid JSON "
+                                         r"\(.* at line \d+, column \d+\)$"):
+        main([arg.format(path=path) for arg in command] + ["--out", str(tmp_path / "out")])

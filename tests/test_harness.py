@@ -9,7 +9,8 @@ import pytest
 
 import netar.harness as harness
 import netar.io as nio
-from netar import AdjacencySeries, InnovationSpec, NarSpec, NeighborhoodFn
+from netar import (AdjacencySeries, InnovationSpec, LnarSpec, NarSpec, NeighborhoodFn,
+                   simulate_lnar, simulate_nar)
 from netar.cli import main
 from netar.harness import (
     CONFIG_SCHEMA,
@@ -55,8 +56,7 @@ class TestRunExperiment:
                                (60,), 1, 1, cfg.seed, cfg.methods, burn_in=30,
                                p_max=2)
         rep = run_experiment(cfg)
-        from netar.harness import _run_one_replicate
-        res = _run_one_replicate(cfg, 0, 60, 0)
+        res = harness._run_chunk(cfg, 0, 60, [0])[0]
         expected = (res["nar(known)"] ** 2).mean()
         assert rep.mse[(60, "nar(known)")][0] == pytest.approx(expected, abs=1e-15)
 
@@ -129,9 +129,9 @@ class TestRunExperiment:
         starved = ExperimentConfig(cfg.experiment, cfg.network, cfg.process,
                                    cfg.innov, (10, 60), 1, 4, cfg.seed,
                                    [MethodSpec("var", "none")], burn_in=10, p_max=3)
-        run_one, sizes = harness._run_one_replicate, []
-        monkeypatch.setattr(harness, "_run_one_replicate",
-                            lambda cfg, i, n, rep: sizes.append(n) or run_one(cfg, i, n, rep))
+        run_chunk, sizes = harness._run_chunk, []
+        monkeypatch.setattr(harness, "_run_chunk", lambda cfg, i, n, reps: sizes.extend(
+            [n] * len(reps)) or run_chunk(cfg, i, n, reps))
         with pytest.raises(RuntimeError, match="at n=10; aborting"):
             run_experiment(starved)
         assert sizes == [10] * 4
@@ -183,10 +183,18 @@ class TestRunExperiment:
         assert markov.mean() >= known.mean() * 0.85
 
 
+def simulate_replicate(cfg, n_index, n, rep):
+    """One replicate's path and post-burn-in network, from one-path simulator calls."""
+    rng = harness._replicate_seed(cfg.seed, n_index, rep)
+    ads = cfg.network.simulate(cfg.burn_in + n + cfg.horizons, seed=rng)
+    sim = simulate_lnar if isinstance(cfg.process, LnarSpec) else simulate_nar
+    x_all = sim(cfg.process, ads, cfg.innov, n=n + cfg.horizons, burn_in=cfg.burn_in, seed=rng)
+    return x_all, ads.drop_first(cfg.burn_in)
+
+
 def per_method_refits(cfg, n_index, n, rep):
     """A replicate's errors with every method fitted on its own, one fit per label."""
-    rng = harness._replicate_seed(cfg.seed, n_index, rep)
-    x_all, ads_post = harness._simulate_replicate(cfg, n, rng)
+    x_all, ads_post = simulate_replicate(cfg, n_index, n, rep)
     x_est, truth = x_all[:, :n], x_all[:, n:]
     ads_est = ads_post.take_first(n - 1)
     errors = {}
@@ -228,7 +236,7 @@ class TestFitSharing:
             assert cfg.methods[0].g is not cfg.methods[1].g
         expected = per_method_refits(cfg, 0, 200, 1)
         calls = counted_fits(monkeypatch)
-        errors = harness._run_one_replicate(cfg, 0, 200, 1)
+        errors = harness._run_chunk(cfg, 0, 200, [1])[0]
         assert sorted(calls) == ["lnar", "nar", "var"]
         assert list(errors) == list(expected) and len(errors) == 7
         for lbl, err in expected.items():
@@ -236,7 +244,7 @@ class TestFitSharing:
 
     def test_a_failed_shared_fit_fails_every_method_sharing_it(self, monkeypatch):
         calls = counted_fits(monkeypatch, fail_family="lnar")
-        errors = harness._run_one_replicate(three_policy_example1(), 0, 200, 0)
+        errors = harness._run_chunk(three_policy_example1(), 0, 200, [0])[0]
         assert len(calls) == 3
         for lbl, err in errors.items():
             assert (err is None) == lbl.startswith("lnar("), lbl
@@ -246,8 +254,7 @@ def unshared_errors(cfg, n_index, n, rep):
     """A replicate's errors from plain BIC selections and fits, each evaluating G itself
     on a series of its own; the masked VAR keeps the coefficients whose G entry (the raw
     network's without g) is non-zero somewhere in the sample."""
-    rng = harness._replicate_seed(cfg.seed, n_index, rep)
-    x_all, ads_post = harness._simulate_replicate(cfg, n, rng)
+    x_all, ads_post = simulate_replicate(cfg, n_index, n, rep)
     x_est, truth = x_all[:, :n], x_all[:, n:]
     ads_est = ads_post.take_first(n - 1)
     errors = {}
@@ -311,7 +318,7 @@ class TestGSharing:
         cfg = make()
         n = cfg.sample_sizes[0]
         expected = unshared_errors(cfg, 0, n, 1)
-        errors = harness._run_one_replicate(cfg, 0, n, 1)
+        errors = harness._run_chunk(cfg, 0, n, [1])[0]
         assert list(errors) == list(expected)
         for lbl, err in expected.items():
             assert np.array_equal(errors[lbl], err), lbl
@@ -338,7 +345,7 @@ class TestGSharing:
         cfg = example2_d10()
         n = cfg.sample_sizes[0]
         sizes = fit_side_g_calls(monkeypatch)
-        harness._run_one_replicate(cfg, 0, n, 0)
+        harness._run_chunk(cfg, 0, n, [0])
         assert sizes == [n - 1]
 
     def test_the_panel_pipeline_evaluates_g_once(self, panel, monkeypatch):
@@ -368,6 +375,67 @@ _MALFORMED = {
     "method_listed_twice": (lambda doc: doc["methods"].append(copy.deepcopy(doc["methods"][0])),
                             "methods[3]"),
 }
+
+
+class TestReplicateChunks:
+    """Replicates run in chunks simulated together; no report depends on the chunk."""
+
+    @pytest.mark.parametrize("config", [
+        lambda: example1_config(replications=8, policies=("known", "holdlast", "markov")),
+        lambda: example2_config(d=10, replications=8),
+    ], ids=["example1", "example2_d10"])
+    def test_reports_are_byte_identical_at_every_chunk_size_and_thread_count(
+            self, config, tmp_path, monkeypatch):
+        cfg = config()
+        outputs = {}
+        for size in (1, 2, cfg.replications):
+            monkeypatch.setattr(harness, "_replicates_per_chunk", lambda *args: size)
+            for threads in (1, 2):
+                out = tmp_path / f"{size}-{threads}"
+                run_experiment(cfg, threads=threads, out_dir=str(out))
+                outputs[size, threads] = {name: (out / name).read_bytes()
+                                          for name in sorted(os.listdir(out))}
+        first = outputs[1, 1]
+        assert len(first) == 4
+        assert [key for key, files in outputs.items() if files != first] == []
+
+    def test_the_chunk_rule(self):
+        # T d (d + 8) path bytes a replicate within 160 KiB, at most ceil(B / threads)
+        ex1 = example1_config(replications=200)
+        assert [harness._replicates_per_chunk(ex1, 500, t) for t in (1, 2, 200)] == [3, 3, 1]
+        assert harness._replicates_per_chunk(dataclasses.replace(ex1, replications=5), 500,
+                                             2) == 3
+        assert harness._replicates_per_chunk(example2_config(d=10), 500, 1) == 1
+        assert harness._replicates_per_chunk(example2_config(d=100), 500, 1) == 1
+        assert harness._replicates_per_chunk(tiny_config(reps=7), 60, 1) == 7
+
+    def test_an_example1_chunk_simulates_within_one_replicates_peak(self):
+        # A chunk of three runs its walk and recursion in 32 KiB time chunks, one
+        # replicate in 1 MiB ones (the whole example-1 path), so the chunk's simulation
+        # peak (measured 304 KiB) stays below one replicate's (324 KiB).  The margin
+        # allowed is the benchmark's 10 percent bound on peak_alloc_mb.
+        import tracemalloc
+
+        cfg = example1_config(replications=200, policies=("known", "holdlast", "markov"))
+        n = cfg.sample_sizes[0]
+        reps = range(harness._replicates_per_chunk(cfg, n, 1))
+        assert len(reps) == 3
+
+        def simulate(seed):
+            ads = cfg.network.simulate(cfg.burn_in + n + cfg.horizons, seed=seed)
+            return simulate_nar(cfg.process, ads, cfg.innov, n=n + cfg.horizons,
+                                burn_in=cfg.burn_in, seed=seed)
+
+        peaks = []
+        for seed in (harness._replicate_seed(cfg.seed, 0, 0),
+                     [harness._replicate_seed(cfg.seed, 0, rep) for rep in reps]):
+            simulate(seed)  # lazy imports and first-touch allocations stay outside
+            tracemalloc.start()
+            simulate(seed)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        one, chunk = peaks
+        assert chunk <= 1.1 * one, (chunk, one)
 
 
 class TestConfigJson:

@@ -1,3 +1,6 @@
+import contextlib
+import re
+
 import numpy as np
 import pytest
 
@@ -19,9 +22,10 @@ from netar import (
     simulate_lnar,
     simulate_nar,
 )
-from netar import model
+from netar import model, netdyn
 from netar.model import _nar_coefficients, _run_recursion
 
+from batch_helpers import batched_paths
 from test_netdyn import example1_network_matrices, kernel_variants, set_chunk, zero_diag_oracle
 
 
@@ -484,6 +488,125 @@ class TestBatchedRecursion:
             assert np.array_equal(got, np.stack(want, axis=1)), g.kind
 
 
+@contextlib.contextmanager
+def batch_chunk(chunk, steps):
+    """Every walk and path, of one replicate or a batch, in time chunks of ``chunk``
+    steps (``"T"``: the whole ``steps``) while the context lasts."""
+    size = max(steps, 1) if chunk == "T" else chunk
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (netdyn, model):
+            patch.setattr(module, "_steps_per_chunk", lambda d, batch: size)
+        yield
+
+
+def assert_batch_matches_per_replicate(run, seeds):
+    """``run(seed)`` on a list of Generators against one call per Generator: every
+    output bit for bit and every Generator left in the same state."""
+    alone = [np.random.default_rng(s) for s in seeds]
+    together = [np.random.default_rng(s) for s in seeds]
+    want = [run(g) for g in alone]
+    got = run(together)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert [g.bit_generator.state for g in together] == [g.bit_generator.state for g in alone]
+
+
+class TestBatchedSimulation:
+    """A list of Generators runs a batch of replicates in one network walk and one path
+    recursion; each replicate is the one its Generator alone gives, bit for bit, at
+    every d, p, G, batch size and time chunk (``_steps_per_chunk`` at 1, 7 and T)."""
+
+    def test_random_paths_match_per_replicate_calls(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @hyp.settings(max_examples=60, deadline=None, derandomize=True)
+        @hyp.given(d=st.integers(1, 6), p=st.integers(1, 3), batch=st.integers(1, 5),
+                   chunk=st.sampled_from([1, 7, "T"]), family=st.sampled_from(["nar", "lnar"]),
+                   picks=st.lists(st.integers(0, 5), min_size=3, max_size=3),
+                   n=st.integers(0, 30), burn_in=st.integers(0, 12),
+                   explosive=st.booleans(), seed=st.integers(0, 2**16))
+        def check(d, p, batch, chunk, family, picks, n, burn_in, explosive, seed):
+            rng = np.random.default_rng(seed)
+            shapes = TestBatchedRecursion.g_shapes(d, rng)
+            G = [shapes[i][0] for i in picks[:p]]
+            binary = any(shapes[i][1] for i in picks[:p])
+            total = burn_in + n
+            mats = rng.random((batch, total, d, d)) < 0.4
+            if binary:
+                networks = [AdjacencySeries(m) for m in mats]
+            else:
+                networks = [AdjacencySeries(m * rng.uniform(-1, 1, m.shape)) for m in mats]
+            if family == "nar":
+                spec = NarSpec(p, [rng.uniform(-1, 1, (d, d)) / (d * p) for _ in range(p)], G)
+                simulate = simulate_nar
+            else:
+                spec = LnarSpec(p, rng.uniform(-0.5, 0.5, (p, d)) / p,
+                                rng.uniform(-0.5, 0.5, (p, d)) / p, G)
+                simulate = simulate_lnar
+            innov = InnovationSpec(rng.normal(size=d), np.eye(d) + 0.1)
+            seeds = [seed + 1 + k for k in range(batch)]
+            with batch_chunk(chunk, total):
+                alone = []
+                for k, s in enumerate(seeds):
+                    try:
+                        alone.append(simulate(spec, networks[k], innov, n=n, burn_in=burn_in,
+                                              seed=np.random.default_rng(s),
+                                              allow_explosive=explosive))
+                    except ValueError as exc:  # an uncertified G fails on this network
+                        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                            simulate(spec, networks, innov, n=n, burn_in=burn_in,
+                                     seed=[np.random.default_rng(s) for s in seeds])
+                        return
+                got = simulate(spec, networks, innov, n=n, burn_in=burn_in,
+                               seed=[np.random.default_rng(s) for s in seeds],
+                               allow_explosive=explosive)
+            assert got.shape == (batch, d, n) and got.flags.c_contiguous
+            assert np.array_equal(got, np.stack(alone))
+
+        check()
+
+    def test_random_network_walks_match_per_generator_calls(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @hyp.settings(max_examples=60, deadline=None, derandomize=True)
+        @hyp.given(d=st.integers(1, 6), batch=st.integers(1, 5),
+                   chunk=st.sampled_from([1, 7, "T"]), n=st.integers(0, 40),
+                   burn_in=st.integers(0, 12), stationary=st.booleans(),
+                   seed=st.integers(0, 2**16))
+        def check(d, batch, chunk, n, burn_in, stationary, seed):
+            rng = np.random.default_rng(seed)
+            initial = "stationary" if stationary else (rng.random((d, d)) < 0.5) * 1.0
+            markov = MarkovEdgeNetwork(rng.random((d, d)), rng.random((d, d)), initial)
+            flip = FlipNetwork(float(rng.random()), int(rng.integers(2)))
+            seeds = [seed + 1 + k for k in range(batch)]
+            with batch_chunk(chunk, burn_in + n):
+                for net in (markov, flip):
+                    def run(gen):
+                        out = net.simulate(n, seed=gen, burn_in=burn_in)
+                        return [a.mats for a in out] if isinstance(gen, list) else out.mats
+
+                    assert_batch_matches_per_replicate(run, seeds)
+
+        check()
+
+    def test_a_batch_needs_one_network_series_per_generator(self):
+        ads = AdjacencySeries(np.zeros((5, 2, 2), dtype=bool))
+        spec = NarSpec(1, [0.1 * np.eye(2)], [NeighborhoodFn.transpose()])
+        gens = [np.random.default_rng(k) for k in range(2)]
+        for wrong in (ads, [ads]):
+            with pytest.raises(ValueError, match="a list of 2 Generators needs as many "
+                                                 "network series"):
+                simulate_nar(spec, wrong, InnovationSpec.standard(2), n=5, burn_in=0, seed=gens)
+        for seed in (1, gens[0], [1, 2]):
+            with pytest.raises(ValueError, match="a list of network series needs a list of "
+                                                 "Generators as seed"):
+                simulate_nar(spec, [ads, ads], InnovationSpec.standard(2), n=5, burn_in=0,
+                             seed=seed)
+
+
 def gnlp_oracle(coeff_fns, ads, eps):
     """The time loop simulate_gnlp_truncated ran before it batched its lags:
     every lag's coefficient built and applied one time point at a time."""
@@ -921,12 +1044,19 @@ class TestChunkedSimulation:
         # coefficient stack of the whole path at once, about two such stacks
         import tracemalloc
 
-        from netar.harness import _simulate_replicate, example2_config
+        from netar.harness import example2_config
 
         cfg = example2_config(d=100)
-        _simulate_replicate(cfg, 500, np.random.default_rng(1))  # lazy imports stay outside
+
+        def simulate_replicate(seed):
+            rng = np.random.default_rng(seed)
+            ads = cfg.network.simulate(cfg.burn_in + 500 + cfg.horizons, seed=rng)
+            simulate_lnar(cfg.process, ads, cfg.innov, n=500 + cfg.horizons,
+                          burn_in=cfg.burn_in, seed=rng)
+
+        simulate_replicate(1)  # lazy imports stay outside
         tracemalloc.start()
-        _simulate_replicate(cfg, 500, np.random.default_rng(2))
+        simulate_replicate(2)
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         assert peak < (cfg.burn_in + 500 + cfg.horizons) * 100 * 100 * 8
@@ -966,10 +1096,9 @@ def test_example1_sample_mean_self_consistency():
     reps, n_rep = 200, 2000
     rep_means = np.empty((reps, 4))
     root = np.random.SeedSequence(777)
-    for i in range(reps):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=root.entropy, spawn_key=(i,)))
-        ads_i = net.simulate(n_rep + 300, seed=rng)
-        xi = simulate_nar(spec, ads_i, innov, n=n_rep, burn_in=300, seed=rng)
+    rngs = [np.random.default_rng(np.random.SeedSequence(entropy=root.entropy, spawn_key=(i,)))
+            for i in range(reps)]
+    for i, (_, xi) in enumerate(batched_paths(net, spec, innov, n_rep, 300, rngs)):
         rep_means[i] = xi.mean(axis=1)
     mc_mean = rep_means.mean(axis=0)
     se = rep_means.std(axis=0, ddof=1) / np.sqrt(reps)

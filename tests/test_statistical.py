@@ -17,6 +17,8 @@ from netar.harness import (
 )
 from netar.netdyn import generate_density_matched_markov
 
+from batch_helpers import batched_paths
+
 
 def seeded_rng(base, i):
     return np.random.default_rng(np.random.SeedSequence(entropy=base, spawn_key=(i,)))
@@ -54,10 +56,8 @@ class TestExample1Recovery:
         net = example1_network()
         alpha = spec.A[0]
         reps, wins = 200, 0
-        for i in range(reps):
-            rng = seeded_rng(13, i)
-            ads = net.simulate(2400, seed=rng)
-            x = simulate_nar(spec, ads, innov, n=2000, burn_in=400, seed=rng)
+        rngs = [seeded_rng(13, i) for i in range(reps)]
+        for ads, x in batched_paths(net, spec, innov, 2000, 400, rngs):
             fit = fit_nar(x, ads.drop_first(400), list(spec.G), 1)
             err = 0.0
             for c in fit.components:
@@ -78,10 +78,8 @@ def test_plugin_asymptotic_variance_matches_replication():
     reps, n = 500, 2000
     per_entry: dict = {}
     plugin: dict = {}
-    for i in range(reps):
-        rng = seeded_rng(17, i)
-        ads = net.simulate(n + 400, seed=rng)
-        x = simulate_nar(spec, ads, innov, n=n, burn_in=400, seed=rng)
+    rngs = [seeded_rng(17, i) for i in range(reps)]
+    for ads, x in batched_paths(net, spec, innov, n, 400, rngs):
         fit = fit_nar(x, ads.drop_first(400), list(spec.G), 1)
         for c in fit.components:
             diag = np.diag(c.asymp_cov)
