@@ -7,7 +7,6 @@ from .netdyn import (
     NeighborhoodFn,
     apply_neighborhood_fn,
     generate_density_matched_markov,
-    k_stage_neighborhood,
 )
 from .model import (
     InnovationSpec,

@@ -161,6 +161,8 @@ def cmd_experiment(args) -> int:
         json.dump(CONFIG_SCHEMA, sys.stdout, indent=2)
         print()
         return 0
+    if args.threads < 1:
+        raise SystemExit(f"--threads must be at least 1, got {args.threads}")
     doc = nio._read_json(args.config)
     if args.seed is not None:
         doc["seed"] = args.seed

@@ -34,7 +34,8 @@ import numpy as np
 from . import io as nio
 from .estimate import FAMILIES, EstimationError, _check_family, _fit_by_bic
 from .forecast import HoldLast, Known, PerEdgeMarkov, difference, forecast_h, integrate
-from .model import InnovationSpec, LnarSpec, NarSpec, simulate_lnar, simulate_nar
+from .model import (InnovationSpec, LnarSpec, NarSpec, _check_order, simulate_lnar,
+                    simulate_nar)
 from .netdyn import (
     AdjacencySeries,
     FlipNetwork,
@@ -382,6 +383,7 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1,
     run there.  With ``out_dir`` the reports are written to that directory (see
     :func:`write_experiment_reports`).
     """
+    _check_order("threads", threads, 1)
     h, b = cfg.horizons, cfg.replications
     labels = [m.label for m in cfg.methods]
     mse: Dict[Tuple[int, str], np.ndarray] = {}

@@ -14,11 +14,12 @@ and the moving-average coefficient matrices.
 One recursion: every path, forecast and coupled pair is stepped by the one
 time loop ``_run_recursion``, each step ``_nar_step``, ``drive + sum_j C_j x_{t-j}``;
 ``_nar_coefficients`` alone builds ``C_j = A_j * G_j(Ad_{t-j})``, evaluating each distinct G once.
-A simulated path builds its coefficients one chunk of snapshots at a time
-(``netdyn._steps_per_chunk``), so no whole-path coefficient stack exists.
-Given a list of Generators as its seed and one network series each, a
-simulator runs the whole batch of paths through one time loop, ``(T, R, d)``
-rows, and returns ``(R, d, n)``; each path is bit for bit the one its
+A simulation is one batch of R paths through one time loop, ``(T, R, d)`` rows,
+its coefficients built one chunk of snapshots at a time
+(``netdyn._steps_per_chunk``) from each path's own series, so no whole-path
+coefficient or snapshot stack exists.  A list of R Generators as the seed,
+with one network series each, returns ``(R, d, n)``; any other seed is one
+path, R = 1, returned as ``(d, n)``.  Each path is bit for bit the one its
 Generator and series give alone.
 The per-component model runs on its embedding, built only by
 :meth:`LnarSpec.to_nar`: lag-j coefficient ``A_j * (I + zero-diag G_j)``.
@@ -359,55 +360,48 @@ def _path_length(n: int, burn_in: int) -> int:
 
 
 def _path_batch(ads, seed, what: str):
-    """The network series of a simulation and its Generators: ``[ads]`` and None for
-    one path, or for a list of Generators as ``seed`` one series of ``ads`` per Generator."""
-    rngs = _generator_batch(seed)
-    if rngs is None:
-        if isinstance(ads, (list, tuple)):
-            raise ValueError(f"{what}: a list of network series needs a list of Generators "
-                             "as seed")
-        return [ads], None
-    if isinstance(ads, AdjacencySeries) or len(ads) != len(rngs):
+    """The network series of a simulation, its Generators (:func:`netdyn._generator_batch`)
+    and whether they are a batch: ``[ads]`` for one path, or for a list of Generators as
+    ``seed`` one series of ``ads`` per Generator."""
+    rngs, batched = _generator_batch(seed)
+    if not batched and isinstance(ads, (list, tuple)):
+        raise ValueError(f"{what}: a list of network series needs a list of Generators as seed")
+    if batched and (isinstance(ads, AdjacencySeries) or len(ads) != len(rngs)):
         raise ValueError(f"{what}: a list of {len(rngs)} Generators needs as many network series")
-    return list(ads), rngs
+    return list(ads) if batched else [ads], rngs, batched
 
 
 def _simulate(nar: NarSpec, ads, innov: InnovationSpec, n: int, burn_in: int, seed,
               check_finite: bool, what: str) -> np.ndarray:
-    """The simulation core behind both families, for one path or a batch of them.
+    """The simulation core behind both families: a batch of R paths, one path being R = 1.
 
     Each path draws its whole innovations first, ``innov.sample`` from its own
-    Generator, into one ``(total, *batch, d)`` buffer that the recursion then fills
-    row by row in place (it reads drive row t just before it writes row t).  Lag j
-    reads the snapshots s < total - j, all inside the first total - 1.  Their
-    coefficients are built one chunk of ``_steps_per_chunk(d, batch)`` snapshots at a
-    time, each snapshot once, and the chunk's rows run as a window of
-    ``_run_recursion``: a chunk ending at snapshot e - 1 completes row e, and its
-    rows also read the last p - 1 snapshots before it, whose coefficients carry
-    over.  With ``check_finite`` each window is checked as it completes.
+    Generator, into one ``(total, R, d)`` buffer that the recursion then fills row by
+    row in place (it reads drive row t just before it writes row t).  Lag j reads the
+    snapshots s < total - j, all inside the first total - 1.  Their coefficients are
+    built one chunk of ``_steps_per_chunk(d, R)`` snapshots at a time, gathered from
+    every path's series, and the chunk's rows run as a window of ``_run_recursion``:
+    a chunk ending at snapshot e - 1 completes row e, and its rows also read the last
+    p - 1 snapshots before it, whose coefficients carry over.  With ``check_finite``
+    each window is checked as it completes.  Returns ``(R, d, n)``, or ``(d, n)`` for
+    a seed that is not a batch.
     """
     if innov.d != nar.d:
         raise ValueError("innovation dimension does not match spec")
     total = _path_length(n, burn_in)
-    series, rngs = _path_batch(ads, seed, what)
+    series, rngs, batched = _path_batch(ads, seed, what)
     for path in series:
         _check_network_cover(path, nar.d, total, what)
-    batched = rngs is not None
-    if batched:
-        rows = np.empty((total, len(rngs), nar.d))
-        for k, rng in enumerate(rngs):
-            rows[:, k] = innov.sample(rng, total)
-    else:
-        rows = innov.sample(np.random.default_rng(seed), total)
-    last, step = max(total - 1, 0), _steps_per_chunk(nar.d, len(series))
-    # a batch's snapshots time-major, (last, batch, d, d), like its rows
-    mats = (np.stack([path.mats[:last] for path in series], axis=1) if batched
-            else series[0].mats)
+    rows = np.empty((total, len(rngs), nar.d))
+    for k, rng in enumerate(rngs):
+        rows[:, k] = innov.sample(rng, total)
+    last, step = max(total - 1, 0), _steps_per_chunk(nar.d, len(rngs))
     lags, done = [[] for _ in range(nar.p)], 0
     for s in range(0, max(last, 1), step):  # a path of one row reads no snapshot but runs
         e, keep = min(s + step, last), min(s, nar.p - 1)
+        mats = np.stack([path.mats[s:e] for path in series], axis=1)  # time-major, like rows
         lags = [c[len(c) - keep:] + list(new)
-                for c, new in zip(lags, _nar_coefficients(nar.A, nar.G, mats[s:e]))]
+                for c, new in zip(lags, _nar_coefficients(nar.A, nar.G, mats))]
         # the window starts at the first carried snapshot's time, so lag j reads coefficient t - j
         _run_recursion(rows[s - keep: e + 1], rows[done: e + 1], lags, start=done - s + keep)
         if check_finite:
@@ -416,7 +410,8 @@ def _simulate(nar: NarSpec, ads, innov: InnovationSpec, n: int, burn_in: int, se
                 raise FloatingPointError(f"simulation became non-finite at step "
                                          f"{done + finite.argmin()}")
         done = e + 1
-    return np.ascontiguousarray(np.moveaxis(rows[burn_in:], 0, -1))
+    out = np.ascontiguousarray(np.moveaxis(rows[burn_in:], 0, -1))
+    return out if batched else out[0]
 
 
 def simulate_nar(spec: NarSpec, ads, innov: InnovationSpec,

@@ -13,9 +13,12 @@ snapshots, about 1 MiB of float snapshots: the network draws, G's
 conversion of its input to floats, the simulator's coefficients, the
 per-component model's path certificate and the fits' pass over G.  G is
 per snapshot and 0/1 is exact as a float, so no result depends on the chunk.
-A batch of replicates (a list of Generators as the seed) walks in smaller
-time chunks, :func:`_steps_per_chunk`, so its chunk temporaries stay near
-32 KiB while each replicate's whole path is held.
+Every walk and path simulation is a batch of R replicates, one Generator
+each: :func:`_generator_batch` reads every simulator's seed, and a seed that
+is not a list of Generators is a batch of one.  A batch steps in time chunks
+of :func:`_steps_per_chunk`, the 1 MiB chunk at R = 1 and about 32 KiB of
+float snapshots above, so a batch's chunk temporaries stay small next to the
+whole paths it holds.
 
 Two binary edge processes are provided (independent per-edge Markov
 chains and a three-node two-edge "flip" toy chain), together with the
@@ -26,7 +29,7 @@ coefficient-modulation matrix used by the autoregressive models.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -36,7 +39,6 @@ __all__ = [
     "FlipNetwork",
     "NeighborhoodFn",
     "apply_neighborhood_fn",
-    "k_stage_neighborhood",
     "generate_density_matched_markov",
 ]
 
@@ -56,13 +58,14 @@ def _steps_per_chunk(d: int, batch: int) -> int:
     return _snapshots_per_chunk(d) if batch == 1 else max(1, 2**15 // (8 * batch * d * d))
 
 
-def _generator_batch(seed) -> Optional[list]:
-    """The generators of a nonempty list or tuple of ``numpy.random.Generator`` seeds,
-    one replicate each; None for any other seed, which is read by ``default_rng``."""
+def _generator_batch(seed) -> Tuple[list, bool]:
+    """The one reading of a simulator's seed: its Generators, one replicate each, and
+    whether the seed was a batch.  A nonempty list or tuple of ``numpy.random.Generator``
+    is a batch; any other seed is one replicate, ``[default_rng(seed)]``."""
     if (isinstance(seed, (list, tuple)) and seed
             and all(isinstance(g, np.random.Generator) for g in seed)):
-        return list(seed)
-    return None
+        return list(seed), True
+    return [np.random.default_rng(seed)], False
 
 
 def _check_weights(arr: np.ndarray, what: str) -> None:
@@ -257,10 +260,10 @@ class MarkovEdgeNetwork:
         :func:`numpy.random.default_rng` takes; a Generator is drawn from in place.
         A list of Generators walks one network per Generator, all in one time loop,
         and returns their series in its order, each the one its Generator alone gives."""
-        rngs = _generator_batch(seed)
-        walks = self._walk(rngs or [np.random.default_rng(seed)], burn_in + n)
-        series = [AdjacencySeries._checked(walk[burn_in + 1:]) for walk in walks]
-        return series if rngs else series[0]
+        rngs, batched = _generator_batch(seed)
+        series = [AdjacencySeries._checked(walk[burn_in + 1:])
+                  for walk in self._walk(rngs, burn_in + n)]
+        return series if batched else series[0]
 
     def _walk(self, rngs, steps: int) -> np.ndarray:
         """The boolean paths ``(len(rngs), steps + 1, d, d)``, each the initial state
@@ -328,10 +331,10 @@ class FlipNetwork:
     def simulate(self, n: int, seed=None, burn_in: int = 0):
         """The series of :meth:`simulate_states`; a list of Generators gives one series
         per Generator, as :meth:`MarkovEdgeNetwork.simulate` does."""
-        rngs = _generator_batch(seed)
+        rngs, batched = _generator_batch(seed)
         series = [AdjacencySeries._checked(self.state_to_matrix(  # binary by construction
-            self.simulate_states(n, seed=rng, burn_in=burn_in))) for rng in rngs or [seed]]
-        return series if rngs else series[0]
+            self.simulate_states(n, seed=rng, burn_in=burn_in))) for rng in rngs]
+        return series if batched else series[0]
 
     def simulate_states(self, n: int, seed=None, burn_in: int = 0) -> np.ndarray:
         """State path (0/1 per step); lighter than full matrices for long runs.
@@ -369,21 +372,6 @@ def _walks_within(ad: np.ndarray, k: int) -> np.ndarray:
     return within
 
 
-def k_stage_neighborhood(ad, k: int) -> np.ndarray:
-    """Indicator matrix of vertices reachable by a shortest path of length exactly k.
-
-    Accepts one snapshot or a ``(..., d, d)`` stack.  Row ``j`` marks the
-    vertices ``v`` whose shortest directed path ``v -> j`` has length ``k``
-    (the transpose reverses edge direction so that rows collect
-    in-neighborhoods): there is a walk of length ``k`` in ``Ad^T`` but none
-    of length 1..k-1, i.e. the walks of length at most ``k`` minus those of
-    length at most ``k - 1``.
-    """
-    if k < 1:
-        raise ValueError("k must be a positive integer")
-    return apply_neighborhood_fn(NeighborhoodFn.k_stage(k), ad)
-
-
 _VARIANTS = {
     "transpose",
     "transpose_of",
@@ -409,7 +397,9 @@ class NeighborhoodFn:
     ``sign_poly`` (order ``k``)
         ``G(Ad) = sign(Ad + Ad^2 + ... + Ad^k)`` on binary input.
     ``k_stage`` (stage ``k``)
-        the exact-shortest-path indicator :func:`k_stage_neighborhood`.
+        the exact-shortest-path indicator on binary input: row ``j`` marks the
+        vertices ``v`` whose shortest directed path ``v -> j`` has length ``k``,
+        the walks of length at most ``k`` in ``Ad^T`` minus those of at most ``k - 1``.
     ``row_normalized_transpose``
         ``Ad^T`` with each row divided by its sum (1/0 := 0); rows sum to
         1 or 0 exactly, so the infinity norm is at most 1.
@@ -541,8 +531,7 @@ def _evaluate(fn: NeighborhoodFn, ad: np.ndarray, binary: bool) -> np.ndarray:
     they may return a view of and write into; ``binary`` says the chunk was
     converted from a ``bool`` stack, so it needs no binary scan."""
     if fn.kind in ("sign_poly", "k_stage") and not binary and not np.isin(ad, (0.0, 1.0)).all():
-        what = "sign_poly" if fn.kind == "sign_poly" else "k_stage_neighborhood"
-        raise ValueError(f"{what} requires a binary adjacency matrix")
+        raise ValueError(f"{fn.kind} requires a binary adjacency matrix")
     if fn.kind == "transpose":
         return ad.swapaxes(-1, -2)
     if fn.kind == "transpose_of":

@@ -25,7 +25,6 @@ from netar import (
     fit_nar,
     fit_var,
     integrate,
-    k_stage_neighborhood,
     mc_autocov,
     sample_acf,
     simulate_lnar,
@@ -50,7 +49,7 @@ from test_model import (
     random_stationary_nar,
 )
 from test_estimate import literal_block_system, ols_with_intercept
-from test_netdyn import bfs_stage_oracle
+from test_netdyn import bfs_stage_oracle, k_stage
 from test_moments import flip_first_order_expectation, flip_path_factory
 from netar.estimate import fit_component_ls
 
@@ -286,7 +285,7 @@ def test_criterion6_structural_oracles():
         d = int(rng.integers(2, 13))
         ad = (rng.random((d, d)) < rng.uniform(0.1, 0.5)).astype(float)
         k = int(rng.integers(1, 5))
-        ok5 = ok5 and np.array_equal(k_stage_neighborhood(ad, k), bfs_stage_oracle(ad, k))
+        ok5 = ok5 and np.array_equal(k_stage(ad, k), bfs_stage_oracle(ad, k))
 
     # integrate after difference reproduces levels exactly
     y = rng.normal(size=(4, 30)).cumsum(axis=1)

@@ -26,7 +26,7 @@ from netar import (
 )
 import netar.io as nio
 from netar.cli import main
-from netar.harness import config_to_json, example1_config, validate_config
+from netar.harness import config_to_json, example1_config, run_experiment, validate_config
 
 G = NeighborhoodFn.transpose()
 
@@ -127,6 +127,16 @@ class TestCounts:
         path.write_text("\n".join(rows) + "\n")
         with pytest.raises(ValueError, match="max_lag must be at least 0, got -1"):
             main(["acf", "--series", str(path), "--max-lag", "-1", "--out", str(tmp_path)])
+
+
+class TestThreads:
+    @pytest.mark.parametrize("threads", [0, -1, 1.5])
+    def test_run_experiment_names_a_thread_count_below_one(self, tmp_path, threads):
+        cfg = example1_config(sample_sizes=(80,), replications=2, horizons=2)
+        with pytest.raises(ValueError, match=r"^threads must be an integer of at least 1, "
+                                             r"got %s$" % threads):
+            run_experiment(cfg, threads=threads, out_dir=str(tmp_path / "out"))
+        assert not (tmp_path / "out").exists()
 
 
 class TestSpecCoefficients:

@@ -332,6 +332,15 @@ def test_fit_flag_errors_name_the_flag(tmp_path, simulated, family, argv, messag
     assert not (tmp_path / "fit" / "fit.json").exists()
 
 
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_experiment_threads_below_one_exit_naming_the_flag(tmp_path, threads):
+    # checked before the config is read: the config file does not exist
+    with pytest.raises(SystemExit, match=f"^--threads must be at least 1, got {threads}$"):
+        main(["experiment", "--config", str(tmp_path / "absent.json"), "--threads", threads,
+              "--out", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
+
+
 def test_experiment_with_an_invalid_config_exits_with_its_problems(tmp_path):
     doc = config_to_json(example1_config(sample_sizes=(80,), replications=2, horizons=2))
     doc.update(horizons=0, p_max="3")

@@ -2,6 +2,8 @@ import tracemalloc
 from math import log
 from unittest import mock
 
+import hypothesis as hyp
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 
@@ -811,9 +813,6 @@ class TestSharedVarPath:
                                       mask=mask).table
 
     def test_random_cases_match_per_block_path(self):
-        hyp = pytest.importorskip("hypothesis")
-        st = pytest.importorskip("hypothesis.strategies")
-
         @hyp.settings(max_examples=30, deadline=None, derandomize=True)
         @hyp.given(d=st.integers(1, 6), p_max=st.integers(1, 3),
                    density=st.sampled_from([0.0, 0.3, 0.8, 1.0]), seed=st.integers(0, 2**16))
@@ -960,6 +959,46 @@ class TestChunkedFitPass:
                 [("nar", fn, False), ("lnar", fn, False), ("var", fn, True)], x,
                 AdjacencySeries(mats), 2)
             assert [outcome_values(o) for o in got] == want, (fn.kind, mats.dtype)
+
+    def test_random_g_parts_match_one_unchunked_evaluation(self):
+        """``_g_parts``' stack, support and pooled series, built one part per call in
+        any order and one chunk of 1, 7 or T snapshots at a time, equal what one
+        unchunked evaluation of G gives, bit for bit; a new x rebuilds the pooled one."""
+
+        def pooled(stack, x):
+            zd = stack.copy()
+            zd[:, np.arange(x.shape[0]), np.arange(x.shape[0])] = 0.0
+            xk = x[:, : len(stack)]
+            np.testing.assert_allclose((zd @ xk.T[..., None])[..., 0].T,
+                                       np.einsum("tij,jt->it", zd, xk), atol=1e-12)
+            return (zd @ xk.T[..., None])[..., 0].T
+
+        @hyp.settings(max_examples=60, deadline=None, derandomize=True)
+        @hyp.given(d=st.integers(1, 6), n=st.integers(2, 40), extra=st.integers(0, 3),
+                   chunk=st.sampled_from([1, 7, "T"]), seed=st.integers(0, 2**16),
+                   order=st.permutations(["stack", "support", "pooled"]))
+        def check(d, n, extra, chunk, seed, order):
+            rng = np.random.default_rng(seed)
+            x, x_new = rng.normal(size=(2, d, n))
+            on = rng.random((n - 1 + extra, d, d)) < 0.4
+            signed = rng.uniform(-1, 1, on.shape) * on
+            for fn, binary in kernel_variants(d, rng):
+                for mats in (on, on * 1.0 if binary else signed):
+                    stack = apply_neighborhood_fn(fn, mats[: n - 1])  # below one chunk at d <= 6
+                    want = {"stack": stack, "support": (stack != 0).any(axis=0),
+                            "pooled": pooled(stack, x)}
+                    ads = AdjacencySeries(mats)
+                    with mock.patch.object(netdyn, "_snapshots_per_chunk",
+                                           lambda d: n - 1 if chunk == "T" else chunk):
+                        for part in order:
+                            got = ads._g_parts(fn, x, (part,))
+                        for part, value in want.items():
+                            assert got[part].dtype == value.dtype, (fn.kind, part)
+                            assert np.array_equal(got[part], value), (fn.kind, mats.dtype, part)
+                        rebuilt = ads._g_parts(fn, x_new, ("pooled",))["pooled"]
+                    assert np.array_equal(rebuilt, pooled(stack, x_new)), fn.kind
+
+        check()
 
 
 def test_lnar_and_masked_var_fits_keep_no_float_g_stack():

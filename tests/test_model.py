@@ -1,6 +1,8 @@
 import contextlib
 import re
 
+import hypothesis as hyp
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 
@@ -518,9 +520,6 @@ class TestBatchedSimulation:
     every d, p, G, batch size and time chunk (``_steps_per_chunk`` at 1, 7 and T)."""
 
     def test_random_paths_match_per_replicate_calls(self):
-        hyp = pytest.importorskip("hypothesis")
-        st = pytest.importorskip("hypothesis.strategies")
-
         @hyp.settings(max_examples=60, deadline=None, derandomize=True)
         @hyp.given(d=st.integers(1, 6), p=st.integers(1, 3), batch=st.integers(1, 5),
                    chunk=st.sampled_from([1, 7, "T"]), family=st.sampled_from(["nar", "lnar"]),
@@ -568,9 +567,6 @@ class TestBatchedSimulation:
         check()
 
     def test_random_network_walks_match_per_generator_calls(self):
-        hyp = pytest.importorskip("hypothesis")
-        st = pytest.importorskip("hypothesis.strategies")
-
         @hyp.settings(max_examples=60, deadline=None, derandomize=True)
         @hyp.given(d=st.integers(1, 6), batch=st.integers(1, 5),
                    chunk=st.sampled_from([1, 7, "T"]), n=st.integers(0, 40),
@@ -890,9 +886,6 @@ class TestNarCoefficients:
         assert_matches_coefficient_oracle(A, G, mats)
 
     def test_random_cases_match_per_lag_oracle(self):
-        hyp = pytest.importorskip("hypothesis")
-        st = pytest.importorskip("hypothesis.strategies")
-
         @hyp.settings(max_examples=40, deadline=None, derandomize=True)
         @hyp.given(d=st.integers(1, 5), n=st.integers(0, 4), seed=st.integers(0, 2**16),
                    picks=st.lists(st.integers(0, 4), min_size=1, max_size=4))

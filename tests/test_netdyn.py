@@ -12,8 +12,12 @@ from netar import (
     NeighborhoodFn,
     apply_neighborhood_fn,
     generate_density_matched_markov,
-    k_stage_neighborhood,
 )
+
+
+def k_stage(ad, k):
+    """The k-stage G of ``ad`` by the kernel, as the BFS oracle tests read it."""
+    return apply_neighborhood_fn(NeighborhoodFn.k_stage(k), ad)
 
 
 def bfs_stage_oracle(ad, k):
@@ -120,13 +124,6 @@ def per_snapshot(oracle, fn, ad):
     return np.array([oracle(fn, a) for a in ad.reshape(-1, d, d)], dtype=float).reshape(ad.shape)
 
 
-def evaluations(fn, ad):
-    """G on ``ad`` by the kernel and, for a k_stage G, by its public function as well."""
-    yield apply_neighborhood_fn(fn, ad)
-    if fn.kind == "k_stage":
-        yield k_stage_neighborhood(ad, fn.k)
-
-
 def set_chunk(monkeypatch, size):
     """Every chunked walk over a path, netdyn's and the simulator's, at ``size`` snapshots."""
     for module in (netdyn, model):
@@ -139,9 +136,9 @@ def chunk_of(monkeypatch, chunk, shape):
 
 
 class TestBoolStacks:
-    """A bool stack is kept as it is, and G (``k_stage_neighborhood`` too) reads it
-    one chunk at a time into a float result equal to the per-snapshot oracle on its
-    float copy, at every chunk size, leaving the stack as it was."""
+    """A bool stack is kept as it is, and G reads it one chunk at a time into a float
+    result equal to the per-snapshot oracle on its float copy, at every chunk size,
+    leaving the stack as it was."""
 
     @pytest.mark.parametrize("chunk", [1, 7, "T"])
     @pytest.mark.parametrize("shape", [(), (0,), (20,), (3, 5)],
@@ -153,10 +150,10 @@ class TestBoolStacks:
         before = on.copy()
         chunk_of(monkeypatch, chunk, shape)
         for fn, _ in kernel_variants(d, rng):
-            for got in evaluations(fn, on):
-                assert got.dtype == float and got.flags.c_contiguous
-                assert np.array_equal(got, per_snapshot(neighborhood_oracle, fn, on)), fn.kind
-                assert np.array_equal(on, before), f"{fn.kind} wrote into its input"
+            got = apply_neighborhood_fn(fn, on)
+            assert got.dtype == float and got.flags.c_contiguous
+            assert np.array_equal(got, per_snapshot(neighborhood_oracle, fn, on)), fn.kind
+            assert np.array_equal(on, before), f"{fn.kind} wrote into its input"
 
     @pytest.mark.parametrize("fn", [NeighborhoodFn.sign_poly(2), NeighborhoodFn.k_stage(2),
                                     NeighborhoodFn.identity_plus(NeighborhoodFn.k_stage(1))],
@@ -184,9 +181,9 @@ class TestBoolStacks:
 
 
 class TestNeighborhoodKernel:
-    """The batched kernel (and ``k_stage_neighborhood``) against the per-snapshot
-    oracle, bit for bit, on float stacks (weighted and signed where G allows it) of
-    every layout, evaluated one chunk at a time at every chunk size."""
+    """The batched kernel against the per-snapshot oracle, bit for bit, on float
+    stacks (weighted and signed where G allows it) of every layout, evaluated one
+    chunk at a time at every chunk size."""
 
     @pytest.mark.parametrize("shape", [(), (0,), (1,), (7,), (2, 3)],
                              ids=["single", "empty", "one-stack", "stack", "4d-stack"])
@@ -202,14 +199,14 @@ class TestNeighborhoodKernel:
             if layout == "transposed":  # each snapshot stored column-major, a non-contiguous view
                 ad = ad.swapaxes(-1, -2).copy().swapaxes(-1, -2)
             before = ad.copy()
-            for out in evaluations(fn, ad):
-                for got, oracle in ((out, neighborhood_oracle), (zeroed(out), zero_diag_oracle)):
-                    expected = per_snapshot(oracle, fn, ad)
-                    assert got.shape == ad.shape
-                    assert np.array_equal(got, expected), (fn.kind, oracle.__name__, chunk, layout)
-                assert out.flags.c_contiguous
-                assert not np.shares_memory(out, ad)
-                assert np.array_equal(ad, before), "kernel wrote into its input"
+            out = apply_neighborhood_fn(fn, ad)
+            for got, oracle in ((out, neighborhood_oracle), (zeroed(out), zero_diag_oracle)):
+                expected = per_snapshot(oracle, fn, ad)
+                assert got.shape == ad.shape
+                assert np.array_equal(got, expected), (fn.kind, oracle.__name__, chunk, layout)
+            assert out.flags.c_contiguous
+            assert not np.shares_memory(out, ad)
+            assert np.array_equal(ad, before), "kernel wrote into its input"
 
     def test_identity_zero_diag_leaves_caller_network_alone(self):
         # transpose_of(transpose) is a view of the chunk it reads, so zeroing
@@ -513,13 +510,13 @@ class TestFlipNetwork:
 class TestKStage:
     def test_empty_graph(self):
         for k in (1, 2, 3):
-            assert (k_stage_neighborhood(np.zeros((4, 4)), k) == 0).all()
+            assert (k_stage(np.zeros((4, 4)), k) == 0).all()
 
     def test_chain_matches_bfs_oracle(self):
         ad = np.zeros((3, 3))
         ad[0, 1] = 1
         ad[1, 2] = 1
-        got = k_stage_neighborhood(ad, 2)
+        got = k_stage(ad, 2)
         assert np.array_equal(got, bfs_stage_oracle(ad, 2))
         assert got[2, 0] == 1.0
 
@@ -529,21 +526,21 @@ class TestKStage:
             d = rng.integers(2, 13)
             ad = (rng.random((d, d)) < rng.uniform(0.05, 0.5)).astype(float)
             k = int(rng.integers(1, 5))
-            assert np.array_equal(k_stage_neighborhood(ad, k), bfs_stage_oracle(ad, k))
+            assert np.array_equal(k_stage(ad, k), bfs_stage_oracle(ad, k))
 
     def test_stages_are_disjoint(self):
         rng = np.random.default_rng(7)
         for _ in range(200):
             d = rng.integers(2, 10)
             ad = (rng.random((d, d)) < 0.3).astype(float)
-            mats = [k_stage_neighborhood(ad, k) for k in range(1, 5)]
+            mats = [k_stage(ad, k) for k in range(1, 5)]
             for a in range(4):
                 for b in range(a + 1, 4):
                     assert (mats[a] * mats[b] == 0).all()
 
     def test_rejects_nonpositive_k(self):
         with pytest.raises(ValueError):
-            k_stage_neighborhood(np.zeros((2, 2)), 0)
+            NeighborhoodFn.k_stage(0)
 
 
 class TestNeighborhoodFns:
@@ -675,8 +672,8 @@ class TestDenseWalks:
     ones = np.ones((100, 100))
 
     def test_k_stage_beyond_one_is_empty(self):
-        assert (k_stage_neighborhood(self.ones, 1) == 1.0).all()
-        assert not k_stage_neighborhood(self.ones, 13).any()
+        assert (k_stage(self.ones, 1) == 1.0).all()
+        assert not k_stage(self.ones, 13).any()
 
     def test_sign_poly_is_all_ones(self):
         assert (apply_neighborhood_fn(NeighborhoodFn.sign_poly(12), self.ones) == 1.0).all()
