@@ -12,29 +12,31 @@ the Gram matrix is numerically singular.
 The same solver backs the plain VAR benchmark (optionally with a
 network-induced sparsity mask) and the per-component model, whose
 regressor vector is the 2p-dimensional own-lag / pooled-network pair per
-lag.  One builder, :func:`_equations`, gives every family's per-component
-normal equations, with columns ordered by lag so that a lower order is a
-leading block.  All VAR equations restrict one shared regression of the
-lagged series: when its Gram is certified, each order is solved for every
-equation from one inverse, and ``gram_cond`` reports that Gram's condition
-number, which bounds every block's; otherwise each equation is fitted on
-its own lagged columns, as :func:`fit_component_ls` fits them.  Two loops
-consume it: the fit loop solves each full block and adds the plug-in
-asymptotic covariance, and BIC order selection, which fits every candidate
-order on one common window, solves each candidate's leading block for its
-residual sum of squares alone.  Network regressors read what the
-:class:`AdjacencySeries` keeps of each distinct G from one chunked pass over
-its snapshots: NAR the evaluations, LNAR the pooled series and the masked VAR
-the support, so every fit on a series, BIC selection included, shares it.
+lag.  :func:`_equations` gives every family's normal equations as stacks
+of same-size systems, columns ordered by lag so that a lower order is a
+leading block: LNAR is one stack of d systems; NAR and the uncertified VAR
+stack the components with as many regressors at every lag.
+:func:`_solve_stack` solves a stack's blocks in batched numpy calls, each
+system with the bits of its own call and its own jitter decision.  When the
+Gram of the lagged series is certified, the VAR solves each order for
+every equation from one inverse, and ``gram_cond`` reports that Gram's
+condition number.  The fit loop solves each full block; BIC order
+selection, on one common window, solves each candidate's leading blocks
+for their residual sums of squares alone.  A fit builds its plug-in
+moments only when they are first read.  Network regressors read what the
+:class:`AdjacencySeries` keeps of each distinct G from one chunked pass
+over its snapshots (NAR the evaluations, LNAR the pooled series and the
+masked VAR the support), so every fit on a series shares it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from collections import namedtuple
+from functools import lru_cache, partial
 from itertools import zip_longest
-from math import inf, log
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
+from math import inf, log, nan
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -86,7 +88,10 @@ class ComponentFit:
     the own/pooled lag positions 0..2p-1).  ``gram_cond`` is the solved block's
     condition number, or, where a certificate skipped it, the certifying Gram's.
     The constructor checks the component's own rules, naming it 1-based as files do;
-    ``resid_var`` and ``asymp_cov`` may be NaN, with no residual degree of freedom."""
+    ``resid_var`` and ``asymp_cov`` may be NaN, with no residual degree of freedom.
+    ``gamma_y0`` may be a function that returns it and its inverse, as in a fit made
+    here; both moments are then built and checked when first read, ``asymp_cov`` as
+    ``resid_var`` times the inverse, and a failed inverse raises an EstimationError."""
     r: int
     members: tuple
     w: np.ndarray
@@ -107,13 +112,35 @@ class ComponentFit:
         self.w = _floats(name, "w", self.w, (-1,))
         if self.w.size != k:
             raise ValueError(f"{name} has {self.w.size} coefficients w for {k} indices in its index_set")
-        for key in ("gamma_y0", "asymp_cov"):
-            setattr(self, key, _floats(name, key, getattr(self, key), (k, k)))
+        if callable(self.gamma_y0):
+            self._moments = self.gamma_y0
+            del self.gamma_y0, self.asymp_cov
+        else:
+            self._set_moments(self.gamma_y0, self.asymp_cov)
         for key in ("mu", "resid_var", "rss", "ridge_jitter", "gram_cond"):
             setattr(self, key, float(_floats(name, key, getattr(self, key), ())))
         for key in ("w", "mu"):
             if not np.isfinite(getattr(self, key)).all():
                 raise ValueError(f"{name} has a non-finite {key}")
+
+    def _set_moments(self, gamma_y0, asymp_cov):
+        name, k = f"component {self.r + 1}", len(self.members)
+        self.gamma_y0 = _floats(name, "gamma_y0", gamma_y0, (k, k))
+        self.asymp_cov = _floats(name, "asymp_cov", asymp_cov, (k, k))
+
+    def __getattr__(self, key):  # reached only for an attribute not yet set
+        if key not in ("gamma_y0", "asymp_cov") or "_moments" not in self.__dict__:
+            raise AttributeError(f"'ComponentFit' object has no attribute {key!r}")
+        try:
+            gamma_y0, gamma_inv = self._moments()
+        except np.linalg.LinAlgError as exc:
+            raise EstimationError(
+                f"component {self.r + 1}: Gram matrix not invertible for the asymptotic "
+                "covariance", {"k": len(self.members), "n_obs": self.n_obs,
+                               "ridge_jitter": self.ridge_jitter}) from exc
+        self._set_moments(gamma_y0, self.resid_var * gamma_inv)
+        del self._moments
+        return self.__dict__[key]
 
     @property
     def std_errors(self) -> np.ndarray:
@@ -150,11 +177,13 @@ class ModelFit:
                                  f"1..{self.d} once each, in order")
         width = 2 * self.p if self.family == "lnar" else self.d * self.p
         for c in self.components:
-            bad = [m for m in c.members
-                   if not isinstance(m, (int, np.integer)) or m not in range(width)]
-            if bad:
-                raise ValueError(f"component {c.r + 1} has index {bad[0] + 1}, not an integer "
-                                 f"in 1..{width}")
+            idx = np.asarray(c.members)
+            if idx.size and not (idx.dtype.kind in "iu" and 0 <= idx.min() <= idx.max() < width):
+                bad = [m for m in c.members
+                       if not isinstance(m, (int, np.integer)) or m not in range(width)]
+                if bad:
+                    raise ValueError(f"component {c.r + 1} has index {bad[0] + 1}, not an "
+                                     f"integer in 1..{width}")
             if self.family == "lnar" and c.members != tuple(range(width)):
                 raise ValueError(f"component {c.r + 1}'s lnar index_set is not 1..{width}")
 
@@ -190,12 +219,23 @@ def _finite_series(x) -> np.ndarray:
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if not np.isfinite(x).all():
         r, t = np.argwhere(~np.isfinite(x))[0]
-        raise ValueError(f"series has a non-finite value {x[r, t]} at component {r}, time {t}")
+        raise ValueError(f"series has a non-finite value {x[r, t]} at component {r + 1}, time {t}")
     return x
 
 
+def _lag_groups(members: list, d: int, p: int) -> list:
+    """The components with as many regressors as each other at every lag, so that every
+    order is a leading block of one size: (rs, their members, the lag of each column)."""
+    groups = {}
+    for r, mem in enumerate(members):
+        lags = np.asarray(mem, dtype=int) // d
+        groups.setdefault(tuple(np.bincount(lags, minlength=p).tolist()), (lags, []))[1].append(r)
+    return [(rs, [members[r] for r in rs], lags) for lags, rs in groups.values()]
+
+
 def _nar_design(x: np.ndarray, ads: AdjacencySeries, g_list, p: int):
-    """Active indices and design of each component of the full model, for targets t = p..n-1.
+    """Active indices and designs of the full model for targets t = p..n-1, a stack
+    ``(rs, members, lags, Y)`` for each of :func:`_lag_groups`.
 
     Row t - p of component r's design holds ``(e_r' G_j(Ad_{t-j}) e_i) x_{t-j;i}`` at
     the flat indices ``i + (j-1)d`` with positive modulation mass.  Each lag slices
@@ -205,13 +245,15 @@ def _nar_design(x: np.ndarray, ads: AdjacencySeries, g_list, p: int):
     stacks = [ads._g_parts(g, x, ["stack"])["stack"][p - j: n - j]
               for j, g in enumerate(g_list, start=1)]
     mass = [np.abs(s).sum(axis=0) for s in stacks]
-    for r in range(d):
-        members = [i + j * d for j in range(p) for i in range(d) if mass[j][r, i] > 0.0]
-        Y = np.empty((n - p, len(members)))
-        for col, flat in enumerate(members):
-            i, j = flat % d, flat // d + 1
-            Y[:, col] = stacks[j - 1][:, r, i] * x[i, p - j: n - j]
-        yield tuple(members), Y
+    members = [tuple(i + j * d for j in range(p) for i in range(d) if mass[j][r, i] > 0.0)
+               for r in range(d)]
+    for rs, mems, lags in _lag_groups(members, d, p):
+        Y = np.empty((len(rs), n - p, lags.size))
+        for row, (r, mem) in enumerate(zip(rs, mems)):
+            for col, flat in enumerate(mem):
+                i, j = flat % d, flat // d + 1
+                Y[row, :, col] = stacks[j - 1][:, r, i] * x[i, p - j: n - j]
+        yield rs, mems, lags, Y
 
 
 def _lnar_design(x, ads, g_list, p):
@@ -229,119 +271,131 @@ def _lnar_design(x, ads, g_list, p):
     return Y, x[:, p:]
 
 
-class _Solution(NamedTuple):
-    w: np.ndarray
-    mu: float
-    resid: np.ndarray  # centered residuals
-    jitter: float
-    cond: float  # condition number of the solved block, or of the Gram certifying it
-    moments: Callable[[], Tuple[np.ndarray, np.ndarray]]  # gamma_y0 and its inverse
+# A stack's solutions of one order, an entry per system (w in a list, as sizes may differ);
+# ``errors`` holds a failed system's EstimationError, ``moments`` its block over m and inverse.
+_Solutions = namedtuple("_Solutions", "w mu resid rss jitter cond errors moments")
 
 
-def _condition(gram: np.ndarray) -> float:
-    """The condition number of a Gram matrix, inf unless it is positive definite."""
-    eigs = np.linalg.eigvalsh((gram + gram.T) / 2.0)
-    return float(eigs[-1] / eigs[0]) if eigs[0] > 0.0 else inf
+def _sum_sq(rows: np.ndarray) -> np.ndarray:  # with the bits of each row's own dot product
+    return (rows[:, None, :] @ rows[:, :, None])[:, 0, 0]
 
 
-def _certified(gram: np.ndarray) -> Optional[float]:
-    """The condition number of this Gram if no principal block can trigger the ridge, else None.
+def _condition(gram: np.ndarray) -> np.ndarray:
+    """The condition numbers of a stack of Gram matrices (..., k, k), inf where one is
+    not positive definite; a failed eigensolve raises LinAlgError."""
+    eigs = np.linalg.eigvalsh((gram + np.swapaxes(gram, -1, -2)) / 2.0)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return np.where(eigs[..., 0] > 0.0, eigs[..., -1] / eigs[..., 0], inf)
 
-    By Cauchy interlacing the eigenvalues of a principal submatrix lie in
-    [lambda_min, lambda_max] of the whole, so lambda_min > 0 and a condition
-    number of at most half ``_COND_LIMIT`` (a factor 2 spare for rounding)
-    certify every block and bound its condition number.  A failed
-    eigensolve certifies nothing.
-    """
-    if gram.shape[0] == 0:
+
+def _certified(gram: np.ndarray) -> Optional[np.ndarray]:
+    """The condition numbers of a stack of Grams where no principal block can trigger
+    the ridge, NaN where one can; None if no Gram is certified.  By Cauchy interlacing
+    the eigenvalues of a principal submatrix lie in [lambda_min, lambda_max] of the
+    whole, so lambda_min > 0 and a condition number of at most half ``_COND_LIMIT`` (a
+    factor 2 spare for rounding) certify every block and bound its condition number.  A
+    failed eigensolve certifies nothing."""
+    if gram.shape[-1] == 0:
         return None
     try:
         cond = _condition(gram)
     except np.linalg.LinAlgError:
-        return None
-    return cond if cond <= _COND_LIMIT / 2.0 else None
+        if gram.ndim == 2:
+            return None
+        cond = np.array([nan if c is None else float(c) for c in map(_certified, gram)])
+    cond = np.where(cond <= _COND_LIMIT / 2.0, cond, nan)
+    return None if np.isnan(cond).all() else cond
 
 
-class _Equations(NamedTuple):
-    """Centered normal equations of one component.
+def _gram_moments(block: np.ndarray, m: int):
+    return block / m, np.linalg.inv(block / m)
 
-    Column c holds regressor ``members[c]`` (a flat index; for LNAR a
-    position in the own/pooled pairs) of lag ``lags[c] + 1``.  Lags never
-    decrease, so order p is the leading block of the first
-    ``k = searchsorted(lags, p)`` columns, and ``solve(p, k)`` solves it,
-    skipping the ridge guard where a :func:`_certified` Gram covers every block.
+
+def _own_stack(rs: Sequence[int], members, lags: np.ndarray, Y: np.ndarray, y: np.ndarray):
+    """The stack of the components ``rs``, system i with its own design ``Y[i]``
+    (centered in place) and target ``y[i]``, every column at the lag ``lags`` gives."""
+    y = np.ascontiguousarray(y)  # so that each row's mean sums as one row's mean does
+    ybar, Ybar = y.mean(axis=1), Y.mean(axis=1)
+    Yc, yc = np.subtract(Y, Ybar[:, None], out=Y), y - ybar[:, None]
+    gram, cross = np.swapaxes(Yc, 1, 2) @ Yc, np.swapaxes(Yc, 1, 2) @ yc[..., None]
+    c = (ybar, Ybar, Yc, yc, gram, cross, _certified(gram))
+    return rs, members, lambda p: _solve_stack(rs, int(np.searchsorted(lags, p)), c)
+
+
+def _solve_stack(rs: Sequence[int], k: int, c: tuple) -> _Solutions:
+    """The guarded solves of a stack's leading k-blocks; every solve is made here.
+
+    A block that is numerically singular (condition number above ``_COND_LIMIT``, or
+    inf when it is not positive definite) gets a flagged ridge jitter of ``RIDGE_SCALE
+    * trace / k``; if the solve still fails the system errors out with diagnostics.  A
+    certificate of a system's whole Gram skips the check for its every block.  A stack
+    in which a step fails solves each system as a stack of one.
     """
-    r: int
-    members: tuple
-    lags: np.ndarray
-    solve: Callable[[int, int], _Solution]
-
-
-def _own_equations(r: int, members: tuple, lags: np.ndarray, Y: np.ndarray,
-                   y: np.ndarray) -> _Equations:
-    """Equations of a component with its own design ``Y`` and target ``y``; every
-    guarded per-equation solve is built here.
-
-    A leading block of the centered Gram that is numerically singular
-    (condition number above ``_COND_LIMIT``, or inf when it is not positive
-    definite) gets a flagged ridge jitter of ``RIDGE_SCALE * trace / k``; if
-    the solve still fails the component errors out with diagnostics.  A
-    certificate of the whole Gram skips the check for every block.
-    """
-    ybar, Ybar = float(y.mean()), Y.mean(axis=0)
-    Yc, yc = Y - Ybar, y - ybar
-    gram, cross, m = Yc.T @ Yc, Yc.T @ yc, y.size
-    certified = _certified(gram)
-
-    def solve(p, k):
-        block, jitter, cond = gram[:k, :k], 0.0, (1.0 if k == 0 else certified)
-        if cond is None:
-            try:
-                cond = _condition(block)
-            except np.linalg.LinAlgError as exc:
-                raise EstimationError(
-                    f"component {r}: eigenvalues of the Gram matrix did not converge",
-                    {"k": k, "n_obs": m, "finite": bool(np.isfinite(block).all())},
-                ) from exc
-            if cond > _COND_LIMIT:
-                jitter = RIDGE_SCALE * float(np.trace(block)) / k
-                if jitter <= 0.0:
-                    jitter = RIDGE_SCALE
-                block = block + jitter * np.eye(k)
+    ybar, Ybar, Yc, yc, gram, cross, certified = c
+    s, m, name = len(rs), yc.shape[1], f"component {rs[0] + 1}"  # a stack of one's
+    blocks, jitter = gram[:, :k, :k], np.zeros(s)
+    cond = np.ones(s) if k == 0 else np.full(s, nan) if certified is None else certified.copy()
+    guard = np.flatnonzero(np.isnan(cond))
+    try:
         try:
-            w = np.linalg.solve(block, cross[:k])
+            if guard.size:
+                cond[guard] = _condition(blocks[guard])
+        except np.linalg.LinAlgError as exc:
+            raise EstimationError(f"{name}: eigenvalues of the Gram matrix did not converge", {
+                "k": k, "n_obs": m, "finite": bool(np.isfinite(blocks).all())}) from exc
+        ridge = guard[cond[guard] > _COND_LIMIT]
+        blocks = blocks.copy() if ridge.size else blocks
+        for i in ridge:
+            jitter[i] = RIDGE_SCALE * float(np.trace(blocks[i])) / k
+            jitter[i] = RIDGE_SCALE if jitter[i] <= 0.0 else jitter[i]
+            blocks[i] += jitter[i] * np.eye(k)
+        try:
+            w = np.linalg.solve(blocks, cross[:, :k])[..., 0]
         except np.linalg.LinAlgError:
-            jitter += RIDGE_SCALE * max(float(np.trace(block)) / k, 1.0)
-            block = block + jitter * np.eye(k)
+            if s > 1:
+                raise
+            jitter += RIDGE_SCALE * max(float(np.trace(blocks[0])) / k, 1.0)
+            blocks = blocks + jitter[0] * np.eye(k)
             try:
-                w = np.linalg.solve(block, cross[:k])
+                w = np.linalg.solve(blocks, cross[:, :k])[..., 0]
             except np.linalg.LinAlgError as exc:
-                raise EstimationError(
-                    f"component {r}: Gram matrix singular even after ridge jitter",
-                    {"trace": float(np.trace(block)), "k": k, "n_obs": m},
-                ) from exc
+                raise EstimationError(f"{name}: Gram matrix singular even after ridge jitter", {
+                    "trace": float(np.trace(blocks[0])), "k": k, "n_obs": m}) from exc
         if not np.isfinite(w).all():
-            raise EstimationError(
-                f"component {r}: non-finite least-squares solution",
-                {"k": k, "n_obs": m},
-            )
-        return _Solution(w, ybar - float(w @ Ybar[:k]), yc - Yc[:, :k] @ w, jitter, cond,
-                         lambda: (block / m, np.linalg.inv(block / m)))
+            raise EstimationError(f"{name}: non-finite least-squares solution", {"k": k, "n_obs": m})
+    except (np.linalg.LinAlgError, EstimationError) as exc:
+        if s > 1:
+            parts = [_solve_stack(rs[i: i + 1], k, [a if a is None else a[i: i + 1] for a in c])
+                     for i in range(s)]
+            return _Solutions(*(sum(f, []) if isinstance(f[0], list) else np.concatenate(f)
+                                for f in zip(*parts)))
+        return _Solutions([np.full(k, nan)], np.full(1, nan), np.full((1, m), nan),
+                          np.full(1, nan), jitter, cond, [exc], [None])
+    resid = yc - (Yc[:, :, :k] @ w[..., None])[..., 0]
+    return _Solutions(list(w), ybar - (w[:, None] @ Ybar[:, :k, None])[:, 0, 0], resid,
+                      _sum_sq(resid), jitter, cond, [None] * s,
+                      [partial(_gram_moments, b, m) for b in blocks])
 
-    return _Equations(r, members, lags, solve)
+
+def _restricted_moments(gram, ginv, f, cut, m):
+    """gamma_y0 of the columns f of the shared regression and its inverse, by the
+    block-inverse identity, with the columns ``cut`` removed."""
+    s = np.flatnonzero(cut)
+    g_fs = ginv[f[:, None], s]
+    inner = g_fs @ np.linalg.solve(ginv[s[:, None], s], g_fs.T) if s.size else 0.0
+    return gram[f[:, None], f] / m, m * (ginv[f[:, None], f] - inner)
 
 
-def _var_equations(x: np.ndarray, p: int, mask: Optional[np.ndarray]):
+def _var_equations(x: np.ndarray, p: int, mask: Optional[np.ndarray]) -> list:
     """Equations of every VAR equation, restrictions of one shared regression.
 
     Column ``(j-1)d + i`` of the lagged design holds ``x_{t-j;i}``.  If the
     Gram ``lc'lc`` is certified, order q inverts its leading block G once:
     ``W = G^-1 lc'tc`` solves every equation unmasked, the mask's removed
     columns S give the restricted-least-squares correction ``W_r - G^-1[:, S]
-    (G^-1[S, S])^-1 W_r[S]``, one product gives all residuals and the block-
-    inverse identity the covariance.  Otherwise each equation is fitted on
-    its own lagged columns by :func:`_own_equations`, as
-    :func:`fit_component_ls` fits them.
+    (G^-1[S, S])^-1 W_r[S]`` (one batched solve for the equations with as many),
+    one product gives all residuals and the block-inverse identity the
+    covariance.  Otherwise each equation is fitted on its own lagged columns.
     """
     d, n = x.shape
     mask = None if mask is None else np.asarray(mask)
@@ -354,52 +408,51 @@ def _var_equations(x: np.ndarray, p: int, mask: Optional[np.ndarray]):
     lagged = np.empty((m, d * p))
     for j in range(1, p + 1):
         lagged[:, (j - 1) * d: j * d] = x[:, p - j: n - j].T
-    lbar = lagged.mean(axis=0)
-    tbar = x[:, p:].mean(axis=1)
-    lc = lagged - lbar
-    tc = x[:, p:].T - tbar
+    lbar, tbar = lagged.mean(axis=0), x[:, p:].mean(axis=1)
+    lc, tc = lagged - lbar, x[:, p:].T - tbar
     gram, cross = lc.T @ lc, lc.T @ tc
     cut = np.zeros((d, d * p), dtype=bool) if mask is None else mask == 0
+    mems = [np.flatnonzero(~row) for row in cut]
     cond = _certified(gram)
+    if cond is None:  # each equation on its own lagged columns, laid out as lagged[:, mem]
+        return [_own_stack(rs, members, lags, np.stack([lagged[:, mems[r]] for r in rs]),
+                           x[rs, p:])
+                for rs, members, lags in _lag_groups([tuple(m.tolist()) for m in mems], d, p)]
 
     @lru_cache(maxsize=None)
     def order(kp):
         ginv = np.linalg.inv(gram[:kp, :kp])
         coef = ginv @ cross[:kp]
-        for r in np.flatnonzero(cut[:, :kp].any(axis=1)):
-            s = np.flatnonzero(cut[r, :kp])
-            coef[:, r] -= ginv[:, s] @ np.linalg.solve(ginv[s[:, None], s], coef[s, r])
-            coef[s, r] = 0.0
+        sizes = cut[:, :kp].sum(axis=1)
+        for size in set(sizes.tolist()) - {0}:
+            rows = np.flatnonzero(sizes == size)
+            s = np.nonzero(cut[rows, :kp])[1].reshape(rows.size, size)
+            z = np.linalg.solve(ginv[s[:, :, None], s[:, None, :]],
+                                coef[s, rows[:, None]][..., None])
+            coef[:, rows] -= (ginv[:, s].transpose(1, 0, 2) @ z)[..., 0].T
+            coef[s, rows[:, None]] = 0.0
         return ginv, coef, tc - lc[:, :kp] @ coef
 
-    for r in range(d):
-        mem = np.flatnonzero(~cut[r])
-        if cond is None:
-            yield _own_equations(r, tuple(mem.tolist()), mem // d, lagged[:, mem], x[r, p:])
-            continue
+    def solve(q):
+        ginv, coef, resid = order(d * q)
+        fs = [mem[: np.searchsorted(mem, d * q)] for mem in mems]
+        w = [coef[f, r] for r, f in enumerate(fs)]
+        mu = np.array([tbar[r] - wr @ lbar[f] for r, (wr, f) in enumerate(zip(w, fs))])
+        return _Solutions(w, mu, resid.T, _sum_sq(resid.T), np.zeros(d), np.full(d, float(cond)),
+                          [None] * d, [partial(_restricted_moments, gram, ginv, f, row[: d * q], m)
+                                       for f, row in zip(fs, cut)])
 
-        def solve(q, k, r=r, mem=mem):
-            ginv, coef, resid = order(d * q)
-            f, s = mem[:k], np.flatnonzero(cut[r, : d * q])
-            w = coef[f, r]
-
-            def moments():
-                g_fs = ginv[f[:, None], s]
-                inner = g_fs @ np.linalg.solve(ginv[s[:, None], s], g_fs.T) if s.size else 0.0
-                return gram[f[:, None], f] / m, m * (ginv[f[:, None], f] - inner)
-
-            return _Solution(w, float(tbar[r] - w @ lbar[f]), resid[:, r], 0.0, cond, moments)
-
-        yield _Equations(r, tuple(mem.tolist()), mem // d, solve)
+    return [(range(d), [tuple(mem.tolist()) for mem in mems], solve)]
 
 
 def _equations(family: str, x: np.ndarray, ads: Optional[AdjacencySeries], g_list,
-               p: int, mask: Optional[np.ndarray]):
-    """The normal equations of every component, for the targets t = p..n-1.
+               p: int, mask: Optional[np.ndarray]) -> list:
+    """The normal equations of every component, for the targets t = p..n-1, in stacks.
 
-    This is the one place that knows how each family builds its
-    regressors, and that checks the arguments they share; the fit loop and
-    the order-selection loop consume it alike.
+    A stack ``(rs, members, solve)`` holds component ``rs[i]``'s regressors
+    ``members[i]`` (flat indices; for LNAR own/pooled positions) ordered by lag, and
+    ``solve(p)`` gives their order-p ``_Solutions``.  This is the one place that knows
+    how each family builds its regressors, and that checks the arguments they share.
     """
     d, n = x.shape
     _check_family(family)
@@ -417,52 +470,45 @@ def _equations(family: str, x: np.ndarray, ads: Optional[AdjacencySeries], g_lis
     if family == "var":
         return _var_equations(x, p, mask)
     if family == "lnar":
-        design, targets = _lnar_design(x, ads, g_list, p)
-        lags = np.arange(2 * p) // 2
-        return (_own_equations(r, tuple(range(2 * p)), lags, design[r], targets[r])
-                for r in range(d))
-    return (_own_equations(r, members, np.array(members, dtype=int) // d, Y, x[r, p:])
-            for r, (members, Y) in enumerate(_nar_design(x, ads, g_list, p)))
+        return [_own_stack(range(d), [tuple(range(2 * p))] * d, np.arange(2 * p) // 2,
+                           *_lnar_design(x, ads, g_list, p))]
+    return [_own_stack(rs, members, lags, Y, x[rs, p:])
+            for rs, members, lags, Y in _nar_design(x, ads, g_list, p)]
 
 
-def _fit_component(eq: _Equations, p: int, m: int) -> ComponentFit:
-    """A returned fit on the full order-p block: residual variance and the
-    plug-in asymptotic covariance ``resid_var * (gram / m)^{-1}``."""
-    k = len(eq.members)
-    if m < k + 1:
-        raise EstimationError(
-            f"component {eq.r}: {m} observations cannot identify {k} coefficients plus intercept",
-            {"n_obs": m, "k": k},
-        )
-    sol = eq.solve(p, k)
-    rss = float(sol.resid @ sol.resid)
-    dof = m - k - 1
-    resid_var = rss / dof if dof > 0 else float("nan")
-    try:
-        gamma_y0, gamma_inv = sol.moments()
-    except np.linalg.LinAlgError as exc:
-        raise EstimationError(
-            f"component {eq.r}: Gram matrix not invertible for the asymptotic covariance",
-            {"k": k, "n_obs": m, "ridge_jitter": sol.jitter},
-        ) from exc
-    return ComponentFit(
-        r=eq.r, members=eq.members, w=sol.w, mu=sol.mu,
-        resid_var=resid_var, gamma_y0=gamma_y0, asymp_cov=resid_var * gamma_inv, rss=rss,
-        n_obs=m, ridge_jitter=sol.jitter, gram_cond=sol.cond,
-    )
+def _components(stacks: list, p: int, m: int) -> List[ComponentFit]:
+    """The fits of the stacks' components on their full order-p blocks, in component
+    order; the first component that cannot be fitted raises.  A fit builds its plug-in
+    moments when they are first read (see :class:`ComponentFit`)."""
+    solved = {}
+    for rs, members, solve in stacks:
+        sols = solve(p)
+        solved.update((r, (members[i], sols, i)) for i, r in enumerate(rs))
+    comps = []
+    for r in sorted(solved):
+        members, sols, i = solved[r]
+        k = len(members)
+        if m < k + 1:
+            raise EstimationError(f"component {r + 1}: {m} observations cannot identify {k} "
+                                  "coefficients plus intercept", {"n_obs": m, "k": k})
+        if sols.errors[i] is not None:
+            raise sols.errors[i]
+        rss = float(sols.rss[i])
+        resid_var = rss / (m - k - 1) if m > k + 1 else nan
+        comps.append(ComponentFit(
+            r=r, members=members, w=sols.w[i], mu=sols.mu[i], resid_var=resid_var,
+            gamma_y0=sols.moments[i], asymp_cov=None, rss=rss, n_obs=m,
+            ridge_jitter=sols.jitter[i], gram_cond=sols.cond[i]))
+    return comps
 
 
 def fit_component_ls(y: np.ndarray, Y: np.ndarray, r: int,
                      members: Optional[Sequence[int]] = None) -> ComponentFit:
-    """Exact least squares with intercept via centered normal equations.
-
-    Solves Gram * w = cross with Gram = sum (Y - Ybar)(Y - Ybar)' and
-    cross = sum (Y - Ybar)(y - ybar), then mu = ybar - w'Ybar.  A
-    numerically singular Gram matrix gets a flagged ridge jitter of
-    ``RIDGE_SCALE * trace / dim``; if that still fails the component
-    errors out with diagnostics.  This is the one-component case of the
-    fit loop behind :func:`fit_nar`, :func:`fit_lnar` and :func:`fit_var`.
-    """
+    """Exact least squares with intercept via centered normal equations: Gram * w = cross
+    with Gram = sum (Y - Ybar)(Y - Ybar)' and cross = sum (Y - Ybar)(y - ybar), then
+    mu = ybar - w'Ybar, guarded as :func:`_solve_stack` guards every solve.  This is the
+    one-component case of the fit loop behind :func:`fit_nar`, :func:`fit_lnar` and
+    :func:`fit_var`."""
     y = np.asarray(y, dtype=float)
     Y = np.asarray(Y, dtype=float)
     m, k = Y.shape if Y.ndim == 2 else (Y.shape[0], 0)
@@ -473,16 +519,16 @@ def fit_component_ls(y: np.ndarray, Y: np.ndarray, r: int,
     members = tuple(range(k)) if members is None else tuple(members)
     if len(members) != k:
         raise ValueError(f"index set has {len(members)} members but Y has {k} columns")
-    # one block: the columns carry no lag order
-    return _fit_component(_own_equations(r, members, np.zeros(k, dtype=int), Y, y), 1, m)
+    # a stack of one, with one block: the columns carry no lag order
+    return _components([_own_stack([r], [members], np.zeros(k, dtype=int), np.array(Y)[None],
+                                   y[None])], 1, m)[0]
 
 
 def _fit(family: str, x, ads, g_list, p: int, mask) -> ModelFit:
     """The one fit loop: every component solves its full block, or the fit raises."""
     x = _finite_series(x)
     d, n = x.shape
-    comps = [_fit_component(eq, p, n - p)
-             for eq in _equations(family, x, ads, g_list, p, mask)]
+    comps = _components(_equations(family, x, ads, g_list, p, mask), p, n - p)
     return ModelFit(family=family, p=p, d=d, g=None if g_list is None else tuple(g_list),
                     components=comps)
 
@@ -530,33 +576,30 @@ def select_order_bic(x: np.ndarray, ads: Optional[AdjacencySeries] = None,
     up as order 1 with near-zero coefficients.
 
     The order-p regressors of a component are the leading columns of its
-    order-p_max regressors (for VAR, the leading columns of its mask), so
-    the p_max normal equations are built once and each candidate solves
-    their leading block, adding its component's term to the candidate's
-    BIC as the components come.  Candidates compute no covariance; the
-    ridge guard is skipped when the certifying Gram certifies every block
-    (see :func:`_certified`).  A candidate whose fit (near-)interpolates,
-    which the criterion would reward blindly, or fails is dropped: its BIC is inf.
+    order-p_max regressors (for VAR, the leading columns of its mask), so the
+    p_max normal equations are built once, in stacks, and each candidate solves
+    their leading blocks; its BIC adds the terms in component order.  The ridge
+    guard is skipped where the certifying Gram certifies every block (see
+    :func:`_certified`).  A candidate whose fit (near-)interpolates, which the
+    criterion would reward blindly, or fails is dropped: its BIC is inf, and it
+    solves no further stack.
     """
     x = _finite_series(x)
     _check_order("p_max", p_max, 1)
     m = x.shape[1] - p_max
-    table = dict.fromkeys(range(1, p_max + 1), 0.0)
-    for eq in _equations(family, x, ads, [g] * p_max, p_max, mask):
-        if all(v == inf for v in table.values()):
-            break
-        for p, kp in zip(table, np.searchsorted(eq.lags, list(table)).tolist()):
-            if table[p] == inf:
+    terms = {p: {} for p in range(1, p_max + 1)}
+    for rs, _, solve in _equations(family, x, ads, [g] * p_max, p_max, mask):
+        for p, found in terms.items():
+            if inf in found.values():
                 continue
-            if m - (kp + 1) < 5:
-                table[p] = inf
-                continue
-            try:
-                resid = eq.solve(p, kp).resid
-            except EstimationError:
-                table[p] = inf
-                continue
-            table[p] += m * log(max(float(resid @ resid) / m, 1e-300)) + (kp + 1) * log(m)
+            sols = solve(p)
+            for r, w, rss, error in zip(rs, sols.w, sols.rss, sols.errors):
+                found[r] = (inf if m - (w.size + 1) < 5 or error is not None else
+                            m * log(max(float(rss) / m, 1e-300)) + (w.size + 1) * log(m))
+    table = dict.fromkeys(terms, 0.0)
+    for p, found in terms.items():
+        for r in sorted(found):
+            table[p] += found[r]
     best_p = None
     for p, val in table.items():
         if val != inf and (best_p is None or val < table[best_p] - 1e-12):

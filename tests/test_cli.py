@@ -1,6 +1,8 @@
 import json
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -376,3 +378,48 @@ def test_a_truncated_json_input_exits_with_one_line_naming_it(tmp_path, command)
     with pytest.raises(SystemExit, match=f"^{re.escape(str(path))}: not valid JSON "
                                          r"\(.* at line \d+, column \d+\)$"):
         main([arg.format(path=path) for arg in command] + ["--out", str(tmp_path / "out")])
+
+
+NO_MASKED_ARRAYS = """
+import json, os, sys
+import numpy as np
+import netar.io as nio
+from netar import InnovationSpec, NarSpec, NeighborhoodFn
+from netar.cli import main
+from netar.harness import config_to_json, example1_config, example2_config
+
+out = sys.argv[1]
+for name, cfg in (("ex1", example1_config(sample_sizes=(80,), replications=2, horizons=2,
+                                          policies=("known", "holdlast", "markov"))),
+                  ("ex2", example2_config(d=6, sample_sizes=(80,), replications=2,
+                                          horizons=2))):
+    path = os.path.join(out, name + ".json")
+    with open(path, "w") as fh:
+        json.dump(config_to_json(cfg), fh)
+    assert main(["experiment", "--config", path, "--out", os.path.join(out, name)]) == 0
+spec = NarSpec(1, [np.array([[0.3, 0.2], [0.0, 0.4]])], [NeighborhoodFn.transpose()])
+nio.write_model_spec(os.path.join(out, "model.json"), spec,
+                     InnovationSpec(np.array([1.0, -1.0]), np.eye(2)))
+with open(os.path.join(out, "network.json"), "w") as fh:
+    json.dump({"kind": "markov_edges", "stay": [[0.9, 0.9], [0.9, 0.9]],
+               "enter": [[0.2, 0.2], [0.2, 0.2]], "initial": "stationary"}, fh)
+sim = os.path.join(out, "sim")
+assert main(["simulate", "--model", os.path.join(out, "model.json"), "--network",
+             os.path.join(out, "network.json"), "--n", "120", "--seed", "2", "--out", sim]) == 0
+for family, g in (("nar", ["--g", "transpose"]), ("lnar", ["--g", "rownorm"]), ("var", [])):
+    assert main(["fit", "--series", os.path.join(sim, "series.csv"), "--ads",
+                 os.path.join(sim, "network.csv"), "--family", family, *g, "--out",
+                 os.path.join(out, family)]) == 0
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_experiments_and_fits_import_no_masked_arrays(tmp_path):
+    # benchmarks measure the first call's peak allocation, which counts every module
+    # imported on the way: numpy.ma, which np.unique imports lazily, adds about 1 MB
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", NO_MASKED_ARRAYS, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"

@@ -1,3 +1,5 @@
+import os
+import pickle
 import tracemalloc
 from math import log
 from unittest import mock
@@ -209,8 +211,10 @@ class TestComponentSolver:
 
         rng = np.random.default_rng(10)
         monkeypatch.setattr(np.linalg, "inv", singular)
-        with pytest.raises(EstimationError, match="asymptotic covariance"):
-            fit_component_ls(rng.normal(size=30), rng.normal(size=(30, 2)), r=0)
+        fit = fit_component_ls(rng.normal(size=30), rng.normal(size=(30, 2)), r=0)
+        # the moments are built when first read, and raise there
+        with pytest.raises(EstimationError, match="^component 1: .*asymptotic covariance"):
+            fit.asymp_cov
 
     def test_too_few_observations(self):
         with pytest.raises(EstimationError, match="observations"):
@@ -283,8 +287,16 @@ class TestFitRules:
             ModelFit(family="lnar", p=2, d=3, g=(G, G), components=comps)
 
 
+def nar_designs(x, ads, g_list, p):
+    """Each component's active indices and design, in component order, from the stacks."""
+    found = {}
+    for rs, members, _, Y in _nar_design(x, ads, g_list, p):
+        found.update((r, (idx, Y[row])) for row, (r, idx) in enumerate(zip(rs, members)))
+    return [found[r] for r in range(x.shape[0])]
+
+
 def nar_index_sets(x, ads, g_list, p):
-    return [idx for idx, _ in _nar_design(x, ads, g_list, p)]
+    return [idx for idx, _ in nar_designs(x, ads, g_list, p)]
 
 
 class TestIndexSets:
@@ -333,7 +345,7 @@ class TestRegressors:
         x = rng.normal(size=(d, n))
         ads = AdjacencySeries(np.ones((n, d, d)))
         g = [NeighborhoodFn.transpose()]
-        idx, Y = list(_nar_design(x, ads, g, 1))[1]
+        idx, Y = nar_designs(x, ads, g, 1)[1]
         assert idx == (0, 1, 2)
         assert np.allclose(Y, x[:, :-1].T)
 
@@ -344,7 +356,7 @@ class TestRegressors:
         mats[1] = np.array([[0.0, 0.5, 0.0], [0.2, 0.0, 0.0], [0.0, -0.3, 0.0]])
         ads = AdjacencySeries(mats)
         g = [NeighborhoodFn.transpose()]
-        idx, Y = list(_nar_design(x, ads, g, 1))[1]
+        idx, Y = nar_designs(x, ads, g, 1)[1]
         # vertex 2 carries no mass into component 1
         assert idx == (0, 2)
         # row for t=2 uses G(Ad_1) = Ad_1^T, row 1: (0.5, 0, -0.3)
@@ -379,7 +391,7 @@ class TestRegressors:
             xs, sub = x[:, s:], ads.drop_first(s)
             stacks = [apply_neighborhood_fn(g, sub.mats[p - j: n - s - j])
                       for j, g in enumerate(g_list, start=1)]
-            for r, (idx, Y) in enumerate(_nar_design(xs, sub, g_list, p)):
+            for r, (idx, Y) in enumerate(nar_designs(xs, sub, g_list, p)):
                 for col, flat in enumerate(idx):
                     i, j = flat % d, flat // d + 1
                     expected = stacks[j - 1][:, r, i] * xs[i, p - j: n - s - j]
@@ -464,7 +476,7 @@ class TestPartialFits:
         ads = AdjacencySeries(mats)
         x = rng.normal(size=(d, n))
         g = [NeighborhoodFn.transpose()]
-        with pytest.raises(EstimationError, match="component 0"):
+        with pytest.raises(EstimationError, match="^component 1: "):
             fit_nar(x, ads, g, 1)
 
 
@@ -478,7 +490,7 @@ class TestNonFiniteInput:
         g = [NeighborhoodFn.transpose()]
         for fit in (lambda: fit_nar(x, ads, g, 1), lambda: fit_lnar(x, ads, g, 1),
                     lambda: fit_var(x, 1), lambda: select_order_bic(x, ads, g[0], 2)):
-            with pytest.raises(ValueError, match="component 1, time 40"):
+            with pytest.raises(ValueError, match="component 2, time 40"):
                 fit()
 
 
@@ -656,13 +668,21 @@ class TestBicLeadingBlocks:
 
     @pytest.mark.parametrize("family", ["nar", "lnar"])
     def test_network_candidates_make_one_eigensolve_per_component(self, family, monkeypatch):
+        # every component sees every source at every lag, so all five share one stack:
+        # one batched eigvalsh call solves the five certificates
         d, p_max = 5, 3
         x, ads, _ = bic_case(d, p_max, seed=23, n=300)
-        eig = CallCount(monkeypatch, np.linalg, "eigvalsh")
+        original, solved = np.linalg.eigvalsh, []
+
+        def eigvalsh(a):
+            solved.append(a.shape[:-2])
+            return original(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
         inv = CallCount(monkeypatch, np.linalg, "inv")
         kernel = CallCount(monkeypatch, netdyn, "apply_neighborhood_fn")
         select_order_bic(x, ads, NeighborhoodFn.transpose(), p_max=p_max, family=family)
-        assert (eig.calls, inv.calls, kernel.calls) == (d, 0, 1)
+        assert (solved, inv.calls, kernel.calls) == ([(d,)], 0, 1)
 
     def test_fits_make_one_kernel_call_per_distinct_g(self, monkeypatch):
         # the series keeps each evaluation, so a second fit on it makes none
@@ -1019,3 +1039,274 @@ def test_lnar_and_masked_var_fits_keep_no_float_g_stack():
         tracemalloc.stop()
     assert not any(isinstance(o, EstimationError) for o in outcomes)
     assert peak < (n - 1) * d * d * 8 / 2, f"peak {peak / 2**20:.1f} MiB"
+
+
+def stack_case(s, k, m, p_max, seed, kinds):
+    """A stack of ``s`` systems with ``k`` columns at sorted random lags below ``p_max``:
+    designs (s, m, k), targets (s, m) and lags.  ``kinds[i]`` shapes system i: "plain";
+    "duplicated" (column 1 repeats column 0, which forces the ridge); "near" (column 1
+    is column 0 plus 1e-7 noise: no certificate, and a condition number near the limit);
+    "refused" (column 0 is a balanced +-2**16, a Gram entry that ``refusing_solve``
+    turns into a LinAlgError)."""
+    rng = np.random.default_rng(seed)
+    Y = rng.normal(size=(s, m, k)) * rng.uniform(0.5, 3.0, size=(s, 1, k))
+    for i, kind in enumerate(kinds):
+        if kind == "duplicated" and k >= 2:
+            Y[i, :, 1] = Y[i, :, 0]
+        elif kind == "near" and k >= 2:
+            Y[i, :, 1] = Y[i, :, 0] + 1e-7 * rng.normal(size=m)
+        elif kind == "refused" and k >= 1:
+            Y[i, :, 0] = 2.0 ** 16 * rng.permutation(np.repeat([1.0, -1.0], m // 2))
+    y = (Y @ rng.normal(size=k)) + rng.normal(size=(s, m))
+    return Y, y, np.sort(rng.integers(0, p_max, size=k))
+
+
+def refusing_solve(mode):
+    """``np.linalg.solve`` that reports a singular matrix for any block whose first
+    entry is above 1e9: always, or only while that entry is a whole number, as it is
+    until a ridge jitter is added to it."""
+    original = np.linalg.solve
+
+    def solve(a, b):
+        first = a[..., 0, 0] if a.shape[-1] else np.zeros(a.shape[:-2])
+        refused = (first > 1e9) & ((mode == "always") | (first % 1.0 == 0.0))
+        if refused.any():
+            raise np.linalg.LinAlgError("Singular matrix")
+        return original(a, b)
+
+    return solve
+
+
+def solution_bits(sols, i):
+    """Everything system i of a ``_Solutions`` holds, as comparable bytes."""
+    err = sols.errors[i]
+    moments = None if err is not None else [a.tobytes() for a in sols.moments[i]()]
+    return ([np.asarray(f[i], dtype=float).tobytes() for f in sols[:6]] + [moments] +
+            [None if err is None else (type(err).__name__, str(err), err.diagnostics)])
+
+
+class TestStackedSolve:
+    """A stack of S systems solves each one with the bits, jitter, condition number and
+    error of a stack of that system alone."""
+
+    def test_a_stack_matches_its_systems_alone(self):
+        kinds = st.sampled_from(["plain", "plain", "duplicated", "near", "refused"])
+
+        @hyp.settings(max_examples=80, deadline=None, derandomize=True)
+        @hyp.given(s=st.integers(1, 6), k=st.integers(0, 6), m=st.integers(3, 40),
+                   p_max=st.integers(1, 3), seed=st.integers(0, 2**16),
+                   kinds=st.lists(kinds, min_size=6, max_size=6),
+                   withheld=st.booleans(), mode=st.sampled_from(["once", "always"]))
+        def check(s, k, m, p_max, seed, kinds, withheld, mode):
+            Y, y, lags = stack_case(s, k, 2 * m, p_max, seed, kinds[:s])
+            members = [tuple(range(k))] * s
+            with mock.patch.object(np.linalg, "solve", refusing_solve(mode)):
+                with mock.patch.object(estimate, "_certified",
+                                       (lambda gram: None) if withheld else estimate._certified):
+                    _, _, whole = estimate._own_stack(range(s), members, lags, Y.copy(), y)
+                    alone = [estimate._own_stack(range(i, i + 1), members[:1], lags,
+                                                 Y[i: i + 1].copy(), y[i: i + 1])[2]
+                             for i in range(s)]
+                    for p in range(p_max + 1):
+                        got = whole(p)
+                        assert len(got.w) == s and got.resid.shape == (s, 2 * m)
+                        for i, one in enumerate(alone):
+                            assert solution_bits(got, i) == solution_bits(one(p), 0), (p, i)
+
+        check()
+
+    def test_every_guard_path_is_drawn(self):
+        # the draws above reach the ridge, the per-block guard, the refused solve and
+        # its jittered retry, and a system that fails after the jitter
+        outcomes = set()
+        for kind, mode in (("duplicated", "once"), ("near", "once"), ("refused", "once"),
+                           ("refused", "always")):
+            Y, y, lags = stack_case(3, 3, 40, 1, 5, ["plain", kind, "plain"])
+            Yc = Y[1] - Y[1].mean(axis=0)
+            trace = float(np.trace(Yc.T @ Yc))
+            with mock.patch.object(np.linalg, "solve", refusing_solve(mode)):
+                sols = estimate._own_stack(range(3), [(0, 1, 2)] * 3, lags, Y, y)[2](1)
+            assert sols.errors[0] is None and sols.errors[2] is None
+            # the ridge adds RIDGE_SCALE * trace / k, a refused solve RIDGE_SCALE * trace / k
+            # more, or at least RIDGE_SCALE, on the diagonal
+            assert sols.jitter[1] == pytest.approx(
+                estimate.RIDGE_SCALE * trace / 3 if kind != "refused" else
+                estimate.RIDGE_SCALE * max(trace / 3, 1.0), rel=1e-9), kind
+            err = sols.errors[1]
+            outcomes.add((kind, mode, None if err is None else str(err),
+                          bool(sols.jitter[1] > 0), bool(np.isinf(sols.cond[1]))))
+        assert outcomes == {
+            ("duplicated", "once", None, True, True),
+            ("near", "once", None, True, False),
+            ("refused", "once", None, True, False),
+            ("refused", "always", "component 2: Gram matrix singular even after ridge jitter",
+             True, False)}
+
+
+def per_row_corrections(x, p, mask):
+    """The restricted VAR coefficients and residuals of every order, one masked row at a
+    time: the formula the grouped corrections replace."""
+    d, n = x.shape
+    lagged = np.ascontiguousarray(np.column_stack([x[:, p - j: n - j].T
+                                                   for j in range(1, p + 1)]))
+    lc, tc = lagged - lagged.mean(axis=0), x[:, p:].T - x[:, p:].mean(axis=1)
+    gram, cross, cut = lc.T @ lc, lc.T @ tc, mask == 0
+    for q in range(1, p + 1):
+        kp = d * q
+        ginv = np.linalg.inv(gram[:kp, :kp])
+        coef = ginv @ cross[:kp]
+        for r in np.flatnonzero(cut[:, :kp].any(axis=1)):
+            s = np.flatnonzero(cut[r, :kp])
+            coef[:, r] -= ginv[:, s] @ np.linalg.solve(ginv[s[:, None], s], coef[s, r])
+            coef[s, r] = 0.0
+        yield q, [coef[np.flatnonzero(~cut[r, :kp]), r] for r in range(d)], tc - lc[:, :kp] @ coef
+
+
+class TestGroupedCorrections:
+    def test_grouped_corrections_match_the_per_row_formula(self):
+        @hyp.settings(max_examples=60, deadline=None, derandomize=True)
+        @hyp.given(d=st.integers(1, 6), p=st.integers(1, 3), seed=st.integers(0, 2**16),
+                   density=st.sampled_from([0.0, 0.3, 0.7, 0.9, 1.0]),
+                   rows=st.lists(st.sampled_from(["random", "zeros", "ones"]), min_size=6,
+                                 max_size=6))
+        def check(d, p, seed, density, rows):
+            rng = np.random.default_rng(seed)
+            x = rng.normal(size=(d, 120)).cumsum(axis=1) * 0.3 + rng.normal(size=(d, 120))
+            mask = (rng.random((d, d * p)) < density).astype(float)
+            for r, kind in enumerate(rows[:d]):
+                mask[r] = {"zeros": 0.0, "ones": 1.0}.get(kind, mask[r])
+            (rs, members, solve), = estimate._var_equations(x, p, mask)  # certified
+            for q, w, resid in per_row_corrections(x, p, mask):
+                sols = solve(q)
+                assert [a.tobytes() for a in sols.w] == [a.tobytes() for a in w], q
+                assert sols.resid.tobytes() == np.ascontiguousarray(resid.T).tobytes(), q
+
+        check()
+
+
+GOLDEN_FIT = os.path.join(os.path.dirname(__file__), "fixtures", "golden_fit")
+
+
+def golden_case(name):
+    """A fixed d=4 sample for the fit ``name`` (nar, lnar, var or masked_var): the
+    series, the network and the model.  The nar sample has collinear components 1 and
+    2 on a complete network, so its fits need the ridge; the masked var's network is
+    sparse enough that the mask cuts coefficients."""
+    rng = np.random.default_rng(2029)
+    d, n = 4, 150
+    x = rng.normal(size=(d, n)).cumsum(axis=1) * 0.2 + rng.normal(size=(d, n))
+    ads = AdjacencySeries(rng.random((n, d, d)) < {"nar": 2.0, "masked_var": 0.01}.get(name, 0.35))
+    if name == "nar":
+        x[1] = 2.0 * x[0]
+    model = {"nar": ("nar", NeighborhoodFn.transpose(), False),
+             "lnar": ("lnar", NeighborhoodFn.row_normalized_transpose(), False),
+             "var": ("var", None, False),
+             "masked_var": ("var", NeighborhoodFn.transpose(), True)}[name]
+    return x, ads, model
+
+
+def golden_fit(name):
+    """The BIC-selected fit of the golden case ``name``."""
+    x, ads, model = golden_case(name)
+    (fit, _), = estimate._fit_by_bic([model], x, ads, 2)
+    return fit
+
+
+def eager_moments(fit, x, ads):
+    """Each component's gamma_y0 and asymp_cov by the formulas the fits once built
+    eagerly: the ridged block over m and resid_var times its inverse, or, for a
+    certified VAR, the block-inverse identity on the shared Gram."""
+    d, n = x.shape
+    p, m = fit.p, n - fit.p
+    if fit.family == "var":
+        lagged = np.ascontiguousarray(np.column_stack([x[:, p - j: n - j].T
+                                                       for j in range(1, p + 1)]))
+        lc = lagged - lagged.mean(axis=0)
+        gram = lc.T @ lc
+        ginv = np.linalg.inv(gram)
+    elif fit.family == "lnar":
+        designs = _lnar_design(x, ads, list(fit.g), p)[0]
+    else:
+        designs = [Y for _, Y in nar_designs(x, ads, list(fit.g), p)]
+    for c in fit.components:
+        k, f = len(c.members), np.array(c.members, dtype=int)
+        if fit.family == "var":
+            s = np.setdiff1d(np.arange(d * p), f)
+            g_fs = ginv[f[:, None], s]
+            inner = g_fs @ np.linalg.solve(ginv[s[:, None], s], g_fs.T) if s.size else 0.0
+            yield gram[f[:, None], f] / m, c.resid_var * (m * (ginv[f[:, None], f] - inner))
+            continue
+        Yc = designs[c.r] - designs[c.r].mean(axis=0)
+        block = Yc.T @ Yc
+        block = block + c.ridge_jitter * np.eye(k) if c.ridge_jitter else block
+        yield block / m, c.resid_var * np.linalg.inv(block / m)
+
+
+class TestDeferredMoments:
+    """A fit made here builds gamma_y0 and asymp_cov only when they are read."""
+
+    @pytest.mark.parametrize("name", ["nar", "lnar", "var", "masked_var"])
+    def test_moments_are_built_when_read_with_the_eager_bits(self, name, monkeypatch):
+        inv = CallCount(monkeypatch, np.linalg, "inv")
+        fit = golden_fit(name)
+        built = inv.calls
+        assert not any("gamma_y0" in vars(c) or "asymp_cov" in vars(c) for c in fit.components)
+        monkeypatch.undo()
+        x, ads, _ = golden_case(name)
+        assert any(c.ridge_jitter > 0 for c in fit.components) == (name == "nar")
+        assert any(len(c.members) < fit.d * fit.p for c in fit.components) == (
+            name == "masked_var") or fit.family == "lnar"
+        for c, (gamma_y0, asymp_cov) in zip(fit.components, eager_moments(fit, x, ads)):
+            assert c.asymp_cov.tobytes() == asymp_cov.tobytes(), c.r
+            assert c.gamma_y0.tobytes() == gamma_y0.tobytes(), c.r
+        # the VAR inverts its shared Gram once per order; no fit inverts a moment
+        assert built == (0 if name in ("nar", "lnar") else 3)
+
+    @pytest.mark.parametrize("name", ["nar", "lnar", "var", "masked_var"])
+    def test_fit_files_match_the_golden_fixtures(self, name, tmp_path):
+        from netar.io import write_fit_json
+        write_fit_json(tmp_path / "fit.json", golden_fit(name))
+        with open(os.path.join(GOLDEN_FIT, f"{name}.json"), "rb") as fh:
+            assert (tmp_path / "fit.json").read_bytes() == fh.read()
+
+    @pytest.mark.parametrize("name", ["nar", "lnar", "var", "masked_var"])
+    def test_a_fit_pickles_with_its_moments_unbuilt(self, name):
+        fit = golden_fit(name)
+        back = pickle.loads(pickle.dumps(fit))
+        for c, d in zip(fit.components, back.components):
+            assert "asymp_cov" not in vars(d)
+            assert d.asymp_cov.tobytes() == c.asymp_cov.tobytes()
+            assert d.gamma_y0.tobytes() == c.gamma_y0.tobytes()
+
+    @pytest.mark.parametrize("name", ["nar", "lnar"])
+    def test_network_fits_do_not_depend_on_the_series_layout(self, name):
+        # a series read from a file is column-major; a component's target is then a
+        # strided row, whose mean must sum as a contiguous row's does
+        x, ads, model = golden_case(name)
+        fits = [estimate._fit_by_bic([model], xs, ads, 2)[0]
+                for xs in (x, np.asfortranarray(x), x[:, ::-1].copy()[:, ::-1])]
+        assert outcome_values(fits[1]) == outcome_values(fits[0])
+        assert outcome_values(fits[2]) == outcome_values(fits[0])
+
+    def test_read_moments_are_checked_and_a_failed_inverse_is_an_estimation_error(self):
+        with pytest.raises(ValueError, match="component 2 has a gamma_y0 that is not 2 x 2$"):
+            component(r=1, gamma_y0=np.eye(3))  # arrays are checked at construction
+        c = component(r=1, gamma_y0=lambda: (np.eye(3), np.eye(3)), asymp_cov=None)
+        assert c.w.shape == (2,)
+        with pytest.raises(ValueError, match="component 2 has a gamma_y0 that is not 2 x 2$"):
+            c.gamma_y0
+
+        def singular():
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        c = component(r=1, gamma_y0=singular, asymp_cov=None, ridge_jitter=0.5)
+        with pytest.raises(EstimationError, match="^component 2: Gram matrix not invertible "
+                                                  "for the asymptotic covariance$") as info:
+            c.std_errors
+        assert info.value.diagnostics == {"k": 2, "n_obs": 40, "ridge_jitter": 0.5}
+        c = component(r=1, resid_var=2.0, gamma_y0=lambda: (np.eye(2), 3.0 * np.eye(2)),
+                      asymp_cov=None)
+        assert np.array_equal(c.asymp_cov, 6.0 * np.eye(2)) and c.gamma_y0.shape == (2, 2)
+        assert np.array_equal(c.std_errors, np.sqrt(np.full(2, 6.0) / 40))
+        with pytest.raises(AttributeError):
+            c.no_such_field
