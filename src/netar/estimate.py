@@ -14,8 +14,9 @@ network-induced sparsity mask) and the per-component model, whose
 regressor vector is the 2p-dimensional own-lag / pooled-network pair per
 lag.  :func:`_equations` gives every family's normal equations as stacks
 of same-size systems, columns ordered by lag so that a lower order is a
-leading block: LNAR is one stack of d systems; NAR and the uncertified VAR
-stack the components with as many regressors at every lag.
+leading block: LNAR is one stack of d systems; NAR and the uncertified VAR,
+whose components may differ in size, give each component a stack of one, built
+when the loop reaches it.
 :func:`_solve_stack` solves a stack's blocks in batched numpy calls, each
 system with the bits of its own call and its own jitter decision.  When the
 Gram of the lagged series is certified, the VAR solves each order for
@@ -36,7 +37,7 @@ from collections import namedtuple
 from functools import lru_cache, partial
 from itertools import zip_longest
 from math import inf, log, nan
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -223,19 +224,8 @@ def _finite_series(x) -> np.ndarray:
     return x
 
 
-def _lag_groups(members: list, d: int, p: int) -> list:
-    """The components with as many regressors as each other at every lag, so that every
-    order is a leading block of one size: (rs, their members, the lag of each column)."""
-    groups = {}
-    for r, mem in enumerate(members):
-        lags = np.asarray(mem, dtype=int) // d
-        groups.setdefault(tuple(np.bincount(lags, minlength=p).tolist()), (lags, []))[1].append(r)
-    return [(rs, [members[r] for r in rs], lags) for lags, rs in groups.values()]
-
-
 def _nar_design(x: np.ndarray, ads: AdjacencySeries, g_list, p: int):
-    """Active indices and designs of the full model for targets t = p..n-1, a stack
-    ``(rs, members, lags, Y)`` for each of :func:`_lag_groups`.
+    """Active indices and design of the full model for targets t = p..n-1, per component.
 
     Row t - p of component r's design holds ``(e_r' G_j(Ad_{t-j}) e_i) x_{t-j;i}`` at
     the flat indices ``i + (j-1)d`` with positive modulation mass.  Each lag slices
@@ -245,15 +235,13 @@ def _nar_design(x: np.ndarray, ads: AdjacencySeries, g_list, p: int):
     stacks = [ads._g_parts(g, x, ["stack"])["stack"][p - j: n - j]
               for j, g in enumerate(g_list, start=1)]
     mass = [np.abs(s).sum(axis=0) for s in stacks]
-    members = [tuple(i + j * d for j in range(p) for i in range(d) if mass[j][r, i] > 0.0)
-               for r in range(d)]
-    for rs, mems, lags in _lag_groups(members, d, p):
-        Y = np.empty((len(rs), n - p, lags.size))
-        for row, (r, mem) in enumerate(zip(rs, mems)):
-            for col, flat in enumerate(mem):
-                i, j = flat % d, flat // d + 1
-                Y[row, :, col] = stacks[j - 1][:, r, i] * x[i, p - j: n - j]
-        yield rs, mems, lags, Y
+    for r in range(d):
+        members = [i + j * d for j in range(p) for i in range(d) if mass[j][r, i] > 0.0]
+        Y = np.empty((n - p, len(members)))
+        for col, flat in enumerate(members):
+            i, j = flat % d, flat // d + 1
+            Y[:, col] = stacks[j - 1][:, r, i] * x[i, p - j: n - j]
+        yield tuple(members), Y
 
 
 def _lnar_design(x, ads, g_list, p):
@@ -386,7 +374,7 @@ def _restricted_moments(gram, ginv, f, cut, m):
     return gram[f[:, None], f] / m, m * (ginv[f[:, None], f] - inner)
 
 
-def _var_equations(x: np.ndarray, p: int, mask: Optional[np.ndarray]) -> list:
+def _var_equations(x: np.ndarray, p: int, mask: Optional[np.ndarray]) -> Iterable[tuple]:
     """Equations of every VAR equation, restrictions of one shared regression.
 
     Column ``(j-1)d + i`` of the lagged design holds ``x_{t-j;i}``.  If the
@@ -414,10 +402,9 @@ def _var_equations(x: np.ndarray, p: int, mask: Optional[np.ndarray]) -> list:
     cut = np.zeros((d, d * p), dtype=bool) if mask is None else mask == 0
     mems = [np.flatnonzero(~row) for row in cut]
     cond = _certified(gram)
-    if cond is None:  # each equation on its own lagged columns, laid out as lagged[:, mem]
-        return [_own_stack(rs, members, lags, np.stack([lagged[:, mems[r]] for r in rs]),
-                           x[rs, p:])
-                for rs, members, lags in _lag_groups([tuple(m.tolist()) for m in mems], d, p)]
+    if cond is None:  # each equation on its own lagged columns, a stack of one
+        return (_own_stack([r], [tuple(mem.tolist())], mem // d, lagged[:, mem][None],
+                           x[[r], p:]) for r, mem in enumerate(mems))
 
     @lru_cache(maxsize=None)
     def order(kp):
@@ -446,13 +433,14 @@ def _var_equations(x: np.ndarray, p: int, mask: Optional[np.ndarray]) -> list:
 
 
 def _equations(family: str, x: np.ndarray, ads: Optional[AdjacencySeries], g_list,
-               p: int, mask: Optional[np.ndarray]) -> list:
+               p: int, mask: Optional[np.ndarray]) -> Iterable[tuple]:
     """The normal equations of every component, for the targets t = p..n-1, in stacks.
 
     A stack ``(rs, members, solve)`` holds component ``rs[i]``'s regressors
     ``members[i]`` (flat indices; for LNAR own/pooled positions) ordered by lag, and
-    ``solve(p)`` gives their order-p ``_Solutions``.  This is the one place that knows
-    how each family builds its regressors, and that checks the arguments they share.
+    ``solve(p)`` gives their order-p ``_Solutions``.  The stacks come in component
+    order.  This is the one place that knows how each family builds its regressors,
+    and that checks the arguments they share.
     """
     d, n = x.shape
     _check_family(family)
@@ -472,33 +460,30 @@ def _equations(family: str, x: np.ndarray, ads: Optional[AdjacencySeries], g_lis
     if family == "lnar":
         return [_own_stack(range(d), [tuple(range(2 * p))] * d, np.arange(2 * p) // 2,
                            *_lnar_design(x, ads, g_list, p))]
-    return [_own_stack(rs, members, lags, Y, x[rs, p:])
-            for rs, members, lags, Y in _nar_design(x, ads, g_list, p)]
+    return (_own_stack([r], [members], np.array(members, dtype=int) // d, Y[None], x[[r], p:])
+            for r, (members, Y) in enumerate(_nar_design(x, ads, g_list, p)))
 
 
-def _components(stacks: list, p: int, m: int) -> List[ComponentFit]:
+def _components(stacks: Iterable[tuple], p: int, m: int) -> List[ComponentFit]:
     """The fits of the stacks' components on their full order-p blocks, in component
     order; the first component that cannot be fitted raises.  A fit builds its plug-in
     moments when they are first read (see :class:`ComponentFit`)."""
-    solved = {}
+    comps = []
     for rs, members, solve in stacks:
         sols = solve(p)
-        solved.update((r, (members[i], sols, i)) for i, r in enumerate(rs))
-    comps = []
-    for r in sorted(solved):
-        members, sols, i = solved[r]
-        k = len(members)
-        if m < k + 1:
-            raise EstimationError(f"component {r + 1}: {m} observations cannot identify {k} "
-                                  "coefficients plus intercept", {"n_obs": m, "k": k})
-        if sols.errors[i] is not None:
-            raise sols.errors[i]
-        rss = float(sols.rss[i])
-        resid_var = rss / (m - k - 1) if m > k + 1 else nan
-        comps.append(ComponentFit(
-            r=r, members=members, w=sols.w[i], mu=sols.mu[i], resid_var=resid_var,
-            gamma_y0=sols.moments[i], asymp_cov=None, rss=rss, n_obs=m,
-            ridge_jitter=sols.jitter[i], gram_cond=sols.cond[i]))
+        for i, (r, mem) in enumerate(zip(rs, members)):
+            k = len(mem)
+            if m < k + 1:
+                raise EstimationError(f"component {r + 1}: {m} observations cannot identify "
+                                      f"{k} coefficients plus intercept", {"n_obs": m, "k": k})
+            if sols.errors[i] is not None:
+                raise sols.errors[i]
+            rss = float(sols.rss[i])
+            resid_var = rss / (m - k - 1) if m > k + 1 else nan
+            comps.append(ComponentFit(
+                r=r, members=mem, w=sols.w[i], mu=sols.mu[i], resid_var=resid_var,
+                gamma_y0=sols.moments[i], asymp_cov=None, rss=rss, n_obs=m,
+                ridge_jitter=sols.jitter[i], gram_cond=sols.cond[i]))
     return comps
 
 
@@ -587,19 +572,16 @@ def select_order_bic(x: np.ndarray, ads: Optional[AdjacencySeries] = None,
     x = _finite_series(x)
     _check_order("p_max", p_max, 1)
     m = x.shape[1] - p_max
-    terms = {p: {} for p in range(1, p_max + 1)}
-    for rs, _, solve in _equations(family, x, ads, [g] * p_max, p_max, mask):
-        for p, found in terms.items():
-            if inf in found.values():
-                continue
+    table = dict.fromkeys(range(1, p_max + 1), 0.0)
+    for _, _, solve in _equations(family, x, ads, [g] * p_max, p_max, mask):
+        live = [p for p, val in table.items() if val != inf]
+        if not live:
+            break
+        for p in live:
             sols = solve(p)
-            for r, w, rss, error in zip(rs, sols.w, sols.rss, sols.errors):
-                found[r] = (inf if m - (w.size + 1) < 5 or error is not None else
-                            m * log(max(float(rss) / m, 1e-300)) + (w.size + 1) * log(m))
-    table = dict.fromkeys(terms, 0.0)
-    for p, found in terms.items():
-        for r in sorted(found):
-            table[p] += found[r]
+            for w, rss, error in zip(sols.w, sols.rss, sols.errors):
+                table[p] += (inf if m - (w.size + 1) < 5 or error is not None else
+                             m * log(max(float(rss) / m, 1e-300)) + (w.size + 1) * log(m))
     best_p = None
     for p, val in table.items():
         if val != inf and (best_p is None or val < table[best_p] - 1e-12):

@@ -287,16 +287,8 @@ class TestFitRules:
             ModelFit(family="lnar", p=2, d=3, g=(G, G), components=comps)
 
 
-def nar_designs(x, ads, g_list, p):
-    """Each component's active indices and design, in component order, from the stacks."""
-    found = {}
-    for rs, members, _, Y in _nar_design(x, ads, g_list, p):
-        found.update((r, (idx, Y[row])) for row, (r, idx) in enumerate(zip(rs, members)))
-    return [found[r] for r in range(x.shape[0])]
-
-
 def nar_index_sets(x, ads, g_list, p):
-    return [idx for idx, _ in nar_designs(x, ads, g_list, p)]
+    return [idx for idx, _ in _nar_design(x, ads, g_list, p)]
 
 
 class TestIndexSets:
@@ -345,7 +337,7 @@ class TestRegressors:
         x = rng.normal(size=(d, n))
         ads = AdjacencySeries(np.ones((n, d, d)))
         g = [NeighborhoodFn.transpose()]
-        idx, Y = nar_designs(x, ads, g, 1)[1]
+        idx, Y = list(_nar_design(x, ads, g, 1))[1]
         assert idx == (0, 1, 2)
         assert np.allclose(Y, x[:, :-1].T)
 
@@ -356,7 +348,7 @@ class TestRegressors:
         mats[1] = np.array([[0.0, 0.5, 0.0], [0.2, 0.0, 0.0], [0.0, -0.3, 0.0]])
         ads = AdjacencySeries(mats)
         g = [NeighborhoodFn.transpose()]
-        idx, Y = nar_designs(x, ads, g, 1)[1]
+        idx, Y = list(_nar_design(x, ads, g, 1))[1]
         # vertex 2 carries no mass into component 1
         assert idx == (0, 2)
         # row for t=2 uses G(Ad_1) = Ad_1^T, row 1: (0.5, 0, -0.3)
@@ -391,7 +383,7 @@ class TestRegressors:
             xs, sub = x[:, s:], ads.drop_first(s)
             stacks = [apply_neighborhood_fn(g, sub.mats[p - j: n - s - j])
                       for j, g in enumerate(g_list, start=1)]
-            for r, (idx, Y) in enumerate(nar_designs(xs, sub, g_list, p)):
+            for r, (idx, Y) in enumerate(_nar_design(xs, sub, g_list, p)):
                 for col, flat in enumerate(idx):
                     i, j = flat % d, flat // d + 1
                     expected = stacks[j - 1][:, r, i] * xs[i, p - j: n - s - j]
@@ -668,8 +660,8 @@ class TestBicLeadingBlocks:
 
     @pytest.mark.parametrize("family", ["nar", "lnar"])
     def test_network_candidates_make_one_eigensolve_per_component(self, family, monkeypatch):
-        # every component sees every source at every lag, so all five share one stack:
-        # one batched eigvalsh call solves the five certificates
+        # every component's certificate is one eigensolve: NAR solves each component as
+        # a stack of one, LNAR all five in one stack with one batched eigvalsh call
         d, p_max = 5, 3
         x, ads, _ = bic_case(d, p_max, seed=23, n=300)
         original, solved = np.linalg.eigvalsh, []
@@ -682,7 +674,8 @@ class TestBicLeadingBlocks:
         inv = CallCount(monkeypatch, np.linalg, "inv")
         kernel = CallCount(monkeypatch, netdyn, "apply_neighborhood_fn")
         select_order_bic(x, ads, NeighborhoodFn.transpose(), p_max=p_max, family=family)
-        assert (solved, inv.calls, kernel.calls) == ([(d,)], 0, 1)
+        stacks = [(1,)] * d if family == "nar" else [(d,)]
+        assert (solved, inv.calls, kernel.calls) == (stacks, 0, 1)
 
     def test_fits_make_one_kernel_call_per_distinct_g(self, monkeypatch):
         # the series keeps each evaluation, so a second fit on it makes none
@@ -1227,7 +1220,7 @@ def eager_moments(fit, x, ads):
     elif fit.family == "lnar":
         designs = _lnar_design(x, ads, list(fit.g), p)[0]
     else:
-        designs = [Y for _, Y in nar_designs(x, ads, list(fit.g), p)]
+        designs = [Y for _, Y in _nar_design(x, ads, list(fit.g), p)]
     for c in fit.components:
         k, f = len(c.members), np.array(c.members, dtype=int)
         if fit.family == "var":
