@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from collections import namedtuple
 from functools import lru_cache, partial
 from itertools import zip_longest
-from math import inf, log, nan
+from math import inf, isfinite, log, nan
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -119,10 +119,13 @@ class ComponentFit:
         else:
             self._set_moments(self.gamma_y0, self.asymp_cov)
         for key in ("mu", "resid_var", "rss", "ridge_jitter", "gram_cond"):
-            setattr(self, key, float(_floats(name, key, getattr(self, key), ())))
-        for key in ("w", "mu"):
-            if not np.isfinite(getattr(self, key)).all():
-                raise ValueError(f"{name} has a non-finite {key}")
+            value = getattr(self, key)
+            setattr(self, key, float(value if isinstance(value, float)
+                                     else _floats(name, key, value, ())))
+        if not np.isfinite(self.w).all():
+            raise ValueError(f"{name} has a non-finite w")
+        if not isfinite(self.mu):
+            raise ValueError(f"{name} has a non-finite mu")
 
     def _set_moments(self, gamma_y0, asymp_cov):
         name, k = f"component {self.r + 1}", len(self.members)
@@ -200,12 +203,11 @@ class ModelFit:
         if self.family == "lnar":
             spec = LnarSpec(self.p, *self.alpha_beta(), self.g)
             return [spec.coefficient_matrix(j) for j in range(self.p)]
-        mats = [np.zeros((self.d, self.d)) for _ in range(self.p)]
+        mats = np.zeros((self.p, self.d, self.d))
         for c in self.components:
-            for pos, flat in enumerate(c.members):
-                i, j = flat % self.d, flat // self.d
-                mats[j][c.r, i] = c.w[pos]
-        return mats
+            flat = np.array(c.members, dtype=int)
+            mats[flat // self.d, c.r, flat % self.d] = c.w
+        return list(mats)
 
     def alpha_beta(self):
         """(p, d) own-lag and network coefficients."""
@@ -384,7 +386,11 @@ def _var_equations(x: np.ndarray, p: int, mask: Optional[np.ndarray]) -> Iterabl
     (G^-1[S, S])^-1 W_r[S]`` (one batched solve for the equations with as many),
     one product gives all residuals and the block-inverse identity the
     covariance.  Otherwise each equation is fitted on its own lagged columns.
+    A series whose rows are not contiguous is read from its row-major copy, so
+    the means sum in one order whatever the memory layout.
     """
+    if x.strides[1] != x.itemsize:
+        x = np.ascontiguousarray(x)
     d, n = x.shape
     mask = None if mask is None else np.asarray(mask)
     if mask is not None and mask.shape != (d, d * p):

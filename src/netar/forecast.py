@@ -11,7 +11,7 @@ functions of the observed history alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -119,14 +119,20 @@ class ForecastSet:
 
 
 def forecast_h(fit: ModelFit, x_hist: np.ndarray, ads_hist: Optional[AdjacencySeries],
-               policy: Optional[NetworkForecastPolicy], h: int,
-               truth: Optional[np.ndarray] = None) -> ForecastSet:
+               policy: Union[Optional[NetworkForecastPolicy], Sequence], h: int,
+               truth: Optional[np.ndarray] = None) -> Union[ForecastSet, List[ForecastSet]]:
     """Recursive h-step forecast from the end of the observed sample.
 
     ``x_hist`` is the (d, n) observed series; ``ads_hist`` the observed
     snapshots on the same time axis (the benchmark VAR ignores both
     network arguments).  Horizon s uses the policy snapshot s together
-    with observed values and earlier forecasts.
+    with observed values and earlier forecasts.  A list (or tuple) of P
+    policies is a batch: the fit's coefficient matrices are built once, G
+    is evaluated once on the P windows stacked ``(p - 1 + h, P, d, d)``,
+    one ``(P, d)`` window steps through the recursion, and the result is
+    one ForecastSet per policy, in order, each the one its policy alone
+    gives, bit for bit.  Any other policy is a batch of one and returns
+    its ForecastSet.
     """
     x_hist = np.atleast_2d(np.asarray(x_hist, dtype=float))
     d, n = x_hist.shape
@@ -136,7 +142,11 @@ def forecast_h(fit: ModelFit, x_hist: np.ndarray, ads_hist: Optional[AdjacencySe
         raise ValueError(f"history of length {n} cannot feed a lag-{fit.p} forecast")
     if h < 1:
         raise ValueError("need at least one horizon")
-    p = fit.p
+    batched = isinstance(policy, (list, tuple))
+    policies = list(policy) if batched else [policy]
+    if not policies:
+        raise ValueError("need at least one network policy")
+    p, size = fit.p, len(policies)
     if fit.family == "lnar" and p > 0:
         # the per-component family runs on its embedding into the full model
         nar = LnarSpec(p, *fit.alpha_beta(), fit.g).to_nar()
@@ -146,30 +156,35 @@ def forecast_h(fit: ModelFit, x_hist: np.ndarray, ads_hist: Optional[AdjacencySe
     # the recursion runs on a window of the last p observations and the h
     # horizons; the window's snapshots share its time axis
     total = p + h
-    nets = None
+    nets = [None] * size
     if fit.family == "var":
-        coefs = [np.broadcast_to(a, (total, d, d)) for a in coef]
+        coefs = [np.broadcast_to(a, (total, size, d, d)) for a in coef]
     else:
-        if ads_hist is None or policy is None:
+        if ads_hist is None or any(pol is None for pol in policies):
             raise ValueError("network-modulated forecasts need a history and a policy")
         _check_network_cover(ads_hist, d, n - 1, "forecast_h")
         # only the n-1 estimation-aligned snapshots are visible; anything
         # beyond them must come through the policy
         hist_use = ads_hist.take_first(n - 1)
-        nets = forecast_network(hist_use, policy, h)
-        _check_network_cover(nets, d, h, "forecast_h (policy snapshots)")
-        mats = np.concatenate([hist_use.mats[n - p:], nets.mats], axis=0)
+        nets = [forecast_network(hist_use, pol, h) for pol in policies]
+        for used in nets:
+            _check_network_cover(used, d, h, "forecast_h (policy snapshots)")
+        mats = np.stack([np.concatenate([hist_use.mats[n - p:], used.mats]) for used in nets],
+                        axis=1)
         coefs = _nar_coefficients(coef, g, mats)
-    rows = np.concatenate([x_hist[:, n - p:].T, np.zeros((h, d))])
-    rows = _run_recursion(rows, np.broadcast_to(fit.mu_hat(), (h, d)), coefs, start=p)
-    points = np.ascontiguousarray(rows[p:].T)
-    errors = None
+    rows = np.zeros((total, size, d))
+    rows[:p] = x_hist[:, n - p:].T[:, None]
+    rows = _run_recursion(rows, np.broadcast_to(fit.mu_hat(), (h, size, d)), coefs, start=p)
+    points = np.ascontiguousarray(rows[p:].transpose(1, 2, 0))
+    errors = [None] * size
     if truth is not None:
         truth = np.atleast_2d(np.asarray(truth, dtype=float))
-        if truth.shape != points.shape:
-            raise ValueError(f"truth shape {truth.shape} does not match forecasts {points.shape}")
+        if truth.shape != (d, h):
+            raise ValueError(f"truth shape {truth.shape} does not match forecasts {(d, h)}")
         errors = truth - points
-    return ForecastSet(points=points, networks_used=nets, errors=errors)
+    out = [ForecastSet(points=pts, networks_used=used, errors=err)
+           for pts, used, err in zip(points, nets, errors)]
+    return out if batched else out[0]
 
 
 def difference(y: np.ndarray) -> np.ndarray:

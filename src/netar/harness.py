@@ -292,10 +292,11 @@ def _resolve_policy(method: MethodSpec, ads_post: AdjacencySeries, n: int, h: in
 def _replicates_per_chunk(cfg: ExperimentConfig, n: int, threads: int) -> int:
     """Replicates of sample size ``n`` that one chunk simulates together.
 
-    A chunk holds every replicate's whole-path arrays until its last fit: the bool
-    walk of ``T = burn_in + n + h`` snapshots and the float path, ``T d (d + 8)``
-    bytes a replicate.  As many replicates as fit in ``_CHUNK_PATH_BYTES`` share a
-    chunk, at least one and at most ``ceil(B / threads)``, so every worker gets one.
+    A chunk's simulation holds every replicate's whole-path arrays: the bool walk of
+    ``T = burn_in + n + h`` snapshots and the float path, ``T d (d + 8)`` bytes a
+    replicate (its fits then hold only the post-burn-in snapshots).  As many
+    replicates as fit in ``_CHUNK_PATH_BYTES`` share a chunk, at least one and at
+    most ``ceil(B / threads)``, so every worker gets one.
     """
     d, steps = cfg.process.d, cfg.burn_in + n + cfg.horizons
     fit = _CHUNK_PATH_BYTES // (steps * d * (d + 8))
@@ -310,15 +311,17 @@ def _run_chunk(cfg: ExperimentConfig, n_index: int, n: int, reps: Sequence[int])
     Every replicate draws from its own ``_replicate_seed(seed, n_index, rep)``: its
     network's initial state and walk, then its path's innovations.  One network walk
     and one path recursion step the whole chunk, and each path is the one its
-    Generator alone gives, so no result depends on the chunk.
+    Generator alone gives, so no result depends on the chunk.  The fits keep a copy
+    of each replicate's post-burn-in snapshots, not the chunk's walk.
     """
     h = cfg.horizons
     rngs = [_replicate_seed(cfg.seed, n_index, rep) for rep in reps]
     networks = cfg.network.simulate(cfg.burn_in + n + h, seed=rngs)
     sim = simulate_lnar if isinstance(cfg.process, LnarSpec) else simulate_nar
     paths = sim(cfg.process, networks, cfg.innov, n=n + h, burn_in=cfg.burn_in, seed=rngs)
-    return [_replicate_errors(cfg, n, x_all, ads.drop_first(cfg.burn_in))
-            for x_all, ads in zip(paths, networks)]
+    posts = [AdjacencySeries._checked(ads.mats[cfg.burn_in:].copy()) for ads in networks]
+    del networks
+    return [_replicate_errors(cfg, n, x_all, ads) for x_all, ads in zip(paths, posts)]
 
 
 def _replicate_errors(cfg: ExperimentConfig, n: int, x_all: np.ndarray,
@@ -329,22 +332,26 @@ def _replicate_errors(cfg: ExperimentConfig, n: int, x_all: np.ndarray,
     A fit depends only on the method's family, g and sparsity, never on its network
     policy, so the replicate fits each distinct model once, all in one ``_fit_by_bic``
     call that evaluates each distinct G once (compared by value: JSON gives equal,
-    distinct g's), and forecasts every policy from that fit.  Returns a dict mapping
-    method label -> (d, h) forecast-error matrix, or None for a method whose fit
-    failed on this path.
+    distinct g's), and forecasts the policies of every method sharing a fit in one
+    ``forecast_h`` call.  Returns a dict mapping method label -> (d, h) forecast-error
+    matrix, or None for a method whose fit failed on this path.
     """
     h = cfg.horizons
     x_est, truth = x_all[:, :n], x_all[:, n:]
     ads_est = ads_post.take_first(n - 1)
-    keys = list(dict.fromkeys((m.family, m.g, m.sparsity == "network") for m in cfg.methods))
-    fits = {key: None if isinstance(out, EstimationError) else out[0]  # for every method sharing it
-            for key, out in zip(keys, _fit_by_bic(keys, x_est, ads_est, cfg.p_max))}
+    sharing: Dict[tuple, List[MethodSpec]] = {}
+    for m in cfg.methods:
+        sharing.setdefault((m.family, m.g, m.sparsity == "network"), []).append(m)
     errors: Dict[str, Optional[np.ndarray]] = {}
-    for method in cfg.methods:
-        fit = fits[(method.family, method.g, method.sparsity == "network")]
-        errors[method.label] = None if fit is None else forecast_h(
-            fit, x_est, ads_est, _resolve_policy(method, ads_post, n, h), h, truth=truth).errors
-    return errors
+    for methods, out in zip(sharing.values(),
+                            _fit_by_bic(list(sharing), x_est, ads_est, cfg.p_max)):
+        if isinstance(out, EstimationError):  # fails every method sharing it
+            errors.update(dict.fromkeys(m.label for m in methods))
+            continue
+        policies = [_resolve_policy(m, ads_post, n, h) for m in methods]
+        for m, fc in zip(methods, forecast_h(out[0], x_est, ads_est, policies, h, truth=truth)):
+            errors[m.label] = fc.errors
+    return {m.label: errors[m.label] for m in cfg.methods}
 
 
 @dataclass

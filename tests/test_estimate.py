@@ -503,6 +503,20 @@ class TestFitVar:
             assert fit.components[r].w.size == 0
             assert fit.components[r].mu == pytest.approx(x[r, 1:].mean())
 
+    @pytest.mark.parametrize("masked", [False, True], ids=["var", "masked_var"])
+    def test_fits_do_not_depend_on_the_memory_layout(self, masked):
+        # a column-major series, as a CSV reads, fits as its row-major copy does
+        rng = np.random.default_rng(13)
+        x = rng.normal(size=(5, 300)).cumsum(axis=1)
+        mask = (rng.random((5, 10)) < 0.6).astype(float) if masked else None
+        bits = [[(c.members, c.w.tobytes(), c.mu, c.resid_var, c.rss) for c in fit_var(
+            layout(x), 2, mask=mask).components] for layout in (np.ascontiguousarray,
+                                                                 np.asfortranarray)]
+        assert bits[0] == bits[1]
+        tables = [select_order_bic(layout(x), p_max=2, family="var", mask=mask).table
+                  for layout in (np.ascontiguousarray, np.asfortranarray)]
+        assert tables[0] == tables[1]
+
     def test_var_generated_data_matches_ols_oracle(self):
         rng = np.random.default_rng(12)
         d, n = 3, 400

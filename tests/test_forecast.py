@@ -1,8 +1,11 @@
+import hypothesis as hyp
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 
 from netar import (
     AdjacencySeries,
+    ForecastSet,
     HoldLast,
     Known,
     MarkovEdgeNetwork,
@@ -311,6 +314,72 @@ class TestForecastH:
         assert np.array_equal(fc.points, np.repeat(fit.mu_hat()[:, None], 3, axis=1))
 
 
+class TestPolicyBatch:
+    """A list of policies forecasts from one fit in one pass; each ForecastSet is the one
+    its policy alone gives, bit for bit, in points, errors and networks used."""
+
+    def test_random_batches_match_per_policy_calls(self):
+        @hyp.settings(max_examples=80, deadline=None, derandomize=True)
+        @hyp.given(d=st.integers(1, 5), p=st.integers(0, 3), h=st.integers(1, 4),
+                   family=st.sampled_from(["nar", "lnar", "var"]), weighted=st.booleans(),
+                   picks=st.lists(st.integers(0, 9), min_size=3, max_size=3),
+                   chosen=st.lists(st.integers(0, 4), min_size=1, max_size=4),
+                   with_truth=st.booleans(), seed=st.integers(0, 2**16))
+        def check(d, p, h, family, weighted, picks, chosen, with_truth, seed):
+            rng = np.random.default_rng(seed)
+            n = 20
+            shapes = [fn for fn, binary in kernel_variants(d, rng) if not (weighted and binary)]
+            g = [shapes[i % len(shapes)] for i in picks[:p]]
+            on = rng.random((n - 1 + h, d, d)) < 0.4
+            mats = on * rng.uniform(-1, 1, on.shape) if weighted else on
+            hist = AdjacencySeries(mats[: n - 1])
+            known = Known(AdjacencySeries(mats[n - 1:]))
+            usable = [known, HoldLast()] if weighted else [
+                known, Known(AdjacencySeries(mats[n - 1:] * 1.0)), HoldLast(),
+                PerEdgeMarkov(), PerEdgeMarkov(freeze_first=True)]
+            policies = [usable[i % len(usable)] for i in chosen]
+            mu = rng.normal(size=d)
+            if family == "lnar":
+                fit = manual_lnar_fit(*rng.uniform(-1, 1, (2, p, d)), mu, g)
+            else:
+                fit = manual_fit(family, [rng.uniform(-1, 1, (d, d)) for _ in range(p)], mu,
+                                 None if family == "var" else g)
+            x = rng.normal(size=(d, n))
+            truth = rng.normal(size=(d, h)) if with_truth else None
+            got = forecast_h(fit, x, hist, policies, h, truth=truth)
+            assert isinstance(got, list) and len(got) == len(policies)
+            for policy, fc in zip(policies, got):
+                want = forecast_h(fit, x, hist, policy, h, truth=truth)
+                assert fc.points.shape == (d, h)
+                assert fc.points.tobytes() == want.points.tobytes()
+                if with_truth:
+                    assert fc.errors.tobytes() == want.errors.tobytes()
+                else:
+                    assert fc.errors is None and want.errors is None
+                if family == "var":
+                    assert fc.networks_used is None and want.networks_used is None
+                else:
+                    assert fc.networks_used.mats.dtype == want.networks_used.mats.dtype
+                    assert fc.networks_used.mats.tobytes() == want.networks_used.mats.tobytes()
+
+        check()
+
+    def test_a_policy_that_is_not_a_list_returns_one_forecast_set(self):
+        rng = np.random.default_rng(12)
+        fit = manual_fit("nar", [rng.uniform(-0.3, 0.3, (3, 3))], np.zeros(3),
+                         [NeighborhoodFn.transpose()])
+        x = rng.normal(size=(3, 20))
+        ads = AdjacencySeries(rng.random((19, 3, 3)) < 0.5)
+        alone = forecast_h(fit, x, ads, HoldLast(), 3)
+        assert isinstance(alone, ForecastSet)
+        for batch in ([HoldLast()], (HoldLast(),)):
+            (one,) = forecast_h(fit, x, ads, batch, 3)
+            assert isinstance(one, ForecastSet)
+            assert np.array_equal(one.points, alone.points)
+        with pytest.raises(ValueError, match="at least one network policy"):
+            forecast_h(fit, x, ads, [], 3)
+
+
 class TestForecastVertexCount:
     # a 4-component fit fed 3-vertex snapshots, in the history or from the policy
     fit = manual_fit("nar", [0.3 * np.eye(4)], np.zeros(4), [NeighborhoodFn.transpose()])
@@ -368,6 +437,18 @@ class TestForecastRecursionOracle:
         hist = AdjacencySeries((rng.random((n - 1, d, d)) < 0.4).astype(float))
         forecast_h(fit, rng.normal(size=(d, n)), hist, HoldLast(), h)
         assert seen == [p - 1 + h]
+
+    def test_a_policy_list_evaluates_its_windows_in_one_call(self, monkeypatch):
+        # as above, with three policies: one kernel call over their three windows
+        seen = kernel_snapshots(monkeypatch)
+        rng = np.random.default_rng(810)
+        d, n, h, p = 4, 1000, 5, 3
+        fit = manual_fit("nar", [np.eye(d) * 0.1] * p, np.zeros(d),
+                         [NeighborhoodFn.transpose()] * p)
+        mats = rng.random((n - 1 + h, d, d)) < 0.4
+        policies = [Known(AdjacencySeries(mats[n - 1:])), HoldLast(), PerEdgeMarkov()]
+        forecast_h(fit, rng.normal(size=(d, n)), AdjacencySeries(mats[: n - 1]), policies, h)
+        assert seen == [3 * (p - 1 + h)]
 
 
 class TestDifferenceIntegrate:

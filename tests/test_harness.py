@@ -242,6 +242,20 @@ class TestFitSharing:
         for lbl, err in expected.items():
             assert np.array_equal(errors[lbl], err), lbl
 
+    def test_one_forecast_call_per_distinct_fit(self, monkeypatch):
+        # the three policies of nar and of lnar each go to one call, the VAR's alone
+        calls = []
+        real = harness.forecast_h
+
+        def counted(fit, x, ads, policies, h, truth=None):
+            calls.append((fit.family, len(policies)))
+            return real(fit, x, ads, policies, h, truth=truth)
+
+        monkeypatch.setattr(harness, "forecast_h", counted)
+        errors = harness._run_chunk(three_policy_example1(), 0, 200, [0])[0]
+        assert sorted(calls) == [("lnar", 3), ("nar", 3), ("var", 1)]
+        assert len(errors) == 7
+
     def test_a_failed_shared_fit_fails_every_method_sharing_it(self, monkeypatch):
         calls = counted_fits(monkeypatch, fail_family="lnar")
         errors = harness._run_chunk(three_policy_example1(), 0, 200, [0])[0]
