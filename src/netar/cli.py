@@ -166,11 +166,10 @@ def cmd_experiment(args) -> int:
     doc = nio._read_json(args.config)
     if args.seed is not None:
         doc["seed"] = args.seed
-    try:
-        cfg = config_from_json(doc)
+    try:  # an invalid config, or a process that fails its check on the simulated network
+        report = run_experiment(config_from_json(doc), threads=args.threads, out_dir=args.out)
     except ValueError as exc:
         raise SystemExit(str(exc)) from None
-    report = run_experiment(cfg, threads=args.threads, out_dir=args.out)
     for n in report.sample_sizes:
         for lbl in report.method_labels:
             vals = " ".join(f"{v:.4g}" for v in report.mse[(n, lbl)])

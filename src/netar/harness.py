@@ -34,8 +34,8 @@ import numpy as np
 from . import io as nio
 from .estimate import FAMILIES, EstimationError, _check_family, _fit_by_bic
 from .forecast import HoldLast, Known, PerEdgeMarkov, difference, forecast_h, integrate
-from .model import (InnovationSpec, LnarSpec, NarSpec, _check_order, simulate_lnar,
-                    simulate_nar)
+from .model import (InnovationSpec, LnarSpec, NarSpec, _check_order, check_stationarity_lnar,
+                    check_stationarity_nar, simulate_lnar, simulate_nar)
 from .netdyn import (
     AdjacencySeries,
     FlipNetwork,
@@ -71,24 +71,25 @@ _MIN_PANEL_QUARTERS = 40
 class MethodSpec:
     """One estimation/forecasting method in an experiment.
 
-    ``policy`` is one of ``known``, ``holdlast``, ``markov`` for the
-    network-modulated families and ``none`` for the benchmark VAR.
-    ``sparsity="network"`` masks VAR coefficients whose modulation mass
+    ``policy`` is one of ``known`` (the default), ``holdlast``, ``markov`` for
+    the network-modulated families and ``none`` (the only one) for the benchmark
+    VAR.  ``sparsity="network"`` masks VAR coefficients whose modulation mass
     is zero over the sample.
     """
 
     family: str
-    policy: str = "known"
+    policy: Optional[str] = None
     g: Optional[NeighborhoodFn] = None
     sparsity: str = "none"
     freeze_markov: bool = True
 
     def __post_init__(self):
         _check_family(self.family)
-        if self.family == "var":
-            object.__setattr__(self, "policy", "none")
-        elif self.policy not in ("known", "holdlast", "markov"):
-            raise ValueError(f"unknown network policy {self.policy!r}")
+        policies = ("none",) if self.family == "var" else ("known", "holdlast", "markov")
+        object.__setattr__(self, "policy", policies[0] if self.policy is None else self.policy)
+        if self.policy not in policies:
+            raise ValueError(f"{self.family} takes network policy "
+                             f"{' or '.join(map(repr, policies))}, not {self.policy!r}")
         if self.family != "var" and self.g is None:
             raise ValueError(f"{self.family} methods need a neighborhood function")
         if self.sparsity not in ("none", "network"):
@@ -132,6 +133,13 @@ class ExperimentConfig:
             if len(set(dims.values())) > 1:
                 problems.append("dimensions differ: "
                                 + ", ".join(f"{k} {v}" for k, v in dims.items()))
+            # what load can decide: NAR's check, and c_lambda < 1 for LNAR, whose G
+            # without a certificate is checked on the simulated network at run time
+            nar = isinstance(self.process, NarSpec)
+            st = (check_stationarity_nar if nar else check_stationarity_lnar)(self.process)
+            if not (st.holds if nar else st.c_lambda < 1.0):
+                why = f" (rho={st.rho:.6f})" if nar else st.failure
+                problems.append(f"process: fails the stationarity check{why}")
         if problems:
             raise ValueError("; ".join(problems))
 

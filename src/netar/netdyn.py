@@ -10,7 +10,7 @@ forecasts) to G; weighted stacks are floats.
 
 A walk over a whole path goes in chunks of :func:`_snapshots_per_chunk`
 snapshots, about 1 MiB of float snapshots: the network draws, G's
-conversion of its input to floats, the simulator's coefficients, the
+evaluation straight into its result, the simulator's coefficients, the
 per-component model's path certificate and the fits' pass over G.  G is
 per snapshot and 0/1 is exact as a float, so no result depends on the chunk.
 Every walk and path simulation is a batch of R replicates, one Generator
@@ -54,7 +54,7 @@ def _steps_per_chunk(d: int, batch: int) -> int:
     """Time steps per chunk of a walk or a path over ``batch`` replicates at once:
     :func:`_snapshots_per_chunk` for one replicate, else about 32 KiB of the batch's
     float snapshots, at least one, so that a batch's chunk temporaries (uniforms,
-    coefficients and G's conversion) stay small next to its whole-path arrays."""
+    coefficients and G's temporaries) stay small next to its whole-path arrays."""
     return _snapshots_per_chunk(d) if batch == 1 else max(1, 2**15 // (8 * batch * d * d))
 
 
@@ -509,57 +509,60 @@ def apply_neighborhood_fn(fn: NeighborhoodFn, ad) -> np.ndarray:
     This is the one implementation of the modulation rule: every model,
     fit, forecast and coupling run goes through it.  The result is always
     a fresh C-contiguous float array, so callers may modify it in place.
-    Every input, ``bool`` or float, is evaluated one chunk of
-    :func:`_snapshots_per_chunk` snapshots at a time: each chunk is converted
-    to a private float copy and its G written into the preallocated result.
-    0/1 is exact and G is per snapshot, so the result is that of evaluating
-    the snapshots one by one, bit for bit.
+    A ``bool`` or float stack (anything else is read as floats) is evaluated one
+    chunk of :func:`_snapshots_per_chunk` snapshots at a time, each variant
+    reading the chunk as it is and writing its G into the chunk's slice of the
+    result.  A stack that is not snapshot-major (Fortran order) is first copied
+    snapshot-major, each snapshot in its own layout, so a row sum reads a snapshot
+    as it would alone: the result is that of the snapshots one by one, bit for bit.
     """
     ad = np.asarray(ad)
     if ad.ndim < 2 or ad.shape[-1] != ad.shape[-2]:
         raise ValueError("snapshot must be a square matrix or a stack of them")
+    binary = ad.dtype == bool
+    ad = ad if binary else ad.astype(float, copy=False)
+    if ad.ndim > 2 and min(map(abs, ad.strides[:-2])) < max(map(abs, ad.strides[-2:])):
+        ad = (ad.swapaxes(-1, -2).copy().swapaxes(-1, -2)
+              if abs(ad.strides[-2]) < abs(ad.strides[-1]) else ad.copy())
     out = np.empty(ad.shape)
     snaps, into = ad.reshape((-1,) + ad.shape[-2:]), out.reshape((-1,) + ad.shape[-2:])
     step = _snapshots_per_chunk(ad.shape[-1])
     for s in range(0, max(len(snaps), 1), step):  # an empty stack is still checked
-        into[s: s + step] = _evaluate(fn, snaps[s: s + step].astype(float), ad.dtype == bool)
+        _evaluate(fn, snaps[s: s + step], binary, into[s: s + step])
     return out
 
 
-def _evaluate(fn: NeighborhoodFn, ad: np.ndarray, binary: bool) -> np.ndarray:
-    """Variant bodies over the trailing two axes of a private float chunk, which
-    they may return a view of and write into; ``binary`` says the chunk was
-    converted from a ``bool`` stack, so it needs no binary scan."""
+def _evaluate(fn: NeighborhoodFn, ad: np.ndarray, binary: bool, out: np.ndarray) -> None:
+    """Variant bodies over the trailing two axes: G of the chunk ``ad``, which they only
+    read, into the float array ``out``; a ``binary`` (``bool``) chunk needs no scan."""
     if fn.kind in ("sign_poly", "k_stage") and not binary and not np.isin(ad, (0.0, 1.0)).all():
         raise ValueError(f"{fn.kind} requires a binary adjacency matrix")
     if fn.kind == "transpose":
-        return ad.swapaxes(-1, -2)
-    if fn.kind == "transpose_of":
-        return _evaluate(fn.inner, ad, binary).swapaxes(-1, -2)
-    if fn.kind == "sign_poly":
-        return _walks_within(ad, fn.k)
-    if fn.kind == "k_stage":
+        np.copyto(out, np.ascontiguousarray(ad.swapaxes(-1, -2)))
+    elif fn.kind == "transpose_of":
+        _evaluate(fn.inner, ad, binary, out.swapaxes(-1, -2))
+    elif fn.kind == "sign_poly":
+        np.copyto(out, _walks_within(ad.astype(float), fn.k))
+    elif fn.kind == "k_stage":
+        at = ad.swapaxes(-1, -2).astype(float)
+        np.subtract(_walks_within(at, fn.k), _walks_within(at, fn.k - 1), out=out)
+    elif fn.kind == "row_normalized_transpose":
+        # sums off the strided view (as one snapshot alone sums); one divide of a
+        # contiguous transposed copy, then every zero-sum row (signed ones too) to 0
         at = ad.swapaxes(-1, -2)
-        return _walks_within(at, fn.k) - _walks_within(at, fn.k - 1)
-    if fn.kind == "row_normalized_transpose":
-        # one unmasked divide into C order, then every zero-sum row (signed ones too) to 0
-        at = ad.swapaxes(-1, -2)
-        sums = at.sum(axis=-1, keepdims=True)
-        out = np.divide(at, np.where(sums != 0, sums, 1.0), out=np.empty(at.shape))
+        sums = at.sum(axis=-1, keepdims=True, dtype=float)
+        np.divide(np.ascontiguousarray(at), np.where(sums != 0, sums, 1.0), out=out)
         out[(sums == 0)[..., 0]] = 0.0
-        return out
-    if fn.kind == "mask":
+    elif fn.kind == "mask":
         w = fn.mask_matrix
         if w.shape != ad.shape[-2:]:
             raise ValueError("mask weight dimension does not match snapshot")
-        return w * ad
-    if fn.kind == "identity_plus":
-        # I + zero-diagonal inner(Ad), in place
-        out = _evaluate(fn.inner, ad, binary)
-        idx = np.arange(ad.shape[-1])
-        out[..., idx, idx] = 1.0
-        return out
-    raise AssertionError(f"unhandled variant {fn.kind}")  # pragma: no cover
+        np.multiply(w, ad, out=out)
+    elif fn.kind == "identity_plus":  # I + zero-diagonal inner(Ad)
+        _evaluate(fn.inner, ad, binary, out)
+        out[..., np.arange(ad.shape[-1]), np.arange(ad.shape[-1])] = 1.0
+    else:
+        raise AssertionError(f"unhandled variant {fn.kind}")  # pragma: no cover
 
 
 def generate_density_matched_markov(d: int, mean_density: float,

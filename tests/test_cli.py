@@ -11,7 +11,7 @@ import netar.io as nio
 from netar import AdjacencySeries, InnovationSpec, LnarSpec, NarSpec, NeighborhoodFn, simulate_nar
 from netar.cli import _parse_g, main
 from netar.estimate import _fit_by_bic
-from netar.harness import config_to_json, example1_config
+from netar.harness import config_to_json, example1_config, example2_config
 
 from panel_helpers import synthetic_panel_arrays, write_panel_files
 
@@ -351,6 +351,35 @@ def test_experiment_with_an_invalid_config_exits_with_its_problems(tmp_path):
     out = tmp_path / "exp_out"
     with pytest.raises(SystemExit, match=r"^invalid experiment config: horizons must be an "
                                          r"integer >= 1; p_max must be an integer >= 1$"):
+        main(["experiment", "--config", str(cfg_path), "--out", str(out)])
+    assert not out.exists()
+
+
+def non_stationary_nar(doc):
+    doc["process"]["A"][0][0][0] = 1.5
+
+
+def dense_lnar_with_an_uncertified_g(doc):
+    # c_lambda = 0.9 < 1 passes at load; zero-diag G = Ad^T has rows summing to
+    # about 4 on this dense network, so the check on the simulated network fails
+    doc["process"]["G"] = [{"kind": "transpose"}]
+
+
+@pytest.mark.parametrize("make, edit, message", [
+    (example1_config, non_stationary_nar,
+     r"invalid experiment config: process: fails the stationarity check \(rho=1.598018\)"),
+    (lambda **kw: example2_config(d=6, **kw), dense_lnar_with_an_uncertified_g,
+     r"spec fails the stationarity check: G_1 \(transpose\) has no infinity-norm "
+     r"certificate and reaches \d+ on the supplied network; .*"),
+], ids=["at-load", "on-the-simulated-network"])
+def test_experiment_with_a_non_stationary_process_exits_with_one_line(tmp_path, make, edit,
+                                                                        message):
+    doc = config_to_json(make(sample_sizes=(80,), replications=2, horizons=2))
+    edit(doc)
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(doc))
+    out = tmp_path / "exp_out"
+    with pytest.raises(SystemExit, match=f"^{message}$"):
         main(["experiment", "--config", str(cfg_path), "--out", str(out)])
     assert not out.exists()
 

@@ -203,9 +203,9 @@ class TestModulationRing:
         evaluated = []
         evaluate = netdyn._evaluate
 
-        def counting(fn, ad, binary):
+        def counting(fn, ad, *rest):
             evaluated.append(int(np.prod(ad.shape[:-2])))
-            return evaluate(fn, ad, binary)
+            return evaluate(fn, ad, *rest)
 
         monkeypatch.setattr(netdyn, "_evaluate", counting)
         estimate_delta_x(spec, model, InnovationSpec.standard(d), q=2, max_lag=max_lag,

@@ -561,6 +561,43 @@ class TestConfigJson:
         doc["network"] = {"kind": "flip", "persist_prob": 0.9}
         assert validate_config(doc) == ["dimensions differ: network 3, process 4, innov 4"]
 
+    @pytest.mark.parametrize("make, edit, problems", [
+        (example1_config, lambda proc: proc["A"][0][0].__setitem__(0, 1.5),
+         ["process: fails the stationarity check (rho=1.598018)"]),
+        (example2_config, lambda proc: proc["alpha"][0].__setitem__(0, 0.9),
+         ["process: fails the stationarity check (c_lambda=1.710000)"]),
+        # c_lambda < 1 and a G without a certificate: the simulated network decides
+        (example2_config, lambda proc: proc.update(G=[{"kind": "transpose"}]), []),
+    ], ids=["nar-rho", "lnar-c_lambda", "lnar-uncertified-g"])
+    def test_a_process_that_fails_its_stationarity_check_is_refused_at_load(
+            self, make, edit, problems):
+        doc = config_to_json(make(replications=5))
+        edit(doc["process"])
+        assert validate_config(doc) == problems
+        if problems:
+            with pytest.raises(ValueError, match=re.escape(problems[0])):
+                config_from_json(doc)
+
+    @pytest.mark.parametrize("policy", ["markov", "known", "holdlast", 1.5])
+    def test_a_var_method_refuses_a_network_policy(self, policy):
+        with pytest.raises(ValueError, match=re.escape(f"var takes network policy 'none', "
+                                                       f"not {policy!r}")):
+            MethodSpec("var", policy)
+        doc = config_to_json(example1_config(replications=5))
+        doc["methods"][-1]["policy"] = policy
+        assert validate_config(doc) == [f"methods[{len(doc['methods']) - 1}]: var takes "
+                                        f"network policy 'none', not {policy!r}"]
+
+    def test_a_var_method_without_a_policy_loads_and_round_trips(self):
+        doc = config_to_json(example1_config(replications=5))
+        assert doc["methods"][-1] == {"family": "var", "policy": "none", "sparsity": "none",
+                                      "freeze_markov": True}
+        del doc["methods"][-1]["policy"]
+        cfg = config_from_json(doc)
+        assert cfg.methods[-1].policy == "none"
+        assert config_to_json(cfg) == config_to_json(example1_config(replications=5))
+        assert MethodSpec("nar", g=NeighborhoodFn.transpose()).policy == "known"
+
     def test_schema_lists_required_keys(self):
         assert set(CONFIG_SCHEMA["required"]) <= set(CONFIG_SCHEMA["properties"])
 

@@ -1,6 +1,9 @@
 import itertools
 import math
+import tracemalloc
 
+import hypothesis as hyp
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 
@@ -178,6 +181,108 @@ class TestBoolStacks:
         monkeypatch.setattr(np, "isin", None)  # is_binary reads the dtype
         assert ads.is_binary()
         assert AdjacencySeries(on.astype(int)).mats.dtype == float
+
+
+def nested_variants(d, rng):
+    """:func:`kernel_variants` and more nestings of ``identity_plus`` and ``transpose_of``."""
+    rn = NeighborhoodFn.row_normalized_transpose()
+    mask = NeighborhoodFn.mask(rng.uniform(-1, 1, (d, d)))
+    more = [NeighborhoodFn.transpose_of(NeighborhoodFn.identity_plus(rn)),
+            NeighborhoodFn.identity_plus(NeighborhoodFn.transpose_of(mask)),
+            NeighborhoodFn.transpose_of(NeighborhoodFn.transpose_of(rn)),
+            NeighborhoodFn.identity_plus(NeighborhoodFn.identity_plus(rn)),
+            NeighborhoodFn.transpose_of(NeighborhoodFn.sign_poly(3))]
+    return kernel_variants(d, rng) + [(fn, fn.inner.kind == "sign_poly") for fn in more]
+
+
+def in_layout(ad, layout):
+    """``ad`` stored row-major, Fortran-ordered, or each snapshot column-major."""
+    if layout == "F":
+        return np.asfortranarray(ad)
+    return ad.swapaxes(-1, -2).copy().swapaxes(-1, -2) if layout == "transposed" else ad.copy()
+
+
+def one_by_one(fn, ad):
+    """G of each ``(d, d)`` snapshot of ``ad`` on its own, a view in the stack's layout."""
+    out = np.empty(ad.shape)
+    for idx in np.ndindex(ad.shape[:-2]):
+        out[idx] = apply_neighborhood_fn(fn, ad[idx])
+    return out
+
+
+def same_bits(first, *others):
+    """Equal bytes, so equal values and signbits (``-0.0`` included)."""
+    return all(r.tobytes() == first.tobytes() for r in others)
+
+
+class TestGBitsAcrossDtypesAndLayouts:
+    """G's bits do not depend on how the snapshots come: a bool stack, its float 0/1
+    copy and the snapshots one by one give the same bytes, and so do a signed weighted
+    stack (with -0.0 entries and zero-sum rows) and its snapshots, in C, Fortran and
+    column-major-snapshot layouts, 2-D and 4-D, over several chunks.  The input is left
+    as it was and the result owns its memory."""
+
+    shapes = st.sampled_from([(), (1,), (7,), (2, 3)])
+
+    def check(self, fn, ad, *peers):
+        before = ad.tobytes()
+        got = apply_neighborhood_fn(fn, ad)
+        assert got.flags.owndata and got.flags.c_contiguous and got.dtype == float
+        assert same_bits(got, one_by_one(fn, ad), *peers), fn
+        assert ad.tobytes() == before, f"{fn.kind} wrote into its input"
+
+    def test_bool_float_and_one_by_one(self, monkeypatch):
+        @hyp.settings(max_examples=60, deadline=None, derandomize=True)
+        @hyp.given(d=st.integers(1, 12), shape=self.shapes, chunk=st.integers(1, 4),
+                   layout=st.sampled_from(["C", "F", "transposed"]),
+                   density=st.floats(0.0, 1.0), seed=st.integers(0, 2**16))
+        def run(d, shape, chunk, layout, density, seed):
+            set_chunk(monkeypatch, chunk)
+            rng = np.random.default_rng(seed)
+            on = in_layout(rng.random(shape + (d, d)) < density, layout)
+            for fn, _ in nested_variants(d, rng):
+                self.check(fn, on, apply_neighborhood_fn(fn, on * 1.0))
+
+        run()
+
+    def test_signed_weights_and_one_by_one(self, monkeypatch):
+        # from d = 8 on, a row sum may be pairwise, in an order that depends on the layout
+        @hyp.settings(max_examples=60, deadline=None, derandomize=True)
+        @hyp.given(d=st.integers(2, 40), shape=self.shapes, chunk=st.integers(1, 4),
+                   layout=st.sampled_from(["C", "F", "transposed"]),
+                   density=st.floats(0.0, 1.0), seed=st.integers(0, 2**16))
+        def run(d, shape, chunk, layout, density, seed):
+            set_chunk(monkeypatch, chunk)
+            rng = np.random.default_rng(seed)
+            # -0.0 where a negative weight meets an absent edge
+            w = rng.uniform(-1, 1, shape + (d, d)) * (rng.random(shape + (d, d)) < density)
+            w[..., :, 0] = 0.0  # G's row 0 sums to 0 with non-zero entries
+            w[..., 0, 0], w[..., d - 1, 0] = 0.5, -0.5
+            w[..., :, 1] = -0.0
+            w = in_layout(w, layout)
+            for fn, needs_binary in nested_variants(d, rng):
+                if not needs_binary:
+                    self.check(fn, w)
+
+        run()
+
+    @pytest.mark.parametrize("fn", [
+        NeighborhoodFn.transpose(), NeighborhoodFn.identity(),
+        NeighborhoodFn.row_normalized_transpose(), NeighborhoodFn.mask(np.full((33, 33), 0.5)),
+        NeighborhoodFn.identity_plus(NeighborhoodFn.transpose()),
+        NeighborhoodFn.transpose_of(NeighborhoodFn.row_normalized_transpose()),
+    ], ids=["transpose", "identity", "row_normalized", "mask", "identity_plus", "transpose_of"])
+    def test_a_bool_stack_is_evaluated_with_no_float_copy_per_chunk(self, fn):
+        # sign_poly and k_stage convert to floats for their matmuls, so they are not here
+        d = 33
+        chunk_bytes = 8 * d * d * netdyn._snapshots_per_chunk(d)
+        on = np.random.default_rng(3).random((3 * netdyn._snapshots_per_chunk(d) + 5, d, d)) < 0.3
+        apply_neighborhood_fn(fn, on)  # lazy imports and first-touch allocations stay outside
+        tracemalloc.start()
+        out = apply_neighborhood_fn(fn, on)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < out.nbytes + chunk_bytes // 2, (peak - out.nbytes, chunk_bytes)
 
 
 class TestNeighborhoodKernel:

@@ -7,8 +7,8 @@ itself would be a second driver, free to drift from the first bit by bit.
 Likewise every fit reads G from what an ``AdjacencySeries`` keeps of its one
 chunked pass over the snapshots (``_g_parts``); a fit-side module that called
 the kernel itself would be a second sharing path.  And the variant bodies, ``netdyn._evaluate``,
-run only on the private float chunks ``apply_neighborhood_fn`` hands them;
-a second caller would be a second G path with its own copy and aliasing rules.
+run only on the chunks and result slices ``apply_neighborhood_fn`` hands them;
+a second caller would be a second G path with its own layout and aliasing rules.
 The harness, the panel pipeline and ``netar fit`` select the order, build the
 network mask and refit only through ``estimate._fit_by_bic``; a front end that
 named the selection, a fit or the series' parts of G itself would be a second recipe.
