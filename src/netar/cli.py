@@ -22,7 +22,8 @@ from . import io as nio
 from .depmeas import estimate_delta_network, estimate_delta_x
 from .estimate import FAMILIES, EstimationError, _fit_by_bic
 from .forecast import HoldLast, Known, PerEdgeMarkov, forecast_h
-from .harness import config_from_json, ingest_panel, run_experiment, run_rolling_forecast, CONFIG_SCHEMA
+from .harness import (CONFIG_SCHEMA, ExperimentAborted, config_from_json, ingest_panel,
+                      run_experiment, run_rolling_forecast)
 from .model import LnarSpec, simulate_lnar, simulate_nar
 from .moments import sample_acf
 from .netdyn import NeighborhoodFn
@@ -66,7 +67,10 @@ def cmd_simulate(args) -> int:
         ads = _load_network_model(args.network).simulate(args.burn_in + args.n, seed=rng)
     else:
         ads = nio.read_adjacency(args.ads)
-    x = sim(spec, ads, innov, n=args.n, burn_in=args.burn_in, seed=rng)
+    try:  # a process that fails its stationarity check, or that does not fit its network
+        x = sim(spec, ads, innov, n=args.n, burn_in=args.burn_in, seed=rng)
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
     nio.write_series_csv(_out_path(args, "series.csv"), x)
     nio.write_adjacency_csv(_out_path(args, "network.csv"), ads.drop_first(args.burn_in))
     print(f"wrote series.csv ({x.shape[0]}x{x.shape[1]}) and network.csv to {args.out}")
@@ -141,11 +145,19 @@ def cmd_acf(args) -> int:
 
 
 def cmd_depmeas(args) -> int:
+    for flag, value, least in (("--reps", args.reps, 2), ("--max-lag", args.max_lag, 0)):
+        if value < least:
+            raise SystemExit(f"{flag} must be at least {least}, got {value}")
+    if not args.q > 0:
+        raise SystemExit(f"--q must be positive, got {args.q}")
     model = _load_network_model(args.network)
     if args.process:
         spec, innov = nio.read_model_spec(args.process)
-        run = estimate_delta_x(spec, model, innov, q=args.q, max_lag=args.max_lag,
-                               reps=args.reps, seed=args.seed, mode=args.mode)
+        try:  # a process whose dimension differs from its innovations' or the network's
+            run = estimate_delta_x(spec, model, innov, q=args.q, max_lag=args.max_lag,
+                                   reps=args.reps, seed=args.seed, mode=args.mode)
+        except ValueError as exc:
+            raise SystemExit(str(exc)) from None
     else:
         run = estimate_delta_network(model, q=args.q, max_lag=args.max_lag,
                                      reps=args.reps, seed=args.seed)
@@ -166,9 +178,9 @@ def cmd_experiment(args) -> int:
     doc = nio._read_json(args.config)
     if args.seed is not None:
         doc["seed"] = args.seed
-    try:  # an invalid config, or a process that fails its check on the simulated network
+    try:  # a bad config, a process failing its check on the network, a run aborted
         report = run_experiment(config_from_json(doc), threads=args.threads, out_dir=args.out)
-    except ValueError as exc:
+    except (ValueError, ExperimentAborted) as exc:
         raise SystemExit(str(exc)) from None
     for n in report.sample_sizes:
         for lbl in report.method_labels:

@@ -87,7 +87,7 @@ def _check_coupling(q: float, max_lag: int, reps: int, burn_in: int) -> None:
     """The arguments both coupling estimators share."""
     if reps < 2:
         raise ValueError("need at least 2 replicate pairs")
-    if q <= 0:
+    if not q > 0:  # NaN too
         raise ValueError("q must be positive")
     if max_lag < 0:
         raise ValueError(f"max_lag must be at least 0, got {max_lag}")

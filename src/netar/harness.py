@@ -67,6 +67,10 @@ _CHUNK_PATH_BYTES = 160 * 2**10
 _MIN_PANEL_QUARTERS = 40
 
 
+class ExperimentAborted(RuntimeError):
+    """A method failed on more than ``FAILURE_ABORT_RATE`` of a sample size's replicates."""
+
+
 @dataclass(frozen=True)
 class MethodSpec:
     """One estimation/forecasting method in an experiment.
@@ -416,8 +420,9 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1,
                 errs = [res[lbl] for res in results if res[lbl] is not None]
                 failures[(n, lbl)] = fails = b - len(errs)
                 if fails > FAILURE_ABORT_RATE * b:
-                    raise RuntimeError(f"method {lbl} failed on {fails} of {b} replicates at "
-                                       f"n={n}; aborting (threshold {FAILURE_ABORT_RATE:.0%})")
+                    raise ExperimentAborted(f"method {lbl} failed on {fails} of {b} replicates "
+                                            f"at n={n}; aborting (threshold "
+                                            f"{FAILURE_ABORT_RATE:.0%})")
                 # per-replicate component average of the squared errors, (B_ok, h)
                 rep_means = (np.stack(errs) ** 2).mean(axis=1)
                 mse[(n, lbl)] = rep_means.mean(axis=0)

@@ -12,7 +12,7 @@ A walk over a whole path goes in chunks of :func:`_snapshots_per_chunk`
 snapshots, about 1 MiB of float snapshots: the network draws, G's
 evaluation straight into its result, the simulator's coefficients, the
 per-component model's path certificate and the fits' pass over G.  G is
-per snapshot and 0/1 is exact as a float, so no result depends on the chunk.
+per snapshot and sums of 0/1 are exact, so no result depends on the chunk.
 Every walk and path simulation is a batch of R replicates, one Generator
 each: :func:`_generator_batch` reads every simulator's seed, and a seed that
 is not a list of Generators is a batch of one.  A batch steps in time chunks
@@ -512,9 +512,10 @@ def apply_neighborhood_fn(fn: NeighborhoodFn, ad) -> np.ndarray:
     A ``bool`` or float stack (anything else is read as floats) is evaluated one
     chunk of :func:`_snapshots_per_chunk` snapshots at a time, each variant
     reading the chunk as it is and writing its G into the chunk's slice of the
-    result.  A stack that is not snapshot-major (Fortran order) is first copied
-    snapshot-major, each snapshot in its own layout, so a row sum reads a snapshot
-    as it would alone: the result is that of the snapshots one by one, bit for bit.
+    result.  A ``bool`` row sum is an exact integer in any order; a float stack that
+    is not snapshot-major (Fortran order) is first copied snapshot-major, each snapshot
+    in its own layout, so a float row sum reads a snapshot as it would alone.  Either
+    way the result is that of the snapshots one by one, bit for bit.
     """
     ad = np.asarray(ad)
     if ad.ndim < 2 or ad.shape[-1] != ad.shape[-2]:
@@ -534,7 +535,8 @@ def apply_neighborhood_fn(fn: NeighborhoodFn, ad) -> np.ndarray:
 
 def _evaluate(fn: NeighborhoodFn, ad: np.ndarray, binary: bool, out: np.ndarray) -> None:
     """Variant bodies over the trailing two axes: G of the chunk ``ad``, which they only
-    read, into the float array ``out``; a ``binary`` (``bool``) chunk needs no scan."""
+    read, into the float array ``out``; a ``binary`` (``bool``) chunk needs no scan, and
+    its row sums are exact integers in any order."""
     if fn.kind in ("sign_poly", "k_stage") and not binary and not np.isin(ad, (0.0, 1.0)).all():
         raise ValueError(f"{fn.kind} requires a binary adjacency matrix")
     if fn.kind == "transpose":
@@ -546,6 +548,12 @@ def _evaluate(fn: NeighborhoodFn, ad: np.ndarray, binary: bool, out: np.ndarray)
     elif fn.kind == "k_stage":
         at = ad.swapaxes(-1, -2).astype(float)
         np.subtract(_walks_within(at, fn.k), _walks_within(at, fn.k - 1), out=out)
+    elif fn.kind == "row_normalized_transpose" and binary:
+        # 0/1 rows: exact integer sums by one matrix-vector product, and x * fl(1/s) is
+        # fl(x / s) for x in {0, 1}; a zero-sum row is scaled by 1, so it stays +0.0
+        np.copyto(out, np.ascontiguousarray(ad.swapaxes(-1, -2)))
+        sums = np.matmul(out, np.ones(ad.shape[-1]))
+        np.multiply(out, (1.0 / np.maximum(sums, 1.0))[..., None], out=out)
     elif fn.kind == "row_normalized_transpose":
         # sums off the strided view (as one snapshot alone sums); one divide of a
         # contiguous transposed copy, then every zero-sum row (signed ones too) to 0

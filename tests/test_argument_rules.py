@@ -161,8 +161,9 @@ class TestCouplingArguments:
         self.innov = InnovationSpec.standard(3)
 
     def test_q_must_be_positive(self):
-        with pytest.raises(ValueError, match="q must be positive"):
-            estimate_delta_x(self.spec, FlipNetwork(), self.innov, q=0, max_lag=3, reps=10)
+        for q in (0, float("nan")):
+            with pytest.raises(ValueError, match="q must be positive"):
+                estimate_delta_x(self.spec, FlipNetwork(), self.innov, q=q, max_lag=3, reps=10)
 
     def test_max_lag_must_not_be_negative(self):
         with pytest.raises(ValueError, match="max_lag must be at least 0, got -1"):

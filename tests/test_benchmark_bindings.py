@@ -6,6 +6,9 @@ counts at zero.
 This runs the tracer, read from ``perfbench/`` as it is, over a tiny
 experiment and a tiny coupling run, requires every layer count to be
 non-zero, and requires every binding to be the original again afterwards.
+It also runs them twice, each under its own traced call, as the benchmark
+does: the layer counts and every output file must repeat, so no state that
+outlives a call (a cache, say) changes what a call does or counts.
 """
 
 import importlib.util
@@ -48,8 +51,10 @@ def _bindings():
     return found
 
 
-def test_tracer_counts_every_layer_and_restores_the_originals(tmp_path):
-    cfg = example1_config(sample_sizes=(60,), replications=2, seed=5,
+def _tiny_runs(tmp_path, seed):
+    """A function that runs the tiny experiment and coupling run of ``seed`` into a given
+    directory."""
+    cfg = example1_config(sample_sizes=(60,), replications=2, seed=seed,
                           policies=("known", "markov"))
     config = tmp_path / "config.json"
     config.write_text(json.dumps(config_to_json(cfg)))
@@ -61,13 +66,35 @@ def test_tracer_counts_every_layer_and_restores_the_originals(tmp_path):
                                           [NeighborhoodFn.transpose()]),
                          InnovationSpec(np.zeros(2), np.eye(2)))
 
+    def run(out):
+        assert main(["experiment", "--config", str(config), "--out", str(out / "ex")]) == 0
+        assert main(["depmeas", "--network", str(network), "--process", str(process),
+                     "--max-lag", "3", "--reps", "20", "--seed", str(seed),
+                     "--out", str(out / "dep")]) == 0
+
+    return run
+
+
+def test_tracer_counts_every_layer_and_restores_the_originals(tmp_path):
+    run = _tiny_runs(tmp_path, 5)
     before = _bindings()
     tracer = _load_spans().Tracer()
     with tracer.traced_call():
-        assert main(["experiment", "--config", str(config), "--out", str(tmp_path / "ex")]) == 0
-        assert main(["depmeas", "--network", str(network), "--process", str(process),
-                     "--max-lag", "3", "--reps", "20", "--seed", "1",
-                     "--out", str(tmp_path / "dep")]) == 0
+        run(tmp_path)
     assert [k for k in LAYER_COUNTS if not tracer.counts[k]] == []
     after = _bindings()
     assert sorted(f"{m}.{a}" for m, a in before if after.get((m, a)) is not before[(m, a)]) == []
+
+
+def test_traced_calls_repeat_their_counts_and_outputs(tmp_path):
+    # a seed no other test runs, so the first call here is the process's first on its inputs
+    run = _tiny_runs(tmp_path, 6)
+    tracer, counts, outputs = _load_spans().Tracer(), [], []
+    for call in ("first", "second"):
+        with tracer.traced_call():
+            run(tmp_path / call)
+        counts.append(dict(tracer.counts))
+        outputs.append({str(f.relative_to(tmp_path / call)): f.read_bytes()
+                        for f in sorted((tmp_path / call).rglob("*")) if f.is_file()})
+    assert counts[0] == counts[1] and counts[0]["netdyn.g_apply.calls"]
+    assert outputs[0] == outputs[1] and len(outputs[0]) > 2

@@ -384,6 +384,61 @@ def test_experiment_with_a_non_stationary_process_exits_with_one_line(tmp_path, 
     assert not out.exists()
 
 
+def test_experiment_that_a_method_aborts_exits_with_one_line(tmp_path):
+    doc = config_to_json(example1_config(sample_sizes=(10,), replications=4))
+    doc.update(burn_in=10, methods=[{"family": "var"}])  # too short for any var fit
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(doc))
+    out = tmp_path / "exp_out"
+    with pytest.raises(SystemExit, match=r"^method var failed on 4 of 4 replicates at n=10; "
+                                         r"aborting \(threshold 1%\)$") as exc:
+        main(["experiment", "--config", str(cfg_path), "--out", str(out)])
+    assert exc.value.code != 0
+    assert not out.exists()
+
+
+def explosive_model(tmp_path):
+    """A 2-component NAR whose own coefficient of component 1 is 1.5."""
+    path = tmp_path / "explosive.json"
+    nio.write_model_spec(path, NarSpec(1, [np.array([[1.5, 0.2], [0.0, 0.4]])],
+                                       [NeighborhoodFn.transpose()]),
+                         InnovationSpec(np.array([1.0, -1.0]), np.eye(2)))
+    return str(path)
+
+
+def three_vertex_network(tmp_path):
+    path = tmp_path / "network3.json"
+    path.write_text(json.dumps({"kind": "markov_edges", "stay": [[0.9] * 3] * 3,
+                                "enter": [[0.2] * 3] * 3, "initial": "stationary"}))
+    return str(path)
+
+
+@pytest.mark.parametrize("command, message", [
+    (["simulate", "--model", "{explosive}", "--network", "{network}", "--n", "10"],
+     r"spec fails the stationarity check \(rho=1.500000\); .*"),
+    (["simulate", "--model", "{model}", "--network", "{network3}", "--n", "10"],
+     "simulate_nar: the network has 3 vertices but the process has 2 components"),
+    (["depmeas", "--network", "{network}", "--reps", "1"], "--reps must be at least 2, got 1"),
+    (["depmeas", "--network", "{network}", "--q", "0"], "--q must be positive, got 0.0"),
+    (["depmeas", "--network", "{network}", "--q", "nan"], "--q must be positive, got nan"),
+    (["depmeas", "--network", "{network}", "--max-lag", "-1"],
+     "--max-lag must be at least 0, got -1"),
+    (["depmeas", "--network", "{network3}", "--process", "{model}", "--reps", "10"],
+     "the network has 3 vertices but the process has 2 components"),
+], ids=["simulate-non-stationary", "simulate-network-size", "depmeas-reps", "depmeas-q",
+        "depmeas-q-nan", "depmeas-max-lag", "depmeas-network-size"])
+def test_simulate_and_depmeas_bad_input_exits_with_one_line(tmp_path, model_files, command,
+                                                             message):
+    model_path, net_path = model_files
+    paths = dict(model=model_path, network=net_path,
+                 explosive=explosive_model(tmp_path),
+                 network3=three_vertex_network(tmp_path))
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit, match=f"^{message}$"):
+        main([arg.format(**paths) for arg in command] + ["--out", str(out)])
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", [
     ["experiment", "--config", "{path}"],
     ["fit", "--series", "{path}", "--family", "var"],

@@ -285,6 +285,38 @@ class TestGBitsAcrossDtypesAndLayouts:
         assert peak < out.nbytes + chunk_bytes // 2, (peak - out.nbytes, chunk_bytes)
 
 
+class TestBinaryRowNormalizer:
+    """The row-normalized transpose of a bool chunk (integer row sums, then one scale by
+    their reciprocals) gives the bytes of the divide on its float 0/1 copy and of the
+    snapshots one by one, at the edges a random stack may miss: zero-sum rows (+0.0),
+    full rows, self-loops, empty and full snapshots, one to several chunks, wrapped so
+    that the result is written through a transposed view."""
+
+    @pytest.mark.parametrize("lead", ["2d", "4d", "chunks"])
+    @pytest.mark.parametrize("d", [1, 2, 33, 100])
+    def test_edges_match_the_float_copy_and_one_by_one(self, monkeypatch, d, lead):
+        step = netdyn._snapshots_per_chunk(d)
+        if step > 120:  # below d = 33 a chunk holds thousands of snapshots
+            step = 5
+            set_chunk(monkeypatch, step)
+        shape = {"2d": (), "4d": (2, 3), "chunks": (2 * step + 3,)}[lead]
+        on = np.random.default_rng(d).random(shape + (d, d)) < 0.3
+        flat = on.reshape(-1, d, d)
+        flat[0::3, :, d - 1] = True  # G's last row is full
+        flat[0::3, :, 0] = False  # G's first row sums to 0 (at d = 1, the whole snapshot)
+        flat[1::3, np.arange(d), np.arange(d)] = True  # self-loops
+        if len(flat) > 5:
+            flat[2], flat[5] = True, False  # a full and an empty snapshot
+        rn = NeighborhoodFn.row_normalized_transpose()
+        for fn in (rn, NeighborhoodFn.transpose_of(rn), NeighborhoodFn.identity_plus(rn)):
+            got = apply_neighborhood_fn(fn, on)
+            assert same_bits(got, apply_neighborhood_fn(fn, on * 1.0), one_by_one(fn, on),
+                             per_snapshot(neighborhood_oracle, fn, on)), fn
+            assert not np.signbit(got).any()
+        g = apply_neighborhood_fn(rn, on).reshape(-1, d, d)
+        assert (g[0::3, 0] == 0).all() and (d == 1 or (g[0::3, -1] == 1.0 / d).all())
+
+
 class TestNeighborhoodKernel:
     """The batched kernel against the per-snapshot oracle, bit for bit, on float
     stacks (weighted and signed where G allows it) of every layout, evaluated one
